@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="sweep output format")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; changes neither output nor speed")
     parser.add_argument("--strict", action="store_true",
                         help="fail on any grid-point numerical error")
     sub = parser.add_subparsers(dest="command", required=True)

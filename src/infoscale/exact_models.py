@@ -17,10 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import NumericsError, ParameterError, UnsupportedModelError
-from .optimize import minimize_positive_scalar
+from .goal_oriented import AnalyticCgf, xi_bounds
 from .quadrature import adaptive_simpson
-
-_ZERO_RATE = 1e-15
 
 
 def _log_two_cosh(t: float) -> float:
@@ -90,19 +88,22 @@ ModelSpec = Union[Ising1DParams, Ising2DParams, MeanFieldParams]
 # One-dimensional Ising chain
 # ---------------------------------------------------------------------------
 
+def _ising1d_scaled(bj: float, y: float) -> tuple[float, float, float]:
+    """``(e^{-2|y|}, k1 e^{-|y|}, (e^{bJ} cosh y + k1) e^{-|y|})`` with
+    ``k1 = sqrt(e^{2bJ} sinh^2 y + e^{-2bJ})``, finite for any tilt y."""
+    u = math.exp(-2.0 * abs(y))
+    k = math.sqrt(math.exp(2.0 * bj) * (1.0 - u) ** 2 / 4.0 + u * math.exp(-2.0 * bj))
+    return u, k, math.exp(bj) * (1.0 + u) / 2.0 + k
+
+
 def ising1d_pressure_tilted(beta: float, J: float, y: float) -> float:
     """Pressure of the chain as a function of the field tilt y = beta*h.
 
     Equals ``log(e^{bJ} cosh y + sqrt(e^{2bJ} sinh^2 y + e^{-2bJ}))``,
-    rewritten with the factor e^{|y|} pulled out so it stays finite for the
-    very large tilts the bound optimizer explores.
+    evaluated overflow-safely by :func:`_ising1d_scaled`.
     """
-    bj = beta * J
-    u = math.exp(-2.0 * abs(y))
-    inner = math.exp(bj) * (1.0 + u) / 2.0 + math.sqrt(
-        math.exp(2.0 * bj) * (1.0 - u) ** 2 / 4.0 + u * math.exp(-2.0 * bj)
-    )
-    return abs(y) + math.log(inner)
+    _, _, top = _ising1d_scaled(beta * J, y)
+    return abs(y) + math.log(top)
 
 
 @dataclass(frozen=True)
@@ -120,17 +121,17 @@ def ising1d_quantities(params: Ising1DParams) -> Ising1DQuantities:
     magnetization ``e^{bJ} sinh(bh)/k1``, pressure
     ``log(e^{bJ} cosh(bh) + k1)``, nearest-neighbor correlation
     ``1 - 2 e^{-2bJ} / (k1 (e^{bJ} cosh(bh) + k1))`` and per-site variance
-    (susceptibility over beta) ``e^{-bJ} cosh(bh) / k1^3``.
+    (susceptibility over beta) ``e^{-bJ} cosh(bh) / k1^3``, all with the
+    factor e^{|bh|} divided out.
     """
-    beta, J, h = params.beta, params.J, params.h
-    y = beta * h
-    k1 = math.sqrt(math.exp(2.0 * beta * J) * math.sinh(y) ** 2 + math.exp(-2.0 * beta * J))
-    denom = math.exp(beta * J) * math.cosh(y) + k1
+    bj, y = params.beta * params.J, params.beta * params.h
+    u, k, top = _ising1d_scaled(bj, y)
+    m = math.exp(bj) * (1.0 - u) / 2.0 / k
     return Ising1DQuantities(
-        magnetization=math.exp(beta * J) * math.sinh(y) / k1,
-        pressure=ising1d_pressure_tilted(beta, J, y),
-        nn_correlation=1.0 - 2.0 * math.exp(-2.0 * beta * J) / (k1 * denom),
-        variance_per_site=math.exp(-beta * J) * math.cosh(y) / k1**3,
+        magnetization=-m if y < 0.0 else m,
+        pressure=abs(y) + math.log(top),
+        nn_correlation=1.0 - 2.0 * u * math.exp(-2.0 * bj) / (k * top),
+        variance_per_site=math.exp(-bj) * u * (1.0 + u) / 2.0 / k**3,
     )
 
 
@@ -144,7 +145,8 @@ def ising2d_critical_beta(J: float) -> float:
 
 
 def _onsager_k(s: float, theta: float) -> float:
-    return math.sqrt(s * s + 1.0 - 2.0 * s * math.cos(2.0 * theta))
+    # sqrt(s^2 + 1 - 2 s cos 2 theta) without cancellation to 0 when s ~ 1.
+    return math.sqrt((s - 1.0) ** 2 + 4.0 * s * math.sin(theta) ** 2)
 
 
 def onsager_pressure(beta: float, J: float) -> float:
@@ -426,31 +428,26 @@ def phase_bound_point(
 ) -> PhasePoint:
     """Bounds on the target-model magnetization at one grid point.
 
-    Upper bound ``inf_{c>0} [Lambda(c) + r]/c`` and lower bound
-    ``sup_{c>0} -[Lambda(-c) + r]/c`` with the baseline's uncentered per-site
-    CGF and the cross-model relative entropy rate; identical models give the
-    baseline magnetization back on both sides.
+    The baseline magnetization plus :func:`~infoscale.goal_oriented.xi_bounds`
+    of the baseline's centered per-site CGF (``model_cgf`` minus its linear
+    term) at the cross-model relative entropy rate; identical models give
+    the baseline magnetization back on both sides.
     """
     qp = _with_parameter(model_q, sweep_parameter, param_value)
     pp = _with_parameter(model_p, sweep_parameter, param_value)
     baseline = magnetization(pp)
     true_qoi = magnetization(qp)
     rate = cross_model_re_rate(qp, pp)
-    if rate < _ZERO_RATE:
-        upper = lower = baseline
-    else:
-        _, upper = minimize_positive_scalar(lambda c: (model_cgf(pp, c) + rate) / c)
-        _, neg_lower = minimize_positive_scalar(lambda c: (model_cgf(pp, -c) + rate) / c)
-        lower = -neg_lower
-    half = math.sqrt(variance_per_site(pp)) * math.sqrt(2.0 * rate)
+    source = AnalyticCgf(fn=lambda c: model_cgf(pp, c) - c * baseline, check_contract=False)
+    bound = xi_bounds(source, rate, variance=variance_per_site(pp))
     return PhasePoint(
         param=param_value,
         baseline_qoi=baseline,
         true_qoi=true_qoi,
-        xi_lower=lower,
-        xi_upper=upper,
-        lin_lower=baseline - half,
-        lin_upper=baseline + half,
+        xi_lower=baseline + bound.xi_minus,
+        xi_upper=baseline + bound.xi_plus,
+        lin_lower=baseline - bound.linearized_half_width,
+        lin_upper=baseline + bound.linearized_half_width,
         re_rate=rate,
     )
 

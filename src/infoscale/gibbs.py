@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergences import DiscreteDistribution
+from .divergences import DiscreteDistribution, _logsumexp
 from .errors import (
     DimensionError,
     EnumerationLimitError,
@@ -283,11 +283,6 @@ def _energy_vector(
             pattern = state_indices[:, row] @ digit_weights
             energies += table[pattern]
     return energies
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
 
 
 def log_partition(

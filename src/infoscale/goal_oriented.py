@@ -187,17 +187,21 @@ def xi_bounds(
     golden-section search finds the optimum; both degenerate cases (R = 0 or
     a constant observable) short-circuit to exactly (0, 0).
 
-    ``variance`` overrides the variance used in the linearized half width;
-    by default empirical sources use the exact variance and analytic sources
-    a central finite difference of K at 0.
+    ``variance`` sets the linearized half width only; it may round to 0
+    where K does not.  Without it, empirical sources use the exact variance
+    and analytic sources a central finite difference of K at 0, and a zero
+    there marks a constant observable.
     """
     if relative_entropy_value < 0:
         raise ParameterError(
             f"relative entropy must be nonnegative, got {relative_entropy_value!r}"
         )
-    var = source.variance() if variance is None else variance
-    if relative_entropy_value < _ZERO_BUDGET or var <= 0.0:
+    if relative_entropy_value < _ZERO_BUDGET:
         return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
+    if variance is None:
+        variance = source.variance()
+        if variance <= 0.0:
+            return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
 
     cap = _optimizer_cap(source)
     c_init = min(1.0, cap / 2.0)
@@ -219,7 +223,7 @@ def xi_bounds(
         xi_minus=-neg_xi_minus,
         c_star_plus=c_plus,
         c_star_minus=c_minus,
-        linearized_half_width=linearized_half_width(var, r),
+        linearized_half_width=linearized_half_width(variance, r),
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, DivergenceReport, Observable
+from .divergences import DiscreteDistribution, DivergenceReport, Observable, _logsumexp
 from .errors import (
     AbsoluteContinuityError,
     DimensionError,
@@ -329,6 +329,21 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     return max(value, 0.0)
 
 
+def _rate_bound_setup(
+    q: TransitionMatrix, p: TransitionMatrix, g: Observable
+) -> tuple[AnalyticCgf, float, float | None]:
+    """Checks and inputs shared by the steady-state bounds of a chain pair:
+    the lambda-curve source, the IACT (NaN for a periodic p) and the variance
+    for :func:`xi_bounds` (None where the IACT is NaN)."""
+    _require_mutual_row_ac(q, p)
+    _check_observable(p, g)
+    mu = stationary_distribution(p).weights
+    centered = g.values - float(mu @ g.values)
+    source = AnalyticCgf(fn=_lambda_curve(p.rows, centered), check_contract=False)
+    iact = integrated_autocorrelation(p, g) if p.is_aperiodic() else math.nan
+    return source, iact, iact if math.isfinite(iact) else None
+
+
 def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> RateBound:
     """Goal-oriented rate bounds sandwiching the stationary QoI gap.
 
@@ -336,20 +351,14 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     entropy rate, and the mirrored supremum below; c = 0 is understood as the
     limiting value, which the degenerate short-circuit (r = 0) returns.
     """
-    _require_mutual_row_ac(q, p)
-    _check_observable(p, g)
+    source, iact, variance = _rate_bound_setup(q, p, g)
     r = relative_entropy_rate(q, p)
-    mu = stationary_distribution(p).weights
-    centered = g.values - float(mu @ g.values)
-    curve = _lambda_curve(p.rows, centered)
-    iact = integrated_autocorrelation(p, g) if p.is_aperiodic() else math.nan
-    source = AnalyticCgf(fn=curve, check_contract=False)
-    bound = xi_bounds(source, r, variance=iact if math.isfinite(iact) else None)
+    bound = xi_bounds(source, r, variance=variance)
     return RateBound(
         rer=r,
         xi_plus_rate=bound.xi_plus,
         xi_minus_rate=bound.xi_minus,
-        lambda_curve=curve,
+        lambda_curve=source.fn,
         iact=iact,
     )
 
@@ -379,20 +388,13 @@ def cheap_rate_bounds(
     half-widths ``sqrt(v) sqrt(2 surrogate)`` with v the integrated
     autocorrelation.
     """
-    _require_mutual_row_ac(q, p)
-    _check_observable(p, g)
+    source, _, variance = _rate_bound_setup(q, p, g)
     r = relative_entropy_rate(q, p)
     sup_row = max(_row_kl(q.rows[x], p.rows[x]) for x in range(q.size))
     support = q.rows > 0
     sup_ratio = float(
         np.max(np.abs(np.log(q.rows[support]) - np.log(p.rows[support])))
     )
-    mu = stationary_distribution(p).weights
-    centered = g.values - float(mu @ g.values)
-    curve = _lambda_curve(p.rows, centered)
-    iact = integrated_autocorrelation(p, g) if p.is_aperiodic() else math.nan
-    variance = iact if math.isfinite(iact) else None
-    source = AnalyticCgf(fn=curve, check_contract=False)
     return CheapRateBounds(
         rer=r,
         sup_row_re=sup_row,
@@ -451,13 +453,9 @@ def path_divergence_report(
     q_path = np.exp(lq)
     kl = float(np.sum(q_path * (lq - lp)))
 
-    def lse(a: np.ndarray) -> float:
-        m = float(np.max(a))
-        return m + math.log(float(np.sum(np.exp(a - m))))
-
-    d_alpha = lse(alpha * lq + (1.0 - alpha) * lp) / (alpha - 1.0)
-    chi2 = math.expm1(lse(2.0 * lq - lp))
-    bhattacharyya = math.exp(lse(0.5 * (lq + lp)))
+    d_alpha = _logsumexp(alpha * lq + (1.0 - alpha) * lp) / (alpha - 1.0)
+    chi2 = math.expm1(_logsumexp(2.0 * lq - lp))
+    bhattacharyya = math.exp(_logsumexp(0.5 * (lq + lp)))
     h = math.sqrt(max(2.0 - 2.0 * bhattacharyya, 0.0))
     tv_all = 0.5 * float(
         np.sum(np.abs(np.exp(log_q) - np.exp(log_p)))

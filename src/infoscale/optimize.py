@@ -12,17 +12,17 @@ import math
 from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LO_FLOOR = 1e-18
+_TOL_X = 1e-10
+_TOL_F = 1e-12
+_MAX_ITER = 400
 
 
 def minimize_positive_scalar(
     objective: Callable[[float], float],
     *,
     c_init: float = 1.0,
-    lo_floor: float = 1e-18,
     hi_cap: float = 1e12,
-    tol_x: float = 1e-10,
-    tol_f: float = 1e-12,
-    max_iter: int = 400,
 ) -> tuple[float, float]:
     """Minimize a quasiconvex objective over ``c > 0``.
 
@@ -44,7 +44,7 @@ def minimize_positive_scalar(
             best_f, best_c = v, c
         return v
 
-    c_init = min(max(c_init, lo_floor), hi_cap)
+    c_init = min(max(c_init, _LO_FLOOR), hi_cap)
     f0 = f(c_init)
 
     # Expand right until the objective increases or the cap is reached.
@@ -59,8 +59,8 @@ def minimize_positive_scalar(
 
     # Expand left likewise; objectives with an entropy term blow up at 0+.
     lo, f_lo = c_init, f0
-    while lo > lo_floor:
-        cand = max(lo / 2.0, lo_floor)
+    while lo > _LO_FLOOR:
+        cand = max(lo / 2.0, _LO_FLOOR)
         f_cand = f(cand)
         if f_cand > f_lo:
             lo = cand
@@ -71,8 +71,8 @@ def minimize_positive_scalar(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     f_c, f_d = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol_x:
+    for _ in range(_MAX_ITER):
+        if b - a <= _TOL_X:
             break
         if f_c <= f_d:
             b, d, f_d = d, c, f_c
@@ -82,7 +82,7 @@ def minimize_positive_scalar(
             a, c, f_c = c, d, f_d
             d = a + _INVPHI * (b - a)
             f_d = f(d)
-        if abs(f_c - f_d) <= tol_f and b - a <= math.sqrt(tol_x):
+        if abs(f_c - f_d) <= _TOL_F and b - a <= math.sqrt(_TOL_X):
             break
 
     if not math.isfinite(best_f) or math.isnan(best_c):

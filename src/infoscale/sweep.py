@@ -1,10 +1,10 @@
 """Phase-diagram sweep orchestration, figure presets, and CSV/JSON emission.
 
-Grid points are independent; with ``jobs > 1`` they are evaluated
-concurrently but buffered and emitted in ascending parameter order, so the
-output is byte-identical across parallelism degrees.  A numerical failure at
-a grid point becomes a row of NaNs plus a diagnostic warning (or an abort in
-strict mode).
+Grid points are evaluated one after another and emitted in ascending
+parameter order.  ``jobs`` is accepted and validated for compatibility but
+changes neither the output nor the speed: the points are pure-Python work
+that threads cannot overlap.  A numerical failure at a grid point becomes a
+row of NaNs plus a diagnostic warning (or an abort in strict mode).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +79,6 @@ def evaluate_sweep(config: SweepConfig) -> tuple[list[PhasePoint], int]:
     Failures are caught per point and reported as NaN rows unless
     ``config.strict``, in which case the first failure propagates.
     """
-    values = config.grid()
 
     def point(v: float) -> PhasePoint:
         try:
@@ -93,11 +91,7 @@ def evaluate_sweep(config: SweepConfig) -> tuple[list[PhasePoint], int]:
             log.warning("grid point %.12g failed; emitting NaN row", v, exc_info=True)
             return _nan_point(v)
 
-    if config.jobs == 1:
-        rows = [point(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(point, values))
+    rows = [point(v) for v in config.grid()]
     failures = sum(1 for r in rows if math.isnan(r.re_rate))
     return rows, failures
 

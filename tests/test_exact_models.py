@@ -38,6 +38,7 @@ class TestIsing1D:
         for beta in (0.2, 1.0, 3.0):
             q = ising1d_quantities(Ising1DParams(beta=beta, J=1.0, h=0.0))
             assert q.magnetization == 0.0
+            assert math.copysign(1.0, q.magnetization) == 1.0  # prints 0, not -0
 
     def test_zero_field_variance_closed_form(self):
         # k1 = e^{-J beta} at h = 0, so the variance reduces to e^{2 J beta}.
@@ -81,6 +82,14 @@ class TestIsing1D:
     def test_tilted_pressure_stable_at_huge_tilt(self):
         value = ising1d_pressure_tilted(1.0, 1.0, 1e12)
         assert value == pytest.approx(1e12 + 1.0, rel=1e-12)
+
+    def test_quantities_finite_at_extreme_field(self):
+        for h, sign in ((400.0, 1.0), (-400.0, -1.0), (1e4, 1.0)):
+            q = ising1d_quantities(Ising1DParams(beta=1.0, J=1.0, h=h))
+            assert q.magnetization == sign
+            assert q.pressure == pytest.approx(abs(h) + 1.0, rel=1e-15)
+            assert q.nn_correlation == 1.0
+            assert 0.0 <= q.variance_per_site < 1e-300
 
     def test_invalid_beta(self):
         with pytest.raises(ParameterError):
@@ -393,6 +402,17 @@ class TestPhaseBoundPoint:
             row = phase_bound_point(q, p, beta, "beta")
             assert row.xi_lower - 1e-9 <= row.true_qoi <= row.xi_upper + 1e-9
             assert row.true_qoi == 0.0
+
+    def test_saturated_baseline_keeps_optimized_bounds(self):
+        # The baseline's 1 - m^2 rounds to 0 here, but its CGF does not
+        # vanish: the zero variance must only narrow the linearized width.
+        q = MeanFieldParams(beta=10.0, J=0.1, h=0.05)
+        p = MeanFieldParams(beta=10.0, J=1.0, h=3.0)
+        row = phase_bound_point(q, p, 10.0, "beta")
+        assert variance_per_site(p) == 0.0
+        assert row.xi_lower <= row.true_qoi <= row.xi_upper
+        assert row.xi_lower < 0.9
+        assert row.lin_lower == row.lin_upper == row.baseline_qoi
 
     def test_sweeping_field_of_2d_model_rejected(self):
         q = Ising2DParams(beta=1.0, J=1.0)

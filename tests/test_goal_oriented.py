@@ -104,6 +104,13 @@ class TestXiBounds:
         b = xi_bounds(src, 1.5)
         assert b.xi_plus == 0.0 and b.xi_minus == 0.0
 
+    def test_caller_variance_only_sets_linearized_width(self):
+        src = AnalyticCgf(fn=lambda c: c * c / 2.0)
+        b = xi_bounds(src, 0.5, variance=0.0)
+        assert b.xi_plus == pytest.approx(1.0, rel=1e-6)
+        assert b.xi_minus == pytest.approx(-1.0, rel=1e-6)
+        assert b.linearized_half_width == 0.0
+
     def test_sandwich_on_random_triples(self, rng):
         for _ in range(300):
             p, q, f = random_triple(rng)

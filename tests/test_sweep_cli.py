@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from infoscale import Ising1DParams, MeanFieldParams, ParameterError
+from infoscale import Ising1DParams, MeanFieldParams, ParameterError, ising2d_critical_beta
 from infoscale.cli import main
 from infoscale.sweep import (
     SweepConfig,
@@ -233,6 +233,33 @@ class TestCli:
         assert len(rows) == 5
         for row in rows:
             assert row.xi_lower - 1e-9 <= row.true_qoi <= row.xi_upper + 1e-9
+
+    @pytest.mark.parametrize(
+        "q_kind, p_extra, sweep, value",
+        [
+            # Within 1e-9 of beta_c the Onsager integrand used to divide by a
+            # cancelled 0 at theta = 0.
+            ("ising2d", {"d": 2}, "beta", ising2d_critical_beta(1.0) * (1.0 + 1e-10)),
+            ("ising2d", {"d": 2}, "beta", ising2d_critical_beta(1.0) * (1.0 - 1e-10)),
+            # |beta h| > 355 used to overflow sinh^2 in the 1-D chain quantities.
+            ("ising1d", {}, "h", 400.0),
+            ("ising1d", {}, "h", -400.0),
+        ],
+    )
+    def test_strict_one_point_sweep_is_finite(self, tmp_path, q_kind, p_extra, sweep, value):
+        q, p, out = tmp_path / "q.json", tmp_path / "p.json", tmp_path / "s.csv"
+        q.write_text(json.dumps({"kind": q_kind, "beta": 1.0, "J": 1.0}))
+        p.write_text(json.dumps({"kind": "meanfield", "beta": 1.0, "J": 1.0, **p_extra}))
+        code = main(
+            [
+                "--strict", "--out", str(out), "phase", "--q", str(q), "--p", str(p),
+                "--sweep", sweep, "--start", repr(value), "--stop", repr(value), "--step", "1",
+            ]
+        )
+        assert code == 0
+        (row,) = parse_rows_csv(out.read_text())
+        assert all(math.isfinite(v) for v in row.as_tuple())
+        assert row.xi_lower - 1e-9 <= row.true_qoi <= row.xi_upper + 1e-9
 
     def test_figure_deterministic_across_jobs(self, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
