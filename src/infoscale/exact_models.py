@@ -7,11 +7,14 @@ functions used to assemble phase-diagram uncertainty bounds.
 
 All pressures here are per-site log partition functions in the infinite
 volume limit; couplings are in energy units with the inverse temperature
-carried separately.
+carried separately.  Internal lookups share a small memo of mean-field
+solutions keyed by the (frozen, hashable) parameters, so a grid point solves
+each mean-field model once however often its CGF is evaluated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Union
@@ -188,21 +191,25 @@ class Ising2DQuantities:
     nn_correlation: float
 
 
-def ising2d_quantities(params: Ising2DParams) -> Ising2DQuantities:
-    """Spontaneous magnetization ``[1 - sinh^-4(2bJ)]^{1/8}`` above the
-    critical coupling (0 below), pressure, and bond density by quadrature."""
+def _spontaneous_magnetization(params: Ising2DParams) -> float:
+    """``[1 - sinh^-4(2bJ)]^{1/8}`` above the critical coupling (0 below),
+    with the sign of the branch."""
     beta, J = params.beta, params.J
-    s = math.sinh(2.0 * beta * J) ** 2
     if beta > ising2d_critical_beta(J):
+        s = math.sinh(2.0 * beta * J) ** 2
         m0 = (1.0 - 1.0 / (s * s)) ** 0.125
     else:
         m0 = 0.0
-    if params.branch == "minus":
-        m0 = -m0
+    return -m0 if params.branch == "minus" else m0
+
+
+def ising2d_quantities(params: Ising2DParams) -> Ising2DQuantities:
+    """Spontaneous magnetization (closed form), pressure and bond density;
+    only the last two run a quadrature."""
     return Ising2DQuantities(
-        spontaneous_magnetization=m0,
-        pressure=onsager_pressure(beta, J),
-        nn_correlation=onsager_bond_density(beta, J),
+        spontaneous_magnetization=_spontaneous_magnetization(params),
+        pressure=onsager_pressure(params.beta, params.J),
+        nn_correlation=onsager_bond_density(params.beta, params.J),
     )
 
 
@@ -271,6 +278,13 @@ def meanfield_solve(params: MeanFieldParams) -> MeanFieldQuantities:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _solved(params: MeanFieldParams) -> MeanFieldQuantities:
+    """Memoized :func:`meanfield_solve` for the lookups below; the public
+    function stays uncached, so each of its calls is a real solve."""
+    return meanfield_solve(params)
+
+
 # ---------------------------------------------------------------------------
 # Cross-model quantities
 # ---------------------------------------------------------------------------
@@ -279,9 +293,9 @@ def magnetization(model: ModelSpec) -> float:
     if isinstance(model, Ising1DParams):
         return ising1d_quantities(model).magnetization
     if isinstance(model, Ising2DParams):
-        return ising2d_quantities(model).spontaneous_magnetization
+        return _spontaneous_magnetization(model)
     if isinstance(model, MeanFieldParams):
-        return meanfield_solve(model).m
+        return _solved(model).m
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
@@ -291,7 +305,7 @@ def pressure(model: ModelSpec) -> float:
     if isinstance(model, Ising2DParams):
         return onsager_pressure(model.beta, model.J)
     if isinstance(model, MeanFieldParams):
-        return meanfield_solve(model).pressure
+        return _solved(model).pressure
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
@@ -299,7 +313,7 @@ def variance_per_site(model: ModelSpec) -> float:
     if isinstance(model, Ising1DParams):
         return ising1d_quantities(model).variance_per_site
     if isinstance(model, MeanFieldParams):
-        return meanfield_solve(model).variance_per_site
+        return _solved(model).variance_per_site
     raise UnsupportedModelError(
         "per-site variance has no closed form for this model here"
     )
@@ -313,7 +327,7 @@ def _energy_coefficients(model: ModelSpec) -> tuple[float, float]:
     if isinstance(model, Ising2DParams):
         return model.beta * model.J, 0.0
     if isinstance(model, MeanFieldParams):
-        return 0.0, model.beta * meanfield_solve(model).h_mf
+        return 0.0, model.beta * _solved(model).h_mf
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
@@ -369,8 +383,12 @@ def model_cgf(model_p: ModelSpec, c: float) -> float:
     baseline.
     """
     if isinstance(model_p, MeanFieldParams):
-        x = model_p.beta * meanfield_solve(model_p).h_mf
-        return _log_two_cosh(c + x) - _log_two_cosh(x)
+        x = model_p.beta * _solved(model_p).h_mf
+        if abs(c) > 1.0:
+            return _log_two_cosh(c + x) - _log_two_cosh(x)
+        # log[cosh c + tanh(x) sinh c] in log1p form: the difference above
+        # carries an absolute error of ~1e-16, which (K(c) + R)/c divides by c.
+        return math.log1p(2.0 * math.sinh(0.5 * c) ** 2 + math.tanh(x) * math.sinh(c))
     if isinstance(model_p, Ising1DParams):
         y = model_p.beta * model_p.h
         return ising1d_pressure_tilted(

@@ -135,10 +135,10 @@ def perron_root(matrix: np.ndarray) -> float:
     fixed point.
 
     Extreme exponential tilts can underflow entries to exact zeros, leaving a
-    numerically reducible pattern on which the shifted iteration stalls, and
+    numerically reducible pattern whose iterates lose their positivity, and
     a root far below the row-sum scale loses precision to cancellation; both
     regimes fall back to a dense eigensolve, which is exact for these small
-    matrices.
+    matrices.  An iterate with a zero entry falls back at once.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -157,6 +157,8 @@ def perron_root(matrix: np.ndarray) -> float:
         stepper /= stepper.max()
     x = np.full(n, 1.0 / n)
     for _ in range(_PERRON_STALL_LIMIT):
+        if x.min() <= 0.0:
+            break  # an entry underflowed; the ratio enclosure is undefined
         y = shifted @ x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import infoscale.exact_models as exact_models
 from infoscale import (
     GibbsMeasure,
     Ising1DParams,
@@ -31,6 +34,7 @@ from infoscale.exact_models import (
     variance_per_site,
 )
 from infoscale.quadrature import adaptive_simpson
+from infoscale.sweep import evaluate_sweep, figure_preset
 
 
 class TestIsing1D:
@@ -339,6 +343,14 @@ class TestModelCgf:
             fd = (model_cgf(model, eps) - 2.0 * model_cgf(model, 0.0) + model_cgf(model, -eps)) / eps**2
             assert fd == pytest.approx(variance_per_site(model), abs=1e-5)
 
+    def test_meanfield_small_tilt_keeps_quadratic_term(self):
+        # log cosh c = c^2/2 - c^4/12 + ...; a difference of two log(2 cosh)
+        # values would round it to 0 below c ~ 1e-8.
+        model = MeanFieldParams(beta=0.3, J=1.0, h=0.0)
+        for c in (1e-10, -1e-10, 1e-5):
+            expected = c * c / 2.0 - c**4 / 12.0
+            assert model_cgf(model, c) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_2d_baseline_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             model_cgf(Ising2DParams(beta=1.0), 0.5)
@@ -414,8 +426,147 @@ class TestPhaseBoundPoint:
         assert row.xi_lower < 0.9
         assert row.lin_lower == row.lin_upper == row.baseline_qoi
 
+    def test_lower_bound_stays_below_baseline_at_rounding_level_rate(self):
+        # The rate rounds to ~5e-18 here; CGF rounding divided by a tiny c
+        # once put xi_lower 1e-7 above the baseline.
+        q = MeanFieldParams(beta=1.0, J=1.0, h=1e-300, d=2)
+        p = MeanFieldParams(beta=1.0, J=1.0, h=0.0, d=2)
+        row = phase_bound_point(q, p, 0.5219408856143137, "beta")
+        assert row.xi_lower <= row.baseline_qoi <= row.xi_upper
+        assert row.xi_upper - row.xi_lower < 1e-8
+
     def test_sweeping_field_of_2d_model_rejected(self):
         q = Ising2DParams(beta=1.0, J=1.0)
         p = MeanFieldParams(beta=1.0, J=1.0, d=2)
         with pytest.raises(ParameterError):
             phase_bound_point(q, p, 0.1, "h")
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of the module-level ``exact_models.<name>``, with an
+    empty mean-field memo."""
+    calls = []
+    real = getattr(exact_models, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact_models, name, counted)
+    exact_models._solved.cache_clear()
+    return calls
+
+
+class TestSolveCounts:
+    def test_meanfield_pair_solves_each_model_once_per_point(self, monkeypatch):
+        solves = _count_calls(monkeypatch, "meanfield_solve")
+        rows, failures = evaluate_sweep(figure_preset("2a"))
+        assert failures == 0
+        assert len(solves) <= 2 * len(rows)
+
+    def test_2d_magnetization_runs_no_quadrature(self, monkeypatch):
+        runs = _count_calls(monkeypatch, "adaptive_simpson")
+        for beta in (0.3, 0.6):
+            for branch in ("plus", "minus"):
+                magnetization(Ising2DParams(beta=beta, J=1.0, branch=branch))
+        assert runs == []
+
+    def test_2d_point_runs_two_quadratures(self, monkeypatch):
+        runs = _count_calls(monkeypatch, "adaptive_simpson")
+        config = figure_preset("4a")
+        phase_bound_point(config.model_q, config.model_p, 0.6, "beta")
+        assert len(runs) == 2
+
+
+_MF_BETA_C = 0.5  # beta J d = 1 at J = 1, d = 2
+_BETA_OFFSETS = st.one_of(
+    st.floats(-0.05, 0.05),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-7, -1e-7]),
+)
+_SMALL_FIELDS = st.one_of(
+    st.floats(-1e-3, 1e-3),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12]),
+)
+_MF_BRANCHES = st.sampled_from(["upper", "lower"])
+
+
+# The rate is a difference of O(1) pressures, so it carries an absolute
+# rounding error of about this size.
+_RATE_ROUNDING = 1e-15
+
+
+def _assert_sandwich(row):
+    """``xi_lower <= true_qoi <= xi_upper`` up to what rounding explains.
+
+    A field change between mean-field models is an exponential tilt, which
+    attains the bound, so the sides may cross by the rounding of the
+    magnetizations.  The bound is concave in the rate R, with slope about
+    ``w / (2 R)`` (``w`` the linearized half width) and, for +-1 spins, at
+    most ``sqrt(2 R)``; a rate error ``e`` thus moves it by at most
+    ``min(sqrt(2 e), e w / R)``, which matters only where R itself is a few
+    ulps, next to a critical point.
+    """
+    slack = 1e-12 * max(abs(row.baseline_qoi), abs(row.true_qoi))
+    half_width = 0.5 * (row.lin_upper - row.lin_lower)
+    from_rate = math.sqrt(2.0 * _RATE_ROUNDING)
+    if row.re_rate > 0.0:
+        from_rate = min(from_rate, _RATE_ROUNDING * half_width / row.re_rate)
+    slack += from_rate
+    assert row.xi_lower - slack <= row.true_qoi <= row.xi_upper + slack
+
+
+class TestPhaseBoundProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(offset=_BETA_OFFSETS, h_q=_SMALL_FIELDS, branch_q=_MF_BRANCHES,
+           branch_p=_MF_BRANCHES)
+    def test_meanfield_pair_near_critical_beta(self, offset, h_q, branch_q, branch_p):
+        q = MeanFieldParams(beta=1.0, J=1.0, h=h_q, d=2, branch=branch_q)
+        p = MeanFieldParams(beta=1.0, J=1.0, h=0.0, d=2, branch=branch_p)
+        _assert_sandwich(phase_bound_point(q, p, _MF_BETA_C * (1.0 + offset), "beta"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=_SMALL_FIELDS, beta_q=st.floats(0.3, 1.5), beta_p=st.floats(0.3, 1.5),
+           branch_q=_MF_BRANCHES, branch_p=_MF_BRANCHES)
+    def test_meanfield_pair_near_zero_field(self, h, beta_q, beta_p, branch_q, branch_p):
+        q = MeanFieldParams(beta=beta_q, J=1.0, branch=branch_q)
+        p = MeanFieldParams(beta=beta_p, J=1.0, branch=branch_p)
+        _assert_sandwich(phase_bound_point(q, p, h, "h"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=_SMALL_FIELDS, beta=st.floats(0.3, 2.0), branch=_MF_BRANCHES)
+    def test_ising1d_meanfield_near_zero_field(self, h, beta, branch):
+        q = Ising1DParams(beta=beta, J=1.0)
+        p = MeanFieldParams(beta=beta, J=1.0, d=1, branch=branch)
+        _assert_sandwich(phase_bound_point(q, p, h, "h"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(offset=_BETA_OFFSETS, h=_SMALL_FIELDS, branch=_MF_BRANCHES)
+    def test_ising1d_meanfield_near_critical_beta(self, offset, h, branch):
+        # The 1-D surrogate's mean-field critical point is beta J d = 1.
+        q = Ising1DParams(beta=1.0, J=1.0, h=h)
+        p = MeanFieldParams(beta=1.0, J=1.0, h=h, d=1, branch=branch)
+        _assert_sandwich(phase_bound_point(q, p, 1.0 + offset, "beta"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset=_BETA_OFFSETS, branch_q=st.sampled_from(["plus", "minus"]),
+           branch_p=_MF_BRANCHES, critical=st.sampled_from(["ising", "meanfield"]))
+    def test_ising2d_meanfield_near_critical_beta(self, offset, branch_q, branch_p, critical):
+        beta_c = ising2d_critical_beta(1.0) if critical == "ising" else _MF_BETA_C
+        q = Ising2DParams(beta=1.0, J=1.0, branch=branch_q)
+        p = MeanFieldParams(beta=1.0, J=1.0, d=2, branch=branch_p)
+        _assert_sandwich(phase_bound_point(q, p, beta_c * (1.0 + offset), "beta"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(1.01, 2.0), d=st.sampled_from([1, 2]))
+    def test_baseline_branches_give_opposite_magnetizations(self, beta, d):
+        # Back-to-back points through the mean-field memo: a key that
+        # ignored the branch would hand the lower baseline the upper root.
+        q = Ising1DParams(beta=1.0, J=1.0)
+        upper = phase_bound_point(q, MeanFieldParams(beta=1.0, J=1.0, d=d), beta, "beta")
+        lower = phase_bound_point(
+            q, MeanFieldParams(beta=1.0, J=1.0, d=d, branch="lower"), beta, "beta"
+        )
+        assert upper.baseline_qoi > 0.0
+        assert lower.baseline_qoi == -upper.baseline_qoi
+        _assert_sandwich(upper)
+        _assert_sandwich(lower)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ class TestStationary:
         assert np.max(np.abs(mu @ p.rows - mu)) < 1e-12
 
 
+# A banded ten-state ring on which the tilted power iterate underflows to an
+# exact zero entry at c = -256 (the Collatz-Wielandt ratios were then inf).
+_BANDED_RING = [
+    {0: 0.3715932226001421, 1: 0.3126093377257437, 9: 0.3157974396741143},
+    {0: 0.2995026117221687, 1: 0.4479236308146528, 2: 0.25257375746317856},
+    {1: 0.3169721805476498, 2: 0.4299958763180063, 3: 0.25303194313434396},
+    {2: 0.34293863483191667, 3: 0.35730168482011676, 4: 0.2997596803479666},
+    {3: 0.3073108568712117, 4: 0.3062362189111934, 5: 0.38645292421759486},
+    {4: 0.320009408747186, 5: 0.36696561452243465, 6: 0.3130249767303795},
+    {5: 0.32611914147771903, 6: 0.3271566008070784, 7: 0.34672425771520254},
+    {6: 0.25975979695058554, 7: 0.4513722708911506, 8: 0.2888679321582638},
+    {7: 0.33930164712468663, 8: 0.32741962091761545, 9: 0.33327873195769786},
+    {0: 0.3760236182342388, 8: 0.3554452945921432, 9: 0.2685310871736181},
+]
+_BANDED_G = [
+    -0.5512905201291309, -0.8234168261622958, 0.7570549196391525,
+    -0.2763710097211338, -0.9497444944343307, 0.26058280678744405,
+    -0.4370710728638083, -0.26954032943467676, 0.16657638552631027,
+    0.3414065456583233,
+]
+
+
 class TestPerron:
     def test_two_state_characteristic_polynomial(self, rng):
         # Quadratic-formula root of det(M - x I) as the independent oracle.
@@ -106,6 +129,25 @@ class TestPerron:
         assert math.isfinite(value)
         # lambda(c)/c tends to max(g) - E(g) < 1 from below at huge tilts.
         assert value <= 5000.0
+
+    def test_underflowed_iterate_falls_back_to_dense_solve(self):
+        rows = np.zeros((10, 10))
+        for x, row in enumerate(_BANDED_RING):
+            for y, value in row.items():
+                rows[x, y] = value
+        p = TransitionMatrix(rows)
+        g = Observable(_BANDED_G)
+        mu = stationary_distribution(p).weights
+        centered = g.values - float(mu @ g.values)
+        for c in (-128.0, -256.0, -512.0):
+            tilt = c * centered
+            shift = float(np.max(tilt))
+            dense = np.max(np.linalg.eigvals(rows * np.exp(tilt - shift)[None, :]).real)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                value = lambda_pg(p, g, c)
+            assert math.isfinite(value)
+            assert value == pytest.approx(math.log(dense) + shift, rel=1e-12)
 
 
 class TestRates:
