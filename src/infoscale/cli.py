@@ -20,12 +20,7 @@ from . import jsonio, markov, sweep
 from .divergences import classical_qoi_bounds, divergence_report, iid_scaled_divergences
 from .errors import InfoscaleError
 from .goal_oriented import EmpiricalCgf, xi_bounds
-from .markov import (
-    cheap_rate_bounds,
-    path_divergence_report,
-    stationary_distribution,
-    xi_rate_bounds,
-)
+from .markov import path_divergence_report
 
 log = logging.getLogger("infoscale.cli")
 
@@ -83,21 +78,20 @@ def _cmd_markov(args) -> int:
     p = jsonio.load_chain(args.p)
     q = jsonio.load_chain(args.q)
     g = jsonio.load_observable(args.observable)
-    rate = xi_rate_bounds(q, p, g)
-    mu_p = stationary_distribution(p)
-    mu_q = stationary_distribution(q)
+    setup = markov._rate_bound_setup(q, p, g)
+    bound = xi_bounds(setup.source, setup.rer, variance=setup.variance)
     payload = {
-        "rer": rate.rer,
+        "rer": setup.rer,
         "renyi_rate": markov.renyi_rate(q, p, args.alpha),
         "renyi_alpha": args.alpha,
         "chi2_rate": markov.chi2_rate(q, p),
-        "xi_plus": rate.xi_plus_rate,
-        "xi_minus": rate.xi_minus_rate,
-        "iact": rate.iact,
-        "stationary_gap": g.expectation(mu_q) - g.expectation(mu_p),
+        "xi_plus": bound.xi_plus,
+        "xi_minus": bound.xi_minus,
+        "iact": setup.iact,
+        "stationary_gap": g.expectation(setup.mu_q) - g.expectation(setup.mu_p),
     }
     if args.cheap:
-        cheap = cheap_rate_bounds(q, p, g)
+        cheap = markov._cheap_rate_bounds(q, p, setup)
         payload.update(
             {
                 "sup_row_re": cheap.sup_row_re,
@@ -110,7 +104,9 @@ def _cmd_markov(args) -> int:
         )
     if args.enumerate is not None:
         steps = args.enumerate
-        path = path_divergence_report(p, q, steps, alpha=args.alpha)
+        path = path_divergence_report(
+            p, q, steps, nu_p=setup.mu_p, nu_q=setup.mu_q, alpha=args.alpha
+        )
         payload.update(
             {
                 "enumerated_steps": steps,

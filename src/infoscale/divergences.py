@@ -128,14 +128,6 @@ def _check_same_support(p: DiscreteDistribution, q: DiscreteDistribution) -> Non
         )
 
 
-def _require_ac(q: DiscreteDistribution, p: DiscreteDistribution, what: str) -> None:
-    if np.any((q.weights > 0) & (p.weights == 0)):
-        raise AbsoluteContinuityError(
-            f"{what} undefined: the first argument is not absolutely "
-            "continuous with respect to the second"
-        )
-
-
 def _require_mutual_ac(q: DiscreteDistribution, p: DiscreteDistribution, what: str) -> None:
     if not q.mutually_absolutely_continuous_with(p):
         raise AbsoluteContinuityError(

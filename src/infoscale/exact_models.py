@@ -391,6 +391,15 @@ def model_cgf(model_p: ModelSpec, c: float) -> float:
         return math.log1p(2.0 * math.sinh(0.5 * c) ** 2 + math.tanh(x) * math.sinh(c))
     if isinstance(model_p, Ising1DParams):
         y = model_p.beta * model_p.h
+        if 0.0 < abs(c) <= 1.0 and abs(y) <= 300.0:  # sinh(2y + c) overflows past ~354
+            # With S(t) = sqrt(sinh^2 t + e^{-4 beta J}) the pressure is
+            # beta J + log(cosh t + S(t)); the difference in log1p form, its
+            # numerator written without cancellation, keeps chi c^2/2 at tiny c.
+            floor = math.exp(-4.0 * model_p.beta * model_p.J)
+            s_y, s_yc = (math.sqrt(math.sinh(t) ** 2 + floor) for t in (y, y + c))
+            rise = 2.0 * math.sinh(y + 0.5 * c) * math.sinh(0.5 * c)
+            rise += math.sinh(2.0 * y + c) * math.sinh(c) / (s_yc + s_y)
+            return math.log1p(rise / (math.cosh(y) + s_y))
         return ising1d_pressure_tilted(
             model_p.beta, model_p.J, y + c
         ) - ising1d_pressure_tilted(model_p.beta, model_p.J, y)
@@ -453,11 +462,14 @@ def phase_bound_point(
     """
     qp = _with_parameter(model_q, sweep_parameter, param_value)
     pp = _with_parameter(model_p, sweep_parameter, param_value)
-    baseline = magnetization(pp)
-    true_qoi = magnetization(qp)
-    rate = cross_model_re_rate(qp, pp)
-    source = AnalyticCgf(fn=lambda c: model_cgf(pp, c) - c * baseline, check_contract=False)
-    bound = xi_bounds(source, rate, variance=variance_per_site(pp))
+    try:
+        baseline = magnetization(pp)
+        true_qoi = magnetization(qp)
+        rate = cross_model_re_rate(qp, pp)
+        source = AnalyticCgf(fn=lambda c: model_cgf(pp, c) - c * baseline, check_contract=False)
+        bound = xi_bounds(source, rate, variance=variance_per_site(pp))
+    except ArithmeticError as exc:  # overflow of an exact formula far from its range
+        raise NumericsError(f"{sweep_parameter} = {param_value!r}: {exc}") from exc
     return PhasePoint(
         param=param_value,
         baseline_qoi=baseline,

@@ -32,21 +32,29 @@ def _require(data: dict, field: str, path) -> object:
     return data[field]
 
 
+def _numbers(path, field: str, make, data: dict, **kwargs):
+    """``make(data[field], **kwargs)``; a non-numeric field names its file."""
+    try:
+        return make(_require(data, field, path), **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
+
+
 def load_distribution(path, *, renormalize: bool = False) -> DiscreteDistribution:
     """Read ``{"weights": [...]}``."""
     data = _load_json(path)
-    return DiscreteDistribution(_require(data, "weights", path), renormalize=renormalize)
+    return _numbers(path, "weights", DiscreteDistribution, data, renormalize=renormalize)
 
 
 def load_observable(path) -> Observable:
     """Read ``{"values": [...]}``."""
-    return Observable(_require(_load_json(path), "values", path))
+    return _numbers(path, "values", Observable, _load_json(path))
 
 
 def load_chain(path) -> TransitionMatrix:
     """Read ``{"rows": [[...], ...], "labels": [...]}`` (labels optional)."""
     data = _load_json(path)
-    return TransitionMatrix(_require(data, "rows", path), labels=data.get("labels"))
+    return _numbers(path, "rows", TransitionMatrix, data, labels=data.get("labels"))
 
 
 def load_interaction(path) -> Interaction:

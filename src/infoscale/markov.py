@@ -31,7 +31,7 @@ from .goal_oriented import AnalyticCgf, GoalBound, xi_bounds
 
 _ROW_SUM_TOL = 1e-12
 _PERRON_TOL = 1e-13
-_PERRON_STALL_LIMIT = 600
+_PERRON_STEPS = 30
 _PATH_CAP = 2_000_000
 
 
@@ -83,7 +83,6 @@ def _check_same_space(p: TransitionMatrix, q: TransitionMatrix) -> None:
 
 
 def _require_mutual_row_ac(q: TransitionMatrix, p: TransitionMatrix) -> None:
-    _check_same_space(q, p)
     if not q.mutually_absolutely_continuous_with(p):
         raise AbsoluteContinuityError(
             "rate undefined: the rows of the two chains are not mutually "
@@ -91,85 +90,58 @@ def _require_mutual_row_ac(q: TransitionMatrix, p: TransitionMatrix) -> None:
         )
 
 
+def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of each state from state 0 (-1: unreachable)."""
+    level = np.full(adjacency.shape[0], -1)
+    level[0] = 0
+    frontier = np.array([0])
+    while frontier.size:
+        frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & (level < 0))
+        level[frontier] = level.max() + 1
+    return level
+
+
 def _is_irreducible(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    reach = adjacency | np.eye(n, dtype=bool)
-    for _ in range(int(math.ceil(math.log2(max(n, 2)))) + 1):
-        new = reach | (reach @ reach)
-        if np.array_equal(new, reach):
-            break
-        reach = new
-    return bool(reach.all())
+    """Every state reaches state 0 and is reached from it."""
+    return bool((_bfs_levels(adjacency) >= 0).all() and (_bfs_levels(adjacency.T) >= 0).all())
 
 
 def _period(adjacency: np.ndarray) -> int:
-    """Period of a strongly connected directed graph (gcd of cycle lengths)."""
-    n = adjacency.shape[0]
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adjacency[u])[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
+    """Period of a strongly connected directed graph (gcd of cycle lengths):
+    the gcd of ``level[u] + 1 - level[v]`` over all edges ``u -> v``."""
+    level = _bfs_levels(adjacency)
     us, vs = np.nonzero(adjacency)
-    for u, v in zip(us, vs):
-        g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return g if g > 0 else 1
+    return int(np.gcd.reduce(np.abs(level[us] + 1 - level[vs]))) or 1
 
 
 def perron_root(matrix: np.ndarray) -> float:
     """Dominant eigenvalue of a nonnegative matrix with irreducible pattern.
 
-    Power iteration on the diagonally shifted matrix ``I + M/s`` (the shift
-    makes periodic patterns primitive and maps the spectrum affinely), from a
-    deterministic positive start vector, with the rigorous Collatz-Wielandt
-    ratio enclosure as the convergence test.  Each step applies a
-    repeatedly-squared power of the iteration matrix, which shares its
-    eigenvectors, so convergence needs far fewer steps without changing the
-    fixed point.
-
-    Extreme exponential tilts can underflow entries to exact zeros, leaving a
-    numerically reducible pattern whose iterates lose their positivity, and
-    a root far below the row-sum scale loses precision to cancellation; both
-    regimes fall back to a dense eigensolve, which is exact for these small
-    matrices.  An iterate with a zero entry falls back at once.
+    Power iteration ``x <- (M/s) x`` with s the largest row sum, from the
+    uniform start, stopping once the Collatz-Wielandt ratios ``(Mx)_i / x_i``,
+    which enclose the root, agree to a relative ``_PERRON_TOL``.  A matrix
+    the iteration does not settle within ``_PERRON_STEPS`` steps (a periodic
+    or slowly mixing pattern), or whose iterate gets a zero entry (a pattern
+    that extreme tilts have underflowed to reducible), gets a dense
+    eigensolve instead, which is exact for these small matrices.
     """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
     if np.any(m < 0):
         raise ParameterError("Perron root requires a nonnegative matrix")
     scale = float(m.sum(axis=1).max())
     if scale == 0.0:
         return 0.0
-    shifted = np.eye(n) + m / scale
-    # (I + M/s)^(2^k) is entrywise positive once 2^k reaches the graph
-    # diameter, keeping the iterates strictly positive.
-    squarings = max(4, int(math.ceil(math.log2(max(n, 2)))))
-    stepper = shifted.copy()
-    for _ in range(squarings):
-        stepper = stepper @ stepper
-        stepper /= stepper.max()
-    x = np.full(n, 1.0 / n)
-    for _ in range(_PERRON_STALL_LIMIT):
-        if x.min() <= 0.0:
+    step = m / scale
+    x = np.full(m.shape[0], 1.0 / m.shape[0])
+    for _ in range(_PERRON_STEPS):
+        y = step @ x
+        if y.min() <= 0.0:
             break  # an entry underflowed; the ratio enclosure is undefined
-        y = shifted @ x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= _PERRON_TOL * hi:
-            # Collatz-Wielandt: the eigenvalue of `shifted` lies in [lo, hi].
-            rho = (0.5 * (lo + hi) - 1.0) * scale
-            if rho > 1e-6 * scale:
-                return rho
-            break  # cancellation-dominated; use the direct solve
-        x = stepper @ x
-        x /= x.sum()
+            return 0.5 * (lo + hi) * scale
+        x = y / y.sum()
     # The spectral radius of a nonnegative matrix is itself an eigenvalue.
     rho = float(np.max(np.linalg.eigvals(m).real))
     return max(rho, 0.0)
@@ -206,7 +178,12 @@ def _row_kl(q_row: np.ndarray, p_row: np.ndarray) -> float:
 def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_row_ac(q, p)
-    mu_q = stationary_distribution(q).weights
+    return _relative_entropy_rate(q, p, stationary_distribution(q).weights)
+
+
+def _relative_entropy_rate(
+    q: TransitionMatrix, p: TransitionMatrix, mu_q: np.ndarray
+) -> float:
     total = sum(
         mu_q[x] * _row_kl(q.rows[x], p.rows[x]) for x in range(q.size)
     )
@@ -237,12 +214,9 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
 
 
 def chi2_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
-    """Growth rate ``log rho(2)`` of ``log(1 + chi^2)`` along the path measures."""
-    _require_mutual_row_ac(q, p)
-    support = q.rows > 0
-    tilted = np.zeros_like(q.rows)
-    tilted[support] = q.rows[support] ** 2 / p.rows[support]
-    return max(math.log(perron_root(tilted)), 0.0)
+    """Growth rate ``log rho(2)`` of ``log(1 + chi^2)`` along the path measures:
+    the Renyi rate of order 2."""
+    return renyi_rate(q, p, 2.0)
 
 
 def hellinger_rate_limit(q: TransitionMatrix, p: TransitionMatrix) -> float:
@@ -331,19 +305,35 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     return max(value, 0.0)
 
 
-def _rate_bound_setup(
-    q: TransitionMatrix, p: TransitionMatrix, g: Observable
-) -> tuple[AnalyticCgf, float, float | None]:
-    """Checks and inputs shared by the steady-state bounds of a chain pair:
-    the lambda-curve source, the IACT (NaN for a periodic p) and the variance
-    for :func:`xi_bounds` (None where the IACT is NaN)."""
+@dataclass(frozen=True, eq=False)
+class _RateSetup:
+    """What the steady-state bounds of one chain pair share: both stationary
+    laws, the lambda-curve source of p and g, the IACT of g under p (NaN for
+    a periodic p) and the relative entropy rate."""
+
+    mu_q: DiscreteDistribution
+    mu_p: DiscreteDistribution
+    source: AnalyticCgf
+    iact: float
+    rer: float
+
+    @property
+    def variance(self) -> float | None:
+        """The IACT as the variance for :func:`xi_bounds`, None where it is NaN."""
+        return self.iact if math.isfinite(self.iact) else None
+
+
+def _rate_bound_setup(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> _RateSetup:
     _require_mutual_row_ac(q, p)
     _check_observable(p, g)
-    mu = stationary_distribution(p).weights
-    centered = g.values - float(mu @ g.values)
+    mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
+    centered = g.values - float(mu_p.weights @ g.values)
     source = AnalyticCgf(fn=_lambda_curve(p.rows, centered), check_contract=False)
-    iact = integrated_autocorrelation(p, g) if p.is_aperiodic() else math.nan
-    return source, iact, iact if math.isfinite(iact) else None
+    try:
+        iact = integrated_autocorrelation(p, g)
+    except StructureError:  # p is periodic
+        iact = math.nan
+    return _RateSetup(mu_q, mu_p, source, iact, _relative_entropy_rate(q, p, mu_q.weights))
 
 
 def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> RateBound:
@@ -353,15 +343,14 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     entropy rate, and the mirrored supremum below; c = 0 is understood as the
     limiting value, which the degenerate short-circuit (r = 0) returns.
     """
-    source, iact, variance = _rate_bound_setup(q, p, g)
-    r = relative_entropy_rate(q, p)
-    bound = xi_bounds(source, r, variance=variance)
+    setup = _rate_bound_setup(q, p, g)
+    bound = xi_bounds(setup.source, setup.rer, variance=setup.variance)
     return RateBound(
-        rer=r,
+        rer=setup.rer,
         xi_plus_rate=bound.xi_plus,
         xi_minus_rate=bound.xi_minus,
-        lambda_curve=source.fn,
-        iact=iact,
+        lambda_curve=setup.source.fn,
+        iact=setup.iact,
     )
 
 
@@ -390,20 +379,19 @@ def cheap_rate_bounds(
     half-widths ``sqrt(v) sqrt(2 surrogate)`` with v the integrated
     autocorrelation.
     """
-    source, _, variance = _rate_bound_setup(q, p, g)
-    r = relative_entropy_rate(q, p)
+    return _cheap_rate_bounds(q, p, _rate_bound_setup(q, p, g))
+
+
+def _cheap_rate_bounds(
+    q: TransitionMatrix, p: TransitionMatrix, setup: _RateSetup
+) -> CheapRateBounds:
     sup_row = max(_row_kl(q.rows[x], p.rows[x]) for x in range(q.size))
     support = q.rows > 0
     sup_ratio = float(
         np.max(np.abs(np.log(q.rows[support]) - np.log(p.rows[support])))
     )
-    return CheapRateBounds(
-        rer=r,
-        sup_row_re=sup_row,
-        sup_log_ratio=sup_ratio,
-        bounds_sup_row_re=xi_bounds(source, sup_row, variance=variance),
-        bounds_sup_log_ratio=xi_bounds(source, sup_ratio, variance=variance),
-    )
+    bounds = [xi_bounds(setup.source, r, variance=setup.variance) for r in (sup_row, sup_ratio)]
+    return CheapRateBounds(setup.rer, sup_row, sup_ratio, *bounds)
 
 
 def path_divergence_report(

@@ -32,6 +32,7 @@ CSV_HEADER = "param,baseline_qoi,true_qoi,xi_lower,xi_upper,lin_lower,lin_upper,
 # Default grids for the two sweep variables (matching the figure ranges).
 BETA_GRID = (0.1, 2.0, 0.01)
 H_GRID = (-1.5, 1.5, 0.01)
+_MAX_GRID_POINTS = 1_000_000  # the figure presets have at most 301
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class SweepConfig:
             raise ParameterError("format must be 'csv' or 'json'")
         if self.jobs < 1:
             raise ParameterError("jobs must be at least 1")
+        if not (self.stop - self.start) / self.step < _MAX_GRID_POINTS:
+            raise ParameterError(f"the grid exceeds the cap of {_MAX_GRID_POINTS} points")
 
     def grid(self) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -320,6 +321,22 @@ class TestCrossModelRates:
             )
 
 
+def _ising1d_cgf_decimal(bj: float, y: float, c: float) -> float:
+    """``p(y + c) - p(y)`` from the chain pressure
+    ``log(cosh t + sqrt(sinh^2 t + e^{-4 bJ}))`` (bJ dropped, it cancels),
+    in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        bj, y, c = decimal.Decimal(bj), decimal.Decimal(y), decimal.Decimal(c)
+        floor = (-4 * bj).exp()
+
+        def pressure(t):
+            e = t.exp()
+            return ((e + 1 / e) / 2 + (((e - 1 / e) / 2) ** 2 + floor).sqrt()).ln()
+
+        return float(pressure(y + c) - pressure(y))
+
+
 class TestModelCgf:
     def test_zero_at_origin(self):
         for model in (Ising1DParams(beta=1.2, h=0.3), MeanFieldParams(beta=1.2, h=0.3)):
@@ -350,6 +367,22 @@ class TestModelCgf:
         for c in (1e-10, -1e-10, 1e-5):
             expected = c * c / 2.0 - c**4 / 12.0
             assert model_cgf(model, c) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_ising1d_small_tilt_keeps_quadratic_term(self):
+        # chi c^2/2 with chi = e^{2 beta J} at h = 0; a difference of two
+        # pressures rounds it to ~1e-16 at every c below ~1e-8.
+        model = Ising1DParams(beta=0.5, J=1.0, h=0.0)
+        for c in (1e-10, -1e-10, 1e-8):
+            assert model_cgf(model, c) == pytest.approx(math.e * c * c / 2.0, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.05, 3.0), J=st.floats(0.1, 2.0), h=st.floats(-3.0, 3.0),
+           exponent=st.floats(-12.0, 0.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_ising1d_matches_decimal_pressures(self, beta, J, h, exponent, sign):
+        c = sign * 10.0**exponent
+        want = _ising1d_cgf_decimal(beta * J, beta * h, c)
+        got = model_cgf(Ising1DParams(beta=beta, J=J, h=h), c)
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-16 * abs(c)
 
     def test_2d_baseline_unsupported(self):
         with pytest.raises(UnsupportedModelError):
@@ -555,6 +588,22 @@ class TestPhaseBoundProperties:
         q = Ising2DParams(beta=1.0, J=1.0, branch=branch_q)
         p = MeanFieldParams(beta=1.0, J=1.0, d=2, branch=branch_p)
         _assert_sandwich(phase_bound_point(q, p, beta_c * (1.0 + offset), "beta"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(0.1, 2.0), h_q=_SMALL_FIELDS)
+    def test_ising1d_pair_field_change(self, beta, h_q):
+        # As preset 5a: an h = 0 chain as the baseline of a tiny-field one.
+        q = Ising1DParams(beta=1.0, J=1.0, h=h_q)
+        p = Ising1DParams(beta=1.0, J=1.0, h=0.0)
+        _assert_sandwich(phase_bound_point(q, p, beta, "beta"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=_SMALL_FIELDS, beta_q=st.floats(0.3, 2.0), beta_p=st.floats(0.3, 2.0))
+    def test_ising1d_pair_near_zero_field(self, h, beta_q, beta_p):
+        # As preset 5b: chains at two temperatures, around h = 0.
+        q = Ising1DParams(beta=beta_q, J=1.0)
+        p = Ising1DParams(beta=beta_p, J=1.0)
+        _assert_sandwich(phase_bound_point(q, p, h, "h"))
 
     @settings(max_examples=40, deadline=None)
     @given(beta=st.floats(1.01, 2.0), d=st.sampled_from([1, 2]))

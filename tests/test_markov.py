@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain, random_distribution
+import infoscale.markov as markov
 from infoscale import (
     AbsoluteContinuityError,
     DiscreteDistribution,
@@ -107,8 +110,8 @@ class TestPerron:
             assert perron_root(m) == pytest.approx(root, abs=1e-10)
 
     def test_periodic_pattern_converges(self):
-        # Pure off-diagonal pattern: plain power iteration oscillates, the
-        # diagonal shift keeps it convergent.
+        # Pure off-diagonal pattern: power iteration oscillates and never
+        # settles, so the dense solve gives the root.
         m = np.array([[0.0, 4.0], [1.0, 0.0]])
         assert perron_root(m) == pytest.approx(2.0, abs=1e-11)
 
@@ -148,6 +151,86 @@ class TestPerron:
                 value = lambda_pg(p, g, c)
             assert math.isfinite(value)
             assert value == pytest.approx(math.log(dense) + shift, rel=1e-12)
+
+
+def _period_by_closed_walks(adjacency: np.ndarray) -> int:
+    """gcd of the lengths k <= n with a closed walk of length k.
+
+    Every simple cycle of an n-state graph has length at most n, and every
+    closed walk splits into simple cycles, so this is the gcd of all cycle
+    lengths.
+    """
+    n = adjacency.shape[0]
+    walk = np.eye(n, dtype=bool)
+    lengths = []
+    for k in range(1, n + 1):
+        walk = (walk.astype(int) @ adjacency.astype(int)) > 0
+        if walk.diagonal().any():
+            lengths.append(k)
+    return math.gcd(*lengths)
+
+
+@st.composite
+def _cyclic_patterns(draw):
+    """A strongly connected pattern on 1 to 12 states whose edges all run
+    from class k to class k + 1 (mod d), d in 1..4: a Hamiltonian cycle
+    through the classes in turn plus each other allowed edge with a drawn
+    probability, in a drawn state order."""
+    d = draw(st.one_of(st.just(1), st.integers(2, 4)))
+    n = d * draw(st.integers(1, 12 // d))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    uniform = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    keep = np.reshape(uniform, (n, n)) < density
+    index = np.arange(n)
+    allowed = (index[None, :] - index[:, None] - 1) % d == 0
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    order = np.array(draw(st.permutations(range(n))))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.ix_(order, order)] = ring | (allowed & keep)
+    return adjacency
+
+
+_TINY_ENTRIES = st.sampled_from([1e-300, 1e-200, 1e-100, 1e-30, 1e-8])
+
+
+class TestPerronProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency=_cyclic_patterns(), data=st.data())
+    def test_matches_dense_eigensolve(self, adjacency, data):
+        n = adjacency.shape[0]
+        entries = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n * n, max_size=n * n))
+        for k, tiny in data.draw(st.lists(st.tuples(st.integers(0, n * n - 1), _TINY_ENTRIES),
+                                          max_size=3)):
+            entries[k] = tiny
+        m = np.where(adjacency, np.reshape(entries, (n, n)), 0.0)
+        dense = float(np.max(np.linalg.eigvals(m).real))
+        assert perron_root(m) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency=_cyclic_patterns())
+    def test_period_matches_closed_walks(self, adjacency):
+        assert markov._period(adjacency) == _period_by_closed_walks(adjacency)
+
+    def test_periods_one_to_four(self):
+        for d in (1, 2, 3, 4):
+            ring = np.roll(np.eye(2 * d, dtype=bool), 1, axis=1)
+            ring[0, d + 1 if d > 1 else 0] = True  # a chord keeping the period d
+            assert markov._period(ring) == _period_by_closed_walks(ring) == d
+
+    def test_dense_chain_needs_no_eigensolve(self, monkeypatch):
+        # A positive 300-state chain mixes in a few steps; the power
+        # iteration must settle on it without the O(n^3) dense solve.
+        rng = np.random.default_rng(300)
+        rows = rng.random((300, 300)) + 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        p = TransitionMatrix(rows)
+        g = Observable(rng.uniform(-1.0, 1.0, 300))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m))
+        assert perron_root(rows) == pytest.approx(1.0, rel=1e-12)
+        for c in (-5.0, 0.5, 20.0):
+            assert math.isfinite(lambda_pg(p, g, c))
+        assert calls == []
 
 
 class TestRates:

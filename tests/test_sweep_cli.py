@@ -3,8 +3,22 @@ import math
 
 import pytest
 
-from infoscale import Ising1DParams, MeanFieldParams, ParameterError, ising2d_critical_beta
+import infoscale.markov as markov
+from infoscale import (
+    Ising1DParams,
+    MeanFieldParams,
+    Observable,
+    ParameterError,
+    chi2_rate,
+    cheap_rate_bounds,
+    ising2d_critical_beta,
+    path_divergence_report,
+    renyi_rate,
+    stationary_distribution,
+    xi_rate_bounds,
+)
 from infoscale.cli import main
+from infoscale.jsonio import load_chain
 from infoscale.sweep import (
     SweepConfig,
     evaluate_sweep,
@@ -38,6 +52,15 @@ class TestSweepConfig:
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
             short_config(start=1.0, stop=0.5)
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-6])
+    def test_oversized_grid_rejected_at_construction(self, step):
+        # Checked before any grid is built: 1e-300 would ask for ~1e299 floats.
+        with pytest.raises(ParameterError, match="exceeds the cap"):
+            short_config(start=0.0, stop=1.0, step=step)
+
+    def test_largest_allowed_grid_constructs(self):
+        assert short_config(start=0.0, stop=1.0, step=1.0 / 999_999).step > 0.0
 
     def test_grid_is_ascending_and_inclusive(self):
         grid = short_config().grid()
@@ -209,6 +232,58 @@ class TestCli:
         assert payload["rer"] <= payload["sup_row_re"] <= payload["sup_log_ratio"]
         assert payload["kl_per_step"] > 0
 
+    def test_markov_report_sets_up_the_pair_once(self, fixtures, capsys, monkeypatch):
+        counts = {"stationary": 0, "iact": 0, "period": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(markov, "stationary_distribution",
+                            counted("stationary", markov.stationary_distribution))
+        monkeypatch.setattr(markov, "integrated_autocorrelation",
+                            counted("iact", markov.integrated_autocorrelation))
+        monkeypatch.setattr(markov, "_period", counted("period", markov._period))
+        code = main(
+            [
+                "markov", "--p", fixtures["chainp.json"], "--q", fixtures["chainq.json"],
+                "--observable", fixtures["g.json"], "--cheap", "--enumerate", "8",
+            ]
+        )
+        assert code == 0
+        # mu_p and mu_q once each, plus the IACT's own mu_p.
+        assert counts == {"stationary": 3, "iact": 1, "period": 1}
+        monkeypatch.undo()
+        payload = json.loads(capsys.readouterr().out)
+        p, q = load_chain(fixtures["chainp.json"]), load_chain(fixtures["chainq.json"])
+        g = Observable([0.0, 1.0])
+        rate, cheap = xi_rate_bounds(q, p, g), cheap_rate_bounds(q, p, g)
+        path = path_divergence_report(p, q, 8)
+        gap = g.expectation(stationary_distribution(q)) - g.expectation(stationary_distribution(p))
+        assert payload == {
+            "rer": rate.rer,
+            "renyi_rate": renyi_rate(q, p, 2.0),
+            "renyi_alpha": 2.0,
+            "chi2_rate": chi2_rate(q, p),
+            "xi_plus": rate.xi_plus_rate,
+            "xi_minus": rate.xi_minus_rate,
+            "iact": rate.iact,
+            "stationary_gap": gap,
+            "sup_row_re": cheap.sup_row_re,
+            "sup_log_ratio": cheap.sup_log_ratio,
+            "xi_plus_sup_row_re": cheap.bounds_sup_row_re.xi_plus,
+            "xi_minus_sup_row_re": cheap.bounds_sup_row_re.xi_minus,
+            "xi_plus_sup_log_ratio": cheap.bounds_sup_log_ratio.xi_plus,
+            "xi_minus_sup_log_ratio": cheap.bounds_sup_log_ratio.xi_minus,
+            "enumerated_steps": 8,
+            "kl_per_step": path.kl / 8,
+            "renyi_per_step": path.renyi / 8,
+            "hellinger_path": path.hellinger,
+        }
+
     def test_gibbs_report(self, fixtures, capsys):
         code = main(
             ["gibbs", "--phi", fixtures["phi.json"], "--psi", fixtures["psi.json"], "--n", "3"]
@@ -260,6 +335,44 @@ class TestCli:
         (row,) = parse_rows_csv(out.read_text())
         assert all(math.isfinite(v) for v in row.as_tuple())
         assert row.xi_lower - 1e-9 <= row.true_qoi <= row.xi_upper + 1e-9
+
+    def test_overflowing_model_gives_nan_rows(self, tmp_path, capsys):
+        # beta J = 400 overflows the 1-D chain formulas (e^{2 beta J}); that
+        # is a NaN row, or exit 1 under --strict, never a traceback.
+        q, p, out = tmp_path / "q.json", tmp_path / "p.json", tmp_path / "s.csv"
+        q.write_text(json.dumps({"kind": "ising1d", "beta": 1, "J": 400}))
+        p.write_text(json.dumps({"kind": "meanfield", "beta": 1}))
+        args = ["phase", "--q", str(q), "--p", str(p), "--sweep", "h",
+                "--start", "0", "--stop", "0.1", "--step", "0.1"]
+        assert main(["--out", str(out), *args]) == 0
+        rows = parse_rows_csv(out.read_text())
+        assert [r.param for r in rows] == [0.0, 0.1]
+        assert all(math.isnan(v) for r in rows for v in r.as_tuple()[1:])
+        capsys.readouterr()
+        assert main(["--strict", "--out", str(out), *args]) == 1
+        assert "infoscale: error: h = 0.0: math range error" in capsys.readouterr().err
+
+    def test_non_numeric_observable_names_the_file(self, fixtures, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"values": {"a": 1}}))
+        code = main(
+            ["goal-bound", "--p", fixtures["p.json"], "--q", fixtures["q.json"],
+             "--observable", str(obs)]
+        )
+        assert code == 1
+        assert f"{obs}: field 'values' must hold numbers" in capsys.readouterr().err
+
+    def test_oversized_grid_is_error_exit(self, fixtures, capsys, monkeypatch):
+        # Fail, rather than allocate ~1e299 floats, if the cap is ever lost.
+        monkeypatch.setattr(SweepConfig, "grid", lambda self: pytest.fail("grid built"))
+        code = main(
+            [
+                "phase", "--q", fixtures["mq.json"], "--p", fixtures["mp.json"],
+                "--sweep", "h", "--start", "0", "--stop", "0.1", "--step", "1e-300",
+            ]
+        )
+        assert code == 1
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_figure_deterministic_across_jobs(self, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
