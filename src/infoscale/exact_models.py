@@ -91,12 +91,19 @@ ModelSpec = Union[Ising1DParams, Ising2DParams, MeanFieldParams]
 # One-dimensional Ising chain
 # ---------------------------------------------------------------------------
 
-def _ising1d_scaled(bj: float, y: float) -> tuple[float, float, float]:
-    """``(e^{-2|y|}, k1 e^{-|y|}, (e^{bJ} cosh y + k1) e^{-|y|})`` with
-    ``k1 = sqrt(e^{2bJ} sinh^2 y + e^{-2bJ})``, finite for any tilt y."""
+def _ising1d_scaled(bj: float, y: float) -> tuple[float, float, float, float]:
+    """``(u, g, k, top)`` with ``u = e^{-2|y|}``, ``g = e^{-|y| - 2bJ}``,
+    ``k = sqrt((1 - u)^2/4 + g^2)`` and ``top = (1 + u)/2 + k``.
+
+    ``k`` and ``top`` are ``k1 = sqrt(e^{2bJ} sinh^2 y + e^{-2bJ})`` and
+    ``e^{bJ} cosh y + k1`` with ``e^{bJ + |y|}`` divided out, so they stay
+    finite for any tilt y and any ``bJ >= 0``; ``hypot`` keeps ``k`` from
+    underflowing where ``g^2`` would.
+    """
     u = math.exp(-2.0 * abs(y))
-    k = math.sqrt(math.exp(2.0 * bj) * (1.0 - u) ** 2 / 4.0 + u * math.exp(-2.0 * bj))
-    return u, k, math.exp(bj) * (1.0 + u) / 2.0 + k
+    g = math.exp(-abs(y) - 2.0 * bj)
+    k = math.hypot((1.0 - u) / 2.0, g)
+    return u, g, k, (1.0 + u) / 2.0 + k
 
 
 def ising1d_pressure_tilted(beta: float, J: float, y: float) -> float:
@@ -105,8 +112,9 @@ def ising1d_pressure_tilted(beta: float, J: float, y: float) -> float:
     Equals ``log(e^{bJ} cosh y + sqrt(e^{2bJ} sinh^2 y + e^{-2bJ}))``,
     evaluated overflow-safely by :func:`_ising1d_scaled`.
     """
-    _, _, top = _ising1d_scaled(beta * J, y)
-    return abs(y) + math.log(top)
+    bj = beta * J
+    *_, top = _ising1d_scaled(bj, y)
+    return abs(y) + (bj + math.log(top))
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,22 @@ def ising1d_quantities(params: Ising1DParams) -> Ising1DQuantities:
     ``log(e^{bJ} cosh(bh) + k1)``, nearest-neighbor correlation
     ``1 - 2 e^{-2bJ} / (k1 (e^{bJ} cosh(bh) + k1))`` and per-site variance
     (susceptibility over beta) ``e^{-bJ} cosh(bh) / k1^3``, all with the
-    factor e^{|bh|} divided out.
+    factor e^{bJ + |bh|} divided out (see :func:`_ising1d_scaled`).  Near
+    ``h = 0`` the variance ``e^{2bJ}`` leaves the float range past
+    ``bJ ~ 355``, which raises an ArithmeticError.
     """
     bj, y = params.beta * params.J, params.beta * params.h
-    u, k, top = _ising1d_scaled(bj, y)
-    m = math.exp(bj) * (1.0 - u) / 2.0 / k
+    u, g, k, top = _ising1d_scaled(bj, y)
+    m = (1.0 - u) / 2.0 / k
+    ratio = g / k  # in [0, 1]; g^2 itself underflows long before k does
+    variance = ratio * ratio * (1.0 + u) / 2.0 / k
+    if math.isinf(variance):
+        raise OverflowError("per-site variance beyond the float range")
     return Ising1DQuantities(
         magnetization=-m if y < 0.0 else m,
-        pressure=abs(y) + math.log(top),
-        nn_correlation=1.0 - 2.0 * u * math.exp(-2.0 * bj) / (k * top),
-        variance_per_site=math.exp(-bj) * u * (1.0 + u) / 2.0 / k**3,
+        pressure=abs(y) + (bj + math.log(top)),
+        nn_correlation=1.0 - 2.0 * ratio * g / top,
+        variance_per_site=variance,
     )
 
 

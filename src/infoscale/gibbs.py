@@ -26,7 +26,7 @@ from .errors import (
     EnumerationLimitError,
     ParameterError,
 )
-from .goal_oriented import AnalyticCgf, GoalBound, xi_bounds
+from .goal_oriented import AnalyticCgf, GoalBound, _cgf_near_zero, xi_bounds
 
 _ENUMERATION_CAP = 2_000_000
 
@@ -424,14 +424,24 @@ def _tilted_cgf_source(phi_measure: GibbsMeasure, g_values) -> tuple[AnalyticCgf
     ``c g`` as a single-site term only shifts the per-configuration energy by
     ``-c G(config)``, so the tilted log-partition is a reweighted sum over
     the already-enumerated configurations.
+
+    Near ``c = 0`` that difference of log-partitions loses ``K(c) = O(c^2)``
+    to the rounding of ``log Z``; for ``|c| max|G - E G| <= 1`` the CGF comes
+    from :func:`goal_oriented._cgf_near_zero` instead.
     """
     totals = phi_measure.site_total(g_values)
     mean = phi_measure.expectation(totals)
-    variance = phi_measure.expectation((totals - mean) ** 2)
+    deviations = totals - mean
+    variance = phi_measure.expectation(deviations**2)
+    span = float(np.max(np.abs(deviations)))
+    weights = phi_measure.weights
     neg_energy = -phi_measure.energies
     log_z = phi_measure.log_partition
 
     def centered(c: float) -> float:
+        small = _cgf_near_zero(weights, deviations, span, c)
+        if small is not None:
+            return small
         return _logsumexp(neg_energy + c * totals) - log_z - c * mean
 
     return AnalyticCgf(fn=centered, check_contract=False), mean, variance

@@ -35,7 +35,9 @@ class EmpiricalCgf:
 
     ``evaluate(c)`` returns ``log sum_i p_i exp(c (f_i - E_p f))`` using a
     max-exponent shift, so it stays finite for any real c (bounded
-    observables have an infinite CGF domain).
+    observables have an infinite CGF domain).  Where every exponent is at
+    most 1 in size it uses :func:`_cgf_near_zero` instead, so the O(c^2)
+    values near 0 are not lost to rounding.
     """
 
     dist: DiscreteDistribution
@@ -59,9 +61,25 @@ class EmpiricalCgf:
         w = self.dist.weights
         mask = w > 0
         centered = self.observable.values[mask] - self.mean
+        small = _cgf_near_zero(w[mask], centered, float(np.max(np.abs(centered))), c)
+        if small is not None:
+            return small
         exponents = c * centered
         shift = float(np.max(exponents))
         return shift + math.log(float(np.sum(w[mask] * np.exp(exponents - shift))))
+
+
+def _cgf_near_zero(weights, deviations, span: float, c: float) -> float | None:
+    """``log1p(sum_i w_i expm1(c d_i))`` where ``|c| span <= 1``, else None.
+
+    ``deviations`` are the centered values ``d_i`` and ``span`` is their
+    largest size.  Near ``c = 0`` a log of a sum of exponentials loses the
+    O(c^2) value of K to rounding, and ``(K(c) + R) / c`` can then fall
+    below 0 for a tiny budget R; this form keeps small values accurate.
+    """
+    if abs(c) * span > 1.0:
+        return None
+    return math.log1p(float(weights @ np.expm1(c * deviations)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +202,17 @@ def xi_bounds(
     ``xi_plus = inf_{c>0} (K(c) + R)/c`` and
     ``xi_minus = sup_{c>0} -(K(-c) + R)/c`` where K is the centered CGF.
     The objective is quasiconvex for convex K, so a geometric bracket plus
-    golden-section search finds the optimum; both degenerate cases (R = 0 or
-    a constant observable) short-circuit to exactly (0, 0).
+    golden-section search finds the optimum.  R = 0 short-circuits to
+    exactly (0, 0).  When the objective falls all the way to the optimizer's
+    cap (c -> inf, e.g. R above ``-log p(argmax f)``), the bound is its
+    value at the cap, within ``R / cap`` of the limit.
 
     ``variance`` sets the linearized half width only; it may round to 0
     where K does not.  Without it, empirical sources use the exact variance
     and analytic sources a central finite difference of K at 0, and a zero
-    there marks a constant observable.
+    there marks a constant observable, which short-circuits to exactly
+    (0, 0).  With it, a constant observable is optimized like any other and
+    gives ``(R / cap, -R / cap)``.
     """
     if relative_entropy_value < 0:
         raise ParameterError(

@@ -4,7 +4,8 @@ Grid points are evaluated one after another and emitted in ascending
 parameter order.  ``jobs`` is accepted and validated for compatibility but
 changes neither the output nor the speed: the points are pure-Python work
 that threads cannot overlap.  A numerical failure at a grid point becomes a
-row of NaNs plus a diagnostic warning (or an abort in strict mode).
+row of NaNs plus a one-line warning naming the error (with its traceback
+only at debug level), or an abort in strict mode.
 """
 
 from __future__ import annotations
@@ -88,10 +89,14 @@ def evaluate_sweep(config: SweepConfig) -> tuple[list[PhasePoint], int]:
             return phase_bound_point(
                 config.model_q, config.model_p, v, config.sweep_parameter
             )
-        except InfoscaleError:
+        except InfoscaleError as exc:
             if config.strict:
                 raise
-            log.warning("grid point %.12g failed; emitting NaN row", v, exc_info=True)
+            log.warning(
+                "grid point %.12g failed (%s: %s); emitting NaN row",
+                v, type(exc).__name__, exc,
+                exc_info=log.isEnabledFor(logging.DEBUG),
+            )
             return _nan_point(v)
 
     rows = [point(v) for v in config.grid()]

@@ -38,6 +38,24 @@ from infoscale.quadrature import adaptive_simpson
 from infoscale.sweep import evaluate_sweep, figure_preset
 
 
+def _ising1d_quantities_decimal(bj: float, y: float) -> dict[str, float]:
+    """The chain's closed forms with ``k1 = sqrt(e^{2bJ} sinh^2 y + e^{-2bJ})``,
+    unscaled, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        bj, y = decimal.Decimal(bj), decimal.Decimal(y)
+        e, t = bj.exp(), y.exp()
+        sinh, cosh = (t - 1 / t) / 2, (t + 1 / t) / 2
+        k1 = (e * e * sinh * sinh + 1 / (e * e)).sqrt()
+        top = e * cosh + k1
+        return {
+            "magnetization": float(e * sinh / k1),
+            "pressure": float(top.ln()),
+            "nn_correlation": float(1 - 2 / (e * e * k1 * top)),
+            "variance_per_site": float(cosh / (e * k1 ** 3)),
+        }
+
+
 class TestIsing1D:
     def test_zero_field_magnetization_vanishes(self):
         for beta in (0.2, 1.0, 3.0):
@@ -95,6 +113,24 @@ class TestIsing1D:
             assert q.pressure == pytest.approx(abs(h) + 1.0, rel=1e-15)
             assert q.nn_correlation == 1.0
             assert 0.0 <= q.variance_per_site < 1e-300
+
+    @pytest.mark.parametrize("bj,h", [(bj, h) for bj in (1.0, 50.0, 400.0)
+                                       for h in (0.1, -0.7, 3.0)]
+                             + [(1.0, 0.0), (50.0, 0.0), (200.0, 0.0)])
+    def test_quantities_match_decimal_closed_forms(self, bj, h):
+        # beta J = 400 used to overflow e^{2 beta J}; the scaled form is
+        # finite wherever the quantities are.  At h = 0 and beta J = 200 the
+        # square of e^{-2 beta J} underflows, but the variance e^{400} does not.
+        got = ising1d_quantities(Ising1DParams(beta=1.0, J=bj, h=h))
+        for name, want in _ising1d_quantities_decimal(bj, h).items():
+            assert abs(getattr(got, name) - want) <= 1e-13 * abs(want) + 1e-300, name
+
+    def test_zero_field_variance_beyond_float_range_raises(self):
+        # e^{2 beta J} overflows past beta J ~ 355 (and the magnetization is
+        # 0/0 past ~372): an error the phase path turns into a NaN row.
+        for bj in (360.0, 400.0):
+            with pytest.raises(ArithmeticError):
+                ising1d_quantities(Ising1DParams(beta=1.0, J=bj, h=0.0))
 
     def test_invalid_beta(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoscale import (
     DimensionError,
@@ -323,3 +326,71 @@ class TestSymmetryAndOrdering:
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
         m = GibbsMeasure(phi, LatticeVolume.chain(2))
         assert m.state_indices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+_SQUARE_2X2 = LatticeVolume(dimension=2, sites=tuple(itertools.product(range(2), repeat=2)))
+# Cluster offsets per dimension: nearest-neighbour pairs, next-nearest pairs.
+_NEAREST = {1: [((0,), (1,))], 2: [((0, 0), (1, 0)), ((0, 0), (0, 1))]}
+_NEXT_NEAREST = {1: [((0,), (2,))], 2: [((0, 0), (1, 1)), ((0, 0), (1, -1))]}
+
+
+def _random_interaction(draw, d):
+    """Pair couplings J, next-nearest couplings K and a field h (beta included)."""
+    origin = (0,) * d
+    clusters = [spin_product_cluster(offs, -draw(st.floats(-1.5, 1.5))) for offs in _NEAREST[d]]
+    clusters += [spin_product_cluster(offs, -draw(st.floats(-0.8, 0.8))) for offs in _NEXT_NEAREST[d]]
+    clusters.append(spin_product_cluster((origin,), -draw(st.floats(-1.0, 1.0))))
+    return Interaction(dimension=d, clusters=tuple(clusters))
+
+
+@st.composite
+def _gibbs_pairs(draw):
+    """(Phi, Psi, volume) on a chain of 4 to 8 sites or a 2x2 square."""
+    d = draw(st.sampled_from([1, 2]))
+    volume = LatticeVolume.chain(draw(st.integers(4, 8))) if d == 1 else _SQUARE_2X2
+    return _random_interaction(draw, d), _random_interaction(draw, d), volume
+
+
+def _assert_gibbs_sandwich(phi, psi, volume):
+    """The exact per-site gap lies inside the finite-volume interval and
+    inside the triple-norm interval; returns the triple-norm bound."""
+    m_phi, m_psi = GibbsMeasure(phi, volume), GibbsMeasure(psi, volume)
+    g = spin_observable(phi)
+    totals = m_phi.site_total(g)
+    gap = (m_psi.expectation(totals) - m_phi.expectation(totals)) / volume.num_sites
+    loose = triple_norm_xi(m_phi, psi, g)
+    for b in (finite_volume_xi(m_psi, m_phi, g), loose):
+        assert b.xi_minus - 1e-10 <= gap <= b.xi_plus + 1e-10
+    return loose
+
+
+class TestGibbsSandwichProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=_gibbs_pairs())
+    def test_random_volumes(self, pair):
+        _assert_gibbs_sandwich(*pair)
+
+    def test_tiny_budget_keeps_the_sign(self):
+        # Psi drops a 1e-130 next-nearest coupling, so the surrogate budget is
+        # about 1e-129 and the optimum is near c = 0, where the CGF must not
+        # round below 0 and push the interval off the zero gap.  The interval
+        # itself is zero up to rounding.
+        def interaction(k):
+            return Interaction(dimension=1, clusters=(
+                spin_product_cluster(((0,), (2,)), k),
+                spin_product_cluster(((0,),), 1.0),
+            ))
+
+        loose = _assert_gibbs_sandwich(
+            interaction(1e-130), interaction(0.0), LatticeVolume.chain(4)
+        )
+        assert abs(loose.xi_plus) <= 1e-12 and abs(loose.xi_minus) <= 1e-12
+
+    def test_triple_norm_bound_at_the_cap(self):
+        # 2 N |||Phi - Psi||| = 7.2 exceeds -log mu(all +1) = 2.9 and
+        # -log mu(all -1) = 3.7, so both optima of the surrogate bound are at
+        # c -> inf.
+        phi = ising_interaction(1.0, 0.4, 0.05, 1)
+        psi = ising_interaction(1.0, 0.6, 0.3, 1)
+        loose = _assert_gibbs_sandwich(phi, psi, LatticeVolume.chain(8))
+        assert loose.c_star_plus == loose.c_star_minus == 1e12

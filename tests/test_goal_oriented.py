@@ -119,6 +119,16 @@ class TestXiBounds:
             assert b.xi_minus - 1e-9 <= gap <= b.xi_plus + 1e-9
             assert b.xi_minus <= 1e-15 <= b.xi_plus + 1e-15
 
+    def test_tiny_budget_gives_a_tiny_interval(self, rng):
+        # The optimum of a 1e-120 budget is near c = 0, where K(c) = O(c^2)
+        # must not round to negative values of size eps / c.
+        for _ in range(50):
+            p, _, f = random_triple(rng)
+            shifted = Observable(5.0 * f.values + 7.0)
+            b = xi_bounds(EmpiricalCgf(p, shifted), 1e-120)
+            assert -1e-12 <= b.xi_plus <= 1e-12
+            assert -1e-12 <= b.xi_minus <= 1e-12
+
     def test_optimizer_matches_log_grid(self, rng):
         # The returned optimum must not exceed a dense log-grid minimum.
         for _ in range(5):

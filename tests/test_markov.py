@@ -449,3 +449,46 @@ class TestPathEnumeration:
         assert plus_gaps[-1] < 5e-2 and minus_gaps[-1] < 5e-2
         assert plus_gaps[0] >= plus_gaps[-1] - 1e-12
         assert minus_gaps[0] >= minus_gaps[-1] - 1e-12
+
+
+def _chain_pair(seed: int, n: int, spread: float, sparse: bool):
+    """Chains p and q = p e^u (u uniform in [-spread, spread], renormalized)
+    on one pattern, with an observable.  The pattern holds a ring and every
+    self-loop, so both chains are irreducible and aperiodic."""
+    rng = np.random.default_rng(seed)
+    pattern = np.ones((n, n), dtype=bool)
+    if sparse:
+        pattern = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        pattern |= rng.random((n, n)) < 0.3
+    p = np.where(pattern, rng.uniform(0.02, 1.0, (n, n)), 0.0)
+    q = p * np.exp(rng.uniform(-spread, spread, (n, n)))
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    return TransitionMatrix(q), TransitionMatrix(p), Observable(rng.uniform(-1.0, 1.0, n))
+
+
+def _assert_rate_sandwich(q, p, g):
+    """The stationary gap lies inside the exact-rate interval and inside both
+    surrogate intervals; returns the surrogate bounds."""
+    gap = g.expectation(stationary_distribution(q)) - g.expectation(stationary_distribution(p))
+    exact = xi_rate_bounds(q, p, g)
+    assert exact.xi_minus_rate - 1e-10 <= gap <= exact.xi_plus_rate + 1e-10
+    cheap = cheap_rate_bounds(q, p, g)
+    for b in (cheap.bounds_sup_row_re, cheap.bounds_sup_log_ratio):
+        assert b.xi_minus - 1e-10 <= gap <= b.xi_plus + 1e-10
+    return cheap
+
+
+class TestRateSandwichProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           spread=st.floats(0.01, 4.0), sparse=st.booleans())
+    def test_random_pairs(self, seed, n, spread, sparse):
+        _assert_rate_sandwich(*_chain_pair(seed, n, spread, sparse))
+
+    def test_pair_with_bounds_at_the_cap(self):
+        # sup |log q/p| exceeds -log p(x, x) at the observable's extreme
+        # states, so the optimum of that surrogate bound is at c -> inf.
+        cheap = _assert_rate_sandwich(*_chain_pair(7, 4, 4.0, False))
+        b = cheap.bounds_sup_log_ratio
+        assert b.c_star_plus == b.c_star_minus == 1e12

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from infoscale import (
     ParameterError,
     chi2_rate,
     cheap_rate_bounds,
+    ising1d_quantities,
     ising2d_critical_beta,
     path_divergence_report,
     renyi_rate,
@@ -27,6 +32,8 @@ from infoscale.sweep import (
     parse_rows_csv,
     PRESET_NAMES,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def short_config(**overrides):
@@ -185,6 +192,16 @@ def fixtures(tmp_path):
     return paths
 
 
+def _low_temperature_sweep(tmp_path):
+    """``phase`` arguments for a 1-D chain at beta J = 400 against mean field,
+    swept over h in {0, 0.1}."""
+    q, p = tmp_path / "q.json", tmp_path / "p.json"
+    q.write_text(json.dumps({"kind": "ising1d", "beta": 1, "J": 400}))
+    p.write_text(json.dumps({"kind": "meanfield", "beta": 1}))
+    return ["phase", "--q", str(q), "--p", str(p), "--sweep", "h",
+            "--start", "0", "--stop", "0.1", "--step", "0.1"]
+
+
 class TestCli:
     def test_divergence_report(self, fixtures, capsys):
         code = main(["divergence", "--p", fixtures["p.json"], "--q", fixtures["q.json"]])
@@ -337,20 +354,45 @@ class TestCli:
         assert row.xi_lower - 1e-9 <= row.true_qoi <= row.xi_upper + 1e-9
 
     def test_overflowing_model_gives_nan_rows(self, tmp_path, capsys):
-        # beta J = 400 overflows the 1-D chain formulas (e^{2 beta J}); that
-        # is a NaN row, or exit 1 under --strict, never a traceback.
-        q, p, out = tmp_path / "q.json", tmp_path / "p.json", tmp_path / "s.csv"
-        q.write_text(json.dumps({"kind": "ising1d", "beta": 1, "J": 400}))
-        p.write_text(json.dumps({"kind": "meanfield", "beta": 1}))
-        args = ["phase", "--q", str(q), "--p", str(p), "--sweep", "h",
-                "--start", "0", "--stop", "0.1", "--step", "0.1"]
+        # At beta J = 400 the zero-field chain is 0/0 (its per-site variance
+        # e^{800} is beyond the float range): a NaN row, or exit 1 under
+        # --strict, never a traceback.  With a field the chain is finite.
+        out = tmp_path / "s.csv"
+        args = _low_temperature_sweep(tmp_path)
         assert main(["--out", str(out), *args]) == 0
         rows = parse_rows_csv(out.read_text())
         assert [r.param for r in rows] == [0.0, 0.1]
-        assert all(math.isnan(v) for r in rows for v in r.as_tuple()[1:])
+        assert all(math.isnan(v) for v in rows[0].as_tuple()[1:])
+        assert all(math.isfinite(v) for v in rows[1].as_tuple())
+        assert rows[1].xi_lower <= rows[1].true_qoi <= rows[1].xi_upper
+        # m = e^{bJ} sinh y / sqrt(e^{2bJ} sinh^2 y + e^{-2bJ}) at y = 0.1
+        m = ising1d_quantities(Ising1DParams(beta=1.0, J=400.0, h=0.1)).magnetization
+        assert abs(m - 1.0 / math.sqrt(1.0 + math.exp(-1600.0) / math.sinh(0.1) ** 2)) <= 1e-12
         capsys.readouterr()
         assert main(["--strict", "--out", str(out), *args]) == 1
-        assert "infoscale: error: h = 0.0: math range error" in capsys.readouterr().err
+        assert "infoscale: error: h = 0.0: float division by zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["", "debug"])
+    def test_nan_row_warning_is_one_line(self, tmp_path, level):
+        # The default log level names the failure in one line; only
+        # INFOSCALE_LOG=debug adds its traceback.
+        env = {k: v for k, v in os.environ.items() if k != "INFOSCALE_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        if level:
+            env["INFOSCALE_LOG"] = level
+        run = subprocess.run(
+            [sys.executable, "-m", "infoscale.cli", *_low_temperature_sweep(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0
+        warning = ("infoscale.sweep: grid point 0 failed "
+                   "(NumericsError: h = 0.0: float division by zero); emitting NaN row")
+        assert warning in run.stderr.splitlines()
+        if level:
+            assert "Traceback" in run.stderr
+        else:
+            assert "Traceback" not in run.stderr
+            assert len(run.stderr.splitlines()) == 2  # the row and the failure count
 
     def test_non_numeric_observable_names_the_file(self, fixtures, tmp_path, capsys):
         obs = tmp_path / "obs.json"
