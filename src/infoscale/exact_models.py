@@ -91,19 +91,22 @@ ModelSpec = Union[Ising1DParams, Ising2DParams, MeanFieldParams]
 # One-dimensional Ising chain
 # ---------------------------------------------------------------------------
 
-def _ising1d_scaled(bj: float, y: float) -> tuple[float, float, float, float]:
-    """``(u, g, k, top)`` with ``u = e^{-2|y|}``, ``g = e^{-|y| - 2bJ}``,
-    ``k = sqrt((1 - u)^2/4 + g^2)`` and ``top = (1 + u)/2 + k``.
+def _ising1d_scaled(bj: float, y: float) -> tuple[float, float, float, float, float]:
+    """``(u, v, g, k, top)`` with ``u = e^{-2|y|}``, ``v = 1 - u``,
+    ``g = e^{-|y| - 2bJ}``, ``k = sqrt(v^2/4 + g^2)`` and
+    ``top = (1 + u)/2 + k``.
 
     ``k`` and ``top`` are ``k1 = sqrt(e^{2bJ} sinh^2 y + e^{-2bJ})`` and
     ``e^{bJ} cosh y + k1`` with ``e^{bJ + |y|}`` divided out, so they stay
     finite for any tilt y and any ``bJ >= 0``; ``hypot`` keeps ``k`` from
-    underflowing where ``g^2`` would.
+    underflowing where ``g^2`` would, and ``v`` comes from ``expm1`` so it
+    keeps its digits at small fields.
     """
     u = math.exp(-2.0 * abs(y))
+    v = -math.expm1(-2.0 * abs(y))
     g = math.exp(-abs(y) - 2.0 * bj)
-    k = math.hypot((1.0 - u) / 2.0, g)
-    return u, g, k, (1.0 + u) / 2.0 + k
+    k = math.hypot(v / 2.0, g)
+    return u, v, g, k, (1.0 + u) / 2.0 + k
 
 
 def ising1d_pressure_tilted(beta: float, J: float, y: float) -> float:
@@ -138,8 +141,8 @@ def ising1d_quantities(params: Ising1DParams) -> Ising1DQuantities:
     ``bJ ~ 355``, which raises an ArithmeticError.
     """
     bj, y = params.beta * params.J, params.beta * params.h
-    u, g, k, top = _ising1d_scaled(bj, y)
-    m = (1.0 - u) / 2.0 / k
+    u, v, g, k, top = _ising1d_scaled(bj, y)
+    m = v / 2.0 / k
     ratio = g / k  # in [0, 1]; g^2 itself underflows long before k does
     variance = ratio * ratio * (1.0 + u) / 2.0 / k
     if math.isinf(variance):

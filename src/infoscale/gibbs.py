@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, _logsumexp
+from .divergences import DiscreteDistribution, Observable, _logsumexp
 from .errors import (
     DimensionError,
     EnumerationLimitError,
     ParameterError,
 )
-from .goal_oriented import AnalyticCgf, GoalBound, _cgf_near_zero, xi_bounds
+from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
 
 _ENUMERATION_CAP = 2_000_000
 
@@ -417,34 +417,14 @@ def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure)
     return max(value, 0.0)
 
 
-def _tilted_cgf_source(phi_measure: GibbsMeasure, g_values) -> tuple[AnalyticCgf, float, float]:
-    """Centered CGF of ``sum_x g(s_x)`` under mu^Phi via tilted partition sums.
-
-    ``K(c) = log Z^{Phi - c Gamma^g} - log Z^Phi - c E(sum g)``; adding
-    ``c g`` as a single-site term only shifts the per-configuration energy by
-    ``-c G(config)``, so the tilted log-partition is a reweighted sum over
-    the already-enumerated configurations.
-
-    Near ``c = 0`` that difference of log-partitions loses ``K(c) = O(c^2)``
-    to the rounding of ``log Z``; for ``|c| max|G - E G| <= 1`` the CGF comes
-    from :func:`goal_oriented._cgf_near_zero` instead.
-    """
-    totals = phi_measure.site_total(g_values)
-    mean = phi_measure.expectation(totals)
-    deviations = totals - mean
-    variance = phi_measure.expectation(deviations**2)
-    span = float(np.max(np.abs(deviations)))
-    weights = phi_measure.weights
-    neg_energy = -phi_measure.energies
-    log_z = phi_measure.log_partition
-
-    def centered(c: float) -> float:
-        small = _cgf_near_zero(weights, deviations, span, c)
-        if small is not None:
-            return small
-        return _logsumexp(neg_energy + c * totals) - log_z - c * mean
-
-    return AnalyticCgf(fn=centered, check_contract=False), mean, variance
+def _site_total_cgf(phi_measure: GibbsMeasure, g_values) -> EmpiricalCgf:
+    """Centered CGF of ``sum_x g(s_x)`` under mu^Phi over the enumerated
+    configurations.  Weights are raised to at least the smallest normal
+    float: one that underflowed to 0 would leave the support, and the bound
+    at large c, set by the extreme configurations, would no longer hold.
+    Raising weights only raises K (up to a mean shift below 1e-300)."""
+    weights = np.maximum(phi_measure.weights, np.finfo(float).tiny)
+    return EmpiricalCgf(DiscreteDistribution(weights), Observable(phi_measure.site_total(g_values)))
 
 
 def finite_volume_xi(
@@ -453,13 +433,13 @@ def finite_volume_xi(
     """Per-site goal-oriented bound on ``E_Psi(f_N) - E_Phi(f_N)`` for the
     site-averaged observable ``f_N = N^-1 sum_x g(s_x)``.
 
-    Optimizes the tilted-partition-function form of the extensive bound and
-    divides by N; the returned optimizers refer to the extensive problem.
+    The extensive bound is :func:`xi_bounds` of the enumerated Gibbs measure
+    as an :class:`EmpiricalCgf` with the exact relative entropy; it is
+    divided by N, and the returned optimizers refer to the extensive problem.
     """
     _check_compatible(psi_measure, phi_measure)
-    source, _, variance = _tilted_cgf_source(phi_measure, g_values)
     r = gibbs_relative_entropy(psi_measure, phi_measure)
-    bound = xi_bounds(source, r, variance=variance)
+    bound = xi_bounds(_site_total_cgf(phi_measure, g_values), r)
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
@@ -468,12 +448,12 @@ def triple_norm_xi(
 ) -> GoalBound:
     """Per-site bound with the relative entropy replaced by its interaction
     surrogate ``2 N |||Phi - Psi|||`` — looser, but it needs no partition
-    function for Psi."""
+    function for Psi.  The CGF is the same :class:`EmpiricalCgf` as in
+    :func:`finite_volume_xi`."""
     surrogate = 2.0 * phi_measure.num_sites * triple_norm(
         interaction_difference(phi_measure.interaction, psi_interaction)
     )
-    source, _, variance = _tilted_cgf_source(phi_measure, g_values)
-    bound = xi_bounds(source, surrogate, variance=variance)
+    bound = xi_bounds(_site_total_cgf(phi_measure, g_values), surrogate)
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
@@ -495,9 +475,8 @@ def linearized_gibbs_bound(
         raise ParameterError(
             "provide exactly one of relative_entropy or triple_norm_gap"
         )
-    totals = phi_measure.site_total(g_values)
-    mean = phi_measure.expectation(totals)
-    var_per_site = phi_measure.expectation((totals - mean) ** 2) / phi_measure.num_sites
+    totals = Observable(phi_measure.site_total(g_values))
+    var_per_site = totals.variance(DiscreteDistribution(phi_measure.weights)) / phi_measure.num_sites
     if relative_entropy is not None:
         if relative_entropy < 0:
             raise ParameterError("relative entropy must be nonnegative")

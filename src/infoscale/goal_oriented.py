@@ -23,21 +23,42 @@ from .errors import (
 )
 from .optimize import minimize_positive_scalar
 
-# Entropy budgets below this are treated as exactly zero: the infimum is then
-# a limit at c -> 0+ and equals 0, not an attained minimum.
-_ZERO_BUDGET = 1e-300
+# Below this entropy budget the optimum c* = sqrt(2 R / Var) is so close to 0
+# that K(c) = Var c^2 / 2 to float precision there, which evaluating K cannot
+# resolve; the bound is then the quadratic one, sqrt(2 R Var).
+_TINY_BUDGET = 1e-300
 _VAR_FD_STEP = 1e-4
+# Centered values up to this size have a finite square, hence a finite
+# variance, and stay finite times the optimizer's cap of 1e12.
+_MAX_SPREAD = math.sqrt(np.finfo(float).max)
+
+
+def _spread(centered: np.ndarray) -> float:
+    """Largest size of the centered values; past ``_MAX_SPREAD`` raises
+    UnboundedObservableError rather than overflow."""
+    span = float(np.max(np.abs(centered)))
+    if not span <= _MAX_SPREAD:
+        raise UnboundedObservableError(
+            f"observable spread {span!r} exceeds {_MAX_SPREAD:.3g}: its variance overflows"
+        )
+    return span
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCgf:
     """Centered CGF of an observable under a finite-support distribution.
 
-    ``evaluate(c)`` returns ``log sum_i p_i exp(c (f_i - E_p f))`` using a
-    max-exponent shift, so it stays finite for any real c (bounded
-    observables have an infinite CGF domain).  Where every exponent is at
-    most 1 in size it uses :func:`_cgf_near_zero` instead, so the O(c^2)
-    values near 0 are not lost to rounding.
+    ``evaluate(c)`` returns ``log sum_i p_i exp(c (f_i - E_p f))`` over the
+    atoms with ``p_i > 0``, using a max-exponent shift, so it stays finite
+    for any real c (bounded observables have an infinite CGF domain).  Near
+    ``c = 0`` that log of a sum of exponentials loses the O(c^2) value of K
+    to rounding, and ``(K(c) + R) / c`` can then fall below 0 for a tiny
+    budget R; so where every exponent is at most 1 in size it returns
+    ``log1p(sum_i p_i expm1(c (f_i - E_p f)))`` instead.
+
+    The support, the centered values and their largest size are computed
+    once, at construction.  The mean is kept inside the range of the values,
+    so a constant observable has exactly zero deviations and variance.
     """
 
     dist: DiscreteDistribution
@@ -45,41 +66,28 @@ class EmpiricalCgf:
 
     def __post_init__(self):
         self.observable._check_aligned(self.dist)
+        mask = self.dist.weights > 0
+        values = self.observable.values[mask]
+        mean = min(max(self.observable.expectation(self.dist), values.min()), values.max())
+        centered = values - mean
+        object.__setattr__(self, "mean", float(mean))
+        object.__setattr__(self, "_weights", self.dist.weights[mask])
+        object.__setattr__(self, "_centered", centered)
+        object.__setattr__(self, "_span", _spread(centered))
 
     @property
     def domain_bound(self) -> float:
         return math.inf
 
-    @property
-    def mean(self) -> float:
-        return self.observable.expectation(self.dist)
-
     def variance(self) -> float:
-        return self.observable.variance(self.dist)
+        return float(self._weights @ self._centered**2)
 
     def evaluate(self, c: float) -> float:
-        w = self.dist.weights
-        mask = w > 0
-        centered = self.observable.values[mask] - self.mean
-        small = _cgf_near_zero(w[mask], centered, float(np.max(np.abs(centered))), c)
-        if small is not None:
-            return small
-        exponents = c * centered
+        if abs(c) * self._span <= 1.0:
+            return math.log1p(float(self._weights @ np.expm1(c * self._centered)))
+        exponents = c * self._centered
         shift = float(np.max(exponents))
-        return shift + math.log(float(np.sum(w[mask] * np.exp(exponents - shift))))
-
-
-def _cgf_near_zero(weights, deviations, span: float, c: float) -> float | None:
-    """``log1p(sum_i w_i expm1(c d_i))`` where ``|c| span <= 1``, else None.
-
-    ``deviations`` are the centered values ``d_i`` and ``span`` is their
-    largest size.  Near ``c = 0`` a log of a sum of exponentials loses the
-    O(c^2) value of K to rounding, and ``(K(c) + R) / c`` can then fall
-    below 0 for a tiny budget R; this form keeps small values accurate.
-    """
-    if abs(c) * span > 1.0:
-        return None
-    return math.log1p(float(weights @ np.expm1(c * deviations)))
+        return shift + math.log(float(self._weights @ np.exp(exponents - shift)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +154,8 @@ class GoalBound:
     """Two-sided goal-oriented bound on a QoI gap.
 
     ``xi_minus <= E_q(f) - E_p(f) <= xi_plus``.  The optimizers ``c_star_*``
-    are 0 in the degenerate cases (zero entropy budget or constant
-    observable) where the infimum is a limit at c -> 0+ rather than attained.
+    are 0 in the degenerate cases (an entropy budget that is zero or below
+    1e-300, or a constant observable), where they are not searched for.
     """
 
     xi_plus: float
@@ -203,31 +211,35 @@ def xi_bounds(
     ``xi_minus = sup_{c>0} -(K(-c) + R)/c`` where K is the centered CGF.
     The objective is quasiconvex for convex K, so a geometric bracket plus
     golden-section search finds the optimum.  R = 0 short-circuits to
-    exactly (0, 0).  When the objective falls all the way to the optimizer's
-    cap (c -> inf, e.g. R above ``-log p(argmax f)``), the bound is its
-    value at the cap, within ``R / cap`` of the limit.
+    exactly (0, 0), and ``0 < R < 1e-300`` to ``+-sqrt(2 R Var)``.  When the
+    objective falls all the way to the optimizer's cap (c -> inf, e.g. R
+    above ``-log p(argmax f)``), the bound is its value at the cap, within
+    ``R / cap`` of the limit.
 
-    ``variance`` sets the linearized half width only; it may round to 0
-    where K does not.  Without it, empirical sources use the exact variance
-    and analytic sources a central finite difference of K at 0, and a zero
-    there marks a constant observable, which short-circuits to exactly
-    (0, 0).  With it, a constant observable is optimized like any other and
-    gives ``(R / cap, -R / cap)``.
+    ``variance`` sets the linearized half width, and the bound itself for
+    ``R < 1e-300``; it may round to 0 where K does not.  Without it,
+    empirical sources use the exact variance and analytic sources a central
+    finite difference of K at 0, and a zero there marks a constant
+    observable, which short-circuits to exactly (0, 0).  With it, a constant
+    observable is optimized like any other and gives ``(R / cap, -R / cap)``.
     """
     if relative_entropy_value < 0:
         raise ParameterError(
             f"relative entropy must be nonnegative, got {relative_entropy_value!r}"
         )
-    if relative_entropy_value < _ZERO_BUDGET:
+    r = relative_entropy_value
+    if r == 0.0:
         return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
     if variance is None:
         variance = source.variance()
         if variance <= 0.0:
             return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
+    if r < _TINY_BUDGET:
+        half = linearized_half_width(variance, r)
+        return GoalBound(half, -half, 0.0, 0.0, half)
 
     cap = _optimizer_cap(source)
     c_init = min(1.0, cap / 2.0)
-    r = relative_entropy_value
 
     try:
         c_plus, xi_plus = minimize_positive_scalar(

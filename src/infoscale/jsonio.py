@@ -68,16 +68,21 @@ def load_interaction(path) -> Interaction:
     states (-1, +1).
     """
     data = _load_json(path)
-    dimension = int(_require(data, "d", path))
-    spins = tuple(float(s) for s in data.get("spins", (-1.0, 1.0)))
-    clusters: list[SpinCluster] = []
-    for i, spec in enumerate(_require(data, "clusters", path)):
-        kind = spec.get("type", "product")
-        if kind not in ("product", "pair_product", "field"):
-            raise ParameterError(f"{path}: cluster {i} has unknown type {kind!r}")
-        if "offsets" not in spec or "coeff" not in spec:
-            raise ParameterError(f"{path}: cluster {i} needs 'offsets' and 'coeff'")
-        clusters.append(spin_product_cluster(spec["offsets"], float(spec["coeff"])))
+    try:
+        dimension = int(_require(data, "d", path))
+        spins = tuple(float(s) for s in data.get("spins", (-1.0, 1.0)))
+        clusters: list[SpinCluster] = []
+        for i, spec in enumerate(_require(data, "clusters", path)):
+            if not isinstance(spec, dict):
+                raise ParameterError(f"{path}: cluster {i} must be a JSON object")
+            kind = spec.get("type", "product")
+            if kind not in ("product", "pair_product", "field"):
+                raise ParameterError(f"{path}: cluster {i} has unknown type {kind!r}")
+            if "offsets" not in spec or "coeff" not in spec:
+                raise ParameterError(f"{path}: cluster {i} needs 'offsets' and 'coeff'")
+            clusters.append(spin_product_cluster(spec["offsets"], float(spec["coeff"])))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: malformed interaction field: {exc}") from exc
     return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)
 
 
@@ -102,6 +107,8 @@ def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
             )
     except KeyError as exc:
         raise ParameterError(f"{source}: missing model field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{source}: malformed model field: {exc}") from exc
     raise ParameterError(
         f"{source}: model kind must be 'ising1d', 'ising2d' or 'meanfield', got {kind!r}"
     )

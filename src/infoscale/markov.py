@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, DivergenceReport, Observable, _logsumexp
+from .divergences import DiscreteDistribution, DivergenceReport, Observable, divergence_report
 from .errors import (
     AbsoluteContinuityError,
     DimensionError,
@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     StructureError,
 )
-from .goal_oriented import AnalyticCgf, GoalBound, xi_bounds
+from .goal_oriented import AnalyticCgf, GoalBound, _spread, xi_bounds
 
 _ROW_SUM_TOL = 1e-12
 _PERRON_TOL = 1e-13
@@ -205,11 +205,13 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
         return relative_entropy_rate(q, p)
     _require_mutual_row_ac(q, p)
     support = q.rows > 0
+    exponents = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
+    # e^x overflows past x = 709, which a tiny entry of p can reach; the
+    # root scales with the matrix, so shift such exponents down.
+    shift = max(float(exponents.max()) - 700.0, 0.0)
     tilted = np.zeros_like(q.rows)
-    tilted[support] = np.exp(
-        alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
-    )
-    rate = math.log(perron_root(tilted)) / (alpha - 1.0)
+    tilted[support] = np.exp(exponents - shift)
+    rate = (math.log(perron_root(tilted)) + shift) / (alpha - 1.0)
     return max(rate, 0.0)
 
 
@@ -247,7 +249,7 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
 
 
 def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], float]:
-    if float(np.max(np.abs(centered))) == 0.0:
+    if _spread(centered) == 0.0:
         return lambda c: 0.0
 
     def curve(c: float) -> float:
@@ -299,7 +301,10 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     system = np.eye(n) - p.rows + np.outer(np.ones(n), mu)
     h = np.linalg.solve(system, centered)
     weighted = mu * centered
-    value = 2.0 * float(weighted @ h) - float(weighted @ centered)
+    with np.errstate(over="ignore"):
+        value = 2.0 * float(weighted @ h) - float(weighted @ centered)
+    if not math.isfinite(value):
+        raise NumericsError("integrated autocorrelation beyond the float range")
     if value < -1e-10:
         raise NumericsError(f"integrated autocorrelation {value!r} < 0")
     return max(value, 0.0)
@@ -394,6 +399,20 @@ def _cheap_rate_bounds(
     return CheapRateBounds(setup.rer, sup_row, sup_ratio, *bounds)
 
 
+def _path_law(nu: DiscreteDistribution, rows: np.ndarray, n_steps: int) -> DiscreteDistribution:
+    """Law of ``(X_0, ..., X_n_steps)``, paths in lexicographic order: each
+    step adds the log transition out of a path's last state (its last index)."""
+    n = rows.shape[0]
+    if nu.support_size != n:
+        raise DimensionError(f"initial law has {nu.support_size} states for {n}")
+    with np.errstate(divide="ignore"):
+        log_step = np.log(rows)
+        law = np.log(nu.weights)
+    for _ in range(n_steps):
+        law = (law.reshape(-1, n)[:, :, None] + log_step).ravel()
+    return DiscreteDistribution(np.exp(law), renormalize=True)
+
+
 def path_divergence_report(
     p: TransitionMatrix,
     q: TransitionMatrix,
@@ -407,59 +426,25 @@ def path_divergence_report(
 
     Enumerates all ``|S|^(n_steps+1)`` paths (capped at 2e6), including the
     initial-distribution term that the rate limits drop; initial laws default
-    to the stationary distributions.  This is the finite-horizon verification
-    route for the rate formulas.
+    to the stationary distributions.  The divergences are those of
+    :func:`~infoscale.divergences.divergence_report` on the two path laws, so
+    path measures that are not mutually absolutely continuous raise
+    :class:`~infoscale.errors.AbsoluteContinuityError`.  This is the
+    finite-horizon verification route for the rate formulas.
     """
     _check_same_space(q, p)
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    n = p.size
-    n_paths = n ** (n_steps + 1)
+    n_paths = p.size ** (n_steps + 1)
     if n_paths > _PATH_CAP:
         raise EnumerationLimitError(
             f"{n_paths} paths exceed the enumeration cap {_PATH_CAP}"
         )
     nu_p = stationary_distribution(p) if nu_p is None else nu_p
     nu_q = stationary_distribution(q) if nu_q is None else nu_q
-    if not np.array_equal(nu_p.weights > 0, nu_q.weights > 0):
-        raise AbsoluteContinuityError(
-            "initial distributions must be mutually absolutely continuous"
-        )
-
-    with np.errstate(divide="ignore"):
-        log_p_step = np.log(p.rows)
-        log_q_step = np.log(q.rows)
-        log_p = np.log(nu_p.weights)
-        log_q = np.log(nu_q.weights)
-    last = np.arange(n)
-    for _ in range(int(n_steps)):
-        log_p = (log_p[:, None] + log_p_step[last, :]).ravel()
-        log_q = (log_q[:, None] + log_q_step[last, :]).ravel()
-        last = np.tile(np.arange(n), log_p.size // n)
-
-    # Mutual AC of rows and initial laws makes the supports coincide.
-    mask = np.isfinite(log_q)
-    lq, lp = log_q[mask], log_p[mask]
-    q_path = np.exp(lq)
-    kl = float(np.sum(q_path * (lq - lp)))
-
-    d_alpha = _logsumexp(alpha * lq + (1.0 - alpha) * lp) / (alpha - 1.0)
-    chi2 = math.expm1(_logsumexp(2.0 * lq - lp))
-    bhattacharyya = math.exp(_logsumexp(0.5 * (lq + lp)))
-    h = math.sqrt(max(2.0 - 2.0 * bhattacharyya, 0.0))
-    tv_all = 0.5 * float(
-        np.sum(np.abs(np.exp(log_q) - np.exp(log_p)))
+    return divergence_report(
+        _path_law(nu_p, p.rows, int(n_steps)), _path_law(nu_q, q.rows, int(n_steps)), alpha
     )
-    report = DivergenceReport(
-        tv=tv_all,
-        hellinger=h,
-        kl=max(kl, 0.0),
-        renyi_alpha=alpha,
-        renyi=max(d_alpha, 0.0),
-        chi2=max(chi2, 0.0),
-    )
-    report.validate_chain(tol=1e-8)
-    return report
 
 
 def path_cgf(

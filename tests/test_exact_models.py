@@ -125,6 +125,16 @@ class TestIsing1D:
         for name, want in _ising1d_quantities_decimal(bj, h).items():
             assert abs(getattr(got, name) - want) <= 1e-13 * abs(want) + 1e-300, name
 
+    @pytest.mark.parametrize("bj,h", [(bj, h) for bj in (0.5, 1.0, 10.0)
+                                       for h in (1e-5, -1e-5, 3e-9)])
+    def test_small_field_quantities_match_decimal_closed_forms(self, bj, h):
+        # 1 - e^{-2|y|} cancels at small fields unless it is taken as
+        # -expm1(-2|y|): the magnetization was off by 1.2e-13 relative at
+        # h = 1e-5 and by 6.8e-9 at h = 3e-9.
+        got = ising1d_quantities(Ising1DParams(beta=1.0, J=bj, h=h))
+        for name, want in _ising1d_quantities_decimal(bj, h).items():
+            assert abs(getattr(got, name) - want) <= 1e-14 * abs(want), name
+
     def test_zero_field_variance_beyond_float_range_raises(self):
         # e^{2 beta J} overflows past beta J ~ 355 (and the magnetization is
         # 0/0 past ~372): an error the phase path turns into a NaN row.
@@ -624,6 +634,15 @@ class TestPhaseBoundProperties:
         q = Ising2DParams(beta=1.0, J=1.0, branch=branch_q)
         p = MeanFieldParams(beta=1.0, J=1.0, d=2, branch=branch_p)
         _assert_sandwich(phase_bound_point(q, p, beta_c * (1.0 + offset), "beta"))
+
+    def test_ising1d_pair_with_a_subnormal_rate(self):
+        # A field of 3.3e-158 gives a magnetization gap of 2.4e-157 and a
+        # relative entropy rate of 8e-315, below the budget the optimizer can
+        # resolve; the quadratic bound must still hold the gap.
+        q = Ising1DParams(beta=1.0, J=1.0, h=3.287950594858343e-158)
+        row = phase_bound_point(q, Ising1DParams(beta=1.0, J=1.0), 1.0, "beta")
+        assert 0.0 < row.re_rate < 1e-300 and row.true_qoi > 0.0
+        _assert_sandwich(row)
 
     @settings(max_examples=60, deadline=None)
     @given(beta=st.floats(0.1, 2.0), h_q=_SMALL_FIELDS)

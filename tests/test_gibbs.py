@@ -27,6 +27,7 @@ from infoscale import (
     xi_bounds,
 )
 from infoscale.gibbs import (
+    _site_total_cgf,
     interaction_difference,
     spin_observable,
     tilted_interaction,
@@ -194,8 +195,9 @@ class TestFiniteVolumeXi:
             assert bound.xi_minus - 1e-9 <= gap <= bound.xi_plus + 1e-9
 
     def test_cross_module_consistency(self, rng):
-        # The tilted-partition route equals the generic empirical-CGF route
-        # applied to the enumerated measure and the extensive observable.
+        # The Gibbs bound equals the generic empirical-CGF bound of the
+        # renormalized enumerated measures, with the relative entropy summed
+        # over configurations instead of taken from the log-partitions.
         phi, psi = random_ising_pair(rng, 1)
         vol = LatticeVolume.chain(6)
         m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
@@ -209,18 +211,49 @@ class TestFiniteVolumeXi:
         assert bound.xi_minus == pytest.approx(generic.xi_minus / 6.0, abs=1e-8)
 
     def test_tilted_partition_identity(self, rng):
-        # The precomputed tilted sums agree with log_partition of Phi - c Gamma.
+        # The tilted sums over the enumerated energies agree with
+        # log_partition of Phi - c Gamma, and so does the CGF the bounds use:
+        # K(c) = log Z(Phi - c Gamma) - log Z(Phi) - c E(sum g).
         phi, _ = random_ising_pair(rng, 1)
         vol = LatticeVolume.chain(6)
         m = GibbsMeasure(phi, vol)
         g = spin_observable(phi)
         totals = m.site_total(g)
+        cgf = _site_total_cgf(m, g)
         for c in (-1.3, 0.41, 2.0):
             direct = _logsumexp(-m.energies + c * totals)
             via_interaction = log_partition(
                 tilted_interaction(phi, g, c), vol, method="enumerate"
             )
             assert direct == pytest.approx(via_interaction, abs=1e-10)
+            want = via_interaction - m.log_partition - c * m.expectation(totals)
+            assert cgf.evaluate(c) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_constant_observable_gives_exact_zero(self):
+        # A constant g has a constant site total, so both bounds are exactly
+        # (0, 0) rather than +-R / cap from an optimization at the cap.
+        phi = ising_interaction(0.7, 1.0, 0.3, 1)
+        psi = ising_interaction(0.7, 0.4, -0.2, 1)
+        vol = LatticeVolume.chain(9)
+        m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
+        for g in ([1.0, 1.0], [-0.3, -0.3], [1e-3, 1e-3]):
+            for b in (finite_volume_xi(m_psi, m_phi, g), triple_norm_xi(m_phi, psi, g)):
+                assert (b.xi_plus, b.xi_minus) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("field", [50.0, 100.0])
+    def test_underflowed_weights_keep_the_sandwich(self, field):
+        # A field of +-50 or +-100 on 8 sites puts some configurations of Phi
+        # below e^-745, where their weights underflow to 0.  Psi has the
+        # opposite field, so its mass sits on exactly those configurations
+        # and the gap is -2 per site; the bound at c -> inf must still see
+        # them.
+        vol = LatticeVolume.chain(8)
+        phi = ising_interaction(1.0, 0.3, field, 1)
+        psi = ising_interaction(1.0, 0.3, -field, 1)
+        m_phi = GibbsMeasure(phi, vol)
+        assert (m_phi.weights == 0.0).any()
+        loose = _assert_gibbs_sandwich(phi, psi, vol)
+        assert loose.xi_minus <= -2.0
 
 
 class TestTripleNormXi:

@@ -54,6 +54,13 @@ class TestCenteredCgf:
         value = centered_cgf(EmpiricalCgf(p, f), 1e8)
         assert math.isfinite(value)
 
+    def test_overflowing_spread_raises(self):
+        # A spread past 1.34e154 has a variance beyond the float range.
+        p = DiscreteDistribution([0.5, 0.5])
+        EmpiricalCgf(p, Observable([1e154, -1e154]))
+        with pytest.raises(UnboundedObservableError):
+            EmpiricalCgf(p, Observable([1e155, -1e155]))
+
     def test_convex_in_c(self, rng):
         p, _, f = random_triple(rng)
         src = EmpiricalCgf(p, f)
@@ -128,6 +135,13 @@ class TestXiBounds:
             b = xi_bounds(EmpiricalCgf(p, shifted), 1e-120)
             assert -1e-12 <= b.xi_plus <= 1e-12
             assert -1e-12 <= b.xi_minus <= 1e-12
+
+    def test_subnormal_budget_gives_the_quadratic_bound(self):
+        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly; at R = 1e-310
+        # the optimum c* = 1.4e-155 is out of the optimizer's reach.
+        b = xi_bounds(AnalyticCgf(fn=lambda c: c * c / 2.0), 1e-310)
+        assert b.xi_plus == pytest.approx(math.sqrt(2e-310), rel=1e-9, abs=0.0)
+        assert b.xi_minus == -b.xi_plus
 
     def test_optimizer_matches_log_grid(self, rng):
         # The returned optimum must not exceed a dense log-grid minimum.

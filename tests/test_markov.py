@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -14,9 +15,11 @@ from infoscale import (
     EmpiricalCgf,
     EnumerationLimitError,
     NormalizationError,
+    NumericsError,
     Observable,
     StructureError,
     TransitionMatrix,
+    UnboundedObservableError,
     centered_cgf,
     cheap_rate_bounds,
     chi2_rate,
@@ -240,6 +243,14 @@ class TestRates:
         q = random_chain(rng, 3)
         assert relative_entropy_rate(q, p) > 0.0
 
+    def test_renyi_rate_with_a_subnormal_entry(self):
+        # q(1,1)^2 / p(1,1) = 9e321 overflows a float; the rate is then the
+        # log of that entry, up to a correction of relative size 1e-322.
+        p = TransitionMatrix([[0.5, 0.5], [1.0, 1e-322]])
+        q = TransitionMatrix([[0.5, 0.5], [0.05, 0.95]])
+        want = 2.0 * math.log(0.95) - math.log(1e-322)
+        assert renyi_rate(q, p, 2.0) == pytest.approx(want, rel=1e-12)
+
     def test_rer_matches_path_enumeration(self, rng):
         # With stationary initial laws the finite-horizon per-step KL equals
         # r + R(mu_q || mu_p)/N exactly, so a perturbed pair keeps the
@@ -353,6 +364,20 @@ class TestXiRateBounds:
 
 
 class TestIntegratedAutocorrelation:
+    def test_beyond_the_float_range_raises(self):
+        # Values of size 1e152 on a chain that mixes in about 1e6 steps: the
+        # IACT of about 1e310 is not a float.
+        eps = 1e-6
+        p = TransitionMatrix([[1 - eps, eps], [eps, 1 - eps]])
+        with pytest.raises(NumericsError):
+            integrated_autocorrelation(p, Observable([1e152, -1e152]))
+
+    @pytest.mark.parametrize("size", [1e155, 1e300])
+    def test_rate_bounds_reject_an_overflowing_spread(self, rng, size):
+        p, q = random_chain(rng, 3), random_chain(rng, 3)
+        with pytest.raises(UnboundedObservableError):
+            xi_rate_bounds(q, p, Observable([size, 0.0, -size]))
+
     def test_iid_rows_give_variance(self, rng):
         pw = random_distribution(rng, 3).weights
         p = TransitionMatrix(np.tile(pw, (3, 1)))
@@ -430,6 +455,50 @@ class TestPathEnumeration:
         rep = path_divergence_report(p, p, 6)
         assert rep.kl == pytest.approx(0.0, abs=1e-12)
         assert rep.tv == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_brute_force_path_probabilities(self, rng):
+        # Every path probability written out as a product over the path, on
+        # 3-state chains over 4 steps, with stationary and drawn initial laws.
+        steps = 4
+        for draw in range(4):
+            p, q = random_chain(rng, 3), random_chain(rng, 3)
+            if draw % 2:
+                nu_p, nu_q = random_distribution(rng, 3), random_distribution(rng, 3)
+            else:
+                nu_p, nu_q = stationary_distribution(p), stationary_distribution(q)
+            probs = {"p": [], "q": []}
+            for path in itertools.product(range(3), repeat=steps + 1):
+                for name, chain, nu in (("p", p, nu_p), ("q", q, nu_q)):
+                    prob = nu.weights[path[0]]
+                    for a, b in zip(path, path[1:]):
+                        prob *= chain.rows[a, b]
+                    probs[name].append(prob)
+            alpha = 0.5 + draw
+            want = {
+                "tv": 0.5 * math.fsum(abs(b - a) for a, b in zip(probs["p"], probs["q"])),
+                "hellinger": math.sqrt(math.fsum(
+                    (math.sqrt(b) - math.sqrt(a)) ** 2 for a, b in zip(probs["p"], probs["q"])
+                )),
+                "kl": math.fsum(b * math.log(b / a) for a, b in zip(probs["p"], probs["q"])),
+                "renyi": math.log(math.fsum(
+                    b**alpha * a ** (1.0 - alpha) for a, b in zip(probs["p"], probs["q"])
+                )) / (alpha - 1.0),
+                "chi2": math.fsum(b * b / a for a, b in zip(probs["p"], probs["q"])) - 1.0,
+            }
+            got = path_divergence_report(p, q, steps, nu_p=nu_p, nu_q=nu_q, alpha=alpha)
+            assert got.renyi_alpha == alpha
+            for name, value in want.items():
+                assert getattr(got, name) == pytest.approx(value, rel=1e-12), name
+
+    @pytest.mark.parametrize("zero_in", ["p", "q"])
+    def test_rows_not_mutually_continuous_raise(self, zero_in):
+        # One transition that only one chain makes gives path measures that
+        # are not mutually absolutely continuous.
+        full = TransitionMatrix([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+        gap = TransitionMatrix([[0.2, 0.8, 0.0], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+        p, q = (gap, full) if zero_in == "p" else (full, gap)
+        with pytest.raises(AbsoluteContinuityError):
+            path_divergence_report(p, q, 3)
 
     def test_finite_horizon_xi_converges_to_rate(self, rng):
         # Per-site goal-oriented bounds from exact path quantities approach

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoscale.markov as markov
 from infoscale import (
@@ -404,6 +409,22 @@ class TestCli:
         assert code == 1
         assert f"{obs}: field 'values' must hold numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,payload", [
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "type": "field", "coeff": [1]}]}),
+        ("gibbs", {"d": 1, "clusters": [5]}),
+        ("phase", {"kind": "ising1d", "beta": [1]}),
+    ])
+    def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        if command == "gibbs":
+            argv = ["gibbs", "--phi", str(bad), "--psi", fixtures["psi.json"], "--n", "1"]
+        else:
+            argv = ["phase", "--q", str(bad), "--p", fixtures["mp.json"], "--sweep", "h",
+                    "--start", "0", "--stop", "0.1", "--step", "0.1"]
+        assert main(argv) == 1
+        assert f"infoscale: error: {bad}: " in capsys.readouterr().err
+
     def test_oversized_grid_is_error_exit(self, fixtures, capsys, monkeypatch):
         # Fail, rather than allocate ~1e299 floats, if the cap is ever lost.
         monkeypatch.setattr(SweepConfig, "grid", lambda self: pytest.fail("grid built"))
@@ -466,3 +487,106 @@ class TestCli:
         )
         assert code == 1
         assert "empty sweep range" in capsys.readouterr().err
+
+
+# Small JSON inputs for the CLI: mostly well-formed, now and then a value of
+# the wrong type or a missing field.
+_JUNK = st.one_of(st.none(), st.text(max_size=2), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+_NUMBER = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-300, 50.0, -1e200, 1e300]))
+
+
+def _rarely_junk(strategy):
+    return st.integers(0, 15).flatmap(lambda k: _JUNK if k == 0 else strategy)
+
+
+def _normalized(n):
+    """Probability vectors of length n (some entries 0) or junk."""
+    raw = st.lists(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return _rarely_junk(raw.filter(lambda w: sum(w) > 0).map(lambda w: [x / sum(w) for x in w]))
+
+
+def _numbers(n):
+    return _rarely_junk(st.lists(_rarely_junk(_NUMBER), min_size=n, max_size=n))
+
+
+@st.composite
+def _json_object(draw, fields):
+    """A JSON object holding each field, each left out with probability 1/16."""
+    return {k: draw(v) for k, v in fields.items() if draw(st.integers(0, 15))}
+
+
+@st.composite
+def _goal_bound_args(draw):
+    n = draw(st.integers(1, 4))
+    weights = _json_object({"weights": _normalized(n)})
+    files = {"p": draw(weights), "q": draw(weights),
+             "observable": draw(_json_object({"values": _numbers(n)}))}
+    return files, ["--renormalize"] if draw(st.booleans()) else []
+
+
+@st.composite
+def _markov_args(draw):
+    n = draw(st.integers(1, 3))
+    chain = _json_object({"rows": _rarely_junk(st.lists(_normalized(n), min_size=n, max_size=n))})
+    files = {"p": draw(chain), "q": draw(chain),
+             "observable": draw(_json_object({"values": _numbers(n)}))}
+    extra = ["--cheap"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        extra += ["--enumerate", str(draw(st.integers(1, 3)))]
+    return files, extra
+
+
+def _interaction(d):
+    origin, step = [0] * d, [1] + [0] * (d - 1)
+    offsets = st.sampled_from([[origin], [origin, step], [origin, [2] + origin[1:]], [step]])
+    cluster = _json_object({"offsets": _rarely_junk(offsets), "coeff": _rarely_junk(_NUMBER),
+                            "type": st.sampled_from(["product", "pair_product", "field", "x"])})
+    return _json_object({"d": _rarely_junk(st.just(d)),
+                         "clusters": _rarely_junk(st.lists(_rarely_junk(cluster), max_size=3))})
+
+
+@st.composite
+def _gibbs_args(draw):
+    d = draw(st.integers(1, 2))
+    return ({"phi": draw(_interaction(d)), "psi": draw(_interaction(d))},
+            ["--n", str(draw(st.integers(0, 3 - d)))])
+
+
+@st.composite
+def _phase_args(draw):
+    kind = draw(st.sampled_from(["ising1d", "ising2d", "meanfield"]))
+    branches = {"ising2d": ["plus", "minus"], "meanfield": ["upper", "lower"]}.get(kind, ["x"])
+    model = _json_object({
+        "kind": _rarely_junk(st.just(kind)),
+        "beta": _rarely_junk(st.floats(0.05, 2.0) | _NUMBER), "J": _rarely_junk(_NUMBER),
+        "h": _rarely_junk(_NUMBER), "d": _rarely_junk(st.integers(0, 3)),
+        "branch": _rarely_junk(st.sampled_from(branches)),
+    })
+    start = draw(st.floats(-1.0, 1.0))
+    stop = start + draw(st.floats(0.0, 0.5))
+    grid = ["--sweep", draw(st.sampled_from(["h", "beta"])), f"--start={start!r}",
+            f"--stop={stop!r}", "--step=0.25"]
+    return {"q": draw(model), "p": draw(model)}, grid
+
+
+_COMMANDS = {"goal-bound": _goal_bound_args(), "markov": _markov_args(),
+             "gibbs": _gibbs_args(), "phase": _phase_args()}
+
+
+class TestCliInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(_COMMANDS)), strict=st.booleans())
+    def test_small_inputs_exit_cleanly(self, data, command, strict):
+        # Whatever the JSON holds, the CLI reports a result (exit 0) or one
+        # error line (exit 1); no exception leaves main.
+        files, extra = data.draw(_COMMANDS[command])
+        with tempfile.TemporaryDirectory() as root:
+            argv = ["--strict", command] if strict else [command]
+            for name, payload in files.items():
+                path = Path(root) / f"{name}.json"
+                path.write_text(json.dumps(payload))
+                argv += [f"--{name}", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + extra)
+        assert code in (0, 1)
