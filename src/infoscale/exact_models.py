@@ -364,6 +364,26 @@ _SUPPORTED_PAIRS = {
 }
 
 
+def _check_supported_pair(model_q: ModelSpec, model_p: ModelSpec) -> None:
+    pair = (type(model_q), type(model_p))
+    if pair not in _SUPPORTED_PAIRS:
+        raise UnsupportedModelError(
+            f"no closed-form relative entropy rate for {pair[0].__name__} "
+            f"versus {pair[1].__name__}"
+        )
+
+
+def check_phase_sweep(model_q: ModelSpec, model_p: ModelSpec, sweep_parameter: str) -> None:
+    """Raise unless :func:`phase_bound_point` can evaluate this target,
+    baseline and sweep parameter: the pair must have a closed-form rate, and
+    a field sweep needs a field on both sides, which the 2-D model lacks."""
+    if sweep_parameter not in ("beta", "h"):
+        raise ParameterError(f"sweep parameter must be 'beta' or 'h', got {sweep_parameter!r}")
+    if sweep_parameter == "h" and Ising2DParams in (type(model_q), type(model_p)):
+        raise ParameterError("the 2-D Ising model has no field parameter to sweep")
+    _check_supported_pair(model_q, model_p)
+
+
 def cross_model_re_rate(model_q: ModelSpec, model_p: ModelSpec) -> float:
     """Per-site relative entropy rate ``lim N^-1 R(mu_Q || mu_P)``.
 
@@ -372,13 +392,15 @@ def cross_model_re_rate(model_q: ModelSpec, model_p: ModelSpec) -> float:
     expectation assembled from Q's exact bond density and magnetization.
     Supported ordered pairs: (mean field, mean field), (Ising 1-D, mean
     field), (Ising 2-D, mean field), (Ising 1-D, Ising 1-D).
+
+    The rate is a difference of O(1) pressures, so its absolute error floor
+    is about 1e-16: a smaller true rate comes back as rounding noise.  Next
+    to a mean-field critical point (slope ``beta J d = 1``) the magnetization
+    adds its own error, since :func:`meanfield_solve` cannot resolve
+    ``|m| < 1.7e-8`` there: the gap ``tanh(m) - m ~ -m^3/3`` is below the
+    spacing of m.
     """
-    pair = (type(model_q), type(model_p))
-    if pair not in _SUPPORTED_PAIRS:
-        raise UnsupportedModelError(
-            f"no closed-form relative entropy rate for {pair[0].__name__} "
-            f"versus {pair[1].__name__}"
-        )
+    _check_supported_pair(model_q, model_p)
     bond_q, field_q = _energy_coefficients(model_q)
     bond_p, field_p = _energy_coefficients(model_p)
     m_q = magnetization(model_q)
@@ -457,16 +479,6 @@ class PhasePoint:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
-def _with_parameter(model: ModelSpec, name: str, value: float) -> ModelSpec:
-    if name == "beta":
-        return replace(model, beta=value)
-    if name == "h":
-        if isinstance(model, Ising2DParams):
-            raise ParameterError("the 2-D Ising model has no field parameter to sweep")
-        return replace(model, h=value)
-    raise ParameterError(f"sweep parameter must be 'beta' or 'h', got {name!r}")
-
-
 def phase_bound_point(
     model_q: ModelSpec, model_p: ModelSpec, param_value: float, sweep_parameter: str
 ) -> PhasePoint:
@@ -477,8 +489,9 @@ def phase_bound_point(
     term) at the cross-model relative entropy rate; identical models give
     the baseline magnetization back on both sides.
     """
-    qp = _with_parameter(model_q, sweep_parameter, param_value)
-    pp = _with_parameter(model_p, sweep_parameter, param_value)
+    check_phase_sweep(model_q, model_p, sweep_parameter)
+    qp = replace(model_q, **{sweep_parameter: param_value})
+    pp = replace(model_p, **{sweep_parameter: param_value})
     try:
         baseline = magnetization(pp)
         true_qoi = magnetization(qp)

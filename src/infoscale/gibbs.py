@@ -1,14 +1,16 @@
 """Lattice interactions, finite-volume Gibbs measures, and their QoI bounds.
 
 An interaction is a finite list of translation-invariant cluster templates,
-one per translation-equivalence class, each carrying the offsets of a finite
-set containing the origin and a bounded coupling function on the spin
-configurations of that set.  Hamiltonians use free boundary conditions:
+one per translation-equivalence class.  Each template carries the offsets of
+a finite set containing the origin and a coefficient: its energy is the
+coefficient times the product of the spins on that set, so the Hamiltonian is
+linear in the coefficients.  Hamiltonians use free boundary conditions:
 cluster translates that cross the volume boundary are dropped.
 
 Exact computation is by configuration enumeration (capped at 2e6
-configurations) or, for one-dimensional nearest-neighbor interactions, by a
-transfer-matrix product with log-domain scaling.
+configurations).  :func:`log_partition` instead multiplies transfer matrices
+with log-domain scaling whenever the volume is a contiguous 1-D chain and
+every cluster is a single site or a nearest-neighbour pair.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +33,14 @@ from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
 _ENUMERATION_CAP = 2_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpinCluster:
-    """One cluster template: offsets (each a d-vector, origin included) plus
-    a coupling function mapping the spins on those offsets to an energy."""
+    """One cluster template: offsets (each a d-vector, origin included) and a
+    coefficient; its energy is ``coeff`` times the product of the spins on
+    those offsets."""
 
     offsets: tuple[tuple[int, ...], ...]
-    coupling: Callable[[np.ndarray], float]
+    coeff: float
 
     def __post_init__(self):
         if len(self.offsets) == 0:
@@ -50,30 +53,21 @@ class SpinCluster:
             raise ParameterError("every cluster must contain the origin offset")
         if len(set(self.offsets)) != len(self.offsets):
             raise ParameterError("cluster offsets must be distinct")
+        if not math.isfinite(self.coeff):
+            raise ParameterError(f"cluster coefficient must be finite, got {self.coeff!r}")
 
     @property
     def size(self) -> int:
         return len(self.offsets)
 
     def sup_norm(self, spin_states: Sequence[float]) -> float:
-        worst = 0.0
-        for combo in itertools.product(spin_states, repeat=self.size):
-            worst = max(worst, abs(float(self.coupling(np.array(combo)))))
-        return worst
-
-    def value_table(self, spin_states: Sequence[float]) -> np.ndarray:
-        """Coupling values indexed by the base-|S| digits of the local pattern."""
-        values = [
-            float(self.coupling(np.array(combo)))
-            for combo in itertools.product(spin_states, repeat=self.size)
-        ]
-        return np.array(values)
+        return abs(self.coeff) * max(abs(s) for s in spin_states) ** self.size
 
 
 def spin_product_cluster(offsets, coeff: float) -> SpinCluster:
-    """Cluster whose coupling is ``coeff`` times the product of its spins."""
+    """Cluster whose energy is ``coeff`` times the product of its spins."""
     offs = tuple(tuple(int(v) for v in o) for o in offsets)
-    return SpinCluster(offsets=offs, coupling=lambda spins: coeff * float(np.prod(spins)))
+    return SpinCluster(offsets=offs, coeff=float(coeff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,62 +117,26 @@ def triple_norm(interaction: Interaction) -> float:
 
     A template with k offsets has exactly k translates containing the origin,
     each contributing |X|^-1 times the same sup norm, so per template the
-    contributions telescope to sup|coupling| itself.
+    contributions telescope to its sup norm, ``|coeff| max|s|^k``.
     """
     return sum(c.sup_norm(interaction.spin_states) for c in interaction.clusters)
 
 
 def interaction_difference(phi: Interaction, psi: Interaction) -> Interaction:
-    """The interaction Phi - Psi, merging templates on identical offset sets."""
+    """The interaction Phi - Psi: coefficients summed per sorted offset set."""
     if phi.dimension != psi.dimension:
         raise DimensionError("interactions live on lattices of different dimension")
     if phi.spin_states != psi.spin_states:
         raise DimensionError("interactions have different spin state sets")
 
-    merged: dict[tuple, list] = {}
+    coeffs: dict[tuple, float] = {}
     for interaction, sign in ((phi, 1.0), (psi, -1.0)):
         for cluster in interaction.clusters:
             key = tuple(sorted(cluster.offsets))
-            merged.setdefault(key, []).append((sign, cluster))
-
-    def combined(entries):
-        def coupling(spins: np.ndarray) -> float:
-            total = 0.0
-            for sign, cluster in entries:
-                # spins arrive in sorted-offset order; restore each cluster's own order.
-                key = tuple(sorted(cluster.offsets))
-                perm = [key.index(o) for o in cluster.offsets]
-                total += sign * float(cluster.coupling(spins[perm]))
-            return total
-
-        return coupling
-
-    clusters = tuple(
-        SpinCluster(offsets=key, coupling=combined(entries))
-        for key, entries in sorted(merged.items())
-    )
+            coeffs[key] = coeffs.get(key, 0.0) + sign * cluster.coeff
+    clusters = tuple(SpinCluster(key, coeff) for key, coeff in sorted(coeffs.items()))
     return Interaction(
         dimension=phi.dimension, clusters=clusters, spin_states=phi.spin_states
-    )
-
-
-def tilted_interaction(
-    phi: Interaction, g_values: np.ndarray, c: float
-) -> Interaction:
-    """The interaction of ``H - c * sum_x g(s_x)``: Phi plus one single-site
-    template with coupling ``-c g``."""
-    g_values = np.asarray(g_values, dtype=float)
-    if g_values.size != phi.num_states:
-        raise DimensionError("g must assign one value per spin state")
-    lookup = {s: -c * float(g) for s, g in zip(phi.spin_states, g_values)}
-    tilt = SpinCluster(
-        offsets=((0,) * phi.dimension,),
-        coupling=lambda spins: lookup[float(spins[0])],
-    )
-    return Interaction(
-        dimension=phi.dimension,
-        clusters=phi.clusters + (tilt,),
-        spin_states=phi.spin_states,
     )
 
 
@@ -253,7 +211,7 @@ def hamiltonian(interaction: Interaction, volume: LatticeVolume, config) -> floa
     total = 0.0
     for cluster, instances in _cluster_instances(interaction, volume):
         for row in instances:
-            total += float(cluster.coupling(config[row]))
+            total += cluster.coeff * float(np.prod(config[row]))
     return total
 
 
@@ -271,71 +229,44 @@ def _enumerated_state_indices(num_sites: int, num_states: int) -> np.ndarray:
 def _energy_vector(
     interaction: Interaction, volume: LatticeVolume, state_indices: np.ndarray
 ) -> np.ndarray:
-    """Hamiltonian of every enumerated configuration, vectorized per template
-    through a local-pattern value table."""
-    s = interaction.num_states
+    """Hamiltonian of every enumerated configuration: per cluster instance,
+    ``coeff`` times the product of the spins gathered on its sites."""
+    states = np.asarray(interaction.spin_states, dtype=float)
     energies = np.zeros(state_indices.shape[0])
     for cluster, instances in _cluster_instances(interaction, volume):
-        table = cluster.value_table(interaction.spin_states)
-        k = cluster.size
-        digit_weights = s ** np.arange(k - 1, -1, -1, dtype=np.int64)
         for row in instances:
-            pattern = state_indices[:, row] @ digit_weights
-            energies += table[pattern]
+            energies += cluster.coeff * np.prod(states[state_indices[:, row]], axis=1)
     return energies
 
 
-def log_partition(
-    interaction: Interaction, volume: LatticeVolume, method: str = "auto"
-) -> float:
+def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     """``log sum_config exp(-H(config))``.
 
-    ``method='enumerate'`` sums over all configurations with a max-exponent
-    shift; ``method='transfer'`` multiplies nearest-neighbor transfer
-    matrices with log-domain rescaling (d = 1 only); ``'auto'`` prefers the
-    transfer matrix whenever the interaction supports it.
+    On a contiguous 1-D chain whose clusters are all single sites or
+    nearest-neighbour pairs this multiplies transfer matrices with
+    log-domain rescaling, at any length; otherwise it sums over all
+    configurations with a max-exponent shift, up to the enumeration cap.
     """
-    if method == "auto":
-        method = "transfer" if _transfer_applicable(interaction, volume) else "enumerate"
-    if method == "transfer":
-        return _log_partition_transfer(interaction, volume)
-    if method == "enumerate":
+    nearest = {(0,), (1,)}
+    if not (
+        volume.is_contiguous_chain()
+        and all(set(c.offsets) <= nearest for c in interaction.clusters)
+    ):
         state_indices = _enumerated_state_indices(
             volume.num_sites, interaction.num_states
         )
         return _logsumexp(-_energy_vector(interaction, volume, state_indices))
-    raise ParameterError(f"unknown log-partition method {method!r}")
-
-
-def _transfer_applicable(interaction: Interaction, volume: LatticeVolume) -> bool:
-    if interaction.dimension != 1 or not volume.is_contiguous_chain():
-        return False
-    allowed = {((0,),), ((0,), (1,)), ((1,), (0,))}
-    return all(c.offsets in allowed or set(c.offsets) == {(0,), (1,)} for c in interaction.clusters)
-
-
-def _log_partition_transfer(interaction: Interaction, volume: LatticeVolume) -> float:
-    if not _transfer_applicable(interaction, volume):
-        raise ParameterError(
-            "transfer-matrix method needs a 1-D chain with nearest-neighbor clusters"
-        )
-    states = np.array(interaction.spin_states)
-    s = states.size
-    field = np.zeros(s)
-    bond = np.zeros((s, s))
+    states = np.asarray(interaction.spin_states, dtype=float)
+    field = np.zeros(states.size)
+    bond = np.zeros((states.size, states.size))
     for cluster in interaction.clusters:
         if cluster.size == 1:
-            for i, v in enumerate(states):
-                field[i] += float(cluster.coupling(np.array([v])))
+            field += cluster.coeff * states
         else:
-            for i, a in enumerate(states):
-                for j, b in enumerate(states):
-                    spins = {(0,): a, (1,): b}
-                    args = np.array([spins[o] for o in cluster.offsets])
-                    bond[i, j] += float(cluster.coupling(args))
+            bond += cluster.coeff * np.outer(states, states)
     # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')}.
     transfer = np.exp(-bond - field[None, :])
-    vec = np.ones(s)
+    vec = np.ones(states.size)
     log_scale = 0.0
     for _ in range(volume.num_sites - 1):
         vec = transfer @ vec

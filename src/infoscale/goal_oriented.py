@@ -58,7 +58,10 @@ class EmpiricalCgf:
 
     The support, the centered values and their largest size are computed
     once, at construction.  The mean is kept inside the range of the values,
-    so a constant observable has exactly zero deviations and variance.
+    so a constant observable has exactly zero deviations and variance.  The
+    computed mean is off by a rounding residual ``r = sum_i p_i (f_i - mean)``,
+    and K would inherit a slope r at 0 that a tiny budget R cannot outweigh;
+    both branches subtract ``c r``, the exact centring of the deviations.
     """
 
     dist: DiscreteDistribution
@@ -74,6 +77,7 @@ class EmpiricalCgf:
         object.__setattr__(self, "_weights", self.dist.weights[mask])
         object.__setattr__(self, "_centered", centered)
         object.__setattr__(self, "_span", _spread(centered))
+        object.__setattr__(self, "_residual", float(self._weights @ centered))
 
     @property
     def domain_bound(self) -> float:
@@ -84,10 +88,12 @@ class EmpiricalCgf:
 
     def evaluate(self, c: float) -> float:
         if abs(c) * self._span <= 1.0:
-            return math.log1p(float(self._weights @ np.expm1(c * self._centered)))
-        exponents = c * self._centered
-        shift = float(np.max(exponents))
-        return shift + math.log(float(self._weights @ np.exp(exponents - shift)))
+            value = math.log1p(float(self._weights @ np.expm1(c * self._centered)))
+        else:
+            exponents = c * self._centered
+            shift = float(np.max(exponents))
+            value = shift + math.log(float(self._weights @ np.exp(exponents - shift)))
+        return value - c * self._residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,7 +298,6 @@ class ExponentialFamily:
     grad_log_normalizer: Callable[[np.ndarray], np.ndarray]
     dim: int
     param_domain: Callable[[np.ndarray], bool] | None = None
-    observable_direction: np.ndarray | None = None
 
     def _check_param(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from .divergences import DiscreteDistribution, Observable
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams, ModelSpec
 from .gibbs import Interaction, SpinCluster, spin_product_cluster
 from .markov import TransitionMatrix
@@ -64,8 +64,8 @@ def load_interaction(path) -> Interaction:
     "type": "pair_product", "coeff": -0.5}, ...]}``.  Cluster types
     ``pair_product``, ``field``, and ``product`` all denote
     coefficient-times-product-of-spins couplings; coefficients include the
-    inverse temperature.  Optional ``"spins"`` overrides the default
-    states (-1, +1).
+    inverse temperature and must be finite.  Optional ``"spins"`` overrides
+    the default states (-1, +1).
     """
     data = _load_json(path)
     try:
@@ -80,7 +80,10 @@ def load_interaction(path) -> Interaction:
                 raise ParameterError(f"{path}: cluster {i} has unknown type {kind!r}")
             if "offsets" not in spec or "coeff" not in spec:
                 raise ParameterError(f"{path}: cluster {i} needs 'offsets' and 'coeff'")
-            clusters.append(spin_product_cluster(spec["offsets"], float(spec["coeff"])))
+            try:
+                clusters.append(spin_product_cluster(spec["offsets"], float(spec["coeff"])))
+            except (ParameterError, DimensionError) as exc:
+                raise type(exc)(f"{path}: cluster {i}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: malformed interaction field: {exc}") from exc
     return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)

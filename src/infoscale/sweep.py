@@ -23,6 +23,7 @@ from .exact_models import (
     MeanFieldParams,
     ModelSpec,
     PhasePoint,
+    check_phase_sweep,
     phase_bound_point,
 )
 
@@ -38,7 +39,10 @@ _MAX_GRID_POINTS = 1_000_000  # the figure presets have at most 301
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A phase-diagram sweep: target model, baseline model, grid, and output."""
+    """A phase-diagram sweep: target model, baseline model, grid, and output.
+
+    A sweep that no grid point could evaluate (see
+    :func:`~infoscale.exact_models.check_phase_sweep`) is rejected here."""
 
     model_q: ModelSpec
     model_p: ModelSpec
@@ -58,8 +62,7 @@ class SweepConfig:
             raise ParameterError(
                 f"empty sweep range [{self.start!r}, {self.stop!r}]"
             )
-        if self.sweep_parameter not in ("beta", "h"):
-            raise ParameterError("sweep parameter must be 'beta' or 'h'")
+        check_phase_sweep(self.model_q, self.model_p, self.sweep_parameter)
         if self.fmt not in ("csv", "json"):
             raise ParameterError("format must be 'csv' or 'json'")
         if self.jobs < 1:

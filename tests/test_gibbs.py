@@ -30,7 +30,6 @@ from infoscale.gibbs import (
     _site_total_cgf,
     interaction_difference,
     spin_observable,
-    tilted_interaction,
     _logsumexp,
 )
 
@@ -50,6 +49,32 @@ class TestClusters:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             Interaction(dimension=2, clusters=(spin_product_cluster(((0,), (1,)), 1.0),))
+
+    @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ParameterError):
+            spin_product_cluster(((0,),), coeff)
+
+    def test_sup_norm_is_coefficient_times_largest_spin_power(self):
+        cluster = spin_product_cluster(((0,), (1,), (2,)), -0.5)
+        assert cluster.sup_norm((-1.0, 1.0)) == 0.5
+        assert cluster.sup_norm((-3.0, 0.0, 2.0)) == 0.5 * 27.0
+
+    def test_difference_sums_coefficients_per_offset_set(self):
+        # {0, 1} listed in either order is one offset set; a cluster only
+        # one side has keeps its signed coefficient.
+        phi = Interaction(dimension=1, clusters=(
+            spin_product_cluster(((0,), (1,)), -0.75),
+            spin_product_cluster(((0,),), 0.5),
+        ))
+        psi = Interaction(dimension=1, clusters=(
+            spin_product_cluster(((1,), (0,)), -0.25),
+            spin_product_cluster(((0,), (2,)), 0.125),
+        ))
+        diff = interaction_difference(phi, psi)
+        assert [(c.offsets, c.coeff) for c in diff.clusters] == [
+            (((0,),), 0.5), (((0,), (1,)), -0.5), (((0,), (2,)), -0.125),
+        ]
 
 
 class TestTripleNorm:
@@ -106,18 +131,36 @@ class TestLogPartition:
     def test_zero_interaction_counts_states(self):
         zero = Interaction(dimension=1, clusters=())
         for n in (1, 4, 9):
-            assert log_partition(zero, LatticeVolume.chain(n), method="enumerate") == (
+            assert log_partition(zero, LatticeVolume.chain(n)) == (
                 pytest.approx(n * math.log(2.0), abs=1e-12)
             )
 
     def test_transfer_equals_enumeration(self, rng):
+        # log_partition takes the transfer route on these chains; the
+        # measure always enumerates.
         for n in (2, 5, 8, 12):
             beta = float(rng.uniform(0.2, 1.0))
             phi = ising_interaction(beta, float(rng.uniform(-1, 1)), float(rng.uniform(-0.6, 0.6)), 1)
             vol = LatticeVolume.chain(n)
-            assert log_partition(phi, vol, method="transfer") == pytest.approx(
-                log_partition(phi, vol, method="enumerate"), abs=1e-10
+            assert log_partition(phi, vol) == pytest.approx(
+                GibbsMeasure(phi, vol).log_partition, abs=1e-10
             )
+
+    def test_transfer_takes_reversed_pairs_and_other_spins(self):
+        # A pair listed as {1, 0}, and spin states other than +-1, still go
+        # through the transfer matrix and agree with enumeration.
+        phi = Interaction(
+            dimension=1,
+            clusters=(
+                spin_product_cluster(((1,), (0,)), -0.4),
+                spin_product_cluster(((0,),), 0.25),
+            ),
+            spin_states=(-1.0, 0.0, 2.0),
+        )
+        vol = LatticeVolume.chain(6)
+        assert log_partition(phi, vol) == pytest.approx(
+            GibbsMeasure(phi, vol).log_partition, abs=1e-10
+        )
 
     def test_per_site_approximates_pressure(self):
         # Free-boundary finite-size error at N = 12 stays within 5e-2 for
@@ -131,14 +174,18 @@ class TestLogPartition:
         assert abs(per_site - exact) < 5e-2
 
     def test_enumeration_cap(self):
+        # A next-nearest cluster has no transfer route, so 2^25 configurations
+        # hit the cap; the nearest-neighbour chain of the same length does not.
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
+        longer = Interaction(
+            dimension=1,
+            clusters=phi.clusters + (spin_product_cluster(((0,), (2,)), -0.1),),
+        )
         with pytest.raises(EnumerationLimitError):
-            log_partition(phi, LatticeVolume.chain(25), method="enumerate")
-
-    def test_unknown_method(self):
-        phi = ising_interaction(0.5, 1.0, 0.0, 1)
-        with pytest.raises(ParameterError):
-            log_partition(phi, LatticeVolume.chain(3), method="qmc")
+            log_partition(longer, LatticeVolume.chain(25))
+        with pytest.raises(EnumerationLimitError):
+            GibbsMeasure(phi, LatticeVolume.chain(25))
+        assert math.isfinite(log_partition(phi, LatticeVolume.chain(25)))
 
 
 class TestGibbsRelativeEntropy:
@@ -212,7 +259,8 @@ class TestFiniteVolumeXi:
 
     def test_tilted_partition_identity(self, rng):
         # The tilted sums over the enumerated energies agree with
-        # log_partition of Phi - c Gamma, and so does the CGF the bounds use:
+        # log_partition of Phi - c Gamma, here Phi plus a field cluster -c
+        # for g(s) = s, and so does the CGF the bounds use:
         # K(c) = log Z(Phi - c Gamma) - log Z(Phi) - c E(sum g).
         phi, _ = random_ising_pair(rng, 1)
         vol = LatticeVolume.chain(6)
@@ -222,9 +270,10 @@ class TestFiniteVolumeXi:
         cgf = _site_total_cgf(m, g)
         for c in (-1.3, 0.41, 2.0):
             direct = _logsumexp(-m.energies + c * totals)
-            via_interaction = log_partition(
-                tilted_interaction(phi, g, c), vol, method="enumerate"
+            tilted = Interaction(
+                dimension=1, clusters=phi.clusters + (spin_product_cluster([(0,)], -c),)
             )
+            via_interaction = log_partition(tilted, vol)
             assert direct == pytest.approx(via_interaction, abs=1e-10)
             want = via_interaction - m.log_partition - c * m.expectation(totals)
             assert cgf.evaluate(c) == pytest.approx(want, rel=1e-12, abs=1e-12)

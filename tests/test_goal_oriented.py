@@ -135,6 +135,17 @@ class TestXiBounds:
             b = xi_bounds(EmpiricalCgf(p, shifted), 1e-120)
             assert -1e-12 <= b.xi_plus <= 1e-12
             assert -1e-12 <= b.xi_minus <= 1e-12
+            # The interval must still contain the zero gap of q = p.
+            assert b.xi_minus <= 0.0 <= b.xi_plus
+
+    @pytest.mark.parametrize("budget", [1e-20, 1e-40, 1e-100, 1e-200, 1e-299])
+    def test_tiny_budget_sandwiches_the_zero_gap(self, budget):
+        # The mean of (1, -0.5) under (0.3, 0.7) rounds with a residual of
+        # 1.4e-17; uncorrected, K(c) has that slope at 0 and xi_minus lands
+        # above the zero gap of q = p.
+        p = DiscreteDistribution([0.3, 0.7])
+        b = xi_bounds(EmpiricalCgf(p, Observable([1.0, -0.5])), budget)
+        assert b.xi_minus <= 0.0 <= b.xi_plus
 
     def test_subnormal_budget_gives_the_quadratic_bound(self):
         # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly; at R = 1e-310

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 import infoscale.markov as markov
 from infoscale import (
     Ising1DParams,
+    Ising2DParams,
     MeanFieldParams,
     Observable,
     ParameterError,
+    UnsupportedModelError,
     chi2_rate,
     cheap_rate_bounds,
     ising1d_quantities,
@@ -28,6 +30,7 @@ from infoscale import (
     xi_rate_bounds,
 )
 from infoscale.cli import main
+from infoscale.exact_models import phase_bound_point
 from infoscale.jsonio import load_chain
 from infoscale.sweep import (
     SweepConfig,
@@ -73,6 +76,23 @@ class TestSweepConfig:
 
     def test_largest_allowed_grid_constructs(self):
         assert short_config(start=0.0, stop=1.0, step=1.0 / 999_999).step > 0.0
+
+    @pytest.mark.parametrize("model_q, model_p, sweep, error", [
+        # The 2-D model has no field, on either side of the pair.
+        (Ising2DParams(beta=1.0), MeanFieldParams(beta=1.0, d=2), "h", ParameterError),
+        (Ising1DParams(beta=1.0), Ising2DParams(beta=1.0), "h", ParameterError),
+        # Pairs without a closed-form relative entropy rate.
+        (MeanFieldParams(beta=1.0), Ising1DParams(beta=1.0), "beta", UnsupportedModelError),
+        (Ising2DParams(beta=1.0), Ising2DParams(beta=1.0), "beta", UnsupportedModelError),
+        (Ising1DParams(beta=1.0), Ising1DParams(beta=1.0), "J", ParameterError),
+    ])
+    def test_sweep_without_any_row_rejected(self, model_q, model_p, sweep, error):
+        # Every grid point would fail, so the config is refused when built,
+        # and the grid-point evaluation refuses it the same way.
+        with pytest.raises(error):
+            short_config(model_q=model_q, model_p=model_p, sweep_parameter=sweep)
+        with pytest.raises(error):
+            phase_bound_point(model_q, model_p, 0.5, sweep)
 
     def test_grid_is_ascending_and_inclusive(self):
         grid = short_config().grid()
@@ -424,6 +444,37 @@ class TestCli:
                     "--start", "0", "--stop", "0.1", "--step", "0.1"]
         assert main(argv) == 1
         assert f"infoscale: error: {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q, p, sweep", [
+        ({"kind": "ising2d", "beta": 1.0}, {"kind": "meanfield", "beta": 1.0, "d": 2}, "h"),
+        ({"kind": "meanfield", "beta": 1.0}, {"kind": "ising1d", "beta": 1.0}, "beta"),
+        ({"kind": "ising2d", "beta": 1.0}, {"kind": "ising2d", "beta": 1.0}, "beta"),
+    ])
+    def test_sweep_without_any_row_is_error_exit(self, tmp_path, capsys, q, p, sweep):
+        # Such a sweep used to write one NaN row per grid point and exit 0.
+        q_path, p_path, out = tmp_path / "q.json", tmp_path / "p.json", tmp_path / "s.csv"
+        q_path.write_text(json.dumps(q))
+        p_path.write_text(json.dumps(p))
+        code = main(["--out", str(out), "phase", "--q", str(q_path), "--p", str(p_path),
+                     "--sweep", sweep, "--start", "0.1", "--stop", "0.3", "--step", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infoscale: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coeff", ["1e400", "NaN"])
+    def test_non_finite_coefficient_names_the_file(self, fixtures, tmp_path, capsys, coeff):
+        # 1e400 parses to inf; either one used to reach the energies and
+        # fail there with a RuntimeWarning.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d": 1, "clusters": [{"offsets": [[0]], "type": "field", '
+                       f'"coeff": {coeff}}}]}}')
+        argv = ["gibbs", "--phi", str(bad), "--psi", fixtures["psi.json"], "--n", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"infoscale: error: {bad}: cluster 0: ")
+        assert "finite" in err[0]
 
     def test_oversized_grid_is_error_exit(self, fixtures, capsys, monkeypatch):
         # Fail, rather than allocate ~1e299 floats, if the cap is ever lost.
