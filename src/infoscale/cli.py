@@ -4,6 +4,11 @@ Subcommands: ``divergence``, ``goal-bound``, ``markov``, ``gibbs``,
 ``phase``, ``figure``.  Scalar reports are emitted as JSON; sweeps default
 to CSV.  The ``INFOSCALE_LOG`` environment variable (debug|info|warn)
 controls diagnostics on stderr.
+
+Each handler imports the modules it uses when it runs, and reads their
+functions at call time, so ``phase``, ``figure`` and ``--help`` never import
+numpy: only ``errors``, ``jsonio`` and ``sweep`` are loaded with this module,
+and ``figure`` needs ``sweep.PRESET_NAMES`` to build its parser.
 """
 
 from __future__ import annotations
@@ -15,12 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import gibbs as gibbs_mod
-from . import jsonio, markov, sweep
-from .divergences import classical_qoi_bounds, divergence_report, iid_scaled_divergences
+from . import jsonio, sweep
 from .errors import InfoscaleError
-from .goal_oriented import EmpiricalCgf, xi_bounds
-from .markov import path_divergence_report
 
 log = logging.getLogger("infoscale.cli")
 
@@ -44,6 +45,8 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 
 def _cmd_divergence(args) -> int:
+    from .divergences import classical_qoi_bounds, divergence_report, iid_scaled_divergences
+
     p = jsonio.load_distribution(args.p, renormalize=args.renormalize)
     q = jsonio.load_distribution(args.q, renormalize=args.renormalize)
     if args.iid is not None:
@@ -61,11 +64,12 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_goal_bound(args) -> int:
+    from .divergences import relative_entropy
+    from .goal_oriented import EmpiricalCgf, xi_bounds
+
     p = jsonio.load_distribution(args.p, renormalize=args.renormalize)
     q = jsonio.load_distribution(args.q, renormalize=args.renormalize)
     f = jsonio.load_observable(args.observable)
-    from .divergences import relative_entropy
-
     bound = xi_bounds(EmpiricalCgf(p, f), relative_entropy(q, p))
     payload = bound.as_dict()
     gap = f.expectation(q) - f.expectation(p)
@@ -75,6 +79,9 @@ def _cmd_goal_bound(args) -> int:
 
 
 def _cmd_markov(args) -> int:
+    from . import markov
+    from .goal_oriented import xi_bounds
+
     p = jsonio.load_chain(args.p)
     q = jsonio.load_chain(args.q)
     g = jsonio.load_observable(args.observable)
@@ -104,7 +111,7 @@ def _cmd_markov(args) -> int:
         )
     if args.enumerate is not None:
         steps = args.enumerate
-        path = path_divergence_report(
+        path = markov.path_divergence_report(
             p, q, steps, nu_p=setup.mu_p, nu_q=setup.mu_q, alpha=args.alpha
         )
         payload.update(
@@ -120,25 +127,27 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
+    from . import gibbs
+
     phi = jsonio.load_interaction(args.phi)
     psi = jsonio.load_interaction(args.psi)
-    volume = gibbs_mod.LatticeVolume.centered(phi.dimension, args.n)
+    volume = gibbs.LatticeVolume.centered(phi.dimension, args.n)
     if args.observable == "spin":
-        g = gibbs_mod.spin_observable(phi)
+        g = gibbs.spin_observable(phi)
     else:
         g = jsonio.load_observable(args.observable).values
-    phi_m = gibbs_mod.GibbsMeasure(phi, volume)
-    psi_m = gibbs_mod.GibbsMeasure(psi, volume)
-    r = gibbs_mod.gibbs_relative_entropy(psi_m, phi_m)
-    bound = gibbs_mod.finite_volume_xi(psi_m, phi_m, g)
-    triple = gibbs_mod.triple_norm_xi(phi_m, psi, g)
-    gap_norm = gibbs_mod.triple_norm(gibbs_mod.interaction_difference(phi, psi))
+    phi_m = gibbs.GibbsMeasure(phi, volume)
+    psi_m = gibbs.GibbsMeasure(psi, volume)
+    r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
+    bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
+    triple = gibbs.triple_norm_xi(phi_m, psi, g)
+    gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
     n_sites = volume.num_sites
     totals = phi_m.site_total(g)
     payload = {
         "num_sites": n_sites,
-        "triple_norm_phi": gibbs_mod.triple_norm(phi),
-        "triple_norm_psi": gibbs_mod.triple_norm(psi),
+        "triple_norm_phi": gibbs.triple_norm(phi),
+        "triple_norm_psi": gibbs.triple_norm(psi),
         "triple_norm_difference": gap_norm,
         "log_partition_phi": phi_m.log_partition,
         "log_partition_psi": psi_m.log_partition,

@@ -165,14 +165,19 @@ def ising2d_critical_beta(J: float) -> float:
 
 
 def _onsager_k(s: float, theta: float) -> float:
-    # sqrt(s^2 + 1 - 2 s cos 2 theta) without cancellation to 0 when s ~ 1.
-    return math.sqrt((s - 1.0) ** 2 + 4.0 * s * math.sin(theta) ** 2)
+    # sqrt(s^2 + 1 - 2 s cos 2 theta) without cancellation to 0 when s ~ 1,
+    # and without squaring s, which overflows from beta J ~ 89.
+    return math.hypot(s - 1.0, 2.0 * math.sqrt(s) * math.sin(theta))
 
 
 def onsager_pressure(beta: float, J: float) -> float:
     """Exact pressure ``log2/2 + (2 pi)^-1 int_0^pi log[cosh^2(2bJ) + k] dtheta``."""
     s = math.sinh(2.0 * beta * J) ** 2
     cosh2 = 1.0 + s
+    if not math.isfinite(cosh2 + s):
+        # The integrand log(cosh^2 + k), with k up to 1 + s, would be inf on
+        # [0, pi], and the quadrature would refine it to its panel limit.
+        raise OverflowError("cosh^2(2bJ) + k beyond the float range")
     tol = 1e-8 if abs(s - 1.0) < 1e-3 else 1e-10
     integral = adaptive_simpson(
         lambda theta: math.log(cosh2 + _onsager_k(s, theta)), 0.0, math.pi, tol=tol
@@ -184,16 +189,17 @@ def onsager_bond_density(beta: float, J: float) -> float:
     """Per-site nearest-neighbor sum ``lim N^-1 E(sum_<xy> s_x s_y)``.
 
     The textbook integrand ``k^-1 [1 - (1 + cos 2 theta)/(cosh^2(2bJ) + k)]``
-    reduces algebraically to ``(s + k - 1) / (2 s k)`` with
+    reduces algebraically to ``(1 + (k - 1)/s) / (2 k)`` with
     ``s = sinh^2(2bJ)``, which stays regular through the critical point where
-    it degenerates to the constant 1/2.
+    it degenerates to the constant 1/2, and forms no product ``s k``, which
+    overflows from beta J ~ 88.7.
     """
     s = math.sinh(2.0 * beta * J) ** 2
     if abs(s - 1.0) < 1e-14:
         return math.sinh(4.0 * beta * J) / 2.0
     tol = 1e-8 if abs(s - 1.0) < 1e-3 else 1e-10
     integral = adaptive_simpson(
-        lambda theta: (s + _onsager_k(s, theta) - 1.0) / (2.0 * s * _onsager_k(s, theta)),
+        lambda theta: (1.0 + (_onsager_k(s, theta) - 1.0) / s) / (2.0 * _onsager_k(s, theta)),
         0.0,
         math.pi,
         tol=tol,

@@ -230,12 +230,22 @@ def _energy_vector(
     interaction: Interaction, volume: LatticeVolume, state_indices: np.ndarray
 ) -> np.ndarray:
     """Hamiltonian of every enumerated configuration: per cluster instance,
-    ``coeff`` times the product of the spins gathered on its sites."""
+    ``coeff`` times the product of the spins gathered on its sites.
+
+    Raises ParameterError when an energy, or the spread between the largest
+    and the smallest, is not a finite float: ``exp(-H)`` relative to its
+    maximum, which every partition sum takes, is then out of reach.
+    """
     states = np.asarray(interaction.spin_states, dtype=float)
     energies = np.zeros(state_indices.shape[0])
-    for cluster, instances in _cluster_instances(interaction, volume):
-        for row in instances:
-            energies += cluster.coeff * np.prod(states[state_indices[:, row]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cluster, instances in _cluster_instances(interaction, volume):
+            for row in instances:
+                energies += cluster.coeff * np.prod(states[state_indices[:, row]], axis=1)
+    if not math.isfinite(float(energies.max()) - float(energies.min())):
+        raise ParameterError(
+            "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
+        )
     return energies
 
 
@@ -340,10 +350,14 @@ def _check_compatible(a: GibbsMeasure, b: GibbsMeasure) -> None:
 def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure) -> float:
     """``R(mu^Psi || mu^Phi) = log Z^Phi - log Z^Psi + E_Psi(H^Phi - H^Psi)``."""
     _check_compatible(psi_measure, phi_measure)
+    with np.errstate(over="ignore"):
+        gap = phi_measure.energies - psi_measure.energies
+    if not np.all(np.isfinite(gap)):
+        raise ParameterError("the Hamiltonian difference H^Phi - H^Psi leaves the float range")
     value = (
         phi_measure.log_partition
         - psi_measure.log_partition
-        + psi_measure.expectation(phi_measure.energies - psi_measure.energies)
+        + psi_measure.expectation(gap)
     )
     return max(value, 0.0)
 

@@ -10,18 +10,21 @@ generating function of f under P, and the lower bound is the mirror image in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
-import numpy as np
-
-from .divergences import DiscreteDistribution, Observable, relative_entropy
 from .errors import (
     CgfDomainError,
     ParameterError,
     UnboundedObservableError,
 )
 from .optimize import minimize_positive_scalar
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .divergences import DiscreteDistribution, Observable
 
 # Below this entropy budget the optimum c* = sqrt(2 R / Var) is so close to 0
 # that K(c) = Var c^2 / 2 to float precision there, which evaluating K cannot
@@ -30,12 +33,14 @@ _TINY_BUDGET = 1e-300
 _VAR_FD_STEP = 1e-4
 # Centered values up to this size have a finite square, hence a finite
 # variance, and stay finite times the optimizer's cap of 1e12.
-_MAX_SPREAD = math.sqrt(np.finfo(float).max)
+_MAX_SPREAD = math.sqrt(sys.float_info.max)
 
 
 def _spread(centered: np.ndarray) -> float:
     """Largest size of the centered values; past ``_MAX_SPREAD`` raises
     UnboundedObservableError rather than overflow."""
+    import numpy as np
+
     span = float(np.max(np.abs(centered)))
     if not span <= _MAX_SPREAD:
         raise UnboundedObservableError(
@@ -87,6 +92,8 @@ class EmpiricalCgf:
         return float(self._weights @ self._centered**2)
 
     def evaluate(self, c: float) -> float:
+        import numpy as np
+
         if abs(c) * self._span <= 1.0:
             value = math.log1p(float(self._weights @ np.expm1(c * self._centered)))
         else:
@@ -282,6 +289,8 @@ def xi_tensorized(
     """
     if n < 1 or int(n) != n:
         raise ParameterError(f"N must be a positive integer, got {n!r}")
+    from .divergences import relative_entropy
+
     return xi_bounds(EmpiricalCgf(p, g), relative_entropy(q, p))
 
 
@@ -300,6 +309,8 @@ class ExponentialFamily:
     param_domain: Callable[[np.ndarray], bool] | None = None
 
     def _check_param(self, theta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise ParameterError(
@@ -313,6 +324,8 @@ class ExponentialFamily:
         return float(self.log_normalizer(self._check_param(theta)))
 
     def grad_F(self, theta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.grad_log_normalizer(self._check_param(theta)), dtype=float)
 
 
@@ -324,6 +337,8 @@ def expfam_relative_entropy(
     ``R(P^theta' || P^theta) = (theta' - theta) . grad F(theta')
     + F(theta) - F(theta')``.
     """
+    import numpy as np
+
     tp = np.asarray(theta_prime, dtype=float)
     t = np.asarray(theta, dtype=float)
     value = float((tp - t) @ fam.grad_F(tp)) + fam.F(t) - fam.F(tp)
@@ -332,6 +347,8 @@ def expfam_relative_entropy(
 
 def _feasible_direction_bound(fam: ExponentialFamily, theta, v) -> float:
     """Largest c0 with theta + c v inside the family domain for |c| < c0."""
+    import numpy as np
+
     if fam.param_domain is None:
         return math.inf
     theta = np.asarray(theta, dtype=float)
@@ -370,6 +387,8 @@ def expfam_xi_bounds(
     the Bregman relative entropy, then optimizes over c as in
     :func:`xi_bounds`.
     """
+    import numpy as np
+
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
     if v.shape != (fam.dim,):

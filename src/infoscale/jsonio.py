@@ -1,16 +1,24 @@
 """JSON file formats for distributions, observables, chains, interactions,
-and model specifications."""
+and model specifications.
+
+Each loader imports the module that builds its object when it is called, so
+reading a model specification loads neither numpy nor the Markov and Gibbs
+layers.
+"""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .divergences import DiscreteDistribution, Observable
 from .errors import DimensionError, ParameterError
 from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams, ModelSpec
-from .gibbs import Interaction, SpinCluster, spin_product_cluster
-from .markov import TransitionMatrix
+
+if TYPE_CHECKING:
+    from .divergences import DiscreteDistribution, Observable
+    from .gibbs import Interaction
+    from .markov import TransitionMatrix
 
 
 def _load_json(path) -> dict:
@@ -42,17 +50,23 @@ def _numbers(path, field: str, make, data: dict, **kwargs):
 
 def load_distribution(path, *, renormalize: bool = False) -> DiscreteDistribution:
     """Read ``{"weights": [...]}``."""
+    from .divergences import DiscreteDistribution
+
     data = _load_json(path)
     return _numbers(path, "weights", DiscreteDistribution, data, renormalize=renormalize)
 
 
 def load_observable(path) -> Observable:
     """Read ``{"values": [...]}``."""
+    from .divergences import Observable
+
     return _numbers(path, "values", Observable, _load_json(path))
 
 
 def load_chain(path) -> TransitionMatrix:
     """Read ``{"rows": [[...], ...], "labels": [...]}`` (labels optional)."""
+    from .markov import TransitionMatrix
+
     data = _load_json(path)
     return _numbers(path, "rows", TransitionMatrix, data, labels=data.get("labels"))
 
@@ -67,6 +81,8 @@ def load_interaction(path) -> Interaction:
     inverse temperature and must be finite.  Optional ``"spins"`` overrides
     the default states (-1, +1).
     """
+    from .gibbs import Interaction, SpinCluster, spin_product_cluster
+
     data = _load_json(path)
     try:
         dimension = int(_require(data, "d", path))

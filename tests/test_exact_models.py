@@ -201,6 +201,25 @@ class TestIsing2D:
         for i in range(1, len(grid) - 1):
             assert values[i] <= 0.5 * (values[i - 1] + values[i + 1]) + 1e-10
 
+    @pytest.mark.parametrize("bj", [88.8, 89.03, 89.1, 150.0])
+    def test_low_temperature_limits(self, bj):
+        # Deep in the ordered phase every bond is satisfied: the bond density
+        # is 2 and the pressure 2 beta J, up to terms of order e^{-8 beta J}.
+        # Squaring sinh^2(2bJ) overflowed from bJ ~ 89.07, and the product
+        # 2 s k returned a bond density of 0.0 from bJ ~ 89.0.
+        q = ising2d_quantities(Ising2DParams(beta=1.0, J=bj))
+        assert q.nn_correlation == pytest.approx(2.0, rel=1e-12)
+        assert q.pressure == pytest.approx(2.0 * bj, rel=1e-12)
+        assert onsager_bond_density(bj, 1.0) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bj", [177.7, 200.0])
+    def test_past_the_float_range_is_an_arithmetic_error(self, bj):
+        # An error the phase path turns into a NaN row.  From bJ ~ 177.62 the
+        # pressure integrand log(cosh^2 + k) is inf on all of [0, pi], which
+        # the quadrature used to refine to its million-panel limit first.
+        with pytest.raises(ArithmeticError):
+            ising2d_quantities(Ising2DParams(beta=1.0, J=bj))
+
 
 class TestMeanField:
     def test_unique_root_below_threshold(self):

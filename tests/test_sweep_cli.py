@@ -476,6 +476,37 @@ class TestCli:
         assert err[0].startswith(f"infoscale: error: {bad}: cluster 0: ")
         assert "finite" in err[0]
 
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    @pytest.mark.parametrize("n, spins, coeff, message", [
+        # Three sites: +-3e308 overflow in the energy sum itself.
+        ("1", [-1, 1], 1e308, "the Hamiltonian leaves the float range"),
+        # One site: energies +-1e308 are finite, their spread is not.
+        ("0", [-1, 1], 1e308, "the Hamiltonian leaves the float range"),
+        # One site, spins {0, 1}: each measure's energies (0, +-1.5e308) are
+        # in range, but H^Phi - H^Psi is not.
+        ("0", [0, 1], 1.5e308, "the Hamiltonian difference H^Phi - H^Psi leaves"),
+    ], ids=["energy-sum", "energy-spread", "energy-difference"])
+    def test_overflowing_hamiltonian_is_one_error_line(
+        self, tmp_path, warnings, n, spins, coeff, message
+    ):
+        paths = []
+        for sign in (1, -1):
+            path = tmp_path / f"field{sign}.json"
+            path.write_text(json.dumps({"d": 1, "spins": spins, "clusters": [
+                {"offsets": [[0]], "type": "field", "coeff": sign * coeff}]}))
+            paths.append(str(path))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "infoscale.cli", "gibbs",
+             "--phi", paths[0], "--psi", paths[1], "--n", n],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        err = run.stderr.splitlines()
+        assert len(err) == 1, run.stderr
+        assert err[0].startswith(f"infoscale: error: {message}")
+
     def test_oversized_grid_is_error_exit(self, fixtures, capsys, monkeypatch):
         # Fail, rather than allocate ~1e299 floats, if the cap is ever lost.
         monkeypatch.setattr(SweepConfig, "grid", lambda self: pytest.fail("grid built"))

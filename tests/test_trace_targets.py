@@ -2,11 +2,14 @@
 
 ``perfbench/trace_job.py`` lists a target it cannot find as absent, and a
 traced benchmark run with a declared metric absent is malformed.  Deleting or
-renaming a traced function therefore fails here first.  The tracer module is
-only loaded, never run.
+renaming a traced function therefore fails here first.  The tracer is also
+run on three short jobs, to show that each job's wrappers fire.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,40 @@ def test_trace_target_resolves(span, module_name, attribute):
     assert _TRACE_JOB._resolve(module_name, attribute) is not None, (
         f"{span}: {module_name}.{attribute} is gone"
     )
+
+
+def _phase2d_args(tmp_path):
+    q, p = tmp_path / "q.json", tmp_path / "p.json"
+    q.write_text(json.dumps({"kind": "ising2d", "beta": 1.0}))
+    p.write_text(json.dumps({"kind": "meanfield", "beta": 1.0, "d": 2, "h": 0.02}))
+    return ["phase", "--q", str(q), "--p", str(p), "--sweep", "beta",
+            "--start", "0.3", "--stop", "0.5", "--step", "0.1"]
+
+
+def _markov_args(tmp_path):
+    p, q, g = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "g.json"
+    p.write_text(json.dumps({"rows": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]}))
+    q.write_text(json.dumps({"rows": [[0.4, 0.4, 0.2], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]]}))
+    g.write_text(json.dumps({"values": [-1.0, 0.0, 1.0]}))
+    return ["markov", "--p", str(p), "--q", str(q), "--observable", str(g), "--cheap"]
+
+
+@pytest.mark.parametrize("make_args, spans", [
+    (lambda tmp_path: ["figure", "2a"], {"optimize.minimize", "exact_models.phase_point"}),
+    (_phase2d_args, {"jsonio.load", "quadrature.simpson", "exact_models.phase_point"}),
+    (_markov_args, {"jsonio.load", "markov.perron", "goal_oriented.xi_bounds"}),
+], ids=["figure-2a", "phase-2d", "markov-cheap"])
+def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
+    # The CLI imports a subcommand's modules inside its handler, after the
+    # tracer has wrapped them; the wrappers must still be what runs.
+    out = tmp_path / "spans.json"
+    run = subprocess.run(
+        [sys.executable, str(TRACE_JOB), str(out), "--", *make_args(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    trace = json.loads(out.read_text())
+    assert trace["absent"] == []
+    assert trace["unbound"] == []
+    fired = {span[0] for span in trace["spans"]}
+    assert spans <= fired, spans - fired
