@@ -5,6 +5,11 @@ model, and the mean-field (Curie-Weiss type) approximation, plus the
 cross-model relative-entropy rates and per-site cumulant generating
 functions used to assemble phase-diagram uncertainty bounds.
 
+Everything is a closed form except the 2-D pressure, Onsager's integral
+over theta, which runs one adaptive Simpson quadrature per call; the 2-D
+bond density goes through the complete elliptic integral K, computed by the
+arithmetic-geometric mean (Abramowitz & Stegun 17.6).
+
 All pressures here are per-site log partition functions in the infinite
 volume limit; couplings are in energy units with the inverse temperature
 carried separately.  Internal lookups share a small memo of mean-field
@@ -164,47 +169,70 @@ def ising2d_critical_beta(J: float) -> float:
     return math.log(1.0 + math.sqrt(2.0)) / (2.0 * J)
 
 
-def _onsager_k(s: float, theta: float) -> float:
-    # sqrt(s^2 + 1 - 2 s cos 2 theta) without cancellation to 0 when s ~ 1,
-    # and without squaring s, which overflows from beta J ~ 89.
-    return math.hypot(s - 1.0, 2.0 * math.sqrt(s) * math.sin(theta))
-
-
 def onsager_pressure(beta: float, J: float) -> float:
-    """Exact pressure ``log2/2 + (2 pi)^-1 int_0^pi log[cosh^2(2bJ) + k] dtheta``."""
+    """Exact pressure ``log2/2 + (2 pi)^-1 int_0^pi log[cosh^2(2bJ) + k] dtheta``
+    with ``k = sqrt(s^2 + 1 - 2 s cos 2 theta)`` and ``s = sinh^2(2bJ)``.
+
+    ``k`` depends on theta only through ``sin^2 theta``, so the quadrature
+    runs over the half period ``[0, pi/2]`` and divides by pi.  It is the one
+    quadrature of the 2-D model; ``k`` is taken as
+    ``hypot(s - 1, 2 sqrt(s) sin theta)``, which does not cancel to 0 at
+    ``s ~ 1`` and does not square s, which overflows from beta J ~ 89.
+    """
     s = math.sinh(2.0 * beta * J) ** 2
     cosh2 = 1.0 + s
     if not math.isfinite(cosh2 + s):
         # The integrand log(cosh^2 + k), with k up to 1 + s, would be inf on
-        # [0, pi], and the quadrature would refine it to its panel limit.
+        # [0, pi/2], and the quadrature would refine it to its panel limit.
         raise OverflowError("cosh^2(2bJ) + k beyond the float range")
-    tol = 1e-8 if abs(s - 1.0) < 1e-3 else 1e-10
+    s_minus_1, two_root_s = s - 1.0, 2.0 * math.sqrt(s)
+    tol = 1e-8 if abs(s_minus_1) < 1e-3 else 1e-10
     integral = adaptive_simpson(
-        lambda theta: math.log(cosh2 + _onsager_k(s, theta)), 0.0, math.pi, tol=tol
+        lambda theta: math.log(cosh2 + math.hypot(s_minus_1, two_root_s * math.sin(theta))),
+        0.0,
+        0.5 * math.pi,
+        tol=0.5 * tol,
     )
-    return 0.5 * math.log(2.0) + integral / (2.0 * math.pi)
+    return 0.5 * math.log(2.0) + integral / math.pi
+
+
+# The AGM converges quadratically: it takes at most 9 steps, next to beta_c
+# where k' is smallest; the cap only guards against a loop that never ends.
+_AGM_MAX_STEPS = 64
 
 
 def onsager_bond_density(beta: float, J: float) -> float:
-    """Per-site nearest-neighbor sum ``lim N^-1 E(sum_<xy> s_x s_y)``.
+    """Per-site nearest-neighbor sum ``lim N^-1 E(sum_<xy> s_x s_y)``, in
+    Onsager's closed form (Onsager 1944): with ``t = tanh(2bJ)``,
+    ``u = coth(2bJ) [1 + (2/pi) (2 t^2 - 1) K(k)]``, where K is the complete
+    elliptic integral of the first kind at modulus
+    ``k = 2 sinh(2bJ) / cosh^2(2bJ)``.
 
-    The textbook integrand ``k^-1 [1 - (1 + cos 2 theta)/(cosh^2(2bJ) + k)]``
-    reduces algebraically to ``(1 + (k - 1)/s) / (2 k)`` with
-    ``s = sinh^2(2bJ)``, which stays regular through the critical point where
-    it degenerates to the constant 1/2, and forms no product ``s k``, which
-    overflows from beta J ~ 88.7.
+    ``K = pi / (2 agm(1, k'))`` (Abramowitz & Stegun 17.6) with the
+    complementary modulus ``k' = |2 t^2 - 1|``, which follows from
+    ``1 - k^2 = ((s - 1)/(s + 1))^2`` for ``s = sinh^2(2bJ)``; k itself is
+    never formed, since it rounds above 1 next to beta_c.  The AGM is
+    accumulated as ``1 - agm = sum c_n`` over its positive half-differences
+    ``c_1 = (1 - k')/2`` (``1 - t^2`` or ``t^2``) and
+    ``c_{n+1} = c_n^2 / (2 (a_n + b_n))``, so
+    ``u = (2 t^2 - sum c) / (t (1 - sum c))`` neither cancels at small bJ
+    nor overflows at large bJ.  At ``2 t^2 = 1`` (beta_c) the product
+    ``(2 t^2 - 1) K`` vanishes and u is ``coth(2bJ)``.
     """
-    s = math.sinh(2.0 * beta * J) ** 2
-    if abs(s - 1.0) < 1e-14:
-        return math.sinh(4.0 * beta * J) / 2.0
-    tol = 1e-8 if abs(s - 1.0) < 1e-3 else 1e-10
-    integral = adaptive_simpson(
-        lambda theta: (1.0 + (_onsager_k(s, theta) - 1.0) / s) / (2.0 * _onsager_k(s, theta)),
-        0.0,
-        math.pi,
-        tol=tol,
-    )
-    return math.sinh(4.0 * beta * J) / math.pi * integral
+    t = math.tanh(2.0 * beta * J)
+    signed_kp = 2.0 * t * t - 1.0
+    if signed_kp == 0.0:
+        return 1.0 / t
+    c = 1.0 - t * t if signed_kp > 0.0 else t * t
+    a, b = 1.0 - c, math.sqrt(abs(signed_kp))
+    deficit = c
+    for _ in range(_AGM_MAX_STEPS):
+        c = c * c / (2.0 * (a + b))
+        deficit += c
+        if c <= deficit * 2.0**-53:
+            break
+        a, b = a - c, math.sqrt(a * b)
+    return (2.0 * t * t - deficit) / (t * (1.0 - deficit))
 
 
 @dataclass(frozen=True)
@@ -227,8 +255,9 @@ def _spontaneous_magnetization(params: Ising2DParams) -> float:
 
 
 def ising2d_quantities(params: Ising2DParams) -> Ising2DQuantities:
-    """Spontaneous magnetization (closed form), pressure and bond density;
-    only the last two run a quadrature."""
+    """Spontaneous magnetization and bond density in closed form (Yang's
+    formula and Onsager's elliptic-integral form), and the pressure, which
+    alone runs a quadrature."""
     return Ising2DQuantities(
         spontaneous_magnetization=_spontaneous_magnetization(params),
         pressure=onsager_pressure(params.beta, params.J),

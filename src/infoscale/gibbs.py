@@ -274,16 +274,20 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
             field += cluster.coeff * states
         else:
             bond += cluster.coeff * np.outer(states, states)
-    # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')}.
-    transfer = np.exp(-bond - field[None, :])
+    # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')};
+    # each exponent is shifted by its maximum, which log_scale carries.
+    exponent = -bond - field[None, :]
+    shift = float(exponent.max())
+    transfer = np.exp(exponent - shift)
     vec = np.ones(states.size)
     log_scale = 0.0
     for _ in range(volume.num_sites - 1):
         vec = transfer @ vec
         norm = float(vec.max())
         vec /= norm
-        log_scale += math.log(norm)
-    return log_scale + math.log(float(np.dot(np.exp(-field), vec)))
+        log_scale += shift + math.log(norm)
+    field_shift = float((-field).max())
+    return log_scale + field_shift + math.log(float(np.dot(np.exp(-field - field_shift), vec)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +402,11 @@ def triple_norm_xi(
     surrogate = 2.0 * phi_measure.num_sites * triple_norm(
         interaction_difference(phi_measure.interaction, psi_interaction)
     )
+    if not math.isfinite(surrogate):
+        raise ParameterError(
+            f"the triple-norm surrogate 2 N |||Phi - Psi||| = {surrogate!r} "
+            "leaves the float range"
+        )
     bound = xi_bounds(_site_total_cgf(phi_measure, g_values), surrogate)
     return bound.scaled(1.0 / phi_measure.num_sites)
 

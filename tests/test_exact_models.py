@@ -1,6 +1,7 @@
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,38 @@ class TestIsing1D:
             Ising1DParams(beta=-1.0)
 
 
+def _mp_bond_density(bj: float):
+    """``coth(2bJ) [1 + (2/pi) (2 t^2 - 1) K(k)]`` at 50 digits, with
+    ``t = tanh(2bJ)`` and mpmath's own K at parameter ``k^2 = 1 - k'^2``."""
+    with mpmath.workdps(50):
+        bj = mpmath.mpf(bj)
+        t = mpmath.tanh(2 * bj)
+        kp = 2 * t * t - 1
+        return (1 + 2 / mpmath.pi * kp * mpmath.ellipk(1 - kp * kp)) / t
+
+
+def _mp_pressure(bj: float):
+    """``log2/2 + (2 pi)^-1 int_0^pi log[cosh^2(2bJ) + k] dtheta`` over the
+    full period at 50 digits, with k in its textbook cos 2 theta form."""
+    with mpmath.workdps(50):
+        bj = mpmath.mpf(bj)
+        s, cosh2 = mpmath.sinh(2 * bj) ** 2, mpmath.cosh(2 * bj) ** 2
+
+        def integrand(theta):
+            return mpmath.log(cosh2 + mpmath.sqrt(s * s + 1 - 2 * s * mpmath.cos(2 * theta)))
+
+        integral = mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi])
+        return mpmath.log(2) / 2 + integral / (2 * mpmath.pi)
+
+
+_BETA_C = ising2d_critical_beta(1.0)
+_ORACLE_BJ = [1e-8, 1e-6, 1e-3, 0.3, 0.6, 1.5, 20.0, 170.0, _BETA_C] + [
+    _BETA_C * (1.0 + sign * offset)
+    for offset in (1e-12, 1e-9, 1e-6, 1e-3)
+    for sign in (1.0, -1.0)
+]
+
+
 class TestIsing2D:
     def test_pressure_at_infinite_temperature(self):
         assert onsager_pressure(1e-9, 1.0) == pytest.approx(math.log(2.0), abs=1e-9)
@@ -200,6 +233,39 @@ class TestIsing2D:
         values = [onsager_pressure(b, 1.0) for b in grid]
         for i in range(1, len(grid) - 1):
             assert values[i] <= 0.5 * (values[i - 1] + values[i + 1]) + 1e-10
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.44, 0.6, 1.2])
+    def test_bond_density_matches_the_regularized_integrand(self, beta):
+        # An independent route to the closed form: Onsager's integral with
+        # the integrand k^-1 [1 - (1 + cos 2 theta)/(cosh^2 + k)] reduced to
+        # (1 + (k - 1)/s) / (2 k), which is regular through beta_c.
+        s = math.sinh(2.0 * beta) ** 2
+
+        def integrand(theta):
+            k = math.hypot(s - 1.0, 2.0 * math.sqrt(s) * math.sin(theta))
+            return (1.0 + (k - 1.0) / s) / (2.0 * k)
+
+        value = math.sinh(4.0 * beta) / math.pi * adaptive_simpson(
+            integrand, 0.0, math.pi, tol=1e-12
+        )
+        assert onsager_bond_density(beta, 1.0) == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("bj", _ORACLE_BJ)
+    def test_bond_density_against_mpmath(self, bj):
+        # The AGM form to a few units in the last place.  Next to beta_c the
+        # bond density's slope diverges like log|beta - beta_c|, so an ulp of
+        # beta J is worth several ulps of the value there.
+        assert onsager_bond_density(bj, 1.0) == pytest.approx(
+            float(_mp_bond_density(bj)), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("bj", _ORACLE_BJ)
+    def test_pressure_against_mpmath(self, bj):
+        # The half-period quadrature against the full period; its tolerance
+        # is 1e-10 (1e-8 within 1e-3 of s = 1) on the integral.
+        assert onsager_pressure(bj, 1.0) == pytest.approx(
+            float(_mp_pressure(bj)), rel=1e-11
+        )
 
     @pytest.mark.parametrize("bj", [88.8, 89.03, 89.1, 150.0])
     def test_low_temperature_limits(self, bj):
@@ -569,11 +635,12 @@ class TestSolveCounts:
                 magnetization(Ising2DParams(beta=beta, J=1.0, branch=branch))
         assert runs == []
 
-    def test_2d_point_runs_two_quadratures(self, monkeypatch):
+    def test_2d_point_runs_one_quadrature(self, monkeypatch):
+        # The pressure; the bond density is a closed form.
         runs = _count_calls(monkeypatch, "adaptive_simpson")
         config = figure_preset("4a")
         phase_bound_point(config.model_q, config.model_p, 0.6, "beta")
-        assert len(runs) == 2
+        assert len(runs) == 1
 
 
 _MF_BETA_C = 0.5  # beta J d = 1 at J = 1, d = 2

@@ -162,6 +162,30 @@ class TestLogPartition:
             GibbsMeasure(phi, vol).log_partition, abs=1e-10
         )
 
+    @pytest.mark.parametrize("coeff", [-800.0, 800.0])
+    def test_strong_pair_coupling_on_the_transfer_route(self, coeff):
+        # exp(800) overflows: the transfer matrix used to hold inf and the
+        # result was nan.  Either sign has two ground states of energy
+        # -29 * 800 on 30 sites; any other configuration weighs e^-1600 less.
+        phi = Interaction(dimension=1, clusters=(spin_product_cluster(((0,), (1,)), coeff),))
+        value = log_partition(phi, LatticeVolume.chain(30))
+        assert value == pytest.approx(29.0 * 800.0 + math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("pair", [-300.0, 300.0])
+    @pytest.mark.parametrize("field", [-300.0, 300.0])
+    def test_strong_couplings_match_enumeration(self, pair, field):
+        phi = Interaction(
+            dimension=1,
+            clusters=(
+                spin_product_cluster(((0,), (1,)), pair),
+                spin_product_cluster(((0,),), field),
+            ),
+        )
+        vol = LatticeVolume.chain(12)
+        assert log_partition(phi, vol) == pytest.approx(
+            GibbsMeasure(phi, vol).log_partition, rel=1e-14
+        )
+
     def test_per_site_approximates_pressure(self):
         # Free-boundary finite-size error at N = 12 stays within 5e-2 for
         # moderate couplings.

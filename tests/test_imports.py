@@ -57,8 +57,9 @@ def _phase_args(tmp_path):
 @pytest.mark.parametrize("make_args", [
     lambda tmp_path: ["--help"],
     lambda tmp_path: ["figure", "2a"],
+    lambda tmp_path: ["figure", "4a"],
     _phase_args,
-], ids=["help", "figure-2a", "phase"])
+], ids=["help", "figure-2a", "figure-4a", "phase"])
 def test_phase_path_runs_without_numpy(tmp_path, make_args):
     run = _run("-c", PROBE, *make_args(tmp_path))
     assert run.returncode == 0, run.stderr

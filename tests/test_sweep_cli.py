@@ -485,7 +485,11 @@ class TestCli:
         # One site, spins {0, 1}: each measure's energies (0, +-1.5e308) are
         # in range, but H^Phi - H^Psi is not.
         ("0", [0, 1], 1.5e308, "the Hamiltonian difference H^Phi - H^Psi leaves"),
-    ], ids=["energy-sum", "energy-spread", "energy-difference"])
+        # One site, fields +-5e307: energies, spread and difference are in
+        # range, but the triple-norm surrogate 2 N |||Phi - Psi||| = 2e308 is
+        # not; it used to reach xi_bounds and fail as a non-finite CGF.
+        ("0", [-1, 1], 5e307, "the triple-norm surrogate 2 N |||Phi - Psi||| = inf leaves"),
+    ], ids=["energy-sum", "energy-spread", "energy-difference", "triple-norm-surrogate"])
     def test_overflowing_hamiltonian_is_one_error_line(
         self, tmp_path, warnings, n, spins, coeff, message
     ):
