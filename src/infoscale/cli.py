@@ -138,12 +138,13 @@ def _cmd_gibbs(args) -> int:
         g = jsonio.load_observable(args.observable).values
     phi_m = gibbs.GibbsMeasure(phi, volume)
     psi_m = gibbs.GibbsMeasure(psi, volume)
+    # Computed once here; both bounds below reuse the measure's copy.
+    totals = phi_m.site_total(g)
     r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
     bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
     triple = gibbs.triple_norm_xi(phi_m, psi, g)
     gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
     n_sites = volume.num_sites
-    totals = phi_m.site_total(g)
     payload = {
         "num_sites": n_sites,
         "triple_norm_phi": gibbs.triple_norm(phi),

@@ -11,6 +11,14 @@ Exact computation is by configuration enumeration (capped at 2e6
 configurations).  :func:`log_partition` instead multiplies transfer matrices
 with log-domain scaling whenever the volume is a contiguous 1-D chain and
 every cluster is a single site or a nearest-neighbour pair.
+
+A :class:`GibbsMeasure` enumerates once, at construction, in O(N q^N) work
+per cluster template: the spin on one site over every configuration is a
+tiled column, and each cluster instance multiplies the columns of its
+sites.  The bounds then evaluate the CGF of the site total ``sum_x g(s_x)``
+over its distinct values only, not over the q^N configurations: for
+two-state spins and an integer-valued g, such as the magnetization, that is
+N + 1 terms per K(c).
 """
 
 from __future__ import annotations
@@ -215,33 +223,51 @@ def hamiltonian(interaction: Interaction, volume: LatticeVolume, config) -> floa
     return total
 
 
-def _enumerated_state_indices(num_sites: int, num_states: int) -> np.ndarray:
+def _enumeration_size(num_sites: int, num_states: int) -> int:
     count = num_states**num_sites
     if count > _ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"{count} configurations exceed the enumeration cap {_ENUMERATION_CAP}"
         )
-    idx = np.arange(count, dtype=np.int64)
-    powers = num_states ** np.arange(num_sites - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers[None, :]) % num_states).astype(np.uint8)
+    return count
 
 
-def _energy_vector(
-    interaction: Interaction, volume: LatticeVolume, state_indices: np.ndarray
-) -> np.ndarray:
+def _enumerated_column(values: np.ndarray, num_sites: int, site: int) -> np.ndarray:
+    """``values[state of site]`` over every configuration in lexicographic
+    order: each value repeated ``q^(N-1-site)`` times, that run ``q^site``
+    times."""
+    q = values.size
+    return np.tile(np.repeat(values, q ** (num_sites - 1 - site)), q**site)
+
+
+def _enumerated_state_indices(num_sites: int, num_states: int) -> np.ndarray:
+    count = _enumeration_size(num_sites, num_states)
+    digits = np.arange(num_states, dtype=np.uint8)
+    state_indices = np.empty((count, num_sites), dtype=np.uint8, order="F")
+    for site in range(num_sites):
+        state_indices[:, site] = _enumerated_column(digits, num_sites, site)
+    return state_indices
+
+
+def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarray:
     """Hamiltonian of every enumerated configuration: per cluster instance,
-    ``coeff`` times the product of the spins gathered on its sites.
+    ``coeff`` times the product of the spin columns of its sites.
 
     Raises ParameterError when an energy, or the spread between the largest
     and the smallest, is not a finite float: ``exp(-H)`` relative to its
     maximum, which every partition sum takes, is then out of reach.
     """
     states = np.asarray(interaction.spin_states, dtype=float)
-    energies = np.zeros(state_indices.shape[0])
+    num_sites = volume.num_sites
+    energies = np.zeros(_enumeration_size(num_sites, states.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for cluster, instances in _cluster_instances(interaction, volume):
-            for row in instances:
-                energies += cluster.coeff * np.prod(states[state_indices[:, row]], axis=1)
+            for first, *rest in instances:
+                product = _enumerated_column(states, num_sites, first)
+                for site in rest:
+                    product *= _enumerated_column(states, num_sites, site)
+                product *= cluster.coeff
+                energies += product
     if not math.isfinite(float(energies.max()) - float(energies.min())):
         raise ParameterError(
             "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
@@ -262,10 +288,7 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
         volume.is_contiguous_chain()
         and all(set(c.offsets) <= nearest for c in interaction.clusters)
     ):
-        state_indices = _enumerated_state_indices(
-            volume.num_sites, interaction.num_states
-        )
-        return _logsumexp(-_energy_vector(interaction, volume, state_indices))
+        return _logsumexp(-_energy_vector(interaction, volume))
     states = np.asarray(interaction.spin_states, dtype=float)
     field = np.zeros(states.size)
     bond = np.zeros((states.size, states.size))
@@ -312,7 +335,7 @@ class GibbsMeasure:
         state_indices = _enumerated_state_indices(
             volume.num_sites, interaction.num_states
         )
-        energies = _energy_vector(interaction, volume, state_indices)
+        energies = _energy_vector(interaction, volume)
         log_z = _logsumexp(-energies)
         weights = np.exp(-energies - log_z)
         weights /= weights.sum()
@@ -323,6 +346,7 @@ class GibbsMeasure:
             ("state_indices", state_indices),
             ("energies", energies),
             ("weights", weights),
+            ("_site_totals", {}),
         ):
             object.__setattr__(self, name, value)
 
@@ -334,11 +358,22 @@ class GibbsMeasure:
         return DiscreteDistribution(self.weights, renormalize=True)
 
     def site_total(self, g_values) -> np.ndarray:
-        """Per-configuration value of ``sum_x g(s_x)`` for a single-site g."""
+        """Per-configuration value of ``sum_x g(s_x)`` for a single-site g,
+        summed site by site in volume order (so a constant g has a constant
+        total).  The totals are computed once per g and returned read-only.
+        """
         g_values = np.asarray(g_values, dtype=float)
         if g_values.size != self.interaction.num_states:
             raise DimensionError("g must assign one value per spin state")
-        return g_values[self.state_indices].sum(axis=1)
+        key = g_values.tobytes()
+        totals = self._site_totals.get(key)
+        if totals is None:
+            totals = np.zeros(self.weights.size)
+            for site in range(self.num_sites):
+                totals += _enumerated_column(g_values, self.num_sites, site)
+            totals.setflags(write=False)
+            self._site_totals[key] = totals
+        return totals
 
     def expectation(self, per_config: np.ndarray) -> float:
         return float(self.weights @ per_config)
@@ -368,10 +403,12 @@ def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure)
 
 def _site_total_cgf(phi_measure: GibbsMeasure, g_values) -> EmpiricalCgf:
     """Centered CGF of ``sum_x g(s_x)`` under mu^Phi over the enumerated
-    configurations.  Weights are raised to at least the smallest normal
-    float: one that underflowed to 0 would leave the support, and the bound
-    at large c, set by the extreme configurations, would no longer hold.
-    Raising weights only raises K (up to a mean shift below 1e-300)."""
+    configurations, one atom per distinct total once :class:`EmpiricalCgf`
+    has merged them.  Weights are raised to at least the smallest normal
+    float per configuration, before that merge: one that underflowed to 0
+    would leave the support, and the bound at large c, set by the extreme
+    configurations, would no longer hold.  Raising weights only raises K
+    (up to a mean shift below 1e-300)."""
     weights = np.maximum(phi_measure.weights, np.finfo(float).tiny)
     return EmpiricalCgf(DiscreteDistribution(weights), Observable(phi_measure.site_total(g_values)))
 
@@ -429,8 +466,7 @@ def linearized_gibbs_bound(
         raise ParameterError(
             "provide exactly one of relative_entropy or triple_norm_gap"
         )
-    totals = Observable(phi_measure.site_total(g_values))
-    var_per_site = totals.variance(DiscreteDistribution(phi_measure.weights)) / phi_measure.num_sites
+    var_per_site = _site_total_cgf(phi_measure, g_values).variance() / phi_measure.num_sites
     if relative_entropy is not None:
         if relative_entropy < 0:
             raise ParameterError("relative entropy must be nonnegative")

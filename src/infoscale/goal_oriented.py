@@ -62,8 +62,12 @@ class EmpiricalCgf:
     ``log1p(sum_i p_i expm1(c (f_i - E_p f)))`` instead.
 
     The support, the centered values and their largest size are computed
-    once, at construction.  The mean is kept inside the range of the values,
-    so a constant observable has exactly zero deviations and variance.  The
+    once, at construction.  Atoms with equal observable values are merged
+    there, their weights summed, so each evaluation costs one term per
+    distinct value: the magnetization of N +-1 spins under a Gibbs measure
+    has N + 1 of them among its 2^N configurations.  The mean is taken over
+    the atoms as given and kept inside the range of the values, so a
+    constant observable has exactly zero deviations and variance.  The
     computed mean is off by a rounding residual ``r = sum_i p_i (f_i - mean)``,
     and K would inherit a slope r at 0 that a tiny budget R cannot outweigh;
     both branches subtract ``c r``, the exact centring of the deviations.
@@ -73,13 +77,15 @@ class EmpiricalCgf:
     observable: Observable
 
     def __post_init__(self):
+        import numpy as np
+
         self.observable._check_aligned(self.dist)
         mask = self.dist.weights > 0
-        values = self.observable.values[mask]
-        mean = min(max(self.observable.expectation(self.dist), values.min()), values.max())
+        values, atom = np.unique(self.observable.values[mask], return_inverse=True)
+        mean = min(max(self.observable.expectation(self.dist), values[0]), values[-1])
         centered = values - mean
         object.__setattr__(self, "mean", float(mean))
-        object.__setattr__(self, "_weights", self.dist.weights[mask])
+        object.__setattr__(self, "_weights", np.bincount(atom, weights=self.dist.weights[mask]))
         object.__setattr__(self, "_centered", centered)
         object.__setattr__(self, "_span", _spread(centered))
         object.__setattr__(self, "_residual", float(self._weights @ centered))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,33 @@ def product_measure(weights, n):
     for _ in range(n):
         out = np.kron(out, weights)
     return out
+
+
+def mp_centered_cgf(weights, values, c):
+    """50-digit ``log sum_i w_i exp(c (f_i - mean)) - log sum_i w_i`` over
+    every atom as given, none merged: the oracle for an EmpiricalCgf."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        f = [mpmath.mpf(float(x)) for x in values]
+        total = mpmath.fsum(w)
+        mean = mpmath.fsum(a * b for a, b in zip(w, f)) / total
+        c = mpmath.mpf(c)
+        return float(mpmath.log(mpmath.fsum(a * mpmath.exp(c * (b - mean)) for a, b in zip(w, f)) / total))
+
+
+def assert_cgf_matches_oracle(cgf, weights, values):
+    """K agrees with the unmerged oracle within 1e-13 relative at c in
+    {+-1e-8, +-0.3, +-5, +-200}.  Near c = 0 the float sum of
+    ``w_i expm1(c d_i)`` carries an absolute error of a few ulps of
+    ``|c| max|d|``, which at |c| = 1e-8 is ~1e-9 of K itself (merged or
+    not), so that floor is allowed on top."""
+    span = float(np.max(np.abs(np.asarray(values) - cgf.mean)))
+    for c in (1e-8, -1e-8, 0.3, -0.3, 5.0, -5.0, 200.0, -200.0):
+        want = mp_centered_cgf(weights, values, c)
+        floor = 8.0 * math.ulp(1.0) * abs(c) * span
+        assert cgf.evaluate(c) == pytest.approx(want, rel=1e-13, abs=floor), c
 
 
 @pytest.fixture

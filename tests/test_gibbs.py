@@ -1,7 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from conftest import assert_cgf_matches_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,8 @@ from infoscale import (
     xi_bounds,
 )
 from infoscale.gibbs import (
+    _energy_vector,
+    _enumerated_state_indices,
     _site_total_cgf,
     interaction_difference,
     spin_observable,
@@ -329,6 +333,36 @@ class TestFiniteVolumeXi:
         assert loose.xi_minus <= -2.0
 
 
+class TestMergedSiteTotalCgf:
+    def test_one_atom_per_distinct_total(self):
+        # The +-1 site total of 12 sites takes 13 values over 4096
+        # configurations; K over those atoms matches K over every
+        # configuration.
+        phi = ising_interaction(0.4, 1.0, 0.1, 1)
+        m = GibbsMeasure(phi, LatticeVolume.chain(12))
+        g = spin_observable(phi)
+        cgf = _site_total_cgf(m, g)
+        assert cgf._centered.size == 13
+        assert_cgf_matches_oracle(cgf, m.weights, m.site_total(g))
+
+    def test_site_totals_follow_the_state_indices(self):
+        # Several g on one measure, the first one asked for again at the end.
+        m = GibbsMeasure(ising_interaction(0.5, 1.0, 0.2, 1), LatticeVolume.chain(5))
+        for g in ([-1.0, 1.0], [0.0, 1.0], [0.3, -1.1], [-1.0, 1.0]):
+            want = [sum(g[s] for s in row) for row in m.state_indices]
+            np.testing.assert_array_equal(m.site_total(g), want)
+
+    def test_linearized_variance_matches_configuration_sum(self, rng):
+        phi, _ = random_ising_pair(rng, 1)
+        m = GibbsMeasure(phi, LatticeVolume.chain(9))
+        g = [0.3, -1.1]
+        totals = m.site_total(g)
+        var = m.expectation((totals - m.expectation(totals)) ** 2)
+        want = math.sqrt(var / 9) * math.sqrt(2 * 0.05 / 9)
+        got = linearized_gibbs_bound(m, g, relative_entropy=0.05)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestTripleNormXi:
     def test_same_interaction_gives_zero(self):
         phi = ising_interaction(0.5, 1.0, 0.2, 1)
@@ -417,6 +451,9 @@ class TestLinearizedGibbs:
             )
 
 
+_SQUARE_2X2 = LatticeVolume(dimension=2, sites=tuple(itertools.product(range(2), repeat=2)))
+
+
 class TestSymmetryAndOrdering:
     def test_zero_field_magnetization_vanishes(self):
         # Spin-flip symmetry makes the finite-volume magnetization exactly 0.
@@ -433,8 +470,30 @@ class TestSymmetryAndOrdering:
         m = GibbsMeasure(phi, LatticeVolume.chain(2))
         assert m.state_indices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
+    @pytest.mark.parametrize("states, sites", [(2, 1), (2, 6), (3, 4), (4, 3)])
+    def test_state_indices_follow_itertools_product(self, states, sites):
+        want = list(itertools.product(range(states), repeat=sites))
+        assert _enumerated_state_indices(sites, states).tolist() == [list(w) for w in want]
 
-_SQUARE_2X2 = LatticeVolume(dimension=2, sites=tuple(itertools.product(range(2), repeat=2)))
+    @pytest.mark.parametrize("spins, volume", [
+        ((-1.0, 1.0), LatticeVolume.centered(2, 1)),
+        ((-1.0, 0.5, 2.0), _SQUARE_2X2),
+    ], ids=["pm1-3x3", "three-states-2x2"])
+    def test_energy_vector_equals_hamiltonian(self, spins, volume):
+        # Nearest and diagonal pairs, a three-spin corner and a field, with
+        # the same products in the same order as the per-configuration loop.
+        clusters = [spin_product_cluster(offs, k) for offs, k in (
+            (((0, 0), (1, 0)), -0.7), (((0, 0), (0, 1)), 0.4),
+            (((0, 0), (1, 1)), -0.3), (((0, 0), (1, -1)), 0.25),
+            (((0, 0), (1, 0), (0, 1)), 0.15), (((0, 0),), -0.2),
+        )]
+        interaction = Interaction(dimension=2, clusters=tuple(clusters), spin_states=spins)
+        energies = _energy_vector(interaction, volume)
+        configs = itertools.product(spins, repeat=volume.num_sites)
+        want = [hamiltonian(interaction, volume, config) for config in configs]
+        np.testing.assert_array_equal(energies, want)
+
+
 # Cluster offsets per dimension: nearest-neighbour pairs, next-nearest pairs.
 _NEAREST = {1: [((0,), (1,))], 2: [((0, 0), (1, 0)), ((0, 0), (0, 1))]}
 _NEXT_NEAREST = {1: [((0,), (2,))], 2: [((0, 0), (1, 1)), ((0, 0), (1, -1))]}

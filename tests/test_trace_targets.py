@@ -3,7 +3,7 @@
 ``perfbench/trace_job.py`` lists a target it cannot find as absent, and a
 traced benchmark run with a declared metric absent is malformed.  Deleting or
 renaming a traced function therefore fails here first.  The tracer is also
-run on three short jobs, to show that each job's wrappers fire.
+run on four short jobs, to show that each job's wrappers fire.
 """
 
 import importlib.util
@@ -54,11 +54,24 @@ def _markov_args(tmp_path):
     return ["markov", "--p", str(p), "--q", str(q), "--observable", str(g), "--cheap"]
 
 
+def _gibbs_args(tmp_path):
+    # Nearest and next-nearest pairs and a field, as in the benchmark's chain jobs.
+    phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+    for path, k in ((phi, -0.1), (psi, -0.25)):
+        path.write_text(json.dumps({"d": 1, "clusters": [
+            {"offsets": [[0], [1]], "type": "pair_product", "coeff": -0.4},
+            {"offsets": [[0], [2]], "type": "pair_product", "coeff": k},
+            {"offsets": [[0]], "type": "field", "coeff": -0.05},
+        ]}))
+    return ["gibbs", "--phi", str(phi), "--psi", str(psi), "--n", "2"]
+
+
 @pytest.mark.parametrize("make_args, spans", [
     (lambda tmp_path: ["figure", "2a"], {"optimize.minimize", "exact_models.phase_point"}),
     (_phase2d_args, {"jsonio.load", "quadrature.simpson", "exact_models.phase_point"}),
     (_markov_args, {"jsonio.load", "markov.perron", "goal_oriented.xi_bounds"}),
-], ids=["figure-2a", "phase-2d", "markov-cheap"])
+    (_gibbs_args, {"gibbs.measure", "gibbs.xi", "gibbs.log_partition", "goal_oriented.cgf"}),
+], ids=["figure-2a", "phase-2d", "markov-cheap", "gibbs-nnn"])
 def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
     # The CLI imports a subcommand's modules inside its handler, after the
     # tracer has wrapped them; the wrappers must still be what runs.
