@@ -65,7 +65,6 @@ _EXPORTS = {
         "gibbs_relative_entropy",
         "hamiltonian",
         "ising_interaction",
-        "linearized_gibbs_bound",
         "log_partition",
         "spin_product_cluster",
         "triple_norm",
@@ -77,7 +76,6 @@ _EXPORTS = {
         "EmpiricalCgf",
         "ExponentialFamily",
         "GoalBound",
-        "centered_cgf",
         "expfam_relative_entropy",
         "expfam_xi_bounds",
         "linearized_half_width",

@@ -138,12 +138,11 @@ def _cmd_gibbs(args) -> int:
         g = jsonio.load_observable(args.observable).values
     phi_m = gibbs.GibbsMeasure(phi, volume)
     psi_m = gibbs.GibbsMeasure(psi, volume)
-    # Computed once here; both bounds below reuse the measure's copy.
-    totals = phi_m.site_total(g)
     r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
     bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
     triple = gibbs.triple_norm_xi(phi_m, psi, g)
     gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
+    totals = phi_m.site_total(g)
     n_sites = volume.num_sites
     payload = {
         "num_sites": n_sites,
@@ -270,13 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InfoscaleError as exc:
-        print(f"infoscale: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"infoscale: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (InfoscaleError, FileNotFoundError, ValueError) as exc:
         print(f"infoscale: error: {exc}", file=sys.stderr)
         return 1
 

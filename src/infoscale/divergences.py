@@ -78,11 +78,6 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return int(self.weights.size)
 
-    def absolutely_continuous_wrt(self, other: "DiscreteDistribution") -> bool:
-        """True if every atom of self is charged by ``other``."""
-        _check_same_support(self, other)
-        return not np.any((self.weights > 0) & (other.weights == 0))
-
     def mutually_absolutely_continuous_with(self, other: "DiscreteDistribution") -> bool:
         _check_same_support(self, other)
         return bool(np.all((self.weights > 0) == (other.weights > 0)))

@@ -35,6 +35,16 @@ def _log_two_cosh(t: float) -> float:
     return a + math.log1p(math.exp(-2.0 * a))
 
 
+def _check_params(params, *names: str) -> None:
+    """Reject a non-finite one of ``names``, and a ``beta`` that is not positive."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    if not (params.beta > 0):
+        raise ParameterError("inverse temperature must be positive")
+
+
 @dataclass(frozen=True)
 class Ising1DParams:
     """Nearest-neighbor Ising chain: coupling J and external field h at
@@ -45,8 +55,7 @@ class Ising1DParams:
     h: float = 0.0
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ParameterError("inverse temperature must be positive")
+        _check_params(self, "beta", "J", "h")
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,7 @@ class Ising2DParams:
     branch: str = "plus"
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ParameterError("inverse temperature must be positive")
+        _check_params(self, "beta", "J")
         if self.branch not in ("plus", "minus"):
             raise ParameterError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
 
@@ -81,9 +89,8 @@ class MeanFieldParams:
     branch: str = "upper"
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ParameterError("inverse temperature must be positive")
-        if self.d < 1 or int(self.d) != self.d:
+        _check_params(self, "beta", "J", "h")
+        if not (self.d >= 1 and float(self.d).is_integer()):
             raise ParameterError("dimension must be a positive integer")
         if self.branch not in ("upper", "lower"):
             raise ParameterError(f"branch must be 'upper' or 'lower', got {self.branch!r}")

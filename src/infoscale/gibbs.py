@@ -12,17 +12,18 @@ configurations).  :func:`log_partition` instead multiplies transfer matrices
 with log-domain scaling whenever the volume is a contiguous 1-D chain and
 every cluster is a single site or a nearest-neighbour pair.
 
-A :class:`GibbsMeasure` enumerates once, at construction, in O(N q^N) work
-per cluster template: the spin on one site over every configuration is a
-tiled column, and each cluster instance multiplies the columns of its
-sites.  The bounds then evaluate the CGF of the site total ``sum_x g(s_x)``
-over its distinct values only, not over the q^N configurations: for
-two-state spins and an integer-valued g, such as the magnetization, that is
-N + 1 terms per K(c).
+A :class:`GibbsMeasure` enumerates the energies once, at construction, in
+O(N q^N) work per cluster template: the spin on one site over every
+configuration is a tiled column, and each cluster instance multiplies the
+columns of its sites.  Its one memo holds, per g, the CGF of the site total
+``sum_x g(s_x)``, which both bounds read; that CGF runs over the distinct
+totals only, not over the q^N configurations: for two-state spins and an
+integer-valued g, such as the magnetization, that is N + 1 terms per K(c).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,6 +75,8 @@ class SpinCluster:
 
 def spin_product_cluster(offsets, coeff: float) -> SpinCluster:
     """Cluster whose energy is ``coeff`` times the product of its spins."""
+    if not all(float(v).is_integer() for o in offsets for v in o):
+        raise ParameterError(f"cluster offsets must be integers, got {offsets!r}")
     offs = tuple(tuple(int(v) for v in o) for o in offsets)
     return SpinCluster(offsets=offs, coeff=float(coeff))
 
@@ -175,9 +178,6 @@ class LatticeVolume:
     def num_sites(self) -> int:
         return len(self.sites)
 
-    def site_index(self) -> dict:
-        return {site: i for i, site in enumerate(self.sites)}
-
     def is_contiguous_chain(self) -> bool:
         if self.dimension != 1:
             return False
@@ -190,7 +190,7 @@ def _cluster_instances(
 ) -> list[tuple[SpinCluster, np.ndarray]]:
     """Site-index arrays (instances x cluster size) for every template,
     with boundary-crossing translates dropped (free boundary conditions)."""
-    index = volume.site_index()
+    index = {site: i for i, site in enumerate(volume.sites)}
     result = []
     for cluster in interaction.clusters:
         rows = []
@@ -320,21 +320,19 @@ class GibbsMeasure:
     Probabilities are proportional to ``exp(-H)`` over the configurations of
     the volume, enumerated in lexicographic site order with spin states in
     their declared order (so for the default states, -1 maps to digit 0).
+    Construction enumerates the energies only: ``state_indices`` is built on
+    first access, and each site-total CGF on the first request for its g.
     """
 
     interaction: Interaction
     volume: LatticeVolume
     log_partition: float
-    state_indices: np.ndarray
     energies: np.ndarray
     weights: np.ndarray
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume):
         if interaction.dimension != volume.dimension:
             raise DimensionError("interaction and volume dimensions differ")
-        state_indices = _enumerated_state_indices(
-            volume.num_sites, interaction.num_states
-        )
         energies = _energy_vector(interaction, volume)
         log_z = _logsumexp(-energies)
         weights = np.exp(-energies - log_z)
@@ -343,12 +341,16 @@ class GibbsMeasure:
             ("interaction", interaction),
             ("volume", volume),
             ("log_partition", log_z),
-            ("state_indices", state_indices),
             ("energies", energies),
             ("weights", weights),
-            ("_site_totals", {}),
+            ("_site_total_cgfs", {}),
         ):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def state_indices(self) -> np.ndarray:
+        """Spin-state digit per configuration (row) and site (column)."""
+        return _enumerated_state_indices(self.num_sites, self.interaction.num_states)
 
     @property
     def num_sites(self) -> int:
@@ -357,23 +359,30 @@ class GibbsMeasure:
     def distribution(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.weights, renormalize=True)
 
-    def site_total(self, g_values) -> np.ndarray:
-        """Per-configuration value of ``sum_x g(s_x)`` for a single-site g,
-        summed site by site in volume order (so a constant g has a constant
-        total).  The totals are computed once per g and returned read-only.
-        """
+    def site_total_cgf(self, g_values) -> EmpiricalCgf:
+        """Centered CGF of ``sum_x g(s_x)`` for a single-site g, built once
+        per g.  Totals are summed site by site (so a constant g has a
+        constant total).  Weights are floored at the smallest normal float
+        before :class:`EmpiricalCgf` merges equal totals, so no configuration
+        whose weight underflowed leaves the support that sets the bound at
+        large c; raising weights only raises K (up to a 1e-300 mean shift)."""
         g_values = np.asarray(g_values, dtype=float)
         if g_values.size != self.interaction.num_states:
             raise DimensionError("g must assign one value per spin state")
         key = g_values.tobytes()
-        totals = self._site_totals.get(key)
-        if totals is None:
+        cgf = self._site_total_cgfs.get(key)
+        if cgf is None:
             totals = np.zeros(self.weights.size)
             for site in range(self.num_sites):
                 totals += _enumerated_column(g_values, self.num_sites, site)
-            totals.setflags(write=False)
-            self._site_totals[key] = totals
-        return totals
+            weights = np.maximum(self.weights, np.finfo(float).tiny)
+            cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(totals))
+            self._site_total_cgfs[key] = cgf
+        return cgf
+
+    def site_total(self, g_values) -> np.ndarray:
+        """Read-only ``sum_x g(s_x)`` per configuration, from :meth:`site_total_cgf`."""
+        return self.site_total_cgf(g_values).observable.values
 
     def expectation(self, per_config: np.ndarray) -> float:
         return float(self.weights @ per_config)
@@ -401,18 +410,6 @@ def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure)
     return max(value, 0.0)
 
 
-def _site_total_cgf(phi_measure: GibbsMeasure, g_values) -> EmpiricalCgf:
-    """Centered CGF of ``sum_x g(s_x)`` under mu^Phi over the enumerated
-    configurations, one atom per distinct total once :class:`EmpiricalCgf`
-    has merged them.  Weights are raised to at least the smallest normal
-    float per configuration, before that merge: one that underflowed to 0
-    would leave the support, and the bound at large c, set by the extreme
-    configurations, would no longer hold.  Raising weights only raises K
-    (up to a mean shift below 1e-300)."""
-    weights = np.maximum(phi_measure.weights, np.finfo(float).tiny)
-    return EmpiricalCgf(DiscreteDistribution(weights), Observable(phi_measure.site_total(g_values)))
-
-
 def finite_volume_xi(
     psi_measure: GibbsMeasure, phi_measure: GibbsMeasure, g_values
 ) -> GoalBound:
@@ -420,12 +417,12 @@ def finite_volume_xi(
     site-averaged observable ``f_N = N^-1 sum_x g(s_x)``.
 
     The extensive bound is :func:`xi_bounds` of the enumerated Gibbs measure
-    as an :class:`EmpiricalCgf` with the exact relative entropy; it is
+    as an :class:`EmpiricalCgf` with the exact relative entropy R; it is
     divided by N, and the returned optimizers refer to the extensive problem.
+    Its ``linearized_half_width`` is ``sqrt(Var(sum g)/N) sqrt(2 R/N)``.
     """
-    _check_compatible(psi_measure, phi_measure)
     r = gibbs_relative_entropy(psi_measure, phi_measure)
-    bound = xi_bounds(_site_total_cgf(phi_measure, g_values), r)
+    bound = xi_bounds(phi_measure.site_total_cgf(g_values), r)
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
@@ -435,7 +432,8 @@ def triple_norm_xi(
     """Per-site bound with the relative entropy replaced by its interaction
     surrogate ``2 N |||Phi - Psi|||`` — looser, but it needs no partition
     function for Psi.  The CGF is the same :class:`EmpiricalCgf` as in
-    :func:`finite_volume_xi`."""
+    :func:`finite_volume_xi`, and ``linearized_half_width`` is
+    ``2 sqrt(Var(sum g)/N) sqrt(|||Phi - Psi|||)``."""
     surrogate = 2.0 * phi_measure.num_sites * triple_norm(
         interaction_difference(phi_measure.interaction, psi_interaction)
     )
@@ -444,38 +442,8 @@ def triple_norm_xi(
             f"the triple-norm surrogate 2 N |||Phi - Psi||| = {surrogate!r} "
             "leaves the float range"
         )
-    bound = xi_bounds(_site_total_cgf(phi_measure, g_values), surrogate)
+    bound = xi_bounds(phi_measure.site_total_cgf(g_values), surrogate)
     return bound.scaled(1.0 / phi_measure.num_sites)
-
-
-def linearized_gibbs_bound(
-    phi_measure: GibbsMeasure,
-    g_values,
-    *,
-    relative_entropy: float | None = None,
-    triple_norm_gap: float | None = None,
-) -> float:
-    """Leading-order per-site half width.
-
-    With a relative entropy R: ``sqrt(Var(sum g)/N) * sqrt(2 R / N)``; with a
-    triple-norm gap the substitution ``R/N <= 2 |||Phi - Psi|||`` gives
-    ``2 sqrt(Var(sum g)/N) * sqrt(gap)``.  Exactly one of the two arguments
-    must be provided.
-    """
-    if (relative_entropy is None) == (triple_norm_gap is None):
-        raise ParameterError(
-            "provide exactly one of relative_entropy or triple_norm_gap"
-        )
-    var_per_site = _site_total_cgf(phi_measure, g_values).variance() / phi_measure.num_sites
-    if relative_entropy is not None:
-        if relative_entropy < 0:
-            raise ParameterError("relative entropy must be nonnegative")
-        return math.sqrt(var_per_site) * math.sqrt(
-            2.0 * relative_entropy / phi_measure.num_sites
-        )
-    if triple_norm_gap < 0:
-        raise ParameterError("triple-norm gap must be nonnegative")
-    return 2.0 * math.sqrt(var_per_site) * math.sqrt(triple_norm_gap)
 
 
 def spin_observable(interaction: Interaction) -> np.ndarray:

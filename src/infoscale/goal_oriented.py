@@ -163,11 +163,6 @@ class AnalyticCgf:
 CgfSource = Union[EmpiricalCgf, AnalyticCgf]
 
 
-def centered_cgf(source: CgfSource, c: float) -> float:
-    """Evaluate the centered cumulant generating function at ``c``."""
-    return source.evaluate(c)
-
-
 @dataclass(frozen=True)
 class GoalBound:
     """Two-sided goal-oriented bound on a QoI gap.

@@ -48,6 +48,13 @@ def _numbers(path, field: str, make, data: dict, **kwargs):
         raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a fraction or a non-finite number raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_distribution(path, *, renormalize: bool = False) -> DiscreteDistribution:
     """Read ``{"weights": [...]}``."""
     from .divergences import DiscreteDistribution
@@ -85,7 +92,7 @@ def load_interaction(path) -> Interaction:
 
     data = _load_json(path)
     try:
-        dimension = int(_require(data, "d", path))
+        dimension = _integer(_require(data, "d", path))
         spins = tuple(float(s) for s in data.get("spins", (-1.0, 1.0)))
         clusters: list[SpinCluster] = []
         for i, spec in enumerate(_require(data, "clusters", path)):
@@ -121,11 +128,13 @@ def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
         if kind == "meanfield":
             return MeanFieldParams(
                 beta=float(data["beta"]), J=float(data.get("J", 1.0)),
-                h=float(data.get("h", 0.0)), d=int(data.get("d", 1)),
+                h=float(data.get("h", 0.0)), d=_integer(data.get("d", 1)),
                 branch=data.get("branch", "upper"),
             )
     except KeyError as exc:
         raise ParameterError(f"{source}: missing model field {exc}") from exc
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{source}: malformed model field: {exc}") from exc
     raise ParameterError(

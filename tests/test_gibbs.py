@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from infoscale import (
     gibbs_relative_entropy,
     hamiltonian,
     ising_interaction,
-    linearized_gibbs_bound,
     log_partition,
     relative_entropy,
     spin_product_cluster,
@@ -31,7 +31,6 @@ from infoscale import (
 from infoscale.gibbs import (
     _energy_vector,
     _enumerated_state_indices,
-    _site_total_cgf,
     interaction_difference,
     spin_observable,
     _logsumexp,
@@ -295,7 +294,7 @@ class TestFiniteVolumeXi:
         m = GibbsMeasure(phi, vol)
         g = spin_observable(phi)
         totals = m.site_total(g)
-        cgf = _site_total_cgf(m, g)
+        cgf = m.site_total_cgf(g)
         for c in (-1.3, 0.41, 2.0):
             direct = _logsumexp(-m.energies + c * totals)
             tilted = Interaction(
@@ -341,7 +340,7 @@ class TestMergedSiteTotalCgf:
         phi = ising_interaction(0.4, 1.0, 0.1, 1)
         m = GibbsMeasure(phi, LatticeVolume.chain(12))
         g = spin_observable(phi)
-        cgf = _site_total_cgf(m, g)
+        cgf = m.site_total_cgf(g)
         assert cgf._centered.size == 13
         assert_cgf_matches_oracle(cgf, m.weights, m.site_total(g))
 
@@ -353,14 +352,35 @@ class TestMergedSiteTotalCgf:
             np.testing.assert_array_equal(m.site_total(g), want)
 
     def test_linearized_variance_matches_configuration_sum(self, rng):
-        phi, _ = random_ising_pair(rng, 1)
-        m = GibbsMeasure(phi, LatticeVolume.chain(9))
+        # Both bounds carry the leading-order half width of their budget,
+        # with Var(sum g) summed over the configurations: the exact R gives
+        # sqrt(Var/N) sqrt(2R/N), the triple-norm gap 2 sqrt(Var/N) sqrt(gap).
+        phi, psi = random_ising_pair(rng, 1)
+        vol = LatticeVolume.chain(9)
+        m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
         g = [0.3, -1.1]
-        totals = m.site_total(g)
-        var = m.expectation((totals - m.expectation(totals)) ** 2)
-        want = math.sqrt(var / 9) * math.sqrt(2 * 0.05 / 9)
-        got = linearized_gibbs_bound(m, g, relative_entropy=0.05)
-        assert got == pytest.approx(want, rel=1e-12)
+        totals = m_phi.site_total(g)
+        var = m_phi.expectation((totals - m_phi.expectation(totals)) ** 2)
+        r = gibbs_relative_entropy(m_psi, m_phi)
+        gap = triple_norm(interaction_difference(phi, psi))
+        got = finite_volume_xi(m_psi, m_phi, g).linearized_half_width
+        assert got == pytest.approx(math.sqrt(var / 9) * math.sqrt(2 * r / 9), rel=1e-12)
+        got = triple_norm_xi(m_phi, psi, g).linearized_half_width
+        assert got == pytest.approx(2 * math.sqrt(var / 9) * math.sqrt(gap), rel=1e-12)
+
+    def test_one_cgf_per_g(self):
+        # Both bounds and site_total read one CGF per g; a second g gets its own.
+        phi, psi = ising_interaction(0.5, 1.0, 0.2, 1), ising_interaction(0.5, 0.8, 0.1, 1)
+        vol = LatticeVolume.chain(6)
+        m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
+        cgf = m_phi.site_total_cgf([-1.0, 1.0])
+        assert m_phi.site_total_cgf(np.array([-1.0, 1.0])) is cgf
+        assert m_phi.site_total([-1.0, 1.0]) is cgf.observable.values
+        assert not cgf.observable.values.flags.writeable
+        assert m_phi.site_total_cgf([0.0, 1.0]) is not cgf
+        finite_volume_xi(m_psi, m_phi, [-1.0, 1.0])
+        triple_norm_xi(m_phi, psi, [-1.0, 1.0])
+        assert len(m_phi._site_total_cgfs) == 2
 
 
 class TestTripleNormXi:
@@ -403,7 +423,9 @@ class TestLinearizedGibbs:
     def test_zero_entropy(self):
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
         m = GibbsMeasure(phi, LatticeVolume.chain(6))
-        assert linearized_gibbs_bound(m, spin_observable(phi), relative_entropy=0.0) == 0.0
+        g = spin_observable(phi)
+        assert finite_volume_xi(m, m, g).linearized_half_width == 0.0
+        assert triple_norm_xi(m, phi, g).linearized_half_width == 0.0
 
     def test_variance_close_to_susceptibility_form(self):
         # At h = 0 the infinite-volume per-site variance is e^{2 J beta}; the
@@ -428,27 +450,13 @@ class TestLinearizedGibbs:
 
         def widths(dh):
             psi = ising_interaction(beta, 1.0, dh, 1)
-            m_psi = GibbsMeasure(psi, vol)
-            r = gibbs_relative_entropy(m_psi, m_phi)
-            exact = finite_volume_xi(m_psi, m_phi, g)
-            lin = linearized_gibbs_bound(m_phi, g, relative_entropy=r)
-            return exact.xi_plus - exact.xi_minus, 2.0 * lin
+            exact = finite_volume_xi(GibbsMeasure(psi, vol), m_phi, g)
+            return exact.xi_plus - exact.xi_minus, 2.0 * exact.linearized_half_width
 
         exact_w, lin_w = widths(0.005)
         assert lin_w == pytest.approx(exact_w, rel=0.05)
         exact_w_big, lin_w_big = widths(1.5)
         assert lin_w_big > exact_w_big
-
-    def test_requires_exactly_one_argument(self):
-        phi = ising_interaction(0.5, 1.0, 0.0, 1)
-        m = GibbsMeasure(phi, LatticeVolume.chain(4))
-        with pytest.raises(ParameterError):
-            linearized_gibbs_bound(m, spin_observable(phi))
-        with pytest.raises(ParameterError):
-            linearized_gibbs_bound(
-
-                m, spin_observable(phi), relative_entropy=0.1, triple_norm_gap=0.1
-            )
 
 
 _SQUARE_2X2 = LatticeVolume(dimension=2, sites=tuple(itertools.product(range(2), repeat=2)))
@@ -469,6 +477,21 @@ class TestSymmetryAndOrdering:
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
         m = GibbsMeasure(phi, LatticeVolume.chain(2))
         assert m.state_indices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+    def test_state_indices_are_built_on_first_access(self):
+        # Construction leaves them out; the first access builds them once, in
+        # lexicographic order and aligned with the weights.
+        spins = (-1.0, 0.5, 2.0)
+        interaction = Interaction(
+            dimension=1, clusters=(spin_product_cluster(((0,), (1,)), -0.4),), spin_states=spins
+        )
+        m = GibbsMeasure(interaction, LatticeVolume.chain(4))
+        assert "state_indices" not in vars(m)
+        indices = m.state_indices
+        assert m.state_indices is indices
+        assert indices.tolist() == [list(w) for w in itertools.product(range(3), repeat=4)]
+        energies = [hamiltonian(interaction, m.volume, [spins[i] for i in row]) for row in indices]
+        np.testing.assert_array_equal(m.energies, energies)
 
     @pytest.mark.parametrize("states, sites", [(2, 1), (2, 6), (3, 4), (4, 3)])
     def test_state_indices_follow_itertools_product(self, states, sites):
@@ -559,3 +582,39 @@ class TestGibbsSandwichProperties:
         psi = ising_interaction(1.0, 0.6, 0.3, 1)
         loose = _assert_gibbs_sandwich(phi, psi, LatticeVolume.chain(8))
         assert loose.c_star_plus == loose.c_star_minus == 1e12
+
+
+def test_cli_job_builds_one_cgf_and_no_state_indices(tmp_path, monkeypatch, capsys):
+    # A gibbs job on a 17-site chain with a next-nearest cluster: both bounds
+    # and the printed gap share one site-total CGF, and nothing asks for the
+    # q^N x N state-index array.
+    import infoscale.gibbs as gibbs
+    from infoscale.cli import main
+
+    built, indexed = [], []
+    post_init = EmpiricalCgf.__post_init__
+    enumerate_indices = gibbs._enumerated_state_indices
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_indices(*args):
+        indexed.append(args)
+        return enumerate_indices(*args)
+
+    monkeypatch.setattr(EmpiricalCgf, "__post_init__", counted_post_init)
+    monkeypatch.setattr(gibbs, "_enumerated_state_indices", counted_indices)
+    paths = []
+    for name, k in (("phi", -0.1), ("psi", -0.25)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"d": 1, "clusters": [
+            {"offsets": [[0], [1]], "type": "pair_product", "coeff": -0.4},
+            {"offsets": [[0], [2]], "type": "pair_product", "coeff": k},
+            {"offsets": [[0]], "type": "field", "coeff": -0.05},
+        ]}))
+        paths.append(str(path))
+    assert main(["gibbs", "--phi", paths[0], "--psi", paths[1], "--n", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["num_sites"] == 17
+    assert len(built) == 1 and built[0].dist.support_size == 2**17
+    assert indexed == []

@@ -18,7 +18,6 @@ from infoscale import (
     Observable,
     ParameterError,
     UnboundedObservableError,
-    centered_cgf,
     expfam_relative_entropy,
     expfam_xi_bounds,
     linearized_half_width,
@@ -41,22 +40,22 @@ def additive_product_problem(p, q, g, n):
 class TestCenteredCgf:
     def test_zero_at_origin(self, rng):
         p, _, f = random_triple(rng)
-        assert centered_cgf(EmpiricalCgf(p, f), 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert EmpiricalCgf(p, f).evaluate(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_observable_is_zero(self):
         src = EmpiricalCgf(DiscreteDistribution([0.4, 0.6]), Observable([3.0, 3.0]))
         for c in (-5.0, 0.0, 2.0, 50.0):
-            assert centered_cgf(src, c) == pytest.approx(0.0, abs=1e-12)
+            assert src.evaluate(c) == pytest.approx(0.0, abs=1e-12)
 
     def test_bernoulli_value(self):
         src = EmpiricalCgf(DiscreteDistribution([0.5, 0.5]), Observable([0.0, 1.0]))
-        assert centered_cgf(src, 1.0) == pytest.approx(
+        assert src.evaluate(1.0) == pytest.approx(
             math.log(math.cosh(0.5)), abs=1e-12
         )
 
     def test_overflow_safe_at_large_c(self, rng):
         p, _, f = random_triple(rng)
-        value = centered_cgf(EmpiricalCgf(p, f), 1e8)
+        value = EmpiricalCgf(p, f).evaluate(1e8)
         assert math.isfinite(value)
 
     def test_overflowing_spread_raises(self):
@@ -80,8 +79,8 @@ class TestCenteredCgf:
         src = EmpiricalCgf(p, f)
         for _ in range(20):
             a, b = sorted(rng.uniform(-5.0, 5.0, 2))
-            mid = centered_cgf(src, 0.5 * (a + b))
-            assert mid <= 0.5 * (centered_cgf(src, a) + centered_cgf(src, b)) + 1e-10
+            mid = src.evaluate(0.5 * (a + b))
+            assert mid <= 0.5 * (src.evaluate(a) + src.evaluate(b)) + 1e-10
 
 
 class TestAnalyticCgf:
@@ -186,7 +185,7 @@ class TestXiBounds:
             r = relative_entropy(q, p)
             b = xi_bounds(src, r)
             grid = np.logspace(-6.0, 3.0, 10_000)
-            grid_min = min((centered_cgf(src, c) + r) / c for c in grid)
+            grid_min = min((src.evaluate(c) + r) / c for c in grid)
             assert b.xi_plus <= grid_min + 1e-9
 
     def test_monotone_in_entropy_budget(self, rng):

@@ -20,7 +20,6 @@ from infoscale import (
     StructureError,
     TransitionMatrix,
     UnboundedObservableError,
-    centered_cgf,
     cheap_rate_bounds,
     chi2_rate,
     integrated_autocorrelation,
@@ -322,7 +321,7 @@ class TestLambdaCurve:
         g = Observable(rng.uniform(-1, 1, 3))
         src = EmpiricalCgf(DiscreteDistribution(pw), g)
         for c in (-2.0, 0.3, 1.7):
-            assert lambda_pg(p, g, c) == pytest.approx(centered_cgf(src, c), abs=1e-11)
+            assert lambda_pg(p, g, c) == pytest.approx(src.evaluate(c), abs=1e-11)
 
     def test_convex_in_c(self, rng):
         p = random_chain(rng, 3)

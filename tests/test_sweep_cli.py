@@ -31,7 +31,7 @@ from infoscale import (
 )
 from infoscale.cli import main
 from infoscale.exact_models import phase_bound_point
-from infoscale.jsonio import load_chain
+from infoscale.jsonio import load_chain, load_interaction, load_model
 from infoscale.sweep import (
     SweepConfig,
     evaluate_sweep,
@@ -433,6 +433,16 @@ class TestCli:
         ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "type": "field", "coeff": [1]}]}),
         ("gibbs", {"d": 1, "clusters": [5]}),
         ("phase", {"kind": "ising1d", "beta": [1]}),
+        # Non-finite couplings used to run every grid point to a NaN row and
+        # exit 0; fractional dimensions and offsets used to be truncated.
+        ("phase", {"kind": "ising1d", "beta": 1, "J": math.nan}),
+        ("phase", {"kind": "ising1d", "beta": math.inf}),
+        ("phase", {"kind": "ising1d", "beta": 1, "h": -math.inf}),
+        ("phase", {"kind": "ising2d", "beta": 1, "J": math.nan}),
+        ("phase", {"kind": "meanfield", "beta": 1, "h": math.nan}),
+        ("phase", {"kind": "meanfield", "beta": 1, "d": 2.7}),
+        ("gibbs", {"d": 1.5, "clusters": [{"offsets": [[0], [1]], "coeff": -0.5}]}),
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0], [1.7]], "coeff": -0.5}]}),
     ])
     def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"
@@ -443,7 +453,31 @@ class TestCli:
             argv = ["phase", "--q", str(bad), "--p", fixtures["mp.json"], "--sweep", "h",
                     "--start", "0", "--stop", "0.1", "--step", "0.1"]
         assert main(argv) == 1
-        assert f"infoscale: error: {bad}: " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"infoscale: error: {bad}: ")
+
+    def test_integral_floats_still_load(self, tmp_path):
+        # 2.0 is an integer: a mean-field dimension, an interaction dimension
+        # and an offset written with a decimal point load as ints.
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"kind": "meanfield", "beta": 1.0, "d": 2.0}))
+        assert load_model(model) == MeanFieldParams(beta=1.0, d=2)
+        assert type(load_model(model).d) is int
+        inter = tmp_path / "i.json"
+        inter.write_text(json.dumps({"d": 1.0, "clusters": [{"offsets": [[0], [1.0]], "coeff": -0.5}]}))
+        loaded = load_interaction(inter)
+        assert loaded.dimension == 1 and loaded.clusters[0].offsets == ((0,), (1,))
+
+    def test_overflowing_site_total_is_one_error_line(self, fixtures, tmp_path, capsys):
+        # Three sites with g = +-1e154 spread the site total past 1.3e154,
+        # where its variance overflows.
+        obs = tmp_path / "g.json"
+        obs.write_text(json.dumps({"values": [-1e154, 1e154]}))
+        argv = ["gibbs", "--phi", fixtures["phi.json"], "--psi", fixtures["psi.json"],
+                "--n", "1", "--observable", str(obs)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "observable spread" in err[0]
 
     @pytest.mark.parametrize("q, p, sweep", [
         ({"kind": "ising2d", "beta": 1.0}, {"kind": "meanfield", "beta": 1.0, "d": 2}, "h"),
