@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InfoscaleError, FileNotFoundError, ValueError) as exc:
+    except (InfoscaleError, OSError, ValueError) as exc:
         print(f"infoscale: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,9 @@ arithmetic-geometric mean (Abramowitz & Stegun 17.6).
 
 All pressures here are per-site log partition functions in the infinite
 volume limit; couplings are in energy units with the inverse temperature
-carried separately.  Internal lookups share a small memo of mean-field
-solutions keyed by the (frozen, hashable) parameters, so a grid point solves
-each mean-field model once however often its CGF is evaluated.
+carried separately.  The rate, CGF and bound functions read one record per
+model, :func:`model_solution`, memoized on the (frozen, hashable)
+parameters, so a grid point solves each of its models once.
 """
 
 from __future__ import annotations
@@ -249,26 +249,20 @@ class Ising2DQuantities:
     nn_correlation: float
 
 
-def _spontaneous_magnetization(params: Ising2DParams) -> float:
-    """``[1 - sinh^-4(2bJ)]^{1/8}`` above the critical coupling (0 below),
-    with the sign of the branch."""
+def ising2d_quantities(params: Ising2DParams) -> Ising2DQuantities:
+    """Spontaneous magnetization ``[1 - sinh^-4(2bJ)]^{1/8}`` above the
+    critical coupling (0 below, with the sign of the branch; Yang's formula),
+    bond density in Onsager's elliptic-integral form, and the pressure, which
+    alone runs a quadrature."""
     beta, J = params.beta, params.J
+    m0 = 0.0
     if beta > ising2d_critical_beta(J):
         s = math.sinh(2.0 * beta * J) ** 2
         m0 = (1.0 - 1.0 / (s * s)) ** 0.125
-    else:
-        m0 = 0.0
-    return -m0 if params.branch == "minus" else m0
-
-
-def ising2d_quantities(params: Ising2DParams) -> Ising2DQuantities:
-    """Spontaneous magnetization and bond density in closed form (Yang's
-    formula and Onsager's elliptic-integral form), and the pressure, which
-    alone runs a quadrature."""
     return Ising2DQuantities(
-        spontaneous_magnetization=_spontaneous_magnetization(params),
-        pressure=onsager_pressure(params.beta, params.J),
-        nn_correlation=onsager_bond_density(params.beta, params.J),
+        spontaneous_magnetization=-m0 if params.branch == "minus" else m0,
+        pressure=onsager_pressure(beta, J),
+        nn_correlation=onsager_bond_density(beta, J),
     )
 
 
@@ -337,65 +331,46 @@ def meanfield_solve(params: MeanFieldParams) -> MeanFieldQuantities:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _solved(params: MeanFieldParams) -> MeanFieldQuantities:
-    """Memoized :func:`meanfield_solve` for the lookups below; the public
-    function stays uncached, so each of its calls is a real solve."""
-    return meanfield_solve(params)
-
-
 # ---------------------------------------------------------------------------
 # Cross-model quantities
 # ---------------------------------------------------------------------------
 
-def magnetization(model: ModelSpec) -> float:
+@dataclass(frozen=True)
+class ModelSolution:
+    """What the cross-model formulas read of one model.
+
+    The per-site Hamiltonian is ``-bond_coeff * (nn bond sum) - field_coeff
+    * (spin sum)``, beta included; mean field has no bond term (its
+    ``bond_density`` is NaN) and the 2-D model is never a baseline (its
+    ``variance_per_site`` is NaN).
+    """
+
+    magnetization: float
+    pressure: float
+    bond_density: float
+    variance_per_site: float
+    bond_coeff: float
+    field_coeff: float
+
+
+@functools.lru_cache(maxsize=8)
+def model_solution(model: ModelSpec) -> ModelSolution:
+    """The closed-form solution of one model, memoized on its (frozen)
+    parameters, so a grid point solves each of its models once however
+    often its rate or CGF is evaluated."""
     if isinstance(model, Ising1DParams):
-        return ising1d_quantities(model).magnetization
+        q = ising1d_quantities(model)
+        return ModelSolution(q.magnetization, q.pressure, q.nn_correlation,
+                             q.variance_per_site, model.beta * model.J, model.beta * model.h)
     if isinstance(model, Ising2DParams):
-        return _spontaneous_magnetization(model)
+        q = ising2d_quantities(model)
+        return ModelSolution(q.spontaneous_magnetization, q.pressure, q.nn_correlation,
+                             math.nan, model.beta * model.J, 0.0)
     if isinstance(model, MeanFieldParams):
-        return _solved(model).m
+        q = meanfield_solve(model)
+        return ModelSolution(q.m, q.pressure, math.nan, q.variance_per_site,
+                             0.0, model.beta * q.h_mf)
     raise UnsupportedModelError(f"unknown model {model!r}")
-
-
-def pressure(model: ModelSpec) -> float:
-    if isinstance(model, Ising1DParams):
-        return ising1d_quantities(model).pressure
-    if isinstance(model, Ising2DParams):
-        return onsager_pressure(model.beta, model.J)
-    if isinstance(model, MeanFieldParams):
-        return _solved(model).pressure
-    raise UnsupportedModelError(f"unknown model {model!r}")
-
-
-def variance_per_site(model: ModelSpec) -> float:
-    if isinstance(model, Ising1DParams):
-        return ising1d_quantities(model).variance_per_site
-    if isinstance(model, MeanFieldParams):
-        return _solved(model).variance_per_site
-    raise UnsupportedModelError(
-        "per-site variance has no closed form for this model here"
-    )
-
-
-def _energy_coefficients(model: ModelSpec) -> tuple[float, float]:
-    """(bond coefficient, field coefficient): the per-site Hamiltonian is
-    ``-a_bond * (nn bond sum) - a_field * (spin sum)`` per site."""
-    if isinstance(model, Ising1DParams):
-        return model.beta * model.J, model.beta * model.h
-    if isinstance(model, Ising2DParams):
-        return model.beta * model.J, 0.0
-    if isinstance(model, MeanFieldParams):
-        return 0.0, model.beta * _solved(model).h_mf
-    raise UnsupportedModelError(f"unknown model {model!r}")
-
-
-def _bond_density(model: ModelSpec) -> float:
-    if isinstance(model, Ising1DParams):
-        return ising1d_quantities(model).nn_correlation
-    if isinstance(model, Ising2DParams):
-        return onsager_bond_density(model.beta, model.J)
-    raise UnsupportedModelError("bond density is only needed for Ising targets")
 
 
 _SUPPORTED_PAIRS = {
@@ -443,13 +418,11 @@ def cross_model_re_rate(model_q: ModelSpec, model_p: ModelSpec) -> float:
     spacing of m.
     """
     _check_supported_pair(model_q, model_p)
-    bond_q, field_q = _energy_coefficients(model_q)
-    bond_p, field_p = _energy_coefficients(model_p)
-    m_q = magnetization(model_q)
-    energy_gap = (field_q - field_p) * m_q
-    if bond_q != bond_p:
-        energy_gap += (bond_q - bond_p) * _bond_density(model_q)
-    rate = pressure(model_p) - pressure(model_q) + energy_gap
+    q, p = model_solution(model_q), model_solution(model_p)
+    energy_gap = (q.field_coeff - p.field_coeff) * q.magnetization
+    if q.bond_coeff != p.bond_coeff:
+        energy_gap += (q.bond_coeff - p.bond_coeff) * q.bond_density
+    rate = p.pressure - q.pressure + energy_gap
     if rate < -1e-9:
         raise NumericsError(f"relative entropy rate evaluated to {rate!r} < 0")
     return max(rate, 0.0)
@@ -464,7 +437,7 @@ def model_cgf(model_p: ModelSpec, c: float) -> float:
     baseline.
     """
     if isinstance(model_p, MeanFieldParams):
-        x = model_p.beta * _solved(model_p).h_mf
+        x = model_solution(model_p).field_coeff
         if abs(c) > 1.0:
             return _log_two_cosh(c + x) - _log_two_cosh(x)
         # log[cosh c + tanh(x) sinh c] in log1p form: the difference above
@@ -535,11 +508,12 @@ def phase_bound_point(
     qp = replace(model_q, **{sweep_parameter: param_value})
     pp = replace(model_p, **{sweep_parameter: param_value})
     try:
-        baseline = magnetization(pp)
-        true_qoi = magnetization(qp)
+        base = model_solution(pp)
+        baseline = base.magnetization
+        true_qoi = model_solution(qp).magnetization
         rate = cross_model_re_rate(qp, pp)
         source = AnalyticCgf(fn=lambda c: model_cgf(pp, c) - c * baseline, check_contract=False)
-        bound = xi_bounds(source, rate, variance=variance_per_site(pp))
+        bound = xi_bounds(source, rate, variance=base.variance_per_site)
     except ArithmeticError as exc:  # overflow of an exact formula far from its range
         raise NumericsError(f"{sweep_parameter} = {param_value!r}: {exc}") from exc
     return PhasePoint(

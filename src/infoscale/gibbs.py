@@ -396,17 +396,25 @@ def _check_compatible(a: GibbsMeasure, b: GibbsMeasure) -> None:
 
 
 def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure) -> float:
-    """``R(mu^Psi || mu^Phi) = log Z^Phi - log Z^Psi + E_Psi(H^Phi - H^Psi)``."""
+    """``R(mu^Psi || mu^Phi) = log Z^Phi - log Z^Psi - E_Psi(D)`` with
+    ``D = H^Psi - H^Phi``.
+
+    The identity subtracts O(1) log partition functions, so a relative
+    entropy near rounding level comes back as noise.  Where D, centred under
+    Psi, stays within [-1, 1], R is taken as ``log E_Psi e^D - E_Psi D`` in
+    ``log1p``/``expm1`` form instead, which keeps its digits.
+    """
     _check_compatible(psi_measure, phi_measure)
-    with np.errstate(over="ignore"):
-        gap = phi_measure.energies - psi_measure.energies
+    expect = psi_measure.expectation
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = psi_measure.energies - phi_measure.energies
+        centred = gap - expect(gap)  # past the float range, the identity runs
     if not np.all(np.isfinite(gap)):
         raise ParameterError("the Hamiltonian difference H^Phi - H^Psi leaves the float range")
-    value = (
-        phi_measure.log_partition
-        - psi_measure.log_partition
-        + psi_measure.expectation(gap)
-    )
+    if float(np.abs(centred).max()) <= 1.0:
+        value = math.log1p(expect(np.expm1(centred))) - expect(centred)
+    else:
+        value = phi_measure.log_partition - psi_measure.log_partition - expect(gap)
     return max(value, 0.0)
 
 

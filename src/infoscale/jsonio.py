@@ -48,9 +48,23 @@ def _numbers(path, field: str, make, data: dict, **kwargs):
         raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
 
 
+def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:
+    """A key outside ``known`` is a typo that would silently run a default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ParameterError(f"{where}: unknown field(s) {', '.join(map(repr, unknown))}")
+
+
+def _float(value) -> float:
+    """``float(value)``, except that a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
     """``value`` as an int; a fraction or a non-finite number raises ValueError."""
-    if not float(value).is_integer():
+    if not _float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -91,20 +105,23 @@ def load_interaction(path) -> Interaction:
     from .gibbs import Interaction, SpinCluster, spin_product_cluster
 
     data = _load_json(path)
+    _reject_unknown(data, ("d", "spins", "clusters"), str(path))
     try:
         dimension = _integer(_require(data, "d", path))
-        spins = tuple(float(s) for s in data.get("spins", (-1.0, 1.0)))
+        spins = tuple(_float(s) for s in data.get("spins", (-1.0, 1.0)))
         clusters: list[SpinCluster] = []
         for i, spec in enumerate(_require(data, "clusters", path)):
             if not isinstance(spec, dict):
                 raise ParameterError(f"{path}: cluster {i} must be a JSON object")
+            _reject_unknown(spec, ("offsets", "type", "coeff"), f"{path}: cluster {i}")
             kind = spec.get("type", "product")
             if kind not in ("product", "pair_product", "field"):
                 raise ParameterError(f"{path}: cluster {i} has unknown type {kind!r}")
             if "offsets" not in spec or "coeff" not in spec:
                 raise ParameterError(f"{path}: cluster {i} needs 'offsets' and 'coeff'")
             try:
-                clusters.append(spin_product_cluster(spec["offsets"], float(spec["coeff"])))
+                offsets = [[_float(v) for v in offset] for offset in spec["offsets"]]
+                clusters.append(spin_product_cluster(offsets, _float(spec["coeff"])))
             except (ParameterError, DimensionError) as exc:
                 raise type(exc)(f"{path}: cluster {i}: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -112,34 +129,42 @@ def load_interaction(path) -> Interaction:
     return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)
 
 
+_MODEL_FIELDS = {
+    "ising1d": ("kind", "beta", "J", "h"),
+    "ising2d": ("kind", "beta", "J", "branch"),
+    "meanfield": ("kind", "beta", "J", "h", "d", "branch"),
+}
+
+
 def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise ParameterError(
+            f"{source}: model kind must be 'ising1d', 'ising2d' or 'meanfield', got {kind!r}"
+        )
+    _reject_unknown(data, _MODEL_FIELDS[kind], f"{source}: {kind} model")
     try:
         if kind == "ising1d":
             return Ising1DParams(
-                beta=float(data["beta"]), J=float(data.get("J", 1.0)),
-                h=float(data.get("h", 0.0)),
+                beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
+                h=_float(data.get("h", 0.0)),
             )
         if kind == "ising2d":
             return Ising2DParams(
-                beta=float(data["beta"]), J=float(data.get("J", 1.0)),
+                beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
                 branch=data.get("branch", "plus"),
             )
-        if kind == "meanfield":
-            return MeanFieldParams(
-                beta=float(data["beta"]), J=float(data.get("J", 1.0)),
-                h=float(data.get("h", 0.0)), d=_integer(data.get("d", 1)),
-                branch=data.get("branch", "upper"),
-            )
+        return MeanFieldParams(
+            beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
+            h=_float(data.get("h", 0.0)), d=_integer(data.get("d", 1)),
+            branch=data.get("branch", "upper"),
+        )
     except KeyError as exc:
         raise ParameterError(f"{source}: missing model field {exc}") from exc
     except ParameterError as exc:
         raise ParameterError(f"{source}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{source}: malformed model field: {exc}") from exc
-    raise ParameterError(
-        f"{source}: model kind must be 'ising1d', 'ising2d' or 'meanfield', got {kind!r}"
-    )
 
 
 def load_model(path) -> ModelSpec:

@@ -29,11 +29,10 @@ from infoscale import (
 )
 from infoscale.exact_models import (
     ising1d_pressure_tilted,
-    magnetization,
+    model_solution,
     onsager_bond_density,
     onsager_pressure,
     phase_bound_point,
-    variance_per_site,
 )
 from infoscale.quadrature import adaptive_simpson
 from infoscale.sweep import evaluate_sweep, figure_preset
@@ -480,7 +479,7 @@ class TestModelCgf:
         ):
             eps = 1e-5
             fd = (model_cgf(model, eps) - model_cgf(model, -eps)) / (2.0 * eps)
-            assert fd == pytest.approx(magnetization(model), abs=1e-7)
+            assert fd == pytest.approx(model_solution(model).magnetization, abs=1e-7)
 
     def test_second_derivative_is_variance(self):
         for model in (
@@ -489,7 +488,7 @@ class TestModelCgf:
         ):
             eps = 1e-5
             fd = (model_cgf(model, eps) - 2.0 * model_cgf(model, 0.0) + model_cgf(model, -eps)) / eps**2
-            assert fd == pytest.approx(variance_per_site(model), abs=1e-5)
+            assert fd == pytest.approx(model_solution(model).variance_per_site, abs=1e-5)
 
     def test_meanfield_small_tilt_keeps_quadratic_term(self):
         # log cosh c = c^2/2 - c^4/12 + ...; a difference of two log(2 cosh)
@@ -585,7 +584,7 @@ class TestPhaseBoundPoint:
         q = MeanFieldParams(beta=10.0, J=0.1, h=0.05)
         p = MeanFieldParams(beta=10.0, J=1.0, h=3.0)
         row = phase_bound_point(q, p, 10.0, "beta")
-        assert variance_per_site(p) == 0.0
+        assert model_solution(p).variance_per_site == 0.0
         assert row.xi_lower <= row.true_qoi <= row.xi_upper
         assert row.xi_lower < 0.9
         assert row.lin_lower == row.lin_upper == row.baseline_qoi
@@ -608,7 +607,7 @@ class TestPhaseBoundPoint:
 
 def _count_calls(monkeypatch, name):
     """Record each call of the module-level ``exact_models.<name>``, with an
-    empty mean-field memo."""
+    empty memo of model solutions."""
     calls = []
     real = getattr(exact_models, name)
 
@@ -617,7 +616,7 @@ def _count_calls(monkeypatch, name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(exact_models, name, counted)
-    exact_models._solved.cache_clear()
+    exact_models.model_solution.cache_clear()
     return calls
 
 
@@ -628,12 +627,13 @@ class TestSolveCounts:
         assert failures == 0
         assert len(solves) <= 2 * len(rows)
 
-    def test_2d_magnetization_runs_no_quadrature(self, monkeypatch):
-        runs = _count_calls(monkeypatch, "adaptive_simpson")
-        for beta in (0.3, 0.6):
-            for branch in ("plus", "minus"):
-                magnetization(Ising2DParams(beta=beta, J=1.0, branch=branch))
-        assert runs == []
+    @pytest.mark.parametrize("preset, chains", [("3a", 1), ("5a", 2), ("5b", 2)])
+    def test_chain_presets_solve_each_model_once_per_point(self, monkeypatch, preset, chains):
+        # A chain baseline's CGF is its tilted pressure, which is no solve.
+        solves = _count_calls(monkeypatch, "ising1d_quantities")
+        rows, failures = evaluate_sweep(figure_preset(preset))
+        assert failures == 0
+        assert len(solves) == len(set(solves)) == chains * len(rows)
 
     def test_2d_point_runs_one_quadrature(self, monkeypatch):
         # The pressure; the bond density is a closed form.

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import assert_cgf_matches_oracle
@@ -215,6 +216,14 @@ class TestLogPartition:
         assert math.isfinite(log_partition(phi, LatticeVolume.chain(25)))
 
 
+def _field_and_next_nearest(k):
+    """A unit field (coefficient -1) and a next-nearest coupling k on a chain."""
+    return Interaction(dimension=1, clusters=(
+        spin_product_cluster(((0,), (2,)), k),
+        spin_product_cluster(((0,),), -1.0),
+    ))
+
+
 class TestGibbsRelativeEntropy:
     def test_same_interaction_gives_zero(self):
         phi = ising_interaction(0.5, 1.0, 0.2, 1)
@@ -241,6 +250,26 @@ class TestGibbsRelativeEntropy:
                 n = volume.num_sites
                 assert abs(m_phi.log_partition - m_psi.log_partition) <= n * gap_norm + 1e-10
                 assert gibbs_relative_entropy(m_phi, m_psi) / n <= 2.0 * gap_norm + 1e-10
+
+    def test_rounding_level_entropy_against_mpmath(self):
+        # A -1e-8 next-nearest coupling on 5 sites: R is about 1.2e-16, where
+        # log Z^Phi - log Z^Psi + E_Psi(H^Phi - H^Psi) once gave 7.0e-17.
+        # The oracle runs on the exact Hamiltonians; the float energies carry
+        # a relative error of about 1e-8 in the coupling term.
+        phi, psi = _field_and_next_nearest(-1e-8), _field_and_next_nearest(0.0)
+        vol = LatticeVolume.chain(5)
+        got = gibbs_relative_entropy(GibbsMeasure(psi, vol), GibbsMeasure(phi, vol))
+        with mpmath.workdps(50):
+            configs = list(itertools.product((-1, 1), repeat=5))
+            h_phi = [mpmath.mpf(-1e-8) * sum(s[x] * s[x + 2] for x in range(3)) - sum(s)
+                     for s in configs]
+            h_psi = [-mpmath.mpf(sum(s)) for s in configs]
+            z_phi = mpmath.fsum(mpmath.exp(-h) for h in h_phi)
+            z_psi = mpmath.fsum(mpmath.exp(-h) for h in h_psi)
+            want = mpmath.log(z_phi / z_psi) + mpmath.fsum(
+                mpmath.exp(-b) * (a - b) for a, b in zip(h_phi, h_psi)
+            ) / z_psi
+        assert got == pytest.approx(float(want), rel=1e-6, abs=0.0)
 
     def test_volume_mismatch(self):
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
@@ -557,6 +586,13 @@ class TestGibbsSandwichProperties:
     @given(pair=_gibbs_pairs())
     def test_random_volumes(self, pair):
         _assert_gibbs_sandwich(*pair)
+
+    def test_rounding_level_entropy(self):
+        # Gap and bound half widths are about 4e-9 here; R of 1.2e-16 read as
+        # rounding noise put the gap outside the finite-volume interval.
+        _assert_gibbs_sandwich(
+            _field_and_next_nearest(-1e-8), _field_and_next_nearest(0.0), LatticeVolume.chain(5)
+        )
 
     def test_tiny_budget_keeps_the_sign(self):
         # Psi drops a 1e-130 next-nearest coupling, so the surrogate budget is

@@ -443,6 +443,17 @@ class TestCli:
         ("phase", {"kind": "meanfield", "beta": 1, "d": 2.7}),
         ("gibbs", {"d": 1.5, "clusters": [{"offsets": [[0], [1]], "coeff": -0.5}]}),
         ("gibbs", {"d": 1, "clusters": [{"offsets": [[0], [1.7]], "coeff": -0.5}]}),
+        # Unknown keys used to load silently and run the defaults, and a JSON
+        # boolean used to load as 0 or 1.
+        ("phase", {"kind": "ising1d", "beta": 1, "j": 2}),
+        ("phase", {"kind": "ising2d", "beta": 1, "h": 0.3}),
+        ("phase", {"kind": "meanfield", "beta": 1, "d": True}),
+        ("phase", {"kind": "ising1d", "beta": True}),
+        ("gibbs", {"d": 1, "spin": [-1, 1], "clusters": [{"offsets": [[0]], "coeff": -0.5}]}),
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "coef": -0.5, "coeff": 0.0}]}),
+        ("gibbs", {"d": True, "clusters": [{"offsets": [[0]], "coeff": -0.5}]}),
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "coeff": False}]}),
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0], [True]], "coeff": -0.5}]}),
     ])
     def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"
@@ -585,6 +596,17 @@ class TestCli:
         code = main(["divergence", "--p", str(tmp_path / "nope.json"), "--q", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["input", "out"])
+    def test_directory_path_is_one_error_line(self, fixtures, tmp_path, capsys, where):
+        # Reading or writing a directory raised a raw IsADirectoryError.
+        q = str(tmp_path) if where == "input" else fixtures["mq.json"]
+        out = ["--out", str(tmp_path)] if where == "out" else []
+        code = main([*out, "phase", "--q", q, "--p", fixtures["mp.json"], "--sweep", "h",
+                     "--start", "0", "--stop", "0.1", "--step", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infoscale: error: ")
 
     def test_invalid_json_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
