@@ -54,7 +54,6 @@ _EXPORTS = {
         "ising2d_quantities",
         "meanfield_solve",
         "model_cgf",
-        "phase_bound",
     ),
     "gibbs": (
         "GibbsMeasure",

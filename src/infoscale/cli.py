@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, sweep
-from .errors import InfoscaleError
+from .errors import InfoscaleError, ParameterError
 
 log = logging.getLogger("infoscale.cli")
 
@@ -80,25 +80,23 @@ def _cmd_goal_bound(args) -> int:
 
 def _cmd_markov(args) -> int:
     from . import markov
-    from .goal_oriented import xi_bounds
 
     p = jsonio.load_chain(args.p)
     q = jsonio.load_chain(args.q)
     g = jsonio.load_observable(args.observable)
-    setup = markov._rate_bound_setup(q, p, g)
-    bound = xi_bounds(setup.source, setup.rer, variance=setup.variance)
+    cheap = markov.cheap_rate_bounds(q, p, g) if args.cheap else None
+    bound = cheap.exact if args.cheap else markov.xi_rate_bounds(q, p, g)
     payload = {
-        "rer": setup.rer,
+        "rer": bound.rer,
         "renyi_rate": markov.renyi_rate(q, p, args.alpha),
         "renyi_alpha": args.alpha,
         "chi2_rate": markov.chi2_rate(q, p),
-        "xi_plus": bound.xi_plus,
-        "xi_minus": bound.xi_minus,
-        "iact": setup.iact,
-        "stationary_gap": g.expectation(setup.mu_q) - g.expectation(setup.mu_p),
+        "xi_plus": bound.xi_plus_rate,
+        "xi_minus": bound.xi_minus_rate,
+        "iact": bound.iact,
+        "stationary_gap": g.expectation(bound.mu_q) - g.expectation(bound.mu_p),
     }
     if args.cheap:
-        cheap = markov._cheap_rate_bounds(q, p, setup)
         payload.update(
             {
                 "sup_row_re": cheap.sup_row_re,
@@ -112,7 +110,7 @@ def _cmd_markov(args) -> int:
     if args.enumerate is not None:
         steps = args.enumerate
         path = markov.path_divergence_report(
-            p, q, steps, nu_p=setup.mu_p, nu_q=setup.mu_q, alpha=args.alpha
+            p, q, steps, nu_p=bound.mu_p, nu_q=bound.mu_q, alpha=args.alpha
         )
         payload.update(
             {
@@ -164,6 +162,8 @@ def _cmd_gibbs(args) -> int:
 
 
 def _run_config(config: sweep.SweepConfig, args) -> int:
+    if args.jobs < 1:
+        raise ParameterError("--jobs must be at least 1")
     rows, failures = sweep.run_sweep(config)
     if failures:
         log.warning("%d of %d grid points failed", failures, len(rows))
@@ -182,7 +182,6 @@ def _cmd_phase(args) -> int:
         step=args.step,
         output_path=args.out,
         fmt=args.format,
-        jobs=args.jobs,
         strict=args.strict,
     )
     return _run_config(config, args)
@@ -195,7 +194,6 @@ def _cmd_figure(args) -> int:
         sweep.figure_preset(args.name),
         output_path=args.out,
         fmt=args.format,
-        jobs=args.jobs,
         strict=args.strict,
     )
     return _run_config(config, args)

@@ -526,15 +526,3 @@ def phase_bound_point(
         lin_upper=baseline + bound.linearized_half_width,
         re_rate=rate,
     )
-
-
-def phase_bound(
-    model_q: ModelSpec,
-    model_p: ModelSpec,
-    sweep_parameter: str,
-    values,
-) -> list[PhasePoint]:
-    """Evaluate :func:`phase_bound_point` over a parameter grid, in order."""
-    return [
-        phase_bound_point(model_q, model_p, float(v), sweep_parameter) for v in values
-    ]

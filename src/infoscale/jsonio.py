@@ -40,10 +40,21 @@ def _require(data: dict, field: str, path) -> object:
     return data[field]
 
 
+def _has_boolean(value) -> bool:
+    """Whether a JSON boolean sits in ``value``, a number or nested lists of them."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    types = set(map(type, value))
+    return bool in types or (list in types and any(map(_has_boolean, value)))
+
+
 def _numbers(path, field: str, make, data: dict, **kwargs):
     """``make(data[field], **kwargs)``; a non-numeric field names its file."""
+    value = _require(data, field, path)
     try:
-        return make(_require(data, field, path), **kwargs)
+        if _has_boolean(value):
+            raise TypeError("a JSON boolean is not a number")
+        return make(value, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
 
@@ -74,6 +85,7 @@ def load_distribution(path, *, renormalize: bool = False) -> DiscreteDistributio
     from .divergences import DiscreteDistribution
 
     data = _load_json(path)
+    _reject_unknown(data, ("weights",), str(path))
     return _numbers(path, "weights", DiscreteDistribution, data, renormalize=renormalize)
 
 
@@ -81,7 +93,9 @@ def load_observable(path) -> Observable:
     """Read ``{"values": [...]}``."""
     from .divergences import Observable
 
-    return _numbers(path, "values", Observable, _load_json(path))
+    data = _load_json(path)
+    _reject_unknown(data, ("values",), str(path))
+    return _numbers(path, "values", Observable, data)
 
 
 def load_chain(path) -> TransitionMatrix:
@@ -89,6 +103,7 @@ def load_chain(path) -> TransitionMatrix:
     from .markov import TransitionMatrix
 
     data = _load_json(path)
+    _reject_unknown(data, ("rows", "labels"), str(path))
     return _numbers(path, "rows", TransitionMatrix, data, labels=data.get("labels"))
 
 

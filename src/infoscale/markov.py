@@ -7,6 +7,10 @@ The steady-state QoI gap ``E_{mu_q}(g) - E_{mu_p}(g)`` is sandwiched by
 optimizing ``(lambda_{p,g}(c) + r)/c`` over c, exactly as in the
 single-measure goal-oriented bound with the CGF replaced by the principal
 eigenvalue curve.
+
+:func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
+(stationary laws, rate, lambda-curve, IACT); :func:`cheap_rate_bounds`
+reuses it for the two surrogate rates.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, DivergenceReport, Observable, divergence_report
+from .divergences import (
+    _RENYI_KL_WINDOW, DiscreteDistribution, DivergenceReport, Observable, divergence_report,
+)
 from .errors import (
     AbsoluteContinuityError,
     DimensionError,
@@ -170,24 +176,19 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
     return DiscreteDistribution(mu, renormalize=True)
 
 
-def _row_kl(q_row: np.ndarray, p_row: np.ndarray) -> float:
-    mask = q_row > 0
-    return float(np.sum(q_row[mask] * (np.log(q_row[mask]) - np.log(p_row[mask]))))
+def _row_relative_entropies(q: TransitionMatrix, p: TransitionMatrix) -> np.ndarray:
+    """``R(q(x,.) || p(x,.))`` for every state x, with ``0 log 0 = 0``."""
+    support = q.rows > 0
+    terms = np.zeros_like(q.rows)
+    terms[support] = q.rows[support] * (np.log(q.rows[support]) - np.log(p.rows[support]))
+    return terms.sum(axis=1)
 
 
 def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_row_ac(q, p)
-    return _relative_entropy_rate(q, p, stationary_distribution(q).weights)
-
-
-def _relative_entropy_rate(
-    q: TransitionMatrix, p: TransitionMatrix, mu_q: np.ndarray
-) -> float:
-    total = sum(
-        mu_q[x] * _row_kl(q.rows[x], p.rows[x]) for x in range(q.size)
-    )
-    return max(float(total), 0.0)
+    rows = _row_relative_entropies(q, p)
+    return max(float(stationary_distribution(q).weights @ rows), 0.0)
 
 
 def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
@@ -199,7 +200,7 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     """
     if not (alpha > 0):
         raise ParameterError(f"Renyi order must be positive, got {alpha!r}")
-    if abs(alpha - 1.0) < 1e-6:
+    if abs(alpha - 1.0) < _RENYI_KL_WINDOW:
         if alpha == 1.0:
             raise ParameterError("Renyi order 1 is the KL rate; use relative_entropy_rate")
         return relative_entropy_rate(q, p)
@@ -272,7 +273,7 @@ class RateBound:
     ``xi_minus_rate <= E_{mu_q}(g) - E_{mu_p}(g) <= xi_plus_rate``.
     ``iact`` is the integrated autocorrelation of g under p (NaN when p is
     periodic, where the autocovariance series has no absolute-convergence
-    guarantee).
+    guarantee); ``mu_q`` and ``mu_p`` are the two stationary laws.
     """
 
     rer: float
@@ -280,6 +281,8 @@ class RateBound:
     xi_minus_rate: float
     lambda_curve: Callable[[float], float]
     iact: float
+    mu_q: DiscreteDistribution
+    mu_p: DiscreteDistribution
 
 
 def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
@@ -310,35 +313,11 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     return max(value, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class _RateSetup:
-    """What the steady-state bounds of one chain pair share: both stationary
-    laws, the lambda-curve source of p and g, the IACT of g under p (NaN for
-    a periodic p) and the relative entropy rate."""
-
-    mu_q: DiscreteDistribution
-    mu_p: DiscreteDistribution
-    source: AnalyticCgf
-    iact: float
-    rer: float
-
-    @property
-    def variance(self) -> float | None:
-        """The IACT as the variance for :func:`xi_bounds`, None where it is NaN."""
-        return self.iact if math.isfinite(self.iact) else None
-
-
-def _rate_bound_setup(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> _RateSetup:
-    _require_mutual_row_ac(q, p)
-    _check_observable(p, g)
-    mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
-    centered = g.values - float(mu_p.weights @ g.values)
-    source = AnalyticCgf(fn=_lambda_curve(p.rows, centered), check_contract=False)
-    try:
-        iact = integrated_autocorrelation(p, g)
-    except StructureError:  # p is periodic
-        iact = math.nan
-    return _RateSetup(mu_q, mu_p, source, iact, _relative_entropy_rate(q, p, mu_q.weights))
+def _optimized(curve: Callable[[float], float], iact: float, rate: float) -> GoalBound:
+    """The goal-oriented bound of the lambda-curve at entropy budget ``rate``,
+    linearized with the IACT (or, where it is NaN, the curve's own variance)."""
+    source = AnalyticCgf(fn=curve, check_contract=False)
+    return xi_bounds(source, rate, variance=iact if math.isfinite(iact) else None)
 
 
 def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> RateBound:
@@ -348,15 +327,18 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     entropy rate, and the mirrored supremum below; c = 0 is understood as the
     limiting value, which the degenerate short-circuit (r = 0) returns.
     """
-    setup = _rate_bound_setup(q, p, g)
-    bound = xi_bounds(setup.source, setup.rer, variance=setup.variance)
-    return RateBound(
-        rer=setup.rer,
-        xi_plus_rate=bound.xi_plus,
-        xi_minus_rate=bound.xi_minus,
-        lambda_curve=setup.source.fn,
-        iact=setup.iact,
-    )
+    _require_mutual_row_ac(q, p)
+    _check_observable(p, g)
+    mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
+    centered = g.values - float(mu_p.weights @ g.values)
+    curve = _lambda_curve(p.rows, centered)
+    try:
+        iact = integrated_autocorrelation(p, g)
+    except StructureError:  # p is periodic
+        iact = math.nan
+    rer = max(float(mu_q.weights @ _row_relative_entropies(q, p)), 0.0)
+    bound = _optimized(curve, iact, rer)
+    return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, mu_q, mu_p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,14 +346,18 @@ class CheapRateBounds:
     """Rate bounds recomputed with the two computable entropy-rate surrogates.
 
     ``rer <= sup_row_re <= sup_log_ratio`` always, so each surrogate yields a
-    valid but wider sandwich than the exact-rate bound.
+    valid but wider sandwich than the exact-rate bound ``exact``.
     """
 
-    rer: float
+    exact: RateBound
     sup_row_re: float
     sup_log_ratio: float
     bounds_sup_row_re: GoalBound
     bounds_sup_log_ratio: GoalBound
+
+    @property
+    def rer(self) -> float:
+        return self.exact.rer
 
 
 def cheap_rate_bounds(
@@ -382,21 +368,17 @@ def cheap_rate_bounds(
     Both surrogates dominate the relative entropy rate; the returned
     GoalBounds carry the corresponding optimized intervals and the linearized
     half-widths ``sqrt(v) sqrt(2 surrogate)`` with v the integrated
-    autocorrelation.
+    autocorrelation.  The exact-rate bound of :func:`xi_rate_bounds`, whose
+    lambda-curve and IACT these reuse, comes along as ``exact``.
     """
-    return _cheap_rate_bounds(q, p, _rate_bound_setup(q, p, g))
-
-
-def _cheap_rate_bounds(
-    q: TransitionMatrix, p: TransitionMatrix, setup: _RateSetup
-) -> CheapRateBounds:
-    sup_row = max(_row_kl(q.rows[x], p.rows[x]) for x in range(q.size))
+    exact = xi_rate_bounds(q, p, g)
+    sup_row = float(_row_relative_entropies(q, p).max())
     support = q.rows > 0
     sup_ratio = float(
         np.max(np.abs(np.log(q.rows[support]) - np.log(p.rows[support])))
     )
-    bounds = [xi_bounds(setup.source, r, variance=setup.variance) for r in (sup_row, sup_ratio)]
-    return CheapRateBounds(setup.rer, sup_row, sup_ratio, *bounds)
+    bounds = [_optimized(exact.lambda_curve, exact.iact, r) for r in (sup_row, sup_ratio)]
+    return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
 
 
 def _path_law(nu: DiscreteDistribution, rows: np.ndarray, n_steps: int) -> DiscreteDistribution:

@@ -1,11 +1,11 @@
 """Phase-diagram sweep orchestration, figure presets, and CSV/JSON emission.
 
-Grid points are evaluated one after another and emitted in ascending
-parameter order.  ``jobs`` is accepted and validated for compatibility but
-changes neither the output nor the speed: the points are pure-Python work
-that threads cannot overlap.  A numerical failure at a grid point becomes a
-row of NaNs plus a one-line warning naming the error (with its traceback
-only at debug level), or an abort in strict mode.
+Grid points are evaluated one after another, in one process, and emitted in
+ascending parameter order: they are pure-Python work that threads cannot
+overlap, so the CLI's ``--jobs`` flag changes neither the output nor the
+speed.  A numerical failure at a grid point becomes a row of NaNs plus a
+one-line warning naming the error (with its traceback only at debug level),
+or an abort in strict mode.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class SweepConfig:
     step: float
     output_path: str | None = None
     fmt: str = "csv"
-    jobs: int = 1
     strict: bool = False
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class SweepConfig:
         check_phase_sweep(self.model_q, self.model_p, self.sweep_parameter)
         if self.fmt not in ("csv", "json"):
             raise ParameterError("format must be 'csv' or 'json'")
-        if self.jobs < 1:
-            raise ParameterError("jobs must be at least 1")
         if not (self.stop - self.start) / self.step < _MAX_GRID_POINTS:
             raise ParameterError(f"the grid exceeds the cap of {_MAX_GRID_POINTS} points")
 

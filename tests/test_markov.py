@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -303,6 +304,19 @@ class TestRates:
             relative_entropy_rate(q, p)
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_relative_entropies_match_relative_entropy(self, seed):
+        # Banded pattern: most entries of each row are zero (0 log 0 = 0).
+        q, p, _ = _chain_pair(seed, 12, 2.0, True)
+        rows = markov._row_relative_entropies(q, p)
+        assert (q.rows == 0).any()
+        for x in range(q.size):
+            want = relative_entropy(
+                DiscreteDistribution(q.rows[x]), DiscreteDistribution(p.rows[x])
+            )
+            assert abs(rows[x] - want) <= 1e-15, x
+
+
 class TestLambdaCurve:
     def test_zero_at_origin(self, rng):
         p = random_chain(rng, 3)
@@ -429,6 +443,26 @@ class TestCheapBounds:
             cb = cheap_rate_bounds(q, p, g)
             assert cb.rer <= cb.sup_row_re + 1e-12
             assert cb.sup_row_re <= cb.sup_log_ratio + 1e-12
+
+    def test_exact_is_the_rate_bound(self, rng):
+        flip = np.array([[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4],
+                         [0.5, 0.5, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]])
+        periodic_p = TransitionMatrix(flip)
+        periodic_q = TransitionMatrix(np.where(flip > 0, 0.5, 0.0))
+        pairs = [(random_chain(rng, 4), random_chain(rng, 4)) for _ in range(5)]
+        for q, p in pairs + [(periodic_q, periodic_p)]:
+            g = Observable(rng.uniform(-1, 1, 4))
+            exact, want = cheap_rate_bounds(q, p, g).exact, xi_rate_bounds(q, p, g)
+            for field in dataclasses.fields(want):
+                a, b = getattr(exact, field.name), getattr(want, field.name)
+                if isinstance(b, DiscreteDistribution):
+                    np.testing.assert_array_equal(a.weights, b.weights)
+                elif callable(b):
+                    cs = (-2.0, -0.3, 0.3, 2.0)
+                    assert [a(c) for c in cs] == [b(c) for c in cs], field.name
+                else:
+                    assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+        assert math.isnan(want.iact) and not periodic_p.is_aperiodic()
 
     def test_intervals_nested(self, rng):
         for _ in range(20):

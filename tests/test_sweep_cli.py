@@ -107,11 +107,6 @@ class TestEvaluate:
         params = [r.param for r in rows]
         assert params == sorted(params)
 
-    def test_parallel_rows_identical(self):
-        rows1, _ = evaluate_sweep(short_config(jobs=1))
-        rows8, _ = evaluate_sweep(short_config(jobs=8))
-        assert format_rows_csv(rows1) == format_rows_csv(rows8)
-
     def test_nan_rows_on_numeric_failure(self):
         # beta <= 0 grid points are invalid model parameters: NaN rows,
         # remaining points still evaluated.
@@ -275,7 +270,7 @@ class TestCli:
         assert payload["kl_per_step"] > 0
 
     def test_markov_report_sets_up_the_pair_once(self, fixtures, capsys, monkeypatch):
-        counts = {"stationary": 0, "iact": 0, "period": 0}
+        counts = {"stationary": 0, "iact": 0, "period": 0, "xi_bounds": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -289,6 +284,7 @@ class TestCli:
         monkeypatch.setattr(markov, "integrated_autocorrelation",
                             counted("iact", markov.integrated_autocorrelation))
         monkeypatch.setattr(markov, "_period", counted("period", markov._period))
+        monkeypatch.setattr(markov, "xi_bounds", counted("xi_bounds", markov.xi_bounds))
         code = main(
             [
                 "markov", "--p", fixtures["chainp.json"], "--q", fixtures["chainq.json"],
@@ -296,8 +292,9 @@ class TestCli:
             ]
         )
         assert code == 0
-        # mu_p and mu_q once each, plus the IACT's own mu_p.
-        assert counts == {"stationary": 3, "iact": 1, "period": 1}
+        # mu_p and mu_q once each, plus the IACT's own mu_p; one bound at the
+        # exact rate and one at each surrogate.
+        assert counts == {"stationary": 3, "iact": 1, "period": 1, "xi_bounds": 3}
         monkeypatch.undo()
         payload = json.loads(capsys.readouterr().out)
         p, q = load_chain(fixtures["chainp.json"]), load_chain(fixtures["chainq.json"])
@@ -454,15 +451,25 @@ class TestCli:
         ("gibbs", {"d": True, "clusters": [{"offsets": [[0]], "coeff": -0.5}]}),
         ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "coeff": False}]}),
         ("gibbs", {"d": 1, "clusters": [{"offsets": [[0], [True]], "coeff": -0.5}]}),
+        ("divergence", {"weights": [True, 1]}),
+        ("divergence", {"weights": [0.5, 0.5], "wieghts": 3}),
+        ("goal-bound", {"values": [True, False]}),
+        ("markov", {"rows": [[0.5, 0.5], [True, False]]}),
+        ("markov", {"rows": [[0.7, 0.3], [0.4, 0.6]], "label": ["a", "b"]}),
     ])
     def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        if command == "gibbs":
-            argv = ["gibbs", "--phi", str(bad), "--psi", fixtures["psi.json"], "--n", "1"]
-        else:
-            argv = ["phase", "--q", str(bad), "--p", fixtures["mp.json"], "--sweep", "h",
-                    "--start", "0", "--stop", "0.1", "--step", "0.1"]
+        argv = {
+            "gibbs": ["gibbs", "--phi", str(bad), "--psi", fixtures["psi.json"], "--n", "1"],
+            "phase": ["phase", "--q", str(bad), "--p", fixtures["mp.json"], "--sweep", "h",
+                      "--start", "0", "--stop", "0.1", "--step", "0.1"],
+            "divergence": ["divergence", "--p", str(bad), "--q", fixtures["q.json"]],
+            "goal-bound": ["goal-bound", "--p", fixtures["p.json"], "--q", fixtures["q.json"],
+                           "--observable", str(bad)],
+            "markov": ["markov", "--p", str(bad), "--q", fixtures["chainq.json"],
+                       "--observable", fixtures["g.json"]],
+        }[command]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"infoscale: error: {bad}: ")
@@ -567,6 +574,17 @@ class TestCli:
         )
         assert code == 1
         assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "2a"],
+        ["phase", "--q", "mq.json", "--p", "mp.json", "--sweep", "h",
+         "--start", "0", "--stop", "0.1", "--step", "0.1"],
+    ], ids=["figure", "phase"])
+    def test_jobs_below_one_is_error_exit(self, fixtures, capsys, command):
+        argv = [fixtures.get(a, a) for a in command]
+        assert main(["--jobs", "0", *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["infoscale: error: --jobs must be at least 1"]
 
     def test_figure_deterministic_across_jobs(self, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
