@@ -6,8 +6,11 @@ All divergences take the approximating / perturbed measure ``q`` first and the
 reference measure ``p`` second, i.e. ``relative_entropy(q, p)`` is the KL
 divergence of ``q`` from ``p`` (``sum q log(q/p)``).  Entropic sums use the
 convention ``0 * log(0/p) = 0``.  Absolute-continuity violations raise
-:class:`~infoscale.errors.AbsoluteContinuityError` by default; the KL and
-chi-squared divergences accept ``extended=True`` to return ``+inf`` instead.
+:class:`~infoscale.errors.AbsoluteContinuityError`.
+
+The Markov and Gibbs layers share this module's array kernels: the one
+max-shifted log-sum-exp, the KL terms, the size and mutual
+absolute-continuity checks, and the Renyi order rule.
 """
 
 from __future__ import annotations
@@ -78,10 +81,6 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return int(self.weights.size)
 
-    def mutually_absolutely_continuous_with(self, other: "DiscreteDistribution") -> bool:
-        _check_same_support(self, other)
-        return bool(np.all((self.weights > 0) == (other.weights > 0)))
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -116,18 +115,41 @@ class Observable:
             )
 
 
-def _check_same_support(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
-    if p.support_size != q.support_size:
-        raise DimensionError(
-            f"support sizes differ: {p.support_size} vs {q.support_size}"
-        )
+def _check_same_support(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    """Raise DimensionError unless the arrays ``a`` and ``b`` (weights or
+    transition rows) have one shape; ``what`` names the quantity."""
+    if a.shape != b.shape:
+        raise DimensionError(f"{what}: support sizes differ: {len(a)} vs {len(b)}")
 
 
-def _require_mutual_ac(q: DiscreteDistribution, p: DiscreteDistribution, what: str) -> None:
-    if not q.mutually_absolutely_continuous_with(p):
+def _require_mutual_ac(q: np.ndarray, p: np.ndarray, what: str) -> None:
+    """Raise unless ``q`` and ``p`` have one shape (DimensionError) and
+    vanish at the same entries (AbsoluteContinuityError)."""
+    _check_same_support(q, p, what)
+    if not np.array_equal(q > 0, p > 0):
         raise AbsoluteContinuityError(
             f"{what} requires mutually absolutely continuous measures"
         )
+
+
+def _kl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``q log(q / p)`` entrywise, any shape, with ``0 log 0 = 0``; p must
+    be positive wherever q is."""
+    support = q > 0
+    terms = np.zeros_like(q)
+    terms[support] = q[support] * (np.log(q[support]) - np.log(p[support]))
+    return terms
+
+
+def _near_kl(alpha: float, kl_name: str) -> bool:
+    """Check a Renyi order: positive and not 1 (``kl_name`` is the KL function
+    to call instead).  True within ``_RENYI_KL_WINDOW`` of 1, where the order
+    is evaluated by its KL limit."""
+    if not (alpha > 0):
+        raise ParameterError(f"Renyi order must be positive, got {alpha!r}")
+    if alpha == 1.0:
+        raise ParameterError(f"Renyi order 1 is the KL limit; use {kl_name}")
+    return abs(alpha - 1.0) < _RENYI_KL_WINDOW
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
@@ -137,51 +159,45 @@ def _clamp_nonneg(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def _logsumexp(exponents: np.ndarray) -> float:
-    m = float(np.max(exponents))
+def _logsumexp(exponents: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """``log sum_i w_i e^{x_i}`` over nonnegative weights (all 1 by default),
+    shifted by the largest exponent that carries weight, so no term
+    overflows; an infinite or NaN maximum comes back as it is, and no weight
+    gives ``-inf``."""
+    if weights is not None:
+        exponents, weights = exponents[weights > 0], weights[weights > 0]
+    m = float(np.max(exponents, initial=-math.inf))
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(exponents - m))))
+    terms = np.exp(exponents - m)
+    return m + math.log(float(np.sum(terms) if weights is None else weights @ terms))
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Total variation distance, ``0.5 * sum |q - p|``; symmetric, in [0, 1]."""
-    _check_same_support(p, q)
+    _check_same_support(p.weights, q.weights, "total variation")
     return 0.5 * float(np.sum(np.abs(q.weights - p.weights)))
 
 
-def relative_entropy(
-    q: DiscreteDistribution, p: DiscreteDistribution, *, extended: bool = False
-) -> float:
+def relative_entropy(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
     """Kullback-Leibler divergence ``R(q || p) = sum q log(q / p)`` in nats.
 
-    Requires q absolutely continuous w.r.t. p; with ``extended=True`` an
-    absolute-continuity violation returns ``+inf`` instead of raising.
+    Requires q absolutely continuous w.r.t. p.
     """
-    _check_same_support(q, p)
-    bad = (q.weights > 0) & (p.weights == 0)
-    if np.any(bad):
-        if extended:
-            return math.inf
+    _check_same_support(q.weights, p.weights, "relative entropy")
+    if np.any((q.weights > 0) & (p.weights == 0)):
         raise AbsoluteContinuityError(
             "relative entropy undefined: q is not absolutely continuous w.r.t. p"
         )
-    mask = q.weights > 0
-    qm, pm = q.weights[mask], p.weights[mask]
-    return _clamp_nonneg(float(np.sum(qm * (np.log(qm) - np.log(pm)))), "relative entropy")
+    return _clamp_nonneg(float(np.sum(_kl_terms(q.weights, p.weights))), "relative entropy")
 
 
-def chi_squared(
-    q: DiscreteDistribution, p: DiscreteDistribution, *, extended: bool = False
-) -> float:
+def chi_squared(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
     """Chi-squared divergence ``sum p (q/p - 1)^2 = sum q^2/p - 1``."""
-    _check_same_support(q, p)
+    _check_same_support(q.weights, p.weights, "chi-squared divergence")
     if np.array_equal(q.weights, p.weights):
         return 0.0
-    bad = (q.weights > 0) & (p.weights == 0)
-    if np.any(bad):
-        if extended:
-            return math.inf
+    if np.any((q.weights > 0) & (p.weights == 0)):
         raise AbsoluteContinuityError(
             "chi-squared divergence undefined: q is not absolutely continuous w.r.t. p"
         )
@@ -192,7 +208,7 @@ def chi_squared(
 
 def hellinger(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
     """Hellinger distance ``sqrt(sum (sqrt(q) - sqrt(p))^2)``, in [0, sqrt(2)]."""
-    _check_same_support(q, p)
+    _check_same_support(q.weights, p.weights, "Hellinger distance")
     return float(np.sqrt(np.sum((np.sqrt(q.weights) - np.sqrt(p.weights)) ** 2)))
 
 
@@ -204,16 +220,11 @@ def renyi_divergence(
     Nondecreasing in alpha.  Orders within 1e-6 of 1 are evaluated by the KL
     limit.  Requires mutual absolute continuity and ``alpha > 0``.
     """
-    if not (alpha > 0):
-        raise ParameterError(f"Renyi order must be positive, got {alpha!r}")
-    if abs(alpha - 1.0) < _RENYI_KL_WINDOW:
-        if alpha == 1.0:
-            raise ParameterError("Renyi order 1 is the KL divergence; use relative_entropy")
+    if _near_kl(alpha, "relative_entropy"):
         return relative_entropy(q, p)
-    _check_same_support(q, p)
     if np.array_equal(q.weights, p.weights):
         return 0.0
-    _require_mutual_ac(q, p, "Renyi divergence")
+    _require_mutual_ac(q.weights, p.weights, "Renyi divergence")
     mask = q.weights > 0
     logq = np.log(q.weights[mask])
     logp = np.log(p.weights[mask])

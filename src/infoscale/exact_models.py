@@ -410,19 +410,27 @@ def cross_model_re_rate(model_q: ModelSpec, model_p: ModelSpec) -> float:
     Supported ordered pairs: (mean field, mean field), (Ising 1-D, mean
     field), (Ising 2-D, mean field), (Ising 1-D, Ising 1-D).
 
-    The rate is a difference of O(1) pressures, so its absolute error floor
-    is about 1e-16: a smaller true rate comes back as rounding noise.  Next
-    to a mean-field critical point (slope ``beta J d = 1``) the magnetization
-    adds its own error, since :func:`meanfield_solve` cannot resolve
-    ``|m| < 1.7e-8`` there: the gap ``tanh(m) - m ~ -m^3/3`` is below the
-    spacing of m.
+    A same-bond pair (mean field against mean field, or 1-D chains at one
+    ``beta J``) differs only in the field, and the identity is then Q's
+    centred CGF at the gap ``d = field_coeff(P) - field_coeff(Q)``,
+    ``model_cgf(Q, d) - d m_Q``, with an absolute error of a few
+    ``1e-16 |d m_Q|`` (for ``|d| <= 1``; past that the CGF is itself a
+    difference of pressures).  Otherwise the rate is a difference of O(1)
+    pressures, so its absolute error floor is about 1e-16: a smaller true
+    rate comes back as rounding noise.  Next to a mean-field critical point
+    (slope ``beta J d = 1``) the magnetization adds its own error, since
+    :func:`meanfield_solve` cannot resolve ``|m| < 1.7e-8`` there: the gap
+    ``tanh(m) - m ~ -m^3/3`` is below the spacing of m.
     """
     _check_supported_pair(model_q, model_p)
     q, p = model_solution(model_q), model_solution(model_p)
-    energy_gap = (q.field_coeff - p.field_coeff) * q.magnetization
-    if q.bond_coeff != p.bond_coeff:
+    if type(model_q) is type(model_p) and q.bond_coeff == p.bond_coeff:
+        gap = p.field_coeff - q.field_coeff
+        rate = model_cgf(model_q, gap) - gap * q.magnetization
+    else:
+        energy_gap = (q.field_coeff - p.field_coeff) * q.magnetization
         energy_gap += (q.bond_coeff - p.bond_coeff) * q.bond_density
-    rate = p.pressure - q.pressure + energy_gap
+        rate = p.pressure - q.pressure + energy_gap
     if rate < -1e-9:
         raise NumericsError(f"relative entropy rate evaluated to {rate!r} < 0")
     return max(rate, 0.0)

@@ -10,7 +10,9 @@ cluster translates that cross the volume boundary are dropped.
 Exact computation is by configuration enumeration (capped at 2e6
 configurations).  :func:`log_partition` instead multiplies transfer matrices
 with log-domain scaling whenever the volume is a contiguous 1-D chain and
-every cluster is a single site or a nearest-neighbour pair.
+every cluster is a single site or a nearest-neighbour pair.  Every partition
+sum, enumerated or the transfer path's last contraction, is the one
+max-shifted ``divergences._logsumexp``.
 
 A :class:`GibbsMeasure` enumerates the energies once, at construction, in
 O(N q^N) work per cluster template: the spin on one site over every
@@ -23,7 +25,6 @@ integer-valued g, such as the magnetization, that is N + 1 terms per K(c).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -240,15 +241,6 @@ def _enumerated_column(values: np.ndarray, num_sites: int, site: int) -> np.ndar
     return np.tile(np.repeat(values, q ** (num_sites - 1 - site)), q**site)
 
 
-def _enumerated_state_indices(num_sites: int, num_states: int) -> np.ndarray:
-    count = _enumeration_size(num_sites, num_states)
-    digits = np.arange(num_states, dtype=np.uint8)
-    state_indices = np.empty((count, num_sites), dtype=np.uint8, order="F")
-    for site in range(num_sites):
-        state_indices[:, site] = _enumerated_column(digits, num_sites, site)
-    return state_indices
-
-
 def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarray:
     """Hamiltonian of every enumerated configuration: per cluster instance,
     ``coeff`` times the product of the spin columns of its sites.
@@ -309,8 +301,7 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
         norm = float(vec.max())
         vec /= norm
         log_scale += shift + math.log(norm)
-    field_shift = float((-field).max())
-    return log_scale + field_shift + math.log(float(np.dot(np.exp(-field - field_shift), vec)))
+    return log_scale + _logsumexp(-field, vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +310,10 @@ class GibbsMeasure:
 
     Probabilities are proportional to ``exp(-H)`` over the configurations of
     the volume, enumerated in lexicographic site order with spin states in
-    their declared order (so for the default states, -1 maps to digit 0).
-    Construction enumerates the energies only: ``state_indices`` is built on
-    first access, and each site-total CGF on the first request for its g.
+    their declared order (so for the default states, -1 is the first);
+    that order is ``itertools.product(spin_states, repeat=N)``.  Construction
+    enumerates the energies only, and each site-total CGF is built on the
+    first request for its g.
     """
 
     interaction: Interaction
@@ -346,11 +338,6 @@ class GibbsMeasure:
             ("_site_total_cgfs", {}),
         ):
             object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def state_indices(self) -> np.ndarray:
-        """Spin-state digit per configuration (row) and site (column)."""
-        return _enumerated_state_indices(self.num_sites, self.interaction.num_states)
 
     @property
     def num_sites(self) -> int:

@@ -54,7 +54,7 @@ class EmpiricalCgf:
     """Centered CGF of an observable under a finite-support distribution.
 
     ``evaluate(c)`` returns ``log sum_i p_i exp(c (f_i - E_p f))`` over the
-    atoms with ``p_i > 0``, using a max-exponent shift, so it stays finite
+    atoms with ``p_i > 0`` by ``divergences._logsumexp``, so it stays finite
     for any real c (bounded observables have an infinite CGF domain).  Near
     ``c = 0`` that log of a sum of exponentials loses the O(c^2) value of K
     to rounding, and ``(K(c) + R) / c`` can then fall below 0 for a tiny
@@ -98,14 +98,14 @@ class EmpiricalCgf:
         return float(self._weights @ self._centered**2)
 
     def evaluate(self, c: float) -> float:
-        import numpy as np
-
         if abs(c) * self._span <= 1.0:
+            import numpy as np
+
             value = math.log1p(float(self._weights @ np.expm1(c * self._centered)))
         else:
-            exponents = c * self._centered
-            shift = float(np.max(exponents))
-            value = shift + math.log(float(self._weights @ np.exp(exponents - shift)))
+            from .divergences import _logsumexp
+
+            value = _logsumexp(c * self._centered, self._weights)
         return value - c * self._residual
 
 

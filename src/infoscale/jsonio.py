@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NormalizationError, ParameterError, StructureError
 from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams, ModelSpec
 
 if TYPE_CHECKING:
@@ -49,7 +49,9 @@ def _has_boolean(value) -> bool:
 
 
 def _numbers(path, field: str, make, data: dict, **kwargs):
-    """``make(data[field], **kwargs)``; a non-numeric field names its file."""
+    """``make(data[field], **kwargs)``; a non-numeric field, or a value the
+    constructor rejects (weights that do not sum to 1, a reducible chain),
+    names its file."""
     value = _require(data, field, path)
     try:
         if _has_boolean(value):
@@ -57,6 +59,8 @@ def _numbers(path, field: str, make, data: dict, **kwargs):
         return make(value, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
+    except (NormalizationError, DimensionError, StructureError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:

@@ -8,6 +8,10 @@ optimizing ``(lambda_{p,g}(c) + r)/c`` over c, exactly as in the
 single-measure goal-oriented bound with the CGF replaced by the principal
 eigenvalue curve.
 
+The lambda-curve and the Renyi rates take every tilted Perron root through
+one shift rule, :func:`_log_perron`; the row KL terms, the checks and the
+Renyi order rule are those of :mod:`infoscale.divergences`.
+
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
 (stationary laws, rate, lambda-curve, IACT); :func:`cheap_rate_bounds`
 reuses it for the two surrogate rates.
@@ -22,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .divergences import (
-    _RENYI_KL_WINDOW, DiscreteDistribution, DivergenceReport, Observable, divergence_report,
+    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _kl_terms,
+    _near_kl, _require_mutual_ac, divergence_report,
 )
 from .errors import (
-    AbsoluteContinuityError,
     DimensionError,
     EnumerationLimitError,
     NormalizationError,
@@ -75,25 +79,8 @@ class TransitionMatrix:
     def size(self) -> int:
         return int(self.rows.shape[0])
 
-    def mutually_absolutely_continuous_with(self, other: "TransitionMatrix") -> bool:
-        _check_same_space(self, other)
-        return bool(np.all((self.rows > 0) == (other.rows > 0)))
-
     def is_aperiodic(self) -> bool:
         return _period(self.rows > 0) == 1
-
-
-def _check_same_space(p: TransitionMatrix, q: TransitionMatrix) -> None:
-    if p.size != q.size:
-        raise DimensionError(f"state space sizes differ: {p.size} vs {q.size}")
-
-
-def _require_mutual_row_ac(q: TransitionMatrix, p: TransitionMatrix) -> None:
-    if not q.mutually_absolutely_continuous_with(p):
-        raise AbsoluteContinuityError(
-            "rate undefined: the rows of the two chains are not mutually "
-            "absolutely continuous"
-        )
 
 
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
@@ -178,15 +165,12 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
 
 def _row_relative_entropies(q: TransitionMatrix, p: TransitionMatrix) -> np.ndarray:
     """``R(q(x,.) || p(x,.))`` for every state x, with ``0 log 0 = 0``."""
-    support = q.rows > 0
-    terms = np.zeros_like(q.rows)
-    terms[support] = q.rows[support] * (np.log(q.rows[support]) - np.log(p.rows[support]))
-    return terms.sum(axis=1)
+    return _kl_terms(q.rows, p.rows).sum(axis=1)
 
 
 def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
-    _require_mutual_row_ac(q, p)
+    _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
     rows = _row_relative_entropies(q, p)
     return max(float(stationary_distribution(q).weights @ rows), 0.0)
 
@@ -196,24 +180,20 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
 
     ``rho(alpha)`` is the Perron root of the matrix with entries
     ``q(x,y)^alpha p(x,y)^(1-alpha)``.  Orders within 1e-6 of 1 fall back to
-    the relative entropy rate, mirroring the single-measure convention.
+    the relative entropy rate, mirroring the single-measure convention.  The
+    Perron enclosure leaves an absolute error of ``_PERRON_TOL / |alpha - 1|``;
+    a root that the shift underflows to 0 raises NumericsError.
     """
-    if not (alpha > 0):
-        raise ParameterError(f"Renyi order must be positive, got {alpha!r}")
-    if abs(alpha - 1.0) < _RENYI_KL_WINDOW:
-        if alpha == 1.0:
-            raise ParameterError("Renyi order 1 is the KL rate; use relative_entropy_rate")
+    if _near_kl(alpha, "relative_entropy_rate"):
         return relative_entropy_rate(q, p)
-    _require_mutual_row_ac(q, p)
+    _require_mutual_ac(q.rows, p.rows, "Renyi rate")
     support = q.rows > 0
-    exponents = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
-    # e^x overflows past x = 709, which a tiny entry of p can reach; the
-    # root scales with the matrix, so shift such exponents down.
-    shift = max(float(exponents.max()) - 700.0, 0.0)
-    tilted = np.zeros_like(q.rows)
-    tilted[support] = np.exp(exponents - shift)
-    rate = (math.log(perron_root(tilted)) + shift) / (alpha - 1.0)
-    return max(rate, 0.0)
+    exponents = np.full_like(q.rows, -math.inf)
+    exponents[support] = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
+    log_rho = _log_perron(1.0, exponents)
+    if log_rho == -math.inf:
+        raise NumericsError("the tilted matrix underflowed to a zero Perron root")
+    return max(log_rho / (alpha - 1.0), 0.0)
 
 
 def chi2_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
@@ -224,7 +204,7 @@ def chi2_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
 
 def hellinger_rate_limit(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Limiting path Hellinger distance: sqrt(2) for distinct chains, else 0."""
-    _check_same_space(q, p)
+    _check_same_support(q.rows, p.rows, "Hellinger rate")
     return 0.0 if np.array_equal(q.rows, p.rows) else math.sqrt(2.0)
 
 
@@ -239,9 +219,9 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
     """Principal-eigenvalue curve: log Perron root of ``p(x,y) e^{c gbar(y)}``.
 
     ``gbar`` is g centered by its stationary mean, so ``lambda(0) = 0`` and
-    the curve is convex with zero slope at the origin.  Entries are rescaled
-    by the maximal tilt before the eigenvalue solve and the log is restored
-    afterwards, keeping the computation overflow-safe for large ``|c|``.
+    the curve is convex with zero slope at the origin.  The tilt is shifted
+    into floating-point range before the eigenvalue solve and the shift
+    restored afterwards (:func:`_log_perron`), so large ``|c|`` is safe.
     """
     _check_observable(p, g)
     mu = stationary_distribution(p).weights
@@ -249,21 +229,29 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
     return _lambda_curve(p.rows, centered)(c)
 
 
+def _log_perron(base, exponents: np.ndarray) -> float:
+    """``log rho(base * e^exponents)`` (entrywise, numpy broadcasting; a
+    ``-inf`` exponent is a zero entry, a zero root gives ``-inf``).
+
+    e^x overflows past x = 709 and underflows below -745, and a large tilt
+    or a tiny entry of p reaches either.  The exponents are shifted by their
+    largest, unless they span more than 700: then the smallest finite one is
+    kept at -700 instead, as long as the largest stays at or below 700.  A
+    small entry can close the cycle that sets the root (e^-200 across from
+    e^600), so it is not given up while the range still holds it.
+    """
+    top = float(np.max(exponents))
+    low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
+    shift = max(top - 700.0, min(top, low + 700.0))
+    rho = perron_root(base * np.exp(exponents - shift))
+    return math.log(rho) + shift if rho > 0.0 else -math.inf
+
+
 def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], float]:
+    """``c -> log rho(rows(x, y) e^{c centered(y)})``, 0 at c = 0."""
     if _spread(centered) == 0.0:
         return lambda c: 0.0
-
-    def curve(c: float) -> float:
-        if c == 0.0:
-            return 0.0
-        tilt = c * centered
-        shift = float(np.max(tilt))
-        rho = perron_root(rows * np.exp(tilt - shift)[None, :])
-        if rho <= 0.0:
-            return -math.inf
-        return math.log(rho) + shift
-
-    return curve
+    return lambda c: _log_perron(rows, c * centered) if c != 0.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +315,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     entropy rate, and the mirrored supremum below; c = 0 is understood as the
     limiting value, which the degenerate short-circuit (r = 0) returns.
     """
-    _require_mutual_row_ac(q, p)
+    _require_mutual_ac(q.rows, p.rows, "steady-state rate bound")
     _check_observable(p, g)
     mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
     centered = g.values - float(mu_p.weights @ g.values)
@@ -414,7 +402,7 @@ def path_divergence_report(
     :class:`~infoscale.errors.AbsoluteContinuityError`.  This is the
     finite-horizon verification route for the rate formulas.
     """
-    _check_same_space(q, p)
+    _check_same_support(q.rows, p.rows, "path divergences")
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
     n_paths = p.size ** (n_steps + 1)

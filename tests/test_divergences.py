@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from infoscale import (
     renyi_divergence,
     total_variation,
 )
+from infoscale.divergences import _logsumexp, _require_mutual_ac
 
 
 class TestConstruction:
@@ -44,11 +46,14 @@ class TestConstruction:
         DiscreteDistribution([0.5, 0.5 + 5e-13])
 
     def test_mutual_ac_check(self):
-        a = DiscreteDistribution([0.5, 0.5, 0.0])
-        b = DiscreteDistribution([0.2, 0.8, 0.0])
-        c = DiscreteDistribution([0.2, 0.3, 0.5])
-        assert a.mutually_absolutely_continuous_with(b)
-        assert not a.mutually_absolutely_continuous_with(c)
+        a = np.array([0.5, 0.5, 0.0])
+        b = np.array([0.2, 0.8, 0.0])
+        c = np.array([0.2, 0.3, 0.5])
+        _require_mutual_ac(a, b, "test")
+        with pytest.raises(AbsoluteContinuityError):
+            _require_mutual_ac(a, c, "test")
+        with pytest.raises(DimensionError):
+            _require_mutual_ac(a, c[:2], "test")
 
 
 class TestTotalVariation:
@@ -98,11 +103,6 @@ class TestRelativeEntropy:
         with pytest.raises(AbsoluteContinuityError):
             relative_entropy(q, p)
 
-    def test_extended_mode_returns_inf(self):
-        q = DiscreteDistribution([0.5, 0.5])
-        p = DiscreteDistribution([1.0, 0.0])
-        assert relative_entropy(q, p, extended=True) == math.inf
-
     def test_zero_q_terms_contribute_nothing(self):
         q = DiscreteDistribution([0.0, 1.0])
         p = DiscreteDistribution([0.5, 0.5])
@@ -120,11 +120,6 @@ class TestChiSquared:
         p = random_distribution(rng, 4)
         direct = float(np.sum(p.weights * (q.weights / p.weights - 1.0) ** 2))
         assert chi_squared(q, p) == pytest.approx(direct, abs=1e-13)
-
-    def test_extended_mode(self):
-        q = DiscreteDistribution([0.5, 0.5])
-        p = DiscreteDistribution([1.0, 0.0])
-        assert chi_squared(q, p, extended=True) == math.inf
 
 
 class TestHellinger:
@@ -185,6 +180,30 @@ class TestRenyi:
             renyi_divergence(q, q, -1.0)
         with pytest.raises(ParameterError):
             renyi_divergence(q, q, 1.0)
+
+
+class TestLogSumExp:
+    def test_weighted_matches_mpmath(self, rng):
+        # Exponents around -700, 0 and +700 (e^710 overflows, e^-746
+        # underflows) with some weights 0: a zero weight drops its term, so
+        # the shift is the largest exponent that carries weight.
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            x = rng.choice([-700.0, 0.0, 700.0]) + rng.uniform(-60.0, 60.0, n)
+            w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            w[int(rng.integers(n))] = rng.random() + 1e-3
+            with mpmath.workdps(40):
+                want = mpmath.log(mpmath.fsum(
+                    mpmath.mpf(a) * mpmath.exp(mpmath.mpf(b)) for a, b in zip(w, x)
+                ))
+            assert _logsumexp(x, w) == pytest.approx(float(want), rel=1e-15, abs=1e-14)
+            assert _logsumexp(x) == _logsumexp(x, np.ones(n))
+
+    def test_zero_weights_never_set_the_shift(self):
+        x = np.array([1000.0, 0.0, -1.0])
+        assert _logsumexp(x, np.array([0.0, 1.0, 0.0])) == 0.0
+        assert _logsumexp(x, np.zeros(3)) == -math.inf
+        assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 @settings(max_examples=150, deadline=None)

@@ -444,6 +444,58 @@ class TestCrossModelRates:
                     Ising1DParams(beta=b, J=1.0, h=hh), Ising1DParams(beta=1.0, J=1.0)
                 ) >= 0.0
 
+    @staticmethod
+    def _same_bond_oracle(model_q, model_p):
+        """``K_Q(d) - d m_Q`` at 50 digits from the solutions' floats, with
+        d the field gap, and the scale of the error the rate documents:
+        ``|d m_Q|`` in the log1p form (``|d| <= 1``), plus the two O(1)
+        pressures past it, where the CGF is their difference."""
+        q, p = model_solution(model_q), model_solution(model_p)
+        gap = p.field_coeff - q.field_coeff
+        with mpmath.workdps(50):
+            x, d = mpmath.mpf(q.field_coeff), mpmath.mpf(gap)
+            if isinstance(model_q, MeanFieldParams):
+                def pressure(t):
+                    return mpmath.log(mpmath.cosh(t))
+            else:
+                floor = mpmath.exp(-4 * mpmath.mpf(q.bond_coeff))
+
+                def pressure(t):
+                    return mpmath.log(mpmath.cosh(t) + mpmath.sqrt(mpmath.sinh(t) ** 2 + floor))
+            rate = pressure(x + d) - pressure(x) - d * mpmath.mpf(q.magnetization)
+        scale = abs(gap * q.magnetization)
+        if abs(gap) > 1.0:
+            scale += abs(q.pressure) + abs(p.pressure)
+        return float(rate), scale
+
+    def test_same_bond_rate_at_a_critical_point(self):
+        # Slope beta J d = 1 with a field of -9.04e-271: the difference of
+        # pressures returned 5.55e-17, the centred CGF keeps every digit.
+        q = MeanFieldParams(beta=0.5, h=-9.04e-271, d=2)
+        p = MeanFieldParams(beta=0.5, h=0.0, d=2)
+        want, _ = self._same_bond_oracle(q, p)
+        assert want == pytest.approx(8.3267e-17, rel=1e-4)
+        assert cross_model_re_rate(q, p) == pytest.approx(want, rel=1e-12, abs=1e-30)
+
+    def test_same_bond_rates_match_mpmath(self, rng):
+        # Mean field against mean field, and 1-D chains at one beta J.  Where
+        # the field is strong (|d| Var << |m|) the floor, a few ulps of
+        # |d m_Q|, is above 1e-12 of the rate, and it sets the tolerance.
+        eps = np.finfo(float).eps
+        for k in range(300):
+            if k % 2:
+                q, p = (MeanFieldParams(
+                    beta=float(rng.uniform(0.2, 2.5)), J=float(rng.uniform(0.5, 2.0)),
+                    h=float(rng.uniform(-1.0, 1.0)), d=int(rng.integers(1, 4)),
+                ) for _ in range(2))
+            else:
+                beta, J = float(rng.uniform(0.2, 2.5)), float(rng.uniform(-1.0, 2.0))
+                q, p = (Ising1DParams(beta=beta, J=J, h=float(rng.uniform(-1.0, 1.0)))
+                        for _ in range(2))
+            want, scale = self._same_bond_oracle(q, p)
+            got = cross_model_re_rate(q, p)
+            assert abs(got - want) <= 1e-12 * want + 1e-30 + 8 * eps * scale, (q, p)
+
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedModelError):
             cross_model_re_rate(

@@ -31,7 +31,7 @@ from infoscale import (
 )
 from infoscale.gibbs import (
     _energy_vector,
-    _enumerated_state_indices,
+    _enumerated_column,
     interaction_difference,
     spin_observable,
     _logsumexp,
@@ -374,10 +374,11 @@ class TestMergedSiteTotalCgf:
         assert_cgf_matches_oracle(cgf, m.weights, m.site_total(g))
 
     def test_site_totals_follow_the_state_indices(self):
-        # Several g on one measure, the first one asked for again at the end.
+        # Several g on one measure, the first one asked for again at the end;
+        # configurations run in itertools.product order of the state indices.
         m = GibbsMeasure(ising_interaction(0.5, 1.0, 0.2, 1), LatticeVolume.chain(5))
         for g in ([-1.0, 1.0], [0.0, 1.0], [0.3, -1.1], [-1.0, 1.0]):
-            want = [sum(g[s] for s in row) for row in m.state_indices]
+            want = [sum(g[s] for s in row) for row in itertools.product(range(2), repeat=5)]
             np.testing.assert_array_equal(m.site_total(g), want)
 
     def test_linearized_variance_matches_configuration_sum(self, rng):
@@ -503,29 +504,47 @@ class TestSymmetryAndOrdering:
             assert mag == pytest.approx(0.0, abs=1e-12)
 
     def test_configuration_order_is_lexicographic(self):
-        phi = ising_interaction(0.5, 1.0, 0.0, 1)
-        m = GibbsMeasure(phi, LatticeVolume.chain(2))
-        assert m.state_indices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        # Energies and weights follow itertools.product over the spin states,
+        # the first site slowest.  The {0, 1, 3} cluster has one instance on
+        # four sites and is not mirror-symmetric, so the reversed order fails.
+        spins = (-1.0, 0.5, 2.0)
+        interaction = Interaction(dimension=1, clusters=(
+            spin_product_cluster(((0,), (1,)), -0.4),
+            spin_product_cluster(((0,), (1,), (3,)), 0.3),
+            spin_product_cluster(((0,),), -0.2),
+        ), spin_states=spins)
+        m = GibbsMeasure(interaction, LatticeVolume.chain(4))
+        configs = list(itertools.product(spins, repeat=4))
+        energies = [hamiltonian(interaction, m.volume, config) for config in configs]
+        np.testing.assert_array_equal(m.energies, energies)
+        reversed_order = [hamiltonian(interaction, m.volume, config[::-1]) for config in configs]
+        assert not np.array_equal(m.energies, reversed_order)
+        weights = np.exp(-np.array(energies) - m.log_partition)
+        np.testing.assert_allclose(m.weights, weights / weights.sum(), rtol=1e-14)
 
     def test_state_indices_are_built_on_first_access(self):
-        # Construction leaves them out; the first access builds them once, in
-        # lexicographic order and aligned with the weights.
+        # No state-index array is built at all: a measure holds its energies
+        # and weights, in itertools.product order, and the CGF memo.
         spins = (-1.0, 0.5, 2.0)
         interaction = Interaction(
             dimension=1, clusters=(spin_product_cluster(((0,), (1,)), -0.4),), spin_states=spins
         )
         m = GibbsMeasure(interaction, LatticeVolume.chain(4))
-        assert "state_indices" not in vars(m)
-        indices = m.state_indices
-        assert m.state_indices is indices
-        assert indices.tolist() == [list(w) for w in itertools.product(range(3), repeat=4)]
-        energies = [hamiltonian(interaction, m.volume, [spins[i] for i in row]) for row in indices]
+        assert set(vars(m)) == {
+            "interaction", "volume", "log_partition", "energies", "weights", "_site_total_cgfs",
+        }
+        configs = itertools.product(spins, repeat=4)
+        energies = [hamiltonian(interaction, m.volume, config) for config in configs]
         np.testing.assert_array_equal(m.energies, energies)
 
     @pytest.mark.parametrize("states, sites", [(2, 1), (2, 6), (3, 4), (4, 3)])
     def test_state_indices_follow_itertools_product(self, states, sites):
-        want = list(itertools.product(range(states), repeat=sites))
-        assert _enumerated_state_indices(sites, states).tolist() == [list(w) for w in want]
+        # Each site's column over the configurations, the layout behind the
+        # energies and the site totals, is that site's digit in product order.
+        want = np.array(list(itertools.product(range(states), repeat=sites)))
+        for site in range(sites):
+            column = _enumerated_column(np.arange(states), sites, site)
+            np.testing.assert_array_equal(column, want[:, site])
 
     @pytest.mark.parametrize("spins, volume", [
         ((-1.0, 1.0), LatticeVolume.centered(2, 1)),
@@ -622,25 +641,18 @@ class TestGibbsSandwichProperties:
 
 def test_cli_job_builds_one_cgf_and_no_state_indices(tmp_path, monkeypatch, capsys):
     # A gibbs job on a 17-site chain with a next-nearest cluster: both bounds
-    # and the printed gap share one site-total CGF, and nothing asks for the
+    # and the printed gap share one site-total CGF; a measure holds no
     # q^N x N state-index array.
-    import infoscale.gibbs as gibbs
     from infoscale.cli import main
 
-    built, indexed = [], []
+    built = []
     post_init = EmpiricalCgf.__post_init__
-    enumerate_indices = gibbs._enumerated_state_indices
 
     def counted_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counted_indices(*args):
-        indexed.append(args)
-        return enumerate_indices(*args)
-
     monkeypatch.setattr(EmpiricalCgf, "__post_init__", counted_post_init)
-    monkeypatch.setattr(gibbs, "_enumerated_state_indices", counted_indices)
     paths = []
     for name, k in (("phi", -0.1), ("psi", -0.25)):
         path = tmp_path / f"{name}.json"
@@ -653,4 +665,4 @@ def test_cli_job_builds_one_cgf_and_no_state_indices(tmp_path, monkeypatch, caps
     assert main(["gibbs", "--phi", paths[0], "--psi", paths[1], "--n", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["num_sites"] == 17
     assert len(built) == 1 and built[0].dist.support_size == 2**17
-    assert indexed == []
+    assert not hasattr(GibbsMeasure, "state_indices")

@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,61 @@ class TestRates:
         q = TransitionMatrix([[0.5, 0.5], [0.05, 0.95]])
         want = 2.0 * math.log(0.95) - math.log(1e-322)
         assert renyi_rate(q, p, 2.0) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _mp_renyi_rate(q, p, alpha):
+        """``log rho / (alpha - 1)`` of ``q^alpha p^(1-alpha)`` from
+        ``mpmath.eig`` at 40 digits beyond the entries' spread: the eigensolve
+        is accurate relative to the largest entry only, so at 40 digits alone
+        an entry e^-200 beside one of e^600 counts as 0."""
+        support = q.rows > 0
+        logs = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
+        with mpmath.workdps(40 + int(np.ptp(logs) / math.log(10.0))):
+            a = mpmath.mpf(alpha)
+            m = mpmath.matrix(q.size)
+            for i, j in zip(*np.nonzero(support)):
+                m[i, j] = mpmath.mpf(q.rows[i, j]) ** a * mpmath.mpf(p.rows[i, j]) ** (1 - a)
+            rho = max(mpmath.re(e) for e in mpmath.eig(m, left=False, right=False))
+            return float(mpmath.log(rho) / (a - 1))
+
+    def test_renyi_rates_match_mpmath_perron_root(self, rng):
+        # Dense and banded-ring chains with n <= 8, and order 20 against a p
+        # whose diagonal entry 1e-40 puts an exponent above 1600, past e^709.
+        # The Perron enclosure leaves _PERRON_TOL in log rho.
+        cases = []
+        for _ in range(24):
+            n = int(rng.integers(2, 9))
+            cases.append((random_chain(rng, n), random_chain(rng, n), rng.choice([0.3, 2.0, 5.0])))
+        for n in (3, 5, 8):
+            ring = np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1) > 0
+            q, p = (TransitionMatrix(r / r.sum(axis=1, keepdims=True))
+                    for r in (np.where(ring, rng.random((n, n)) + 0.1, 0.0) for _ in range(2)))
+            cases.append((q, p, 2.0))
+            rows = random_chain(rng, n).rows.copy()
+            rows[1, 1] = 1e-40
+            rows[1] /= rows[1].sum()
+            cases.append((random_chain(rng, n), TransitionMatrix(rows), 20.0))
+        # Order 20 with exponents [[-13.9, 600.0], [-200.4, 13.2]]: the root,
+        # about e^199.8 (a rate of 10.515), is set by the 2-cycle through e^600
+        # and e^-200.4.  Shifted by its maximum, e^-200.4 would underflow to 0
+        # and leave the diagonal root e^13.2 (a rate of 0.69).
+        cases.append((TransitionMatrix([[0.5, 0.5], [2.3e-5, 1.0 - 2.3e-5]]),
+                      TransitionMatrix([[1.0 - 9.3e-15, 9.3e-15], [0.5, 0.5]]), 20.0))
+        for q, p, alpha in cases:
+            want = self._mp_renyi_rate(q, p, alpha)
+            got = chi2_rate(q, p) if alpha == 2.0 else renyi_rate(q, p, alpha)
+            assert abs(got - want) <= 1e-12 * want + markov._PERRON_TOL / abs(alpha - 1), alpha
+
+    def test_renyi_rate_raises_when_the_shift_underflows_every_cycle(self):
+        # Order 20 against p(0, 1) = 1e-40: that exponent, about 1736, is
+        # shifted down to 700 and every other, about 1737 below it, to under
+        # e^-1036, so each entry that closes a cycle through it underflows
+        # and the root is 0.  The
+        # true rate is about 45.7; a rate of 0 would be silently wrong.
+        q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+        p = TransitionMatrix([[1.0, 1e-40], [0.5, 0.5]])
+        with pytest.raises(NumericsError):
+            renyi_rate(q, p, 20.0)
 
     def test_rer_matches_path_enumeration(self, rng):
         # With stationary initial laws the finite-horizon per-step KL equals

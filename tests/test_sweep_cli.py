@@ -269,6 +269,32 @@ class TestCli:
         assert payload["rer"] <= payload["sup_row_re"] <= payload["sup_log_ratio"]
         assert payload["kl_per_step"] > 0
 
+    def test_markov_perron_roots_all_come_from_log_perron(self, fixtures, capsys, monkeypatch):
+        # One tilted log-Perron, one shift rule: the lambda-curve and both
+        # Renyi rates reach perron_root only through _log_perron.
+        counts = {"log_perron": 0, "perron": 0}
+        log_perron, perron = markov._log_perron, markov.perron_root
+
+        def counted_log_perron(*args):
+            counts["log_perron"] += 1
+            return log_perron(*args)
+
+        def counted_perron(*args):
+            counts["perron"] += 1
+            return perron(*args)
+
+        monkeypatch.setattr(markov, "_log_perron", counted_log_perron)
+        monkeypatch.setattr(markov, "perron_root", counted_perron)
+        code = main(
+            [
+                "markov", "--p", fixtures["chainp.json"], "--q", fixtures["chainq.json"],
+                "--observable", fixtures["g.json"], "--cheap",
+            ]
+        )
+        assert code == 0
+        assert counts["perron"] == counts["log_perron"] > 2
+        capsys.readouterr()
+
     def test_markov_report_sets_up_the_pair_once(self, fixtures, capsys, monkeypatch):
         counts = {"stationary": 0, "iact": 0, "period": 0, "xi_bounds": 0}
 
@@ -456,6 +482,10 @@ class TestCli:
         ("goal-bound", {"values": [True, False]}),
         ("markov", {"rows": [[0.5, 0.5], [True, False]]}),
         ("markov", {"rows": [[0.7, 0.3], [0.4, 0.6]], "label": ["a", "b"]}),
+        # Values the constructors reject name the file too, so a bad --p
+        # and a bad --q can be told apart.
+        ("divergence", {"weights": [0.3, 0.3]}),
+        ("markov-q", {"rows": [[0.5, 0.4], [0.4, 0.6]]}),
     ])
     def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"
@@ -469,6 +499,8 @@ class TestCli:
                            "--observable", str(bad)],
             "markov": ["markov", "--p", str(bad), "--q", fixtures["chainq.json"],
                        "--observable", fixtures["g.json"]],
+            "markov-q": ["markov", "--p", fixtures["chainp.json"], "--q", str(bad),
+                         "--observable", fixtures["g.json"]],
         }[command]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
