@@ -470,6 +470,16 @@ def model_cgf(model_p: ModelSpec, c: float) -> float:
     )
 
 
+def _tilted_magnetization(model_p: ModelSpec, c: float) -> float:
+    """The slope of :func:`model_cgf` at c: P's magnetization at field tilt
+    shifted by c (``tanh(c + beta h_mf)`` for mean field)."""
+    if isinstance(model_p, MeanFieldParams):
+        return math.tanh(c + model_solution(model_p).field_coeff)
+    y = model_p.beta * model_p.h + c
+    _, v, _, k, _ = _ising1d_scaled(model_p.beta * model_p.J, y)
+    return -v / 2.0 / k if y < 0.0 else v / 2.0 / k
+
+
 # ---------------------------------------------------------------------------
 # Phase-diagram bounds
 # ---------------------------------------------------------------------------
@@ -509,8 +519,9 @@ def phase_bound_point(
 
     The baseline magnetization plus :func:`~infoscale.goal_oriented.xi_bounds`
     of the baseline's centered per-site CGF (``model_cgf`` minus its linear
-    term) at the cross-model relative entropy rate; identical models give
-    the baseline magnetization back on both sides.
+    term, and the tilted magnetization minus the baseline's as its slope) at
+    the cross-model relative entropy rate; identical models give the
+    baseline magnetization back on both sides.
     """
     check_phase_sweep(model_q, model_p, sweep_parameter)
     qp = replace(model_q, **{sweep_parameter: param_value})
@@ -520,7 +531,9 @@ def phase_bound_point(
         baseline = base.magnetization
         true_qoi = model_solution(qp).magnetization
         rate = cross_model_re_rate(qp, pp)
-        source = AnalyticCgf(fn=lambda c: model_cgf(pp, c) - c * baseline, check_contract=False)
+        source = AnalyticCgf(fn=lambda c: (model_cgf(pp, c) - c * baseline,
+                                           _tilted_magnetization(pp, c) - baseline),
+                             check_contract=False)
         bound = xi_bounds(source, rate, variance=base.variance_per_site)
     except ArithmeticError as exc:  # overflow of an exact formula far from its range
         raise NumericsError(f"{sweep_parameter} = {param_value!r}: {exc}") from exc

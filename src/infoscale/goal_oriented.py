@@ -5,6 +5,9 @@ the upper bound is ``inf_{c>0} (K(c) + R) / c`` with K the centered cumulant
 generating function of f under P, and the lower bound is the mirror image in
 ``-c``.  Those optima sandwich ``E_q(f) - E_p(f)`` for every q with
 ``R(q || p) <= R``, and scale correctly under tensorization.
+
+A CGF source's ``evaluate(c)`` returns ``(K(c), K'(c))``, and
+:func:`xi_bounds` solves ``c K'(c) - K(c) = R`` for each optimum.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ if TYPE_CHECKING:
 
     from .divergences import DiscreteDistribution, Observable
 
-# Below this entropy budget the optimum c* = sqrt(2 R / Var) is so close to 0
-# that K(c) = Var c^2 / 2 to float precision there, which evaluating K cannot
-# resolve; the bound is then the quadratic one, sqrt(2 R Var).
-_TINY_BUDGET = 1e-300
 _VAR_FD_STEP = 1e-4
+# Where q is an exponential tilt of p the bound is attained, and the rounding
+# of K and R would decide which side of the gap it takes; so it is widened.
+_OUTWARD = 1.0 + 2.0**-46
 # Centered values up to this size have a finite square, hence a finite
 # variance, and stay finite times the optimizer's cap of 1e12.
 _MAX_SPREAD = math.sqrt(sys.float_info.max)
@@ -49,17 +51,22 @@ def _spread(centered: np.ndarray) -> float:
     return span
 
 
+# 1/k!, k = 11 to 2: (e^y - 1 - y) / y^2 to 4e-18 relative for |y| <= 1/8.
+_EXP_TAIL = [1.0 / math.factorial(k) for k in range(11, 1, -1)]
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalCgf:
     """Centered CGF of an observable under a finite-support distribution.
 
-    ``evaluate(c)`` returns ``log sum_i p_i exp(c (f_i - E_p f))`` over the
-    atoms with ``p_i > 0`` by ``divergences._logsumexp``, so it stays finite
-    for any real c (bounded observables have an infinite CGF domain).  Near
-    ``c = 0`` that log of a sum of exponentials loses the O(c^2) value of K
-    to rounding, and ``(K(c) + R) / c`` can then fall below 0 for a tiny
-    budget R; so where every exponent is at most 1 in size it returns
-    ``log1p(sum_i p_i expm1(c (f_i - E_p f)))`` instead.
+    ``evaluate(c)`` returns ``(K(c), K'(c))``: K the log of
+    ``sum_i p_i exp(y_i)``, ``y_i = c d_i``, ``d_i = f_i - E_p f``, over the
+    atoms with ``p_i > 0``, and K' the tilted mean of the ``d_i``.  While
+    every ``|y_i| <= 700``, K is ``log1p(sum_i p_i (e^{y_i} - 1 - y_i))``
+    and K' its derivative: their terms keep their relative digits at any c
+    (the mean's rounding drops out with the linear term), so
+    ``(K(c) + R) / c`` keeps its digits and sign for any budget R, where a
+    log-sum-exp (used past 700) loses a small K next to its largest exponent.
 
     The support, the centered values and their largest size are computed
     once, at construction.  Atoms with equal observable values are merged
@@ -67,10 +74,7 @@ class EmpiricalCgf:
     distinct value: the magnetization of N +-1 spins under a Gibbs measure
     has N + 1 of them among its 2^N configurations.  The mean is taken over
     the atoms as given and kept inside the range of the values, so a
-    constant observable has exactly zero deviations and variance.  The
-    computed mean is off by a rounding residual ``r = sum_i p_i (f_i - mean)``,
-    and K would inherit a slope r at 0 that a tiny budget R cannot outweigh;
-    both branches subtract ``c r``, the exact centring of the deviations.
+    constant observable has exactly zero deviations and variance.
     """
 
     dist: DiscreteDistribution
@@ -88,7 +92,6 @@ class EmpiricalCgf:
         object.__setattr__(self, "_weights", np.bincount(atom, weights=self.dist.weights[mask]))
         object.__setattr__(self, "_centered", centered)
         object.__setattr__(self, "_span", _spread(centered))
-        object.__setattr__(self, "_residual", float(self._weights @ centered))
 
     @property
     def domain_bound(self) -> float:
@@ -97,28 +100,33 @@ class EmpiricalCgf:
     def variance(self) -> float:
         return float(self._weights @ self._centered**2)
 
-    def evaluate(self, c: float) -> float:
-        if abs(c) * self._span <= 1.0:
-            import numpy as np
+    def evaluate(self, c: float) -> tuple[float, float]:
+        import numpy as np
 
-            value = math.log1p(float(self._weights @ np.expm1(c * self._centered)))
-        else:
-            from .divergences import _logsumexp
+        y = c * self._centered
+        if abs(c) * self._span <= 700.0:
+            em1 = np.expm1(y)
+            tail = np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
+            tail = float(self._weights @ tail)
+            return math.log1p(tail), float((self._weights * em1 / (1.0 + tail)) @ self._centered)
+        from .divergences import _logsumexp
 
-            value = _logsumexp(c * self._centered, self._weights)
-        return value - c * self._residual
+        tilted = self._weights * np.exp(y - y.max())
+        slope = float(tilted @ self._centered) / float(tilted.sum())
+        return _logsumexp(y, self._weights), slope
 
 
 @dataclass(frozen=True, eq=False)
 class AnalyticCgf:
-    """A caller-supplied centered CGF ``c -> K(c)`` on the open domain (-c0, c0).
+    """A caller-supplied centered CGF on the open domain (-c0, c0).
 
-    The contract K(0) = 0, K'(0) = 0 (centered) and convexity is spot-checked
-    at construction; evaluations outside the stated domain raise
-    CgfDomainError rather than being clamped.
+    ``fn(c)`` returns ``(K(c), K'(c))``.  The contract (K(0) = 0, K'(0) = 0,
+    K' the slope of K, K convex) is spot-checked at construction;
+    evaluations outside the stated domain raise CgfDomainError rather than
+    being clamped.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[float], tuple[float, float]]
     domain_bound: float = math.inf
     check_contract: bool = True
 
@@ -131,27 +139,27 @@ class AnalyticCgf:
             self._spot_check()
 
     def _spot_check(self) -> None:
-        at_zero = self.fn(0.0)
+        at_zero, slope = self.fn(0.0)
         if abs(at_zero) > 1e-10:
             raise ParameterError(f"centered CGF must vanish at 0, got {at_zero!r}")
-        h = min(1e-6, self.domain_bound / 4.0)
-        slope = (self.fn(h) - self.fn(-h)) / (2.0 * h)
         if abs(slope) > 1e-6:
             raise ParameterError(
                 f"centered CGF must have zero slope at 0, got {slope!r}"
             )
-        # Midpoint convexity at a few deterministic triples inside the domain.
         probe = min(1.0, self.domain_bound / 2.0)
-        for a, b in ((-probe, probe), (0.0, probe), (-probe, 0.0)):
-            mid = self.fn(0.5 * (a + b))
-            if mid > 0.5 * (self.fn(a) + self.fn(b)) + 1e-10:
-                raise ParameterError("centered CGF failed the convexity spot check")
+        below, above = (self.fn(c)[1] for c in (-probe, probe))
+        for c, dk in ((-probe, below), (probe, above)):
+            fd = (self.fn(c * 1.0001)[0] - self.fn(c * 0.9999)[0]) / (2e-4 * c)
+            if abs(dk - fd) > 1e-6 * max(1.0, abs(fd)):
+                raise ParameterError(f"CGF slope at {c!r} misses the central difference {fd!r}")
+        if not below - 1e-10 <= slope <= above + 1e-10:  # K' increases: convexity
+            raise ParameterError("centered CGF failed the convexity spot check")
 
     def variance(self) -> float:
         h = min(_VAR_FD_STEP, self.domain_bound / 4.0)
-        return max((self.fn(h) - 2.0 * self.fn(0.0) + self.fn(-h)) / h**2, 0.0)
+        return max((self.fn(h)[0] - 2.0 * self.fn(0.0)[0] + self.fn(-h)[0]) / h**2, 0.0)
 
-    def evaluate(self, c: float) -> float:
+    def evaluate(self, c: float) -> tuple[float, float]:
         if abs(c) >= self.domain_bound:
             raise CgfDomainError(
                 f"CGF argument {c!r} outside the open domain "
@@ -168,8 +176,8 @@ class GoalBound:
     """Two-sided goal-oriented bound on a QoI gap.
 
     ``xi_minus <= E_q(f) - E_p(f) <= xi_plus``.  The optimizers ``c_star_*``
-    are 0 in the degenerate cases (an entropy budget that is zero or below
-    1e-300, or a constant observable), where they are not searched for.
+    are 0 in the degenerate cases (a zero entropy budget or a constant
+    observable), where they are not searched for.
     """
 
     xi_plus: float
@@ -205,14 +213,6 @@ def linearized_half_width(var_p_f: float, relative_entropy_value: float) -> floa
     return math.sqrt(var_p_f) * math.sqrt(2.0 * relative_entropy_value)
 
 
-def _optimizer_cap(source: CgfSource) -> float:
-    bound = source.domain_bound
-    if math.isinf(bound):
-        return 1e12
-    # Stay strictly inside the open domain.
-    return bound * (1.0 - 1e-9)
-
-
 def xi_bounds(
     source: CgfSource,
     relative_entropy_value: float,
@@ -223,52 +223,51 @@ def xi_bounds(
 
     ``xi_plus = inf_{c>0} (K(c) + R)/c`` and
     ``xi_minus = sup_{c>0} -(K(-c) + R)/c`` where K is the centered CGF.
-    The objective is quasiconvex for convex K, so a geometric bracket plus
-    golden-section search finds the optimum.  R = 0 short-circuits to
-    exactly (0, 0), and ``0 < R < 1e-300`` to ``+-sqrt(2 R Var)``.  When the
-    objective falls all the way to the optimizer's cap (c -> inf, e.g. R
-    above ``-log p(argmax f)``), the bound is its value at the cap, within
-    ``R / cap`` of the limit.
+    Each optimum is the root of ``c K'(c) - K(c) = R``, solved in log c
+    from ``sqrt(2 R / Var)`` (the optimum for ``K = Var c^2 / 2``); each
+    bound is ``(K(c) + R) / c`` at the best c evaluated, widened by
+    ``2^-46`` relative (``_OUTWARD``).  R = 0 short-circuits to
+    exactly (0, 0).  When the slope is still negative at the optimizer's cap
+    (c -> inf, e.g. R above ``-log p(argmax f)``), the bound is its value at
+    the cap, within ``R / cap`` of the limit.
 
-    ``variance`` sets the linearized half width, and the bound itself for
-    ``R < 1e-300``; it may round to 0 where K does not.  Without it,
-    empirical sources use the exact variance and analytic sources a central
-    finite difference of K at 0, and a zero there marks a constant
-    observable, which short-circuits to exactly (0, 0).  With it, a constant
-    observable is optimized like any other and gives ``(R / cap, -R / cap)``.
+    ``variance`` sets the linearized half width and the starting point (the
+    cap, if it rounds to 0 where K does not).  Without it, empirical sources
+    use the exact variance and analytic sources a central finite difference
+    of K at 0, and a zero there marks a constant observable, which
+    short-circuits to exactly (0, 0).  With it, a constant observable is
+    optimized like any other and gives ``(R / cap, -R / cap)``.
     """
-    if relative_entropy_value < 0:
-        raise ParameterError(
-            f"relative entropy must be nonnegative, got {relative_entropy_value!r}"
-        )
     r = relative_entropy_value
+    if not (0.0 <= r < math.inf):
+        raise ParameterError(f"relative entropy must be finite and nonnegative, got {r!r}")
     if r == 0.0:
         return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
     if variance is None:
         variance = source.variance()
         if variance <= 0.0:
             return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
-    if r < _TINY_BUDGET:
-        half = linearized_half_width(variance, r)
-        return GoalBound(half, -half, 0.0, 0.0, half)
 
-    cap = _optimizer_cap(source)
-    c_init = min(1.0, cap / 2.0)
+    cap = min(1e12, source.domain_bound * (1.0 - 1e-9))  # inside an open domain
+    c_init = min(math.sqrt(2.0 * r / variance), cap) if variance > 0.0 else cap
+
+    def minimize(sign: float) -> tuple[float, float]:
+        def objective(c: float) -> tuple[float, float]:  # (K(sign c) + R) / c, d/dc
+            k, slope = source.evaluate(sign * c)
+            value = (k + r) / c
+            return value, (sign * slope - value) / c
+
+        return minimize_positive_scalar(objective, c_init=c_init, hi_cap=cap)
 
     try:
-        c_plus, xi_plus = minimize_positive_scalar(
-            lambda c: (source.evaluate(c) + r) / c, c_init=c_init, hi_cap=cap
-        )
-        c_minus, neg_xi_minus = minimize_positive_scalar(
-            lambda c: (source.evaluate(-c) + r) / c, c_init=c_init, hi_cap=cap
-        )
+        (c_plus, xi_plus), (c_minus, neg_xi_minus) = minimize(1.0), minimize(-1.0)
     except ValueError as exc:
         raise UnboundedObservableError(
             "the centered CGF is non-finite on the whole optimization range"
         ) from exc
     return GoalBound(
-        xi_plus=xi_plus,
-        xi_minus=-neg_xi_minus,
+        xi_plus=xi_plus * _OUTWARD,
+        xi_minus=-neg_xi_minus * _OUTWARD,
         c_star_plus=c_plus,
         c_star_minus=c_minus,
         linearized_half_width=linearized_half_width(variance, r),
@@ -384,7 +383,8 @@ def expfam_xi_bounds(
     """Goal-oriented bounds for the linear observable ``f = t(x) . v``.
 
     Uses the closed-form centered CGF
-    ``K(c) = F(theta + c v) - F(theta) - c v . grad F(theta)`` together with
+    ``K(c) = F(theta + c v) - F(theta) - c v . grad F(theta)``, with slope
+    ``K'(c) = v . grad F(theta + c v) - v . grad F(theta)``, together with
     the Bregman relative entropy, then optimizes over c as in
     :func:`xi_bounds`.
     """
@@ -402,7 +402,8 @@ def expfam_xi_bounds(
     f_theta = fam.F(theta)
     slope = float(v @ fam.grad_F(theta))
     source = AnalyticCgf(
-        fn=lambda c: fam.F(theta + c * v) - f_theta - c * slope,
+        fn=lambda c: (fam.F(theta + c * v) - f_theta - c * slope,
+                      float(v @ fam.grad_F(theta + c * v)) - slope),
         domain_bound=c0,
         check_contract=False,
     )

@@ -6,7 +6,8 @@ rates are logarithms of Perron roots of entrywise-tilted transition matrices.
 The steady-state QoI gap ``E_{mu_q}(g) - E_{mu_p}(g)`` is sandwiched by
 optimizing ``(lambda_{p,g}(c) + r)/c`` over c, exactly as in the
 single-measure goal-oriented bound with the CGF replaced by the principal
-eigenvalue curve.
+eigenvalue curve, whose slope ``sum l g r / sum l r`` comes from the left and
+right Perron vectors l, r of the same solve.
 
 The lambda-curve and the Renyi rates take every tilted Perron root through
 one shift rule, :func:`_log_perron`; the row KL terms, the checks and the
@@ -107,37 +108,42 @@ def _period(adjacency: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(level[us] + 1 - level[vs]))) or 1
 
 
-def perron_root(matrix: np.ndarray) -> float:
-    """Dominant eigenvalue of a nonnegative matrix with irreducible pattern.
+def perron_root(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(rho, l, r)``: the dominant eigenvalue of a nonnegative matrix with
+    irreducible pattern and its left and right Perron vectors (unit sums).
 
-    Power iteration ``x <- (M/s) x`` with s the largest row sum, from the
-    uniform start, stopping once the Collatz-Wielandt ratios ``(Mx)_i / x_i``,
-    which enclose the root, agree to a relative ``_PERRON_TOL``.  A matrix
-    the iteration does not settle within ``_PERRON_STEPS`` steps (a periodic
-    or slowly mixing pattern), or whose iterate gets a zero entry (a pattern
+    Power iteration ``r <- (M/s) r``, ``l <- l (M/s)`` with s the largest
+    row sum, from the uniform start, until the Collatz-Wielandt ratios of
+    each iterate, which enclose the root, agree to a relative ``_PERRON_TOL``;
+    rho is then the Rayleigh quotient ``l M r / l r``.  A matrix the
+    iteration does not settle within ``_PERRON_STEPS`` steps (a periodic or
+    slowly mixing pattern), or whose iterate gets a zero entry (a pattern
     that extreme tilts have underflowed to reducible), gets a dense
-    eigensolve instead, which is exact for these small matrices.
+    eigensolve for rho and the null vectors of ``M - rho I`` by one SVD.
     """
     m = np.asarray(matrix, dtype=float)
     if np.any(m < 0):
         raise ParameterError("Perron root requires a nonnegative matrix")
+    n = m.shape[0]
     scale = float(m.sum(axis=1).max())
+    right = left = np.full(n, 1.0 / n)
     if scale == 0.0:
-        return 0.0
+        return 0.0, left, right
     step = m / scale
-    x = np.full(m.shape[0], 1.0 / m.shape[0])
     for _ in range(_PERRON_STEPS):
-        y = step @ x
-        if y.min() <= 0.0:
+        y, z = step @ right, left @ step
+        if min(y.min(), z.min()) <= 0.0:
             break  # an entry underflowed; the ratio enclosure is undefined
-        ratios = y / x
+        ratios, left_ratios = y / right, z / left
         lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= _PERRON_TOL * hi:
-            return 0.5 * (lo + hi) * scale
-        x = y / y.sum()
+        right, left = y / y.sum(), z / z.sum()
+        if max(hi - lo, float(np.ptp(left_ratios))) <= _PERRON_TOL * hi:
+            return scale * float(left @ step @ right) / float(left @ right), left, right
     # The spectral radius of a nonnegative matrix is itself an eigenvalue.
-    rho = float(np.max(np.linalg.eigvals(m).real))
-    return max(rho, 0.0)
+    rho = max(float(np.max(np.linalg.eigvals(m).real)), 0.0)
+    u, _, vt = np.linalg.svd(m - rho * np.eye(n))
+    left, right = np.abs(u[:, -1]), np.abs(vt[-1])
+    return rho, left / left.sum(), right / right.sum()
 
 
 def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
@@ -190,7 +196,7 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     support = q.rows > 0
     exponents = np.full_like(q.rows, -math.inf)
     exponents[support] = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
-    log_rho = _log_perron(1.0, exponents)
+    log_rho = _log_perron(1.0, exponents)[0]
     if log_rho == -math.inf:
         raise NumericsError("the tilted matrix underflowed to a zero Perron root")
     return max(log_rho / (alpha - 1.0), 0.0)
@@ -226,12 +232,13 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
     _check_observable(p, g)
     mu = stationary_distribution(p).weights
     centered = g.values - float(mu @ g.values)
-    return _lambda_curve(p.rows, centered)(c)
+    return _lambda_curve(p.rows, centered)(c)[0]
 
 
-def _log_perron(base, exponents: np.ndarray) -> float:
+def _log_perron(base, exponents: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """``log rho(base * e^exponents)`` (entrywise, numpy broadcasting; a
-    ``-inf`` exponent is a zero entry, a zero root gives ``-inf``).
+    ``-inf`` exponent is a zero entry, a zero root gives ``-inf``), with the
+    left and right Perron vectors of :func:`perron_root`.
 
     e^x overflows past x = 709 and underflows below -745, and a large tilt
     or a tiny entry of p reaches either.  The exponents are shifted by their
@@ -243,15 +250,25 @@ def _log_perron(base, exponents: np.ndarray) -> float:
     top = float(np.max(exponents))
     low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
     shift = max(top - 700.0, min(top, low + 700.0))
-    rho = perron_root(base * np.exp(exponents - shift))
-    return math.log(rho) + shift if rho > 0.0 else -math.inf
+    rho, left, right = perron_root(base * np.exp(exponents - shift))
+    return (math.log(rho) + shift if rho > 0.0 else -math.inf), left, right
 
 
-def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], float]:
-    """``c -> log rho(rows(x, y) e^{c centered(y)})``, 0 at c = 0."""
-    if _spread(centered) == 0.0:
-        return lambda c: 0.0
-    return lambda c: _log_perron(rows, c * centered) if c != 0.0 else 0.0
+def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], tuple[float, float]]:
+    """``c -> (lambda, lambda')`` of ``log rho(rows(x, y) e^{c centered(y)})``,
+    (0, 0) at c = 0; ``lambda' = sum l g r / sum l r`` (Kato, Perturbation
+    Theory for Linear Operators, ch. II), NaN if l and r share no support."""
+    flat = _spread(centered) == 0.0
+
+    def curve(c: float) -> tuple[float, float]:
+        if c == 0.0 or flat:
+            return 0.0, 0.0
+        log_rho, left, right = _log_perron(rows, c * centered)
+        overlap = left * right
+        total = float(overlap.sum())
+        return log_rho, float(overlap @ centered) / total if total > 0.0 else math.nan
+
+    return curve
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,15 +276,16 @@ class RateBound:
     """Steady-state QoI bound data for a pair of chains.
 
     ``xi_minus_rate <= E_{mu_q}(g) - E_{mu_p}(g) <= xi_plus_rate``.
-    ``iact`` is the integrated autocorrelation of g under p (NaN when p is
-    periodic, where the autocovariance series has no absolute-convergence
-    guarantee); ``mu_q`` and ``mu_p`` are the two stationary laws.
+    ``lambda_curve(c)`` is ``(lambda(c), lambda'(c))``; ``iact`` is the
+    integrated autocorrelation of g under p (NaN when p is periodic, where
+    the autocovariance series has no absolute-convergence guarantee);
+    ``mu_q`` and ``mu_p`` are the two stationary laws.
     """
 
     rer: float
     xi_plus_rate: float
     xi_minus_rate: float
-    lambda_curve: Callable[[float], float]
+    lambda_curve: Callable[[float], tuple[float, float]]
     iact: float
     mu_q: DiscreteDistribution
     mu_p: DiscreteDistribution
@@ -301,7 +319,7 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     return max(value, 0.0)
 
 
-def _optimized(curve: Callable[[float], float], iact: float, rate: float) -> GoalBound:
+def _optimized(curve: Callable[[float], tuple[float, float]], iact: float, rate: float) -> GoalBound:
     """The goal-oriented bound of the lambda-curve at entropy budget ``rate``,
     linearized with the IACT (or, where it is NaN, the curve's own variance)."""
     source = AnalyticCgf(fn=curve, check_contract=False)

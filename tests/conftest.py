@@ -36,8 +36,9 @@ def product_measure(weights, n):
 
 
 def mp_centered_cgf(weights, values, c):
-    """50-digit ``log sum_i w_i exp(c (f_i - mean)) - log sum_i w_i`` over
-    every atom as given, none merged: the oracle for an EmpiricalCgf."""
+    """50-digit ``(K(c), K'(c))`` for ``K(c) = log sum_i w_i exp(c (f_i -
+    mean)) - log sum_i w_i`` over every atom as given, none merged: the
+    oracle for an EmpiricalCgf.  K' is the tilted mean of ``f_i - mean``."""
     import mpmath
 
     with mpmath.workdps(50):
@@ -46,20 +47,25 @@ def mp_centered_cgf(weights, values, c):
         total = mpmath.fsum(w)
         mean = mpmath.fsum(a * b for a, b in zip(w, f)) / total
         c = mpmath.mpf(c)
-        return float(mpmath.log(mpmath.fsum(a * mpmath.exp(c * (b - mean)) for a, b in zip(w, f)) / total))
+        tilted = [a * mpmath.exp(c * (b - mean)) for a, b in zip(w, f)]
+        norm = mpmath.fsum(tilted)
+        slope = mpmath.fsum(t * (b - mean) for t, b in zip(tilted, f)) / norm
+        return float(mpmath.log(norm / total)), float(slope)
 
 
 def assert_cgf_matches_oracle(cgf, weights, values):
-    """K agrees with the unmerged oracle within 1e-13 relative at c in
-    {+-1e-8, +-0.3, +-5, +-200}.  Near c = 0 the float sum of
-    ``w_i expm1(c d_i)`` carries an absolute error of a few ulps of
-    ``|c| max|d|``, which at |c| = 1e-8 is ~1e-9 of K itself (merged or
-    not), so that floor is allowed on top."""
+    """K and K' agree with the unmerged oracle within 1e-13 relative at c
+    in {+-1e-8, +-0.3, +-5, +-200}.  Past ``|c| max|d| = 1`` the tilted
+    mean less the mean's rounding residual carries an absolute error of a
+    few ulps of ``max|d|``, and K a few ulps of ``|c| max|d|``, so those
+    floors are allowed on top."""
     span = float(np.max(np.abs(np.asarray(values) - cgf.mean)))
     for c in (1e-8, -1e-8, 0.3, -0.3, 5.0, -5.0, 200.0, -200.0):
-        want = mp_centered_cgf(weights, values, c)
-        floor = 8.0 * math.ulp(1.0) * abs(c) * span
-        assert cgf.evaluate(c) == pytest.approx(want, rel=1e-13, abs=floor), c
+        want, want_slope = mp_centered_cgf(weights, values, c)
+        value, slope = cgf.evaluate(c)
+        floor = 8.0 * math.ulp(1.0) * span
+        assert value == pytest.approx(want, rel=1e-13, abs=floor * abs(c)), c
+        assert slope == pytest.approx(want_slope, rel=1e-13, abs=floor), c
 
 
 @pytest.fixture

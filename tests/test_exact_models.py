@@ -594,14 +594,18 @@ class TestFiniteVolumeConsistency:
         # thermodynamic-limit bound assembled from the closed forms.
         from infoscale import GibbsMeasure, LatticeVolume, finite_volume_xi, model_cgf
         from infoscale.gibbs import spin_observable
+        from infoscale.exact_models import _tilted_magnetization
         from infoscale.optimize import minimize_positive_scalar
 
         q_m = Ising1DParams(beta=1.3, J=1.0, h=0.25)
         p_m = Ising1DParams(beta=1.0, J=1.0, h=0.0)
         rate = cross_model_re_rate(q_m, p_m)
-        _, limit_upper = minimize_positive_scalar(
-            lambda c: (model_cgf(p_m, c) + rate) / c
-        )
+
+        def objective(c):
+            value = (model_cgf(p_m, c) + rate) / c
+            return value, (_tilted_magnetization(p_m, c) - value) / c
+
+        _, limit_upper = minimize_positive_scalar(objective)
         gaps = []
         for n in (6, 10, 14):
             vol = LatticeVolume.chain(n)

@@ -40,23 +40,23 @@ def additive_product_problem(p, q, g, n):
 class TestCenteredCgf:
     def test_zero_at_origin(self, rng):
         p, _, f = random_triple(rng)
-        assert EmpiricalCgf(p, f).evaluate(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert EmpiricalCgf(p, f).evaluate(0.0) == (0.0, 0.0)
 
     def test_constant_observable_is_zero(self):
         src = EmpiricalCgf(DiscreteDistribution([0.4, 0.6]), Observable([3.0, 3.0]))
         for c in (-5.0, 0.0, 2.0, 50.0):
-            assert src.evaluate(c) == pytest.approx(0.0, abs=1e-12)
+            assert src.evaluate(c) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_bernoulli_value(self):
         src = EmpiricalCgf(DiscreteDistribution([0.5, 0.5]), Observable([0.0, 1.0]))
         assert src.evaluate(1.0) == pytest.approx(
-            math.log(math.cosh(0.5)), abs=1e-12
+            (math.log(math.cosh(0.5)), 0.5 * math.tanh(0.5)), abs=1e-12
         )
 
     def test_overflow_safe_at_large_c(self, rng):
         p, _, f = random_triple(rng)
-        value = EmpiricalCgf(p, f).evaluate(1e8)
-        assert math.isfinite(value)
+        value, slope = EmpiricalCgf(p, f).evaluate(1e8)
+        assert math.isfinite(value) and math.isfinite(slope)
 
     def test_overflowing_spread_raises(self):
         # A spread past 1.34e154 has a variance beyond the float range.
@@ -79,35 +79,41 @@ class TestCenteredCgf:
         src = EmpiricalCgf(p, f)
         for _ in range(20):
             a, b = sorted(rng.uniform(-5.0, 5.0, 2))
-            mid = src.evaluate(0.5 * (a + b))
-            assert mid <= 0.5 * (src.evaluate(a) + src.evaluate(b)) + 1e-10
+            mid = src.evaluate(0.5 * (a + b))[0]
+            assert mid <= 0.5 * (src.evaluate(a)[0] + src.evaluate(b)[0]) + 1e-10
+            assert src.evaluate(a)[1] <= src.evaluate(b)[1] + 1e-12
 
 
 class TestAnalyticCgf:
     def test_contract_rejects_nonzero_at_origin(self):
         with pytest.raises(ParameterError):
-            AnalyticCgf(fn=lambda c: c + 1.0)
+            AnalyticCgf(fn=lambda c: (c + 1.0, 1.0))
 
     def test_contract_rejects_nonzero_slope(self):
         with pytest.raises(ParameterError):
-            AnalyticCgf(fn=lambda c: c)
+            AnalyticCgf(fn=lambda c: (c, 1.0))
+
+    def test_contract_rejects_a_slope_that_does_not_match_the_values(self):
+        AnalyticCgf(fn=lambda c: (c * c / 2.0, c))
+        with pytest.raises(ParameterError, match="central difference"):
+            AnalyticCgf(fn=lambda c: (c * c / 2.0, -c))
 
     def test_contract_rejects_concavity(self):
         with pytest.raises(ParameterError):
-            AnalyticCgf(fn=lambda c: -(c**2))
+            AnalyticCgf(fn=lambda c: (-(c**2), -2.0 * c))
 
     def test_domain_violation_raises(self):
-        src = AnalyticCgf(fn=lambda c: c * c / 2.0, domain_bound=2.0)
+        src = AnalyticCgf(fn=lambda c: (c * c / 2.0, c), domain_bound=2.0)
         with pytest.raises(CgfDomainError):
             src.evaluate(2.5)
 
     def test_empty_positive_domain_raises(self):
         with pytest.raises(UnboundedObservableError):
-            AnalyticCgf(fn=lambda c: c * c, domain_bound=0.0)
+            AnalyticCgf(fn=lambda c: (c * c, 2.0 * c), domain_bound=0.0)
 
     def test_everywhere_infinite_cgf_raises(self):
         src = AnalyticCgf(
-            fn=lambda c: math.inf if c != 0.0 else 0.0, check_contract=False
+            fn=lambda c: (math.inf, math.inf) if c != 0.0 else (0.0, 0.0), check_contract=False
         )
         with pytest.raises(UnboundedObservableError):
             xi_bounds(src, 0.5, variance=1.0)
@@ -125,7 +131,7 @@ class TestXiBounds:
         assert b.xi_plus == 0.0 and b.xi_minus == 0.0
 
     def test_caller_variance_only_sets_linearized_width(self):
-        src = AnalyticCgf(fn=lambda c: c * c / 2.0)
+        src = AnalyticCgf(fn=lambda c: (c * c / 2.0, c))
         b = xi_bounds(src, 0.5, variance=0.0)
         assert b.xi_plus == pytest.approx(1.0, rel=1e-6)
         assert b.xi_minus == pytest.approx(-1.0, rel=1e-6)
@@ -160,22 +166,40 @@ class TestXiBounds:
         b = xi_bounds(EmpiricalCgf(p, Observable([1.0, -0.5])), budget)
         assert b.xi_minus <= 0.0 <= b.xi_plus
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open defect: for budgets between 1e-300 and about 1e-20 c* falls "
-        "below the optimizer's 1e-10 x-tolerance and the search stops near "
-        "c = 1.1e-16, giving 35x sqrt(2 R) at R = 1e-40"
-    ))
-    def test_tiny_budget_reaches_the_quadratic_bound(self):
-        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly, here 1.4e-20.
-        b = xi_bounds(AnalyticCgf(fn=lambda c: c * c / 2.0), 1e-40)
-        assert b.xi_plus == pytest.approx(math.sqrt(2e-40), rel=1e-6, abs=0.0)
+    @pytest.mark.parametrize("budget", [1e-40, 1e-20, 1e-100, 1e-200, 1e-299, 1e-310])
+    def test_tiny_budget_reaches_the_quadratic_bound(self, budget):
+        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly: the root solve
+        # starts at c* = sqrt(2 R) itself, far below any absolute tolerance.
+        b = xi_bounds(AnalyticCgf(fn=lambda c: (c * c / 2.0, c)), budget)
+        assert b.xi_plus == pytest.approx(math.sqrt(2.0 * budget), rel=1e-9, abs=0.0)
+        assert b.xi_minus == pytest.approx(-math.sqrt(2.0 * budget), rel=1e-9, abs=0.0)
+        # An empirical CGF at the same budget keeps the zero gap of q = p.
+        p = DiscreteDistribution([0.3, 0.7])
+        b = xi_bounds(EmpiricalCgf(p, Observable([1.0, -0.5])), budget)
+        assert b.xi_minus <= 0.0 <= b.xi_plus
 
     def test_subnormal_budget_gives_the_quadratic_bound(self):
-        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly; at R = 1e-310
-        # the optimum c* = 1.4e-155 is out of the optimizer's reach.
-        b = xi_bounds(AnalyticCgf(fn=lambda c: c * c / 2.0), 1e-310)
+        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly, also at a
+        # subnormal R = 1e-310, where c* = 1.4e-155.
+        b = xi_bounds(AnalyticCgf(fn=lambda c: (c * c / 2.0, c)), 1e-310)
         assert b.xi_plus == pytest.approx(math.sqrt(2e-310), rel=1e-9, abs=0.0)
         assert b.xi_minus == -b.xi_plus
+
+    def test_skewed_weights_keep_the_zero_gap(self):
+        # Weights from e^-700 to 1: K is as small as Var c^2 / 2 ~ 1e-40 at
+        # c ~ 1, far below the rounding of a log-sum-exp of exponents ~ 1.
+        rng = np.random.default_rng(700)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            p = DiscreteDistribution(np.exp(rng.uniform(-700.0, 0.0, n)), renormalize=True)
+            b = xi_bounds(EmpiricalCgf(p, Observable(rng.normal(size=n))), 10.0 ** rng.uniform(-320, 0))
+            assert b.xi_minus <= 0.0 <= b.xi_plus
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        src = AnalyticCgf(fn=lambda c: (c * c / 2.0, c))
+        with pytest.raises(ParameterError, match=repr(budget)):
+            xi_bounds(src, budget)
 
     def test_optimizer_matches_log_grid(self, rng):
         # The returned optimum must not exceed a dense log-grid minimum.
@@ -185,7 +209,7 @@ class TestXiBounds:
             r = relative_entropy(q, p)
             b = xi_bounds(src, r)
             grid = np.logspace(-6.0, 3.0, 10_000)
-            grid_min = min((src.evaluate(c) + r) / c for c in grid)
+            grid_min = min((src.evaluate(c)[0] + r) / c for c in grid)
             assert b.xi_plus <= grid_min + 1e-9
 
     def test_monotone_in_entropy_budget(self, rng):
@@ -266,13 +290,17 @@ class TestTensorization:
 def bernoulli_family():
     return ExponentialFamily(
         log_normalizer=lambda th: _softplus(th[0]),
-        grad_log_normalizer=lambda th: np.array([1.0 / (1.0 + math.exp(-th[0]))]),
+        grad_log_normalizer=lambda th: np.array([_sigmoid(th[0])]),
         dim=1,
     )
 
 
 def _softplus(x):
     return math.log1p(math.exp(x)) if x < 30 else x + math.log1p(math.exp(-x))
+
+
+def _sigmoid(x):
+    return math.exp(min(x, 0.0)) / (1.0 + math.exp(-abs(x)))
 
 
 def bernoulli_distribution(theta):

@@ -111,17 +111,17 @@ class TestPerron:
             m[1, 0] = max(m[1, 0], 1e-3)
             tr, det = m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             root = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-            assert perron_root(m) == pytest.approx(root, abs=1e-10)
+            assert perron_root(m)[0] == pytest.approx(root, abs=1e-10)
 
     def test_periodic_pattern_converges(self):
         # Pure off-diagonal pattern: power iteration oscillates and never
         # settles, so the dense solve gives the root.
         m = np.array([[0.0, 4.0], [1.0, 0.0]])
-        assert perron_root(m) == pytest.approx(2.0, abs=1e-11)
+        assert perron_root(m)[0] == pytest.approx(2.0, abs=1e-11)
 
     def test_stochastic_matrix_has_root_one(self, rng):
         p = random_chain(rng, 4)
-        assert perron_root(p.rows) == pytest.approx(1.0, abs=1e-12)
+        assert perron_root(p.rows)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_underflow_truncated_tilt_stays_bounded(self):
         # An extreme tilt underflows all but one column, leaving a reducible
@@ -208,7 +208,7 @@ class TestPerronProperties:
             entries[k] = tiny
         m = np.where(adjacency, np.reshape(entries, (n, n)), 0.0)
         dense = float(np.max(np.linalg.eigvals(m).real))
-        assert perron_root(m) == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert perron_root(m)[0] == pytest.approx(dense, rel=1e-12, abs=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(adjacency=_cyclic_patterns())
@@ -231,10 +231,61 @@ class TestPerronProperties:
         g = Observable(rng.uniform(-1.0, 1.0, 300))
         calls = []
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m))
-        assert perron_root(rows) == pytest.approx(1.0, rel=1e-12)
+        assert perron_root(rows)[0] == pytest.approx(1.0, rel=1e-12)
         for c in (-5.0, 0.5, 20.0):
             assert math.isfinite(lambda_pg(p, g, c))
         assert calls == []
+
+
+def _banded_chain():
+    rows = np.zeros((10, 10))
+    for x, row in enumerate(_BANDED_RING):
+        for y, value in row.items():
+            rows[x, y] = value
+    return TransitionMatrix(rows), Observable(_BANDED_G)
+
+
+class TestPerronVectors:
+    @staticmethod
+    def _assert_eigenvectors(m):
+        rho, left, right = perron_root(m)
+        assert np.all(left >= 0.0) and np.all(right >= 0.0)
+        assert np.max(np.abs(left @ m - rho * left)) <= 1e-12 * rho * np.max(left)
+        assert np.max(np.abs(m @ right - rho * right)) <= 1e-12 * rho * np.max(right)
+
+    def test_power_iteration_vectors(self, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # no dense solve
+        for n in (3, 8, 40):
+            self._assert_eigenvectors(rng.uniform(0.5, 2.0, (n, n)))
+
+    def test_dense_solve_vectors(self):
+        # A periodic pattern and a banded ring at a tilt the power iteration
+        # does not settle: both take the dense solve.
+        self._assert_eigenvectors(np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]))
+        p, g = _banded_chain()
+        self._assert_eigenvectors(p.rows * np.exp(-2.0 * (g.values - g.values.max()))[None, :])
+
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_lambda_slope_matches_a_central_difference(self, rng, banded, monkeypatch):
+        if banded:  # the ring mixes slowly: all but c = 5 take the dense solve
+            p, g = _banded_chain()
+            cs = (-256.0, -3.0, -0.4, 0.7, 5.0)
+        else:
+            p, g = random_chain(rng, 6), Observable(rng.uniform(-1.0, 1.0, 6))
+            cs = (-20.0, -1.5, -0.01, 0.3, 2.0, 40.0)
+        curve = xi_rate_bounds(p, p, g).lambda_curve
+        dense = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: dense.append(m) or eigvals(m))
+        for c in cs:
+            before = len(dense)
+            value, slope = curve(c)
+            step = 1e-5 * max(1.0, abs(c))
+            difference = (curve(c + step)[0] - curve(c - step)[0]) / (2.0 * step)
+            assert value == pytest.approx(lambda_pg(p, g, c), rel=1e-14, abs=1e-15)
+            assert slope == pytest.approx(difference, rel=1e-6, abs=1e-9), c
+            if banded and c == -256.0:
+                assert len(dense) > before
 
 
 class TestRates:
@@ -391,7 +442,7 @@ class TestLambdaCurve:
         g = Observable(rng.uniform(-1, 1, 3))
         src = EmpiricalCgf(DiscreteDistribution(pw), g)
         for c in (-2.0, 0.3, 1.7):
-            assert lambda_pg(p, g, c) == pytest.approx(src.evaluate(c), abs=1e-11)
+            assert lambda_pg(p, g, c) == pytest.approx(src.evaluate(c)[0], abs=1e-11)
 
     def test_convex_in_c(self, rng):
         p = random_chain(rng, 3)

@@ -1,5 +1,6 @@
-"""The scalar optimizer's stopping rules: the exit at the cap and the relative
-x-tolerance.  Evaluations are counted by wrapping the objective."""
+"""The scalar optimizer's (value, slope) contract and its stopping rules: the
+exit at the cap, the relative x-tolerance, a NaN slope and the evaluation
+ceilings.  Evaluations are counted by wrapping the objective."""
 
 import math
 
@@ -45,7 +46,7 @@ def test_at_cap_bound_exits_early(counts):
     f = Observable([0.0, 1.0, 2.0])
     r = 2.0  # above -log p(argmax f) = 1.61 and -log p(argmin f) = 0.69
     b = xi_bounds(EmpiricalCgf(p, f), r)
-    assert len(counts) == 2 and max(counts) <= 45
+    assert len(counts) == 2 and max(counts) <= 8
     mean = f.expectation(p)
     assert abs(b.xi_plus - (2.0 - mean)) <= r / CAP + 1e-12
     assert abs(b.xi_minus - (0.0 - mean)) <= r / CAP + 1e-12
@@ -56,7 +57,7 @@ def test_constant_observable_with_variance_exits_early(counts):
     src = EmpiricalCgf(DiscreteDistribution([0.4, 0.6]), Observable([2.0, 2.0]))
     r = 1.5
     b = xi_bounds(src, r, variance=0.0)
-    assert len(counts) == 2 and max(counts) <= 45
+    assert len(counts) == 2 and max(counts) <= 8
     assert b.xi_plus == pytest.approx(r / CAP, rel=1e-12)
     assert b.xi_minus == pytest.approx(-r / CAP, rel=1e-12)
 
@@ -65,37 +66,106 @@ def test_constant_observable_with_variance_exits_early(counts):
 def test_minimum_next_to_the_cap_is_refined(slope):
     # The expansion's last step lands on the cap and rises there: the
     # minimum at 0.75 * cap is interior and must be refined, not returned
-    # as the point before the cap (2^39 ~ 0.55 * cap).  The steep objective
-    # never meets the f-tolerance, so only the x-tolerance stops it.
+    # as the point before the cap (2^31 ~ 0.002 * cap).  The slope jumps
+    # from -slope / target to +slope / target at the minimum, so only the
+    # x-tolerance stops the search.
     made = [0]
     target = 0.75 * CAP
 
     def objective(c):
         made[0] += 1
-        return slope * abs(c / target - 1.0)
+        return slope * abs(c / target - 1.0), slope * math.copysign(1.0, c - target) / target
 
     c_best, f_best = minimize_positive_scalar(objective, hi_cap=CAP)
     assert c_best == pytest.approx(target, rel=1e-9)
     assert f_best <= slope * 1e-9
-    # 41 evaluations reach the cap, 1 goes left and about 50 golden-section
-    # steps reach 1e-10 relative; an absolute x-tolerance would run all 400
-    # steps there, or stop only once the bracket shrinks to adjacent floats.
+    # 7 evaluations reach the cap; a jump in the slope leaves the root solve
+    # little better than bisection, about 50 steps down to 1e-10 relative.
     assert made[0] <= 100
 
 
 @pytest.mark.parametrize("scale", [1.0, 15.0])
-def test_minimum_before_a_finite_domain_bound_is_refined(scale):
+def test_minimum_before_a_finite_domain_bound_is_refined(scale, counts):
     # K(c) = D^2 k(c / D) with k(u) = 2 - 2 sqrt(1 - u) - u on (-D, D), and
     # R = D^2: (K(c) + R) / c = D (k(u) + 1) / u has its minimum, D times the
     # golden ratio, at u = 0.854, and is 2 D at the domain bound.  The
-    # expansion reaches the bound without a rise (in 1 step at D = 1, in 4
-    # at D = 15), so stopping there would give a bound 24% too loose.
+    # quadratic start sqrt(2 R / Var) = 2 D lies past the bound, so the
+    # search starts at the cap, where stopping would give a bound 24% too
+    # loose.
     def k(c):
-        return scale**2 * (2.0 - 2.0 * math.sqrt(1.0 - c / scale) - c / scale)
+        u = c / scale
+        return scale**2 * (2.0 - 2.0 * math.sqrt(1.0 - u) - u), scale * (1.0 / math.sqrt(1.0 - u) - 1.0)
 
     b = xi_bounds(AnalyticCgf(fn=k, domain_bound=scale), scale**2)
     assert b.xi_plus == pytest.approx(scale * (1.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
     assert b.c_star_plus == pytest.approx(scale * 0.8541019662496845, rel=1e-4)
+    assert counts[0] <= 16
+
+
+def _random_problem(rng):
+    """An EmpiricalCgf on 2 to 40 atoms and the relative entropy of a random q."""
+    n = int(rng.integers(2, 41))
+    p = DiscreteDistribution(rng.dirichlet(np.ones(n)))
+    q = DiscreteDistribution(rng.dirichlet(np.ones(n)))
+    return EmpiricalCgf(p, Observable(rng.normal(size=n))), relative_entropy(q, p)
+
+
+def test_evaluation_ceilings(counts):
+    # At most 16 evaluations per interior minimization and 8 per one that
+    # ends at the cap, over 2 x 100 minimizations.
+    rng = np.random.default_rng(16)
+    at_cap = []
+    for _ in range(100):
+        source, r = _random_problem(rng)
+        b = xi_bounds(source, r)
+        at_cap += [b.c_star_plus == CAP, b.c_star_minus == CAP]
+    interior = [n for n, cap in zip(counts, at_cap) if not cap]
+    capped = [n for n, cap in zip(counts, at_cap) if cap]
+    assert len(interior) > 150 and capped
+    assert max(interior) <= 16 and float(np.median(interior)) <= 9
+    assert max(capped) <= 8
+
+
+def _objective(source, r, nan_from):
+    """``c -> ((K(c) + R) / c, slope)`` with the slope NaN from ``nan_from`` on,
+    as where a tilted matrix has underflowed; and the evaluations made."""
+    made = []
+
+    def objective(c):
+        made.append(c)
+        k, dk = source.evaluate(c)
+        value = (k + r) / c
+        return value, math.nan if c >= nan_from else (dk - value) / c
+
+    return objective, made
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 1.1, 2.0])
+def test_nan_slope_neither_stops_nor_loosens_the_search(fraction):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        source, r = _random_problem(rng)
+        clean, _ = _objective(source, r, math.inf)
+        c_star, best = minimize_positive_scalar(clean, c_init=1.0, hi_cap=CAP)
+        objective, made = _objective(source, r, fraction * c_star)
+        c_nan, with_nan = minimize_positive_scalar(objective, c_init=1.0, hi_cap=CAP)
+        assert with_nan <= best * (1.0 + 1e-12)
+        assert c_nan == pytest.approx(c_star, rel=1e-4)
+        # A NaN slope costs a second evaluation, and next to the optimum
+        # the backward difference is lost to rounding, so the search bisects.
+        assert len(made) <= 80
+
+
+def test_nan_slope_at_large_c_still_reaches_the_cap():
+    # R above -log p(argmax f): the infimum is the c -> inf limit, and the
+    # slope is NaN from c = 100 on.
+    p = DiscreteDistribution([0.5, 0.3, 0.2])
+    source, r = EmpiricalCgf(p, Observable([0.0, 1.0, 2.0])), 2.0
+    objective, made = _objective(source, r, 100.0)
+    c_best, best = minimize_positive_scalar(objective, c_init=1.0, hi_cap=CAP)
+    assert c_best == CAP
+    assert best == pytest.approx(2.0 - 0.7, abs=r / CAP + 1e-12)
+    assert len(made) <= 16
 
 
 def _grid_bounds(p, f, r):

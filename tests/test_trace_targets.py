@@ -54,6 +54,25 @@ def _markov_args(tmp_path):
     return ["markov", "--p", str(p), "--q", str(q), "--observable", str(g), "--cheap"]
 
 
+def _banded_args(tmp_path):
+    # A 10-state tridiagonal ring: it mixes slowly under a tilt, so the
+    # Perron power iteration falls back to the dense solve.
+    n = 10
+    p_rows, q_rows = [], []
+    for i in range(n):
+        p_row, q_row = [0.0] * n, [0.0] * n
+        for k, j in enumerate((i - 1, i, i + 1)):
+            p_row[j % n] = 1.0 + 0.1 * ((3 * i + k) % 7)
+            q_row[j % n] = p_row[j % n] * (1.0 + 0.05 * ((i + 2 * k) % 3 - 1))
+        p_rows.append([x / sum(p_row) for x in p_row])
+        q_rows.append([x / sum(q_row) for x in q_row])
+    p, q, g = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "g.json"
+    p.write_text(json.dumps({"rows": p_rows}))
+    q.write_text(json.dumps({"rows": q_rows}))
+    g.write_text(json.dumps({"values": [((7 * i) % 10) / 5.0 - 1.0 for i in range(n)]}))
+    return ["markov", "--p", str(p), "--q", str(q), "--observable", str(g), "--cheap"]
+
+
 def _gibbs_args(tmp_path):
     # Nearest and next-nearest pairs and a field, as in the benchmark's chain jobs.
     phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
@@ -70,8 +89,9 @@ def _gibbs_args(tmp_path):
     (lambda tmp_path: ["figure", "2a"], {"optimize.minimize", "exact_models.phase_point"}),
     (_phase2d_args, {"jsonio.load", "quadrature.simpson", "exact_models.phase_point"}),
     (_markov_args, {"jsonio.load", "markov.perron", "goal_oriented.xi_bounds"}),
+    (_banded_args, {"markov.perron", "numpy.eigvals", "optimize.minimize"}),
     (_gibbs_args, {"gibbs.measure", "gibbs.xi", "gibbs.log_partition", "goal_oriented.cgf"}),
-], ids=["figure-2a", "phase-2d", "markov-cheap", "gibbs-nnn"])
+], ids=["figure-2a", "phase-2d", "markov-cheap", "markov-banded", "gibbs-nnn"])
 def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
     # The CLI imports a subcommand's modules inside its handler, after the
     # tracer has wrapped them; the wrappers must still be what runs.
@@ -86,3 +106,14 @@ def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
     assert trace["unbound"] == []
     fired = {span[0] for span in trace["spans"]}
     assert spans <= fired, spans - fired
+    # The dense fallback runs inside a Perron solve.
+    names = [span[0] for span in trace["spans"]]
+    for name, _, _, parent in trace["spans"]:
+        if name == "numpy.eigvals":
+            assert parent >= 0 and names[parent] == "markov.perron"
+    # The root solve for c* takes at most 12 objective evaluations per
+    # minimization on average.
+    evals = [trace["attrs"][str(i)]["evals"]
+             for i, name in enumerate(names) if name == "optimize.minimize"]
+    if evals:
+        assert sum(evals) / len(evals) <= 12.0, evals
