@@ -58,11 +58,7 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __init__(self, weights, *, renormalize: bool = False):
-        arr = np.array(weights, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError("weights must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise NormalizationError("weights contain non-finite entries")
+        arr = _as_readonly_array(weights, "weights")
         if np.any(arr < 0):
             raise NormalizationError("weights must be nonnegative")
         total = float(arr.sum())

@@ -153,14 +153,13 @@ def ising1d_quantities(params: Ising1DParams) -> Ising1DQuantities:
     ``bJ ~ 355``, which raises an ArithmeticError.
     """
     bj, y = params.beta * params.J, params.beta * params.h
-    u, v, g, k, top = _ising1d_scaled(bj, y)
-    m = v / 2.0 / k
+    u, _, g, k, top = _ising1d_scaled(bj, y)
     ratio = g / k  # in [0, 1]; g^2 itself underflows long before k does
     variance = ratio * ratio * (1.0 + u) / 2.0 / k
     if math.isinf(variance):
         raise OverflowError("per-site variance beyond the float range")
     return Ising1DQuantities(
-        magnetization=-m if y < 0.0 else m,
+        magnetization=_tilted_magnetization(params, 0.0),
         pressure=abs(y) + (bj + math.log(top)),
         nn_correlation=1.0 - 2.0 * ratio * g / top,
         variance_per_site=variance,

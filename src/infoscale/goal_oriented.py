@@ -112,8 +112,7 @@ class EmpiricalCgf:
         from .divergences import _logsumexp
 
         tilted = self._weights * np.exp(y - y.max())
-        slope = float(tilted @ self._centered) / float(tilted.sum())
-        return _logsumexp(y, self._weights), slope
+        return _logsumexp(y, self._weights), float(tilted @ self._centered) / float(tilted.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +228,8 @@ def xi_bounds(
     ``2^-46`` relative (``_OUTWARD``).  R = 0 short-circuits to
     exactly (0, 0).  When the slope is still negative at the optimizer's cap
     (c -> inf, e.g. R above ``-log p(argmax f)``), the bound is its value at
-    the cap, within ``R / cap`` of the limit.
+    the cap, within ``R / cap`` of the limit.  An ArithmeticError in the
+    source counts as a non-finite value, right of the optimum.
 
     ``variance`` sets the linearized half width and the starting point (the
     cap, if it rounds to 0 where K does not).  Without it, empirical sources
@@ -249,11 +249,15 @@ def xi_bounds(
             return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
 
     cap = min(1e12, source.domain_bound * (1.0 - 1e-9))  # inside an open domain
-    c_init = min(math.sqrt(2.0 * r / variance), cap) if variance > 0.0 else cap
+    # sqrt(2 R) / sqrt(Var), not sqrt(2 R / Var): the ratio can underflow
+    c_init = min(math.sqrt(2.0 * r) / math.sqrt(variance), cap) if variance > 0.0 else cap
 
     def minimize(sign: float) -> tuple[float, float]:
         def objective(c: float) -> tuple[float, float]:  # (K(sign c) + R) / c, d/dc
-            k, slope = source.evaluate(sign * c)
+            try:
+                k, slope = source.evaluate(sign * c)
+            except ArithmeticError:  # an overflow in the caller's K or K'
+                return math.inf, math.nan
             value = (k + r) / c
             return value, (sign * slope - value) / c
 
@@ -401,10 +405,12 @@ def expfam_xi_bounds(
     c0 = _feasible_direction_bound(fam, theta, v)
     f_theta = fam.F(theta)
     slope = float(v @ fam.grad_F(theta))
-    source = AnalyticCgf(
-        fn=lambda c: (fam.F(theta + c * v) - f_theta - c * slope,
-                      float(v @ fam.grad_F(theta + c * v)) - slope),
-        domain_bound=c0,
-        check_contract=False,
-    )
-    return xi_bounds(source, r)
+
+    def cgf(c: float) -> tuple[float, float]:
+        k = fam.F(theta + c * v) - f_theta - c * slope
+        try:
+            return k, float(v @ fam.grad_F(theta + c * v)) - slope
+        except ArithmeticError:  # a NaN slope: the optimizer differences K
+            return k, math.nan
+
+    return xi_bounds(AnalyticCgf(fn=cgf, domain_bound=c0, check_contract=False), r)

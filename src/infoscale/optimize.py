@@ -54,7 +54,7 @@ def minimize_positive_scalar(
             return c * (c * slope) if abs(slope) > 0.0 else -math.inf
         return 0.0 if abs(c * slope) <= _TOL_SLOPE * abs(v) else c * (c * slope)
 
-    c = min(c_init, hi_cap)
+    c = min(max(c_init, math.ulp(0.0)), hi_cap)
     t, t_cap, step = math.log(c), math.log(hi_cap), math.log(2.0)
     s = h(c)
     (ta, sa), (tb, sb) = (t, s), (t, s)
@@ -82,11 +82,11 @@ def minimize_positive_scalar(
             break
         if s > 0.0:
             if kept > 0:
-                sa *= max(1.0 - s / sb, 0.0) or 0.5
+                sa *= 1.0 - s / sb if s < sb else 0.5  # 1/2 where both are inf
             tb, sb, kept = t, s, 1
         else:
             if kept < 0:
-                sb *= max(1.0 - s / sa, 0.0) or 0.5
+                sb *= 1.0 - s / sa if s > sa else 0.5
             ta, sa, kept = t, s, -1
 
     if not math.isfinite(best[0]):

@@ -179,11 +179,13 @@ class TestXiBounds:
         assert b.xi_minus <= 0.0 <= b.xi_plus
 
     def test_subnormal_budget_gives_the_quadratic_bound(self):
-        # For K(c) = c^2 / 2 the bound is sqrt(2 R) exactly, also at a
-        # subnormal R = 1e-310, where c* = 1.4e-155.
-        b = xi_bounds(AnalyticCgf(fn=lambda c: (c * c / 2.0, c)), 1e-310)
-        assert b.xi_plus == pytest.approx(math.sqrt(2e-310), rel=1e-9, abs=0.0)
-        assert b.xi_minus == -b.xi_plus
+        # For K(c) = a c^2 the bound is 2 sqrt(a R) exactly, also at a
+        # subnormal R: 1e-310, where c* = 1.4e-155, and the smallest float,
+        # where 2 R / Var = R / 4 underflows to 0.
+        for a, budget in ((0.5, 1e-310), (4.0, 5e-324)):
+            b = xi_bounds(AnalyticCgf(fn=lambda c: (a * c * c, 2.0 * a * c)), budget)
+            assert b.xi_plus == pytest.approx(math.sqrt(4.0 * a * budget), rel=1e-9, abs=0.0)
+            assert b.xi_minus == -b.xi_plus
 
     def test_skewed_weights_keep_the_zero_gap(self):
         # Weights from e^-700 to 1: K is as small as Var c^2 / 2 ~ 1e-40 at
@@ -194,6 +196,14 @@ class TestXiBounds:
             p = DiscreteDistribution(np.exp(rng.uniform(-700.0, 0.0, n)), renormalize=True)
             b = xi_bounds(EmpiricalCgf(p, Observable(rng.normal(size=n))), 10.0 ** rng.uniform(-320, 0))
             assert b.xi_minus <= 0.0 <= b.xi_plus
+
+    def test_overflowing_cgf_counts_as_non_finite(self):
+        # log cosh c overflows past |c| = 710; for R > log 2 the infimum is
+        # the c -> inf limit 1, and the search stops short of it, not raising.
+        src = AnalyticCgf(fn=lambda c: (math.log(math.cosh(c)), math.tanh(c)))
+        b = xi_bounds(src, 1.0)
+        assert 1.0 <= b.xi_plus <= 1.0 + 1e-3
+        assert -1.0 - 1e-3 <= b.xi_minus <= -1.0
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
     def test_non_finite_budget_rejected(self, budget):
@@ -290,17 +300,13 @@ class TestTensorization:
 def bernoulli_family():
     return ExponentialFamily(
         log_normalizer=lambda th: _softplus(th[0]),
-        grad_log_normalizer=lambda th: np.array([_sigmoid(th[0])]),
+        grad_log_normalizer=lambda th: np.array([1.0 / (1.0 + math.exp(-th[0]))]),
         dim=1,
     )
 
 
 def _softplus(x):
     return math.log1p(math.exp(x)) if x < 30 else x + math.log1p(math.exp(-x))
-
-
-def _sigmoid(x):
-    return math.exp(min(x, 0.0)) / (1.0 + math.exp(-abs(x)))
 
 
 def bernoulli_distribution(theta):
