@@ -235,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--observable", required=True)
     mk.add_argument("--alpha", type=float, default=2.0)
     mk.add_argument("--cheap", action="store_true")
-    mk.add_argument("--enumerate", type=int, default=None, metavar="N")
+    mk.add_argument(
+        "--enumerate", type=int, default=None, metavar="N",
+        help="also report the divergences of the N-step path measures started in "
+        "the stationary laws, by transfer products (linear in N)",
+    )
     mk.set_defaults(handler=_cmd_markov)
 
     gp = sub.add_parser("gibbs", help="finite-volume Gibbs bounds")

@@ -233,8 +233,9 @@ class DivergenceReport:
     """The five divergences for one ordered pair of measures.
 
     ``tv`` is None for product-measure reports produced by
-    :func:`iid_scaled_divergences`, which has no closed form for total
-    variation.  The chain ordering
+    :func:`iid_scaled_divergences` and for Markov path-measure reports of
+    :func:`infoscale.markov.path_divergence_report`: total variation has no
+    product or transfer form.  The chain ordering
     ``H^2 <= D_{1/2} <= KL <= D_2 <= chi^2`` is validated on construction via
     the Hellinger / chi-squared representations of the order-1/2 and order-2
     Renyi divergences.

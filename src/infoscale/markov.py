@@ -16,6 +16,12 @@ Renyi order rule are those of :mod:`infoscale.divergences`.
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
 (stationary laws, rate, lambda-curve, IACT); :func:`cheap_rate_bounds`
 reuses it for the two surrogate rates.
+
+The finite-horizon path divergences and CGF are sums over paths of products
+along the path, so they are transfer products in O(N |S|^2) work: additive
+sums of row terms for the KL and Hellinger, and one log-domain
+vector-matrix product, :func:`_log_transfer`, for the Renyi sums and the
+tilted CGF.  No path law is ever built.
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ from typing import Callable
 import numpy as np
 
 from .divergences import (
-    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _kl_terms,
-    _near_kl, _require_mutual_ac, divergence_report,
+    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
+    _kl_terms, _logsumexp, _near_kl, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
-    EnumerationLimitError,
     NormalizationError,
     NumericsError,
     ParameterError,
@@ -43,7 +48,6 @@ from .goal_oriented import AnalyticCgf, GoalBound, _spread, xi_bounds
 _ROW_SUM_TOL = 1e-12
 _PERRON_TOL = 1e-13
 _PERRON_STEPS = 30
-_PATH_CAP = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +185,15 @@ def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     return max(float(stationary_distribution(q).weights @ rows), 0.0)
 
 
+def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
+    """``alpha log q + (1 - alpha) log p`` entrywise, ``-inf`` where q is 0;
+    q and p must be mutually absolutely continuous."""
+    support = q > 0
+    exponents = np.full_like(q, -math.inf)
+    exponents[support] = alpha * np.log(q[support]) + (1.0 - alpha) * np.log(p[support])
+    return exponents
+
+
 def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     """Renyi divergence rate ``(alpha-1)^-1 log rho(alpha)``.
 
@@ -193,10 +206,7 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     if _near_kl(alpha, "relative_entropy_rate"):
         return relative_entropy_rate(q, p)
     _require_mutual_ac(q.rows, p.rows, "Renyi rate")
-    support = q.rows > 0
-    exponents = np.full_like(q.rows, -math.inf)
-    exponents[support] = alpha * np.log(q.rows[support]) + (1.0 - alpha) * np.log(p.rows[support])
-    log_rho = _log_perron(1.0, exponents)[0]
+    log_rho = _log_perron(1.0, _renyi_exponents(q.rows, p.rows, alpha))[0]
     if log_rho == -math.inf:
         raise NumericsError("the tilted matrix underflowed to a zero Perron root")
     return max(log_rho / (alpha - 1.0), 0.0)
@@ -387,18 +397,35 @@ def cheap_rate_bounds(
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
 
 
-def _path_law(nu: DiscreteDistribution, rows: np.ndarray, n_steps: int) -> DiscreteDistribution:
-    """Law of ``(X_0, ..., X_n_steps)``, paths in lexicographic order: each
-    step adds the log transition out of a path's last state (its last index)."""
-    n = rows.shape[0]
-    if nu.support_size != n:
-        raise DimensionError(f"initial law has {nu.support_size} states for {n}")
-    with np.errstate(divide="ignore"):
-        log_step = np.log(rows)
-        law = np.log(nu.weights)
+def _horizon(n_steps) -> int:
+    if n_steps < 1 or int(n_steps) != n_steps:
+        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
+    return int(n_steps)
+
+
+def _initial_law(p: TransitionMatrix, nu: DiscreteDistribution | None) -> np.ndarray:
+    """Weights of an initial law on p's states, p's stationary law by default."""
+    if nu is None:
+        return stationary_distribution(p).weights
+    if nu.support_size != p.size:
+        raise DimensionError(f"initial law has {nu.support_size} states for {p.size}")
+    return nu.weights
+
+
+def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) -> float:
+    """``log sum exp(log_start[x_0] + sum_t exponents[x_t, x_(t+1)])`` over the
+    paths ``x_0 .. x_n_steps`` (a ``-inf`` entry is a zero weight).
+
+    The vector-matrix product runs in the log domain: each step takes, for
+    every state, the one log-sum-exp of :mod:`infoscale.divergences` over the
+    previous states, so no entry under- or overflows however far the
+    exponents spread (a tiny entry can close the cycle that carries the sum).
+    O(n_steps S^2) work on S states.
+    """
+    vec = log_start
     for _ in range(n_steps):
-        law = (law.reshape(-1, n)[:, :, None] + log_step).ravel()
-    return DiscreteDistribution(np.exp(law), renormalize=True)
+        vec = np.array([_logsumexp(column) for column in (vec[:, None] + exponents).T])
+    return _logsumexp(vec)
 
 
 def path_divergence_report(
@@ -412,27 +439,61 @@ def path_divergence_report(
 ) -> DivergenceReport:
     """Exact divergences between the length-``n_steps`` path measures.
 
-    Enumerates all ``|S|^(n_steps+1)`` paths (capped at 2e6), including the
-    initial-distribution term that the rate limits drop; initial laws default
-    to the stationary distributions.  The divergences are those of
-    :func:`~infoscale.divergences.divergence_report` on the two path laws, so
-    path measures that are not mutually absolutely continuous raise
+    Each is a sum over the ``|S|^(N+1)`` paths of a product along the path,
+    so a transfer product gives it exactly in O(N |S|^2) work, with no path
+    law built.  With ``rowKL(x) = R(q(x,.) || p(x,.))`` and
+    ``rowH2(x) = sum_y (sqrt q(x,y) - sqrt p(x,y))^2``:
+
+    - ``KL = R(nu_q || nu_p) + sum_{t<N} (nu_q q^t) . rowKL``;
+    - ``H^2 = sum (sqrt nu_q - sqrt nu_p)^2 + sum_{t<N} (sqrt(nu_q nu_p) B^t) . rowH2``
+      with ``B = sqrt(q p)`` entrywise;
+    - the Renyi order alpha is ``log(nu_q^a nu_p^(1-a) . M^N . 1) / (a - 1)``
+      with ``M = q^a p^(1-a)`` entrywise (orders within 1e-6 of 1 give the
+      KL, as in :func:`~infoscale.divergences.renyi_divergence`), and
+      ``chi^2`` is ``expm1`` of the order-2 log sum.
+
+    ``tv`` is None: a sum of absolute values over paths has no transfer form.
+    The initial-distribution terms, which the rate limits drop, are included;
+    initial laws default to the stationary distributions.  Initial laws or
+    rows that are not mutually absolutely continuous raise
     :class:`~infoscale.errors.AbsoluteContinuityError`.  This is the
     finite-horizon verification route for the rate formulas.
     """
     _check_same_support(q.rows, p.rows, "path divergences")
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    n_paths = p.size ** (n_steps + 1)
-    if n_paths > _PATH_CAP:
-        raise EnumerationLimitError(
-            f"{n_paths} paths exceed the enumeration cap {_PATH_CAP}"
+    n = _horizon(n_steps)
+    near_kl = _near_kl(alpha, "the report's kl")
+    start_p, start_q = _initial_law(p, nu_p), _initial_law(q, nu_q)
+    if np.array_equal(q.rows, p.rows) and np.array_equal(start_q, start_p):
+        return DivergenceReport(None, 0.0, 0.0, alpha, 0.0, 0.0)
+    _require_mutual_ac(start_q, start_p, "path divergences")
+    _require_mutual_ac(q.rows, p.rows, "path divergences")
+    row_kl = _row_relative_entropies(q, p)
+    row_h2 = ((np.sqrt(q.rows) - np.sqrt(p.rows)) ** 2).sum(axis=1)
+    overlap = np.sqrt(q.rows * p.rows)
+    kl_terms = [float(_kl_terms(start_q, start_p).sum())]
+    h2_terms = [float(((np.sqrt(start_q) - np.sqrt(start_p)) ** 2).sum())]
+    marginal, affinity = start_q, np.sqrt(start_q * start_p)
+    for _ in range(n):
+        kl_terms.append(float(marginal @ row_kl))
+        h2_terms.append(float(affinity @ row_h2))
+        marginal, affinity = marginal @ q.rows, affinity @ overlap
+    kl = _clamp_nonneg(math.fsum(kl_terms), "path relative entropy")
+
+    def log_renyi_sum(order: float) -> float:
+        return _log_transfer(
+            _renyi_exponents(start_q, start_p, order), _renyi_exponents(q.rows, p.rows, order), n
         )
-    nu_p = stationary_distribution(p) if nu_p is None else nu_p
-    nu_q = stationary_distribution(q) if nu_q is None else nu_q
-    return divergence_report(
-        _path_law(nu_p, p.rows, int(n_steps)), _path_law(nu_q, q.rows, int(n_steps)), alpha
-    )
+
+    log_two = log_renyi_sum(2.0)
+    if near_kl:
+        renyi = kl
+    else:
+        log_alpha = log_two if alpha == 2.0 else log_renyi_sum(alpha)
+        renyi = _clamp_nonneg(log_alpha / (alpha - 1.0), "path Renyi divergence")
+    chi2 = math.inf if log_two > 700.0 else _clamp_nonneg(math.expm1(log_two), "path chi-squared")
+    report = DivergenceReport(None, math.sqrt(math.fsum(h2_terms)), kl, alpha, renyi, chi2)
+    report.validate_chain()
+    return report
 
 
 def path_cgf(
@@ -445,25 +506,18 @@ def path_cgf(
 ) -> float:
     """Centered finite-horizon CGF ``log E[e^{c sum_{k=1}^N g(X_k)}] - c N E(f_N)``.
 
-    Computed by N tilted matrix-vector products with log-domain rescaling;
-    the centering uses the exact finite-horizon mean of the additive
+    The log moment generating function is the log-domain transfer product
+    (:func:`_log_transfer`) of the tilt ``log p(x,y) + c g(y)``, so any c is
+    safe; the centering uses the exact finite-horizon mean of the additive
     functional under the initial law (stationary by default).
     """
     _check_observable(p, g)
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    nu = stationary_distribution(p) if nu_p is None else nu_p
-    shift = c * float(np.max(g.values))
-    tilt = np.exp(c * g.values - shift)
-    vec = nu.weights.astype(float).copy()
-    log_scale = 0.0
-    marginal = vec.copy()
-    mean_sum = 0.0
-    for _ in range(int(n_steps)):
+    n = _horizon(n_steps)
+    nu = _initial_law(p, nu_p)
+    with np.errstate(divide="ignore"):
+        log_mgf = _log_transfer(np.log(nu), np.log(p.rows) + c * g.values, n)
+    marginal, mean_sum = nu, 0.0
+    for _ in range(n):
         marginal = marginal @ p.rows
         mean_sum += float(marginal @ g.values)
-        vec = (vec @ p.rows) * tilt
-        s = float(vec.sum())
-        log_scale += math.log(s) + shift
-        vec /= s
-    return log_scale - c * mean_sum
+    return log_mgf - c * mean_sum

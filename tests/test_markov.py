@@ -15,7 +15,6 @@ from infoscale import (
     AbsoluteContinuityError,
     DiscreteDistribution,
     EmpiricalCgf,
-    EnumerationLimitError,
     NormalizationError,
     NumericsError,
     Observable,
@@ -584,17 +583,29 @@ class TestCheapBounds:
 
 
 class TestPathEnumeration:
-    def test_cap_enforced(self, rng):
-        p = random_chain(rng, 3)
-        q = random_chain(rng, 3)
-        with pytest.raises(EnumerationLimitError):
-            path_divergence_report(p, q, 14)
+    def test_long_horizon_matches_the_rates(self, rng):
+        # 3^10001 paths: from stationary initial laws every step adds the
+        # rate exactly to the KL, and the Renyi sum grows as N log rho plus
+        # a constant set by the Perron vectors of q^a p^(1-a).
+        p, q = random_chain(rng, 3), random_chain(rng, 3)
+        n, alpha = 10_000, 2.0
+        mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
+        rep = path_divergence_report(p, q, n, alpha=alpha)
+        want = relative_entropy(mu_q, mu_p) + n * relative_entropy_rate(q, p)
+        assert rep.kl == pytest.approx(want, rel=1e-12)
+        tilted = q.rows**alpha * p.rows ** (1.0 - alpha)
+        _, left, right = perron_root(tilted)
+        start = mu_q.weights**alpha * mu_p.weights ** (1.0 - alpha)
+        offset = math.log(float(start @ right) * left.sum() / float(left @ right))
+        constant = abs(offset) / (alpha - 1.0) + 1e-6
+        assert abs(rep.renyi / n - renyi_rate(q, p, alpha)) <= constant / n
+        assert rep.tv is None
 
     def test_identical_chains_give_zero(self, rng):
         p = random_chain(rng, 2)
         rep = path_divergence_report(p, p, 6)
-        assert rep.kl == pytest.approx(0.0, abs=1e-12)
-        assert rep.tv == pytest.approx(0.0, abs=1e-12)
+        assert (rep.hellinger, rep.kl, rep.renyi, rep.chi2) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.tv is None
 
     def test_matches_brute_force_path_probabilities(self, rng):
         # Every path probability written out as a product over the path, on
@@ -615,7 +626,6 @@ class TestPathEnumeration:
                     probs[name].append(prob)
             alpha = 0.5 + draw
             want = {
-                "tv": 0.5 * math.fsum(abs(b - a) for a, b in zip(probs["p"], probs["q"])),
                 "hellinger": math.sqrt(math.fsum(
                     (math.sqrt(b) - math.sqrt(a)) ** 2 for a, b in zip(probs["p"], probs["q"])
                 )),
@@ -627,18 +637,59 @@ class TestPathEnumeration:
             }
             got = path_divergence_report(p, q, steps, nu_p=nu_p, nu_q=nu_q, alpha=alpha)
             assert got.renyi_alpha == alpha
+            assert got.tv is None
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, rel=1e-12), name
 
-    @pytest.mark.parametrize("zero_in", ["p", "q"])
+    def test_renyi_sum_keeps_a_tiny_entry_that_closes_the_cycle(self):
+        # At order 20 the exponents of q^a p^(1-a) span about 1750: the
+        # e^1736 step 0 -> 1 comes back only through e^-10.9, which a shift
+        # by the largest exponent would underflow to 0.  The rate's
+        # log-Perron gives up on such pairs
+        # (test_renyi_rate_raises_when_the_shift_underflows_every_cycle).
+        p_rows = [[1.0 - 1e-40, 1e-40], [0.5, 0.5]]
+        q_rows = [[0.5, 0.5], [0.3, 0.7]]
+        alpha, steps = 20.0, 3
+        nu = DiscreteDistribution([0.5, 0.5])
+        with mpmath.workdps(50):
+            total = mpmath.mpf(0)
+            for path in itertools.product(range(2), repeat=steps + 1):
+                prob_p = prob_q = mpmath.mpf("0.5")
+                for a, b in zip(path, path[1:]):
+                    prob_p *= mpmath.mpf(p_rows[a][b])
+                    prob_q *= mpmath.mpf(q_rows[a][b])
+                total += prob_q**alpha * prob_p ** (1 - alpha)
+            want = float(mpmath.log(total) / (alpha - 1))
+        got = path_divergence_report(TransitionMatrix(p_rows), TransitionMatrix(q_rows), steps,
+                                     nu_p=nu, nu_q=nu, alpha=alpha)
+        assert got.renyi == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("zero_in", ["p", "q", "nu_p"])
     def test_rows_not_mutually_continuous_raise(self, zero_in):
-        # One transition that only one chain makes gives path measures that
-        # are not mutually absolutely continuous.
+        # One transition that only one chain makes, or one initial state
+        # that only one law charges, gives path measures that are not
+        # mutually absolutely continuous.
         full = TransitionMatrix([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
         gap = TransitionMatrix([[0.2, 0.8, 0.0], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
-        p, q = (gap, full) if zero_in == "p" else (full, gap)
+        laws = {}
+        if zero_in == "nu_p":
+            p = q = full
+            laws = {"nu_p": DiscreteDistribution([0.5, 0.5, 0.0]),
+                    "nu_q": DiscreteDistribution([0.25, 0.25, 0.5])}
+        else:
+            p, q = (gap, full) if zero_in == "p" else (full, gap)
         with pytest.raises(AbsoluteContinuityError):
-            path_divergence_report(p, q, 3)
+            path_divergence_report(p, q, 3, **laws)
+
+    def test_path_cgf_takes_a_large_tilt_of_either_sign(self, rng):
+        # The shift is the largest c g, so c g and (-c)(-g) give one value.
+        p = random_chain(rng, 3)
+        g = Observable([-1.0, 0.2, 1.0])
+        minus_g = Observable(-g.values)
+        for c in (0.5, 40.0, 1000.0):
+            value = path_cgf(p, g, 6, -c)
+            assert math.isfinite(value)
+            assert value == pytest.approx(path_cgf(p, minus_g, 6, c), rel=1e-12)
 
     def test_finite_horizon_xi_converges_to_rate(self, rng):
         # Per-site goal-oriented bounds from exact path quantities approach

@@ -269,6 +269,26 @@ class TestCli:
         assert payload["rer"] <= payload["sup_row_re"] <= payload["sup_log_ratio"]
         assert payload["kl_per_step"] > 0
 
+    def test_markov_enumerate_past_the_old_path_cap(self, tmp_path, capsys):
+        # 14 steps on 3 states are 3^15 = 14,348,907 paths, past the old
+        # enumeration cap; the transfer products take any horizon.
+        chains = {
+            "p": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
+            "q": [[0.4, 0.4, 0.2], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]],
+        }
+        args = ["markov"]
+        for name, rows in chains.items():
+            path = tmp_path / f"chain{name}.json"
+            path.write_text(json.dumps({"rows": rows}))
+            args += [f"--{name}", str(path)]
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"values": [-1.0, 0.0, 1.0]}))
+        assert main([*args, "--observable", str(g), "--enumerate", "14"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["enumerated_steps"] == 14
+        assert 0.0 < payload["kl_per_step"] < payload["renyi_per_step"]
+        assert 0.0 < payload["hellinger_path"] < math.sqrt(2.0)
+
     def test_markov_perron_roots_all_come_from_log_perron(self, fixtures, capsys, monkeypatch):
         # One tilted log-Perron, one shift rule: the lambda-curve and both
         # Renyi rates reach perron_root only through _log_perron.

@@ -3,7 +3,7 @@
 ``perfbench/trace_job.py`` lists a target it cannot find as absent, and a
 traced benchmark run with a declared metric absent is malformed.  Deleting or
 renaming a traced function therefore fails here first.  The tracer is also
-run on four short jobs, to show that each job's wrappers fire.
+run on six short jobs, to show that each job's wrappers fire.
 """
 
 import importlib.util
@@ -89,9 +89,12 @@ def _gibbs_args(tmp_path):
     (lambda tmp_path: ["figure", "2a"], {"optimize.minimize", "exact_models.phase_point"}),
     (_phase2d_args, {"jsonio.load", "quadrature.simpson", "exact_models.phase_point"}),
     (_markov_args, {"jsonio.load", "markov.perron", "goal_oriented.xi_bounds"}),
+    (lambda tmp_path: [*_markov_args(tmp_path), "--enumerate", "4"],
+     {"markov.path_enum", "markov.perron"}),
     (_banded_args, {"markov.perron", "numpy.eigvals", "optimize.minimize"}),
     (_gibbs_args, {"gibbs.measure", "gibbs.xi", "gibbs.log_partition", "goal_oriented.cgf"}),
-], ids=["figure-2a", "phase-2d", "markov-cheap", "markov-banded", "gibbs-nnn"])
+], ids=["figure-2a", "phase-2d", "markov-cheap", "markov-enumerate", "markov-banded",
+        "gibbs-nnn"])
 def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
     # The CLI imports a subcommand's modules inside its handler, after the
     # tracer has wrapped them; the wrappers must still be what runs.
