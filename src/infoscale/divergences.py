@@ -9,7 +9,8 @@ convention ``0 * log(0/p) = 0``.  Absolute-continuity violations raise
 :class:`~infoscale.errors.AbsoluteContinuityError`.
 
 The Markov and Gibbs layers share this module's array kernels: the one
-max-shifted log-sum-exp, the KL terms, the size and mutual
+max-shifted log-sum-exp and the log-domain transfer product on its shift
+rule (Markov paths, 1-D Gibbs chains), the KL terms, the size and mutual
 absolute-continuity checks, and the Renyi order rule.
 """
 
@@ -167,6 +168,26 @@ def _logsumexp(exponents: np.ndarray, weights: np.ndarray | None = None) -> floa
         return m
     terms = np.exp(exponents - m)
     return m + math.log(float(np.sum(terms) if weights is None else weights @ terms))
+
+
+def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) -> float:
+    """``log sum exp(log_start[x_0] + sum_t exponents[x_t, x_(t+1)])`` over the
+    paths ``x_0 .. x_n_steps`` (a ``-inf`` entry is a zero weight).
+
+    Each step is one log-sum-exp down every column of ``vec[:, None] +
+    exponents``, shifted by the column's largest exponent as in
+    :func:`_logsumexp`, so nothing under- or overflows however far the
+    exponents spread (a tiny entry can close the cycle that carries the
+    sum); an all ``-inf`` column stays ``-inf``.  O(n_steps S^2) work.
+    """
+    vec = log_start
+    with np.errstate(all="ignore"):
+        for _ in range(n_steps):
+            terms = vec[:, None] + exponents
+            top = terms.max(axis=0)
+            shift = np.where(np.isfinite(top), top, 0.0)
+            vec = shift + np.log(np.exp(terms - shift).sum(axis=0))
+    return _logsumexp(vec)
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

@@ -8,11 +8,11 @@ linear in the coefficients.  Hamiltonians use free boundary conditions:
 cluster translates that cross the volume boundary are dropped.
 
 Exact computation is by configuration enumeration (capped at 2e6
-configurations).  :func:`log_partition` instead multiplies transfer matrices
-with log-domain scaling whenever the volume is a contiguous 1-D chain and
-every cluster is a single site or a nearest-neighbour pair.  Every partition
-sum, enumerated or the transfer path's last contraction, is the one
-max-shifted ``divergences._logsumexp``.
+configurations).  :func:`log_partition` instead runs the shared log-domain
+transfer product ``divergences._log_transfer`` whenever the volume is a
+contiguous 1-D chain and every cluster is a single site or a
+nearest-neighbour pair.  Every partition sum, enumerated or transferred,
+shifts by the largest exponent, as ``divergences._logsumexp`` does.
 
 A :class:`GibbsMeasure` enumerates the energies once, at construction, in
 O(N q^N) work per cluster template: the spin on one site over every
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, Observable, _logsumexp
+from .divergences import DiscreteDistribution, Observable, _log_transfer, _logsumexp
 from .errors import (
     DimensionError,
     EnumerationLimitError,
@@ -191,6 +191,8 @@ def _cluster_instances(
 ) -> list[tuple[SpinCluster, np.ndarray]]:
     """Site-index arrays (instances x cluster size) for every template,
     with boundary-crossing translates dropped (free boundary conditions)."""
+    if interaction.dimension != volume.dimension:
+        raise DimensionError("interaction and volume dimensions differ")
     index = {site: i for i, site in enumerate(volume.sites)}
     result = []
     for cluster in interaction.clusters:
@@ -249,11 +251,12 @@ def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarra
     and the smallest, is not a finite float: ``exp(-H)`` relative to its
     maximum, which every partition sum takes, is then out of reach.
     """
+    templates = _cluster_instances(interaction, volume)
     states = np.asarray(interaction.spin_states, dtype=float)
     num_sites = volume.num_sites
     energies = np.zeros(_enumeration_size(num_sites, states.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for cluster, instances in _cluster_instances(interaction, volume):
+        for cluster, instances in templates:
             for first, *rest in instances:
                 product = _enumerated_column(states, num_sites, first)
                 for site in rest:
@@ -271,13 +274,14 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     """``log sum_config exp(-H(config))``.
 
     On a contiguous 1-D chain whose clusters are all single sites or
-    nearest-neighbour pairs this multiplies transfer matrices with
-    log-domain rescaling, at any length; otherwise it sums over all
+    nearest-neighbour pairs this is the shared log-domain transfer product,
+    ``divergences._log_transfer``, at any length; otherwise it sums over all
     configurations with a max-exponent shift, up to the enumeration cap.
     """
     nearest = {(0,), (1,)}
     if not (
         volume.is_contiguous_chain()
+        and interaction.dimension == 1
         and all(set(c.offsets) <= nearest for c in interaction.clusters)
     ):
         return _logsumexp(-_energy_vector(interaction, volume))
@@ -289,19 +293,8 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
             field += cluster.coeff * states
         else:
             bond += cluster.coeff * np.outer(states, states)
-    # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')};
-    # each exponent is shifted by its maximum, which log_scale carries.
-    exponent = -bond - field[None, :]
-    shift = float(exponent.max())
-    transfer = np.exp(exponent - shift)
-    vec = np.ones(states.size)
-    log_scale = 0.0
-    for _ in range(volume.num_sites - 1):
-        vec = transfer @ vec
-        norm = float(vec.max())
-        vec /= norm
-        log_scale += shift + math.log(norm)
-    return log_scale + _logsumexp(-field, vec)
+    # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')}.
+    return _log_transfer(-field, -bond - field[None, :], volume.num_sites - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +316,6 @@ class GibbsMeasure:
     weights: np.ndarray
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume):
-        if interaction.dimension != volume.dimension:
-            raise DimensionError("interaction and volume dimensions differ")
         energies = _energy_vector(interaction, volume)
         log_z = _logsumexp(-energies)
         weights = np.exp(-energies - log_z)

@@ -19,14 +19,15 @@ reuses it for the two surrogate rates.
 
 The finite-horizon path divergences and CGF are sums over paths of products
 along the path, so they are transfer products in O(N |S|^2) work: additive
-sums of row terms for the KL and Hellinger, and one log-domain
-vector-matrix product, :func:`_log_transfer`, for the Renyi sums and the
-tilted CGF.  No path law is ever built.
+sums of row terms for the KL and Hellinger, and for the Renyi sums and the
+tilted CGF the log-domain transfer product ``divergences._log_transfer``,
+shared with the 1-D Gibbs partition sums.  No path law is ever built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .divergences import (
     DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
-    _kl_terms, _logsumexp, _near_kl, _require_mutual_ac,
+    _kl_terms, _log_transfer, _near_kl, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -398,7 +399,8 @@ def cheap_rate_bounds(
 
 
 def _horizon(n_steps) -> int:
-    if n_steps < 1 or int(n_steps) != n_steps:
+    real = isinstance(n_steps, numbers.Real) and not isinstance(n_steps, bool)
+    if not (real and math.isfinite(n_steps) and n_steps >= 1 and int(n_steps) == n_steps):
         raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
     return int(n_steps)
 
@@ -410,22 +412,6 @@ def _initial_law(p: TransitionMatrix, nu: DiscreteDistribution | None) -> np.nda
     if nu.support_size != p.size:
         raise DimensionError(f"initial law has {nu.support_size} states for {p.size}")
     return nu.weights
-
-
-def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) -> float:
-    """``log sum exp(log_start[x_0] + sum_t exponents[x_t, x_(t+1)])`` over the
-    paths ``x_0 .. x_n_steps`` (a ``-inf`` entry is a zero weight).
-
-    The vector-matrix product runs in the log domain: each step takes, for
-    every state, the one log-sum-exp of :mod:`infoscale.divergences` over the
-    previous states, so no entry under- or overflows however far the
-    exponents spread (a tiny entry can close the cycle that carries the sum).
-    O(n_steps S^2) work on S states.
-    """
-    vec = log_start
-    for _ in range(n_steps):
-        vec = np.array([_logsumexp(column) for column in (vec[:, None] + exponents).T])
-    return _logsumexp(vec)
 
 
 def path_divergence_report(
@@ -507,7 +493,7 @@ def path_cgf(
     """Centered finite-horizon CGF ``log E[e^{c sum_{k=1}^N g(X_k)}] - c N E(f_N)``.
 
     The log moment generating function is the log-domain transfer product
-    (:func:`_log_transfer`) of the tilt ``log p(x,y) + c g(y)``, so any c is
+    (``divergences._log_transfer``) of the tilt ``log p(x,y) + c g(y)``, so any c is
     safe; the centering uses the exact finite-horizon mean of the additive
     functional under the initial law (stationary by default).
     """

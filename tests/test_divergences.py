@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -20,7 +21,7 @@ from infoscale import (
     renyi_divergence,
     total_variation,
 )
-from infoscale.divergences import _logsumexp, _require_mutual_ac
+from infoscale.divergences import _log_transfer, _logsumexp, _require_mutual_ac
 
 
 class TestConstruction:
@@ -204,6 +205,63 @@ class TestLogSumExp:
         assert _logsumexp(x, np.array([0.0, 1.0, 0.0])) == 0.0
         assert _logsumexp(x, np.zeros(3)) == -math.inf
         assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def _enumerated_log_transfer(log_start, exponents, n_steps):
+    """50-digit ``log sum exp`` of every path's exponent sum, path by path."""
+    sums = []
+    for path in itertools.product(range(len(log_start)), repeat=n_steps + 1):
+        terms = [log_start[path[0]]] + [exponents[a, b] for a, b in zip(path, path[1:])]
+        if -math.inf not in terms:
+            sums.append(math.fsum(terms))
+    if not sums:
+        return -math.inf
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(s)) for s in sums)))
+
+
+_NO = -math.inf
+_MIXED = [[0.1, -1.2, 0.4], [-0.5, 0.0, -2.0], [0.7, -0.1, -0.9]]
+_SPREAD = [[-800.0, 2000.0], [-800.0, 0.0]]
+
+
+class TestLogTransfer:
+    # Every case runs under the suite's error::RuntimeWarning filter, so the
+    # log 0 of an all -inf column must not warn.
+    @pytest.mark.parametrize(
+        "log_start, exponents, n_steps",
+        [
+            # A start vector with a -inf entry, over one step and over four.
+            pytest.param([_NO, -0.3, 0.2], _MIXED, 1, id="inf-start-one-step"),
+            pytest.param([_NO, -0.3, 0.2], _MIXED, 4, id="inf-start-four-steps"),
+            # Column 1 is all -inf at every step: no path enters state 1.
+            pytest.param([0.0, 0.5, _NO], [[-0.2, _NO, 0.3], [0.1, _NO, -0.4], [-1.0, _NO, 0.0]],
+                         3, id="inf-column"),
+            # No path survives the first step.
+            pytest.param([_NO, 0.0], [[0.0, _NO], [_NO, _NO]], 2, id="no-path"),
+            # The exponents span 2800: the e^2000 step 0 -> 1 that carries
+            # the sum is reached only through e^-800, which a shift by the
+            # largest exponent of the whole step would underflow to 0.
+            pytest.param([_NO, 0.0], _SPREAD, 1, id="spread-one-step"),
+            pytest.param([_NO, 0.0], _SPREAD, 2, id="spread-two-steps"),
+            pytest.param([-1.0, 0.0], _SPREAD, 5, id="spread-five-steps"),
+        ],
+    )
+    def test_matches_path_enumeration(self, log_start, exponents, n_steps):
+        log_start, exponents = np.array(log_start), np.array(exponents)
+        want = _enumerated_log_transfer(log_start, exponents, n_steps)
+        got = _log_transfer(log_start, exponents, n_steps)
+        assert got == (-math.inf if want == -math.inf else pytest.approx(want, rel=1e-14, abs=1e-14))
+
+    def test_random_chains_match_path_enumeration(self, rng):
+        for _ in range(20):
+            n, steps = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            exponents = rng.normal(scale=3.0, size=(n, n))
+            exponents[rng.random((n, n)) < 0.2] = -math.inf
+            log_start = rng.normal(size=n)
+            want = _enumerated_log_transfer(log_start, exponents, steps)
+            got = _log_transfer(log_start, exponents, steps)
+            assert got == (-math.inf if want == -math.inf else pytest.approx(want, rel=1e-13))
 
 
 @settings(max_examples=150, deadline=None)

@@ -131,6 +131,25 @@ class TestHamiltonian:
             hamiltonian(phi, LatticeVolume.chain(3), [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "interaction, volume",
+    [
+        # A vertical bond would become an on-site constant on a chain.
+        pytest.param(ising_interaction(0.5, 1.0, 0.2, 2), LatticeVolume.chain(5), id="2d-on-chain"),
+        # Every 1-D cluster would be dropped on a 2-D box.
+        pytest.param(ising_interaction(0.5, 1.0, 0.2, 1), LatticeVolume.centered(2, 1), id="1d-on-box"),
+        pytest.param(Interaction(dimension=2, clusters=()), LatticeVolume.chain(5), id="empty-2d-on-chain"),
+    ],
+)
+def test_interaction_and_volume_dimensions_must_agree(interaction, volume):
+    with pytest.raises(DimensionError, match="interaction and volume dimensions differ"):
+        log_partition(interaction, volume)
+    with pytest.raises(DimensionError, match="interaction and volume dimensions differ"):
+        hamiltonian(interaction, volume, np.ones(volume.num_sites))
+    with pytest.raises(DimensionError, match="interaction and volume dimensions differ"):
+        GibbsMeasure(interaction, volume)
+
+
 class TestLogPartition:
     def test_zero_interaction_counts_states(self):
         zero = Interaction(dimension=1, clusters=())
@@ -189,6 +208,24 @@ class TestLogPartition:
         assert log_partition(phi, vol) == pytest.approx(
             GibbsMeasure(phi, vol).log_partition, rel=1e-14
         )
+
+    @pytest.mark.parametrize("length", [1_000, 10_000])
+    def test_long_chains_match_a_60_digit_matrix_power(self, rng, length):
+        # Z = u . T^(L-1) . 1 for +-1 spins, with u(s) = e^{h s} and
+        # T(s, s') = e^{J s s' + h s'}, raised to the power in 60 digits.
+        for _ in range(3):
+            beta = float(rng.uniform(0.2, 1.0))
+            J, h = float(rng.uniform(-1, 1)), float(rng.uniform(-0.6, 0.6))
+            phi = ising_interaction(beta, J, h, 1)
+            with mpmath.workdps(60):
+                bj, bh = mpmath.mpf(beta * J), mpmath.mpf(beta * h)
+                spins = (-1, 1)
+                transfer = mpmath.matrix([[mpmath.exp(bj * s * t + bh * t) for t in spins] for s in spins])
+                power = transfer ** (length - 1)
+                z = mpmath.fsum(mpmath.exp(bh * s) * power[i, j]
+                                for i, s in enumerate(spins) for j in range(2))
+                want = float(mpmath.log(z))
+            assert log_partition(phi, LatticeVolume.chain(length)) == pytest.approx(want, rel=1e-12)
 
     def test_per_site_approximates_pressure(self):
         # Free-boundary finite-size error at N = 12 stays within 5e-2 for

@@ -18,6 +18,7 @@ from infoscale import (
     NormalizationError,
     NumericsError,
     Observable,
+    ParameterError,
     StructureError,
     TransitionMatrix,
     UnboundedObservableError,
@@ -680,6 +681,17 @@ class TestPathEnumeration:
             p, q = (gap, full) if zero_in == "p" else (full, gap)
         with pytest.raises(AbsoluteContinuityError):
             path_divergence_report(p, q, 3, **laws)
+
+    @pytest.mark.parametrize("n_steps", [math.nan, math.inf, "3", True, 0, 2.5, -1])
+    def test_horizon_must_be_a_positive_integer(self, n_steps):
+        # Each is a ParameterError, not a ValueError, OverflowError or
+        # TypeError out of int(); a bool is not a step count.
+        p = TransitionMatrix([[0.6, 0.4], [0.3, 0.7]])
+        q = TransitionMatrix([[0.5, 0.5], [0.2, 0.8]])
+        with pytest.raises(ParameterError, match="n_steps must be a positive integer"):
+            path_divergence_report(p, q, n_steps)
+        with pytest.raises(ParameterError, match="n_steps must be a positive integer"):
+            path_cgf(p, Observable([-1.0, 1.0]), n_steps, 0.5)
 
     def test_path_cgf_takes_a_large_tilt_of_either_sign(self, rng):
         # The shift is the largest c g, so c g and (-c)(-g) give one value.
