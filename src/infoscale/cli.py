@@ -86,11 +86,12 @@ def _cmd_markov(args) -> int:
     g = jsonio.load_observable(args.observable)
     cheap = markov.cheap_rate_bounds(q, p, g) if args.cheap else None
     bound = cheap.exact if args.cheap else markov.xi_rate_bounds(q, p, g)
+    chi2_rate = markov.chi2_rate(q, p)  # the Renyi rate of order 2
     payload = {
         "rer": bound.rer,
-        "renyi_rate": markov.renyi_rate(q, p, args.alpha),
+        "renyi_rate": chi2_rate if args.alpha == 2.0 else markov.renyi_rate(q, p, args.alpha),
         "renyi_alpha": args.alpha,
-        "chi2_rate": markov.chi2_rate(q, p),
+        "chi2_rate": chi2_rate,
         "xi_plus": bound.xi_plus_rate,
         "xi_minus": bound.xi_minus_rate,
         "iact": bound.iact,

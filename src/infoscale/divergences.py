@@ -17,6 +17,7 @@ absolute-continuity checks, and the Renyi order rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,14 @@ def _near_kl(alpha: float, kl_name: str) -> bool:
     if alpha == 1.0:
         raise ParameterError(f"Renyi order 1 is the KL limit; use {kl_name}")
     return abs(alpha - 1.0) < _RENYI_KL_WINDOW
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int if it is a whole real number >= 1 (not a bool)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= 1 and int(value) == value):
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
@@ -334,9 +343,7 @@ def iid_scaled_divergences(
     returns ``+inf`` rather than overflowing.  Total variation has no product
     closed form and is reported as None.
     """
-    if n < 1 or int(n) != n:
-        raise ParameterError(f"N must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _positive_int(n, "N")
     kl_1 = relative_entropy(q, p)
     renyi_1 = renyi_divergence(q, p, alpha)
     chi2_1 = chi_squared(q, p)

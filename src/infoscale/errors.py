@@ -36,7 +36,7 @@ class UnboundedObservableError(InfoscaleError):
 
 
 class StructureError(InfoscaleError):
-    """A Markov chain lacks required structure (irreducibility, aperiodicity)."""
+    """A Markov chain lacks required structure (irreducibility)."""
 
 
 class EnumerationLimitError(InfoscaleError):

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
 
+_OUT_OF_RANGE = "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
 _ENUMERATION_CAP = 2_000_000
 
 
@@ -264,9 +265,7 @@ def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarra
                 product *= cluster.coeff
                 energies += product
     if not math.isfinite(float(energies.max()) - float(energies.min())):
-        raise ParameterError(
-            "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
-        )
+        raise ParameterError(_OUT_OF_RANGE)
     return energies
 
 
@@ -288,13 +287,18 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     states = np.asarray(interaction.spin_states, dtype=float)
     field = np.zeros(states.size)
     bond = np.zeros((states.size, states.size))
-    for cluster in interaction.clusters:
-        if cluster.size == 1:
-            field += cluster.coeff * states
-        else:
-            bond += cluster.coeff * np.outer(states, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cluster in interaction.clusters:
+            if cluster.size == 1:
+                field += cluster.coeff * states
+            else:
+                bond += cluster.coeff * np.outer(states, states)
+        exponents = -bond - field[None, :]
     # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')}.
-    return _log_transfer(-field, -bond - field[None, :], volume.num_sites - 1)
+    log_z = _log_transfer(-field, exponents, volume.num_sites - 1)
+    if not (np.all(np.isfinite(exponents)) and math.isfinite(log_z)):
+        raise ParameterError(_OUT_OF_RANGE)
+    return log_z
 
 
 @dataclass(frozen=True, eq=False)

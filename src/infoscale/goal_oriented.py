@@ -291,10 +291,9 @@ def xi_tensorized(
     per-site bound ``Xi(Q_N || P_N; N f_N) / N`` equals the single-site bound
     and is computed at the single-site level, independent of N.
     """
-    if n < 1 or int(n) != n:
-        raise ParameterError(f"N must be a positive integer, got {n!r}")
-    from .divergences import relative_entropy
+    from .divergences import _positive_int, relative_entropy
 
+    _positive_int(n, "N")
     return xi_bounds(EmpiricalCgf(p, g), relative_entropy(q, p))
 
 

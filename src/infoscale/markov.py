@@ -27,7 +27,6 @@ shared with the 1-D Gibbs partition sums.  No path law is ever built.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .divergences import (
     DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
-    _kl_terms, _log_transfer, _near_kl, _require_mutual_ac,
+    _kl_terms, _log_transfer, _near_kl, _positive_int, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -85,9 +84,6 @@ class TransitionMatrix:
     def size(self) -> int:
         return int(self.rows.shape[0])
 
-    def is_aperiodic(self) -> bool:
-        return _period(self.rows > 0) == 1
-
 
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
     """Breadth-first distance of each state from state 0 (-1: unreachable)."""
@@ -103,14 +99,6 @@ def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
 def _is_irreducible(adjacency: np.ndarray) -> bool:
     """Every state reaches state 0 and is reached from it."""
     return bool((_bfs_levels(adjacency) >= 0).all() and (_bfs_levels(adjacency.T) >= 0).all())
-
-
-def _period(adjacency: np.ndarray) -> int:
-    """Period of a strongly connected directed graph (gcd of cycle lengths):
-    the gcd of ``level[u] + 1 - level[v]`` over all edges ``u -> v``."""
-    level = _bfs_levels(adjacency)
-    us, vs = np.nonzero(adjacency)
-    return int(np.gcd.reduce(np.abs(level[us] + 1 - level[vs]))) or 1
 
 
 def perron_root(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -288,9 +276,9 @@ class RateBound:
 
     ``xi_minus_rate <= E_{mu_q}(g) - E_{mu_p}(g) <= xi_plus_rate``.
     ``lambda_curve(c)`` is ``(lambda(c), lambda'(c))``; ``iact`` is the
-    integrated autocorrelation of g under p (NaN when p is periodic, where
-    the autocovariance series has no absolute-convergence guarantee);
-    ``mu_q`` and ``mu_p`` are the two stationary laws.
+    asymptotic variance ``lambda''(0)`` of g under p (see
+    :func:`integrated_autocorrelation`), which sets the linearized half
+    width; ``mu_q`` and ``mu_p`` are the two stationary laws.
     """
 
     rer: float
@@ -303,18 +291,18 @@ class RateBound:
 
 
 def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
-    """Variance plus twice the summed stationary autocovariances of g.
+    """Asymptotic variance ``sigma^2 = lambda''(0)`` of g under p, for any
+    irreducible p, periodic or not.
 
-    Computed exactly by the fundamental-matrix method: with gbar the centered
-    observable and mu the stationary law, solve the deflated system
-    ``(I - p + 1 mu^T) h = gbar`` so that ``h = sum_k p^k gbar``, giving
-    ``v = 2 gbar^T D h - gbar^T D gbar``.  Requires aperiodicity.
+    With gbar the centered observable and mu the stationary law, the deflated
+    system ``(I - p + 1 mu^T) h = gbar`` is invertible for every irreducible
+    p (Kemeny and Snell, Finite Markov Chains, 1960); its solution solves the
+    Poisson equation ``(I - p) h = gbar`` with ``mu . h = 0``, and
+    ``sigma^2 = 2 gbar^T D h - gbar^T D gbar`` with ``D = diag(mu)``.  Where the
+    powers of p converge, ``h = sum_k p^k gbar`` and sigma^2 is the variance
+    plus twice the summed stationary autocovariances of g.
     """
     _check_observable(p, g)
-    if not p.is_aperiodic():
-        raise StructureError(
-            "integrated autocorrelation requires an aperiodic chain"
-        )
     mu = stationary_distribution(p).weights
     centered = g.values - float(mu @ g.values)
     n = p.size
@@ -332,9 +320,8 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
 
 def _optimized(curve: Callable[[float], tuple[float, float]], iact: float, rate: float) -> GoalBound:
     """The goal-oriented bound of the lambda-curve at entropy budget ``rate``,
-    linearized with the IACT (or, where it is NaN, the curve's own variance)."""
-    source = AnalyticCgf(fn=curve, check_contract=False)
-    return xi_bounds(source, rate, variance=iact if math.isfinite(iact) else None)
+    linearized with the IACT, which is ``lambda''(0)``."""
+    return xi_bounds(AnalyticCgf(fn=curve, check_contract=False), rate, variance=iact)
 
 
 def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> RateBound:
@@ -349,10 +336,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
     centered = g.values - float(mu_p.weights @ g.values)
     curve = _lambda_curve(p.rows, centered)
-    try:
-        iact = integrated_autocorrelation(p, g)
-    except StructureError:  # p is periodic
-        iact = math.nan
+    iact = integrated_autocorrelation(p, g)
     rer = max(float(mu_q.weights @ _row_relative_entropies(q, p)), 0.0)
     bound = _optimized(curve, iact, rer)
     return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, mu_q, mu_p)
@@ -398,13 +382,6 @@ def cheap_rate_bounds(
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
 
 
-def _horizon(n_steps) -> int:
-    real = isinstance(n_steps, numbers.Real) and not isinstance(n_steps, bool)
-    if not (real and math.isfinite(n_steps) and n_steps >= 1 and int(n_steps) == n_steps):
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    return int(n_steps)
-
-
 def _initial_law(p: TransitionMatrix, nu: DiscreteDistribution | None) -> np.ndarray:
     """Weights of an initial law on p's states, p's stationary law by default."""
     if nu is None:
@@ -446,7 +423,7 @@ def path_divergence_report(
     finite-horizon verification route for the rate formulas.
     """
     _check_same_support(q.rows, p.rows, "path divergences")
-    n = _horizon(n_steps)
+    n = _positive_int(n_steps, "n_steps")
     near_kl = _near_kl(alpha, "the report's kl")
     start_p, start_q = _initial_law(p, nu_p), _initial_law(q, nu_q)
     if np.array_equal(q.rows, p.rows) and np.array_equal(start_q, start_p):
@@ -498,7 +475,7 @@ def path_cgf(
     functional under the initial law (stationary by default).
     """
     _check_observable(p, g)
-    n = _horizon(n_steps)
+    n = _positive_int(n_steps, "n_steps")
     nu = _initial_law(p, nu_p)
     with np.errstate(divide="ignore"):
         log_mgf = _log_transfer(np.log(nu), np.log(p.rows) + c * g.values, n)

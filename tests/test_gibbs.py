@@ -209,6 +209,24 @@ class TestLogPartition:
             GibbsMeasure(phi, vol).log_partition, rel=1e-14
         )
 
+    @pytest.mark.parametrize("pair, field", [(1e308, 1e308), (-1e308, 0.0)])
+    def test_overflowing_hamiltonian_raises_on_both_routes(self, pair, field):
+        # (1e308, 1e308): an exponent -bond - field overflows.  (-1e308, 0):
+        # every exponent is finite but log Z = 2e308 is not.  Enumeration
+        # raises on the same coefficients.
+        phi = Interaction(
+            dimension=1,
+            clusters=(
+                spin_product_cluster(((0,), (1,)), pair),
+                spin_product_cluster(((0,),), field),
+            ),
+        )
+        vol = LatticeVolume.chain(3)
+        with pytest.raises(ParameterError, match="the Hamiltonian leaves the float range"):
+            log_partition(phi, vol)
+        with pytest.raises(ParameterError, match="the Hamiltonian leaves the float range"):
+            GibbsMeasure(phi, vol)
+
     @pytest.mark.parametrize("length", [1_000, 10_000])
     def test_long_chains_match_a_60_digit_matrix_power(self, rng, length):
         # Z = u . T^(L-1) . 1 for +-1 spins, with u(s) = e^{h s} and

@@ -25,6 +25,7 @@ from infoscale import (
     xi_bounds,
     xi_tensorized,
 )
+from infoscale.goal_oriented import _feasible_direction_bound
 
 
 def additive_product_problem(p, q, g, n):
@@ -309,6 +310,15 @@ def _softplus(x):
     return math.log1p(math.exp(x)) if x < 30 else x + math.log1p(math.exp(-x))
 
 
+def _laplace_family():
+    return ExponentialFamily(
+        log_normalizer=lambda th: -math.log(1.0 - th[0] ** 2),
+        grad_log_normalizer=lambda th: np.array([2.0 * th[0] / (1.0 - th[0] ** 2)]),
+        dim=1,
+        param_domain=lambda th: abs(th[0]) < 1.0,
+    )
+
+
 def bernoulli_distribution(theta):
     p_one = 1.0 / (1.0 + math.exp(-theta))
     return DiscreteDistribution([1.0 - p_one, p_one])
@@ -356,13 +366,28 @@ class TestExponentialFamily:
         assert b.xi_plus == 0.0 and b.xi_minus == 0.0
 
     def test_empty_feasible_interval_raises(self):
-        fam = ExponentialFamily(
-            log_normalizer=lambda th: -math.log(1.0 - th[0] ** 2),
-            grad_log_normalizer=lambda th: np.array(
-                [2.0 * th[0] / (1.0 - th[0] ** 2)]
-            ),
-            dim=1,
-            param_domain=lambda th: abs(th[0]) < 1.0,
-        )
+        fam = _laplace_family()
         with pytest.raises(CgfDomainError):
             expfam_xi_bounds(fam, [0.5], [1.0 - 1e-12], [1.0])
+
+    def test_domain_edge_bounds_the_search(self):
+        # F(theta) = -log(1 - theta^2) is the log-Laplace transform of the
+        # Laplace law on |theta| < 1.  From theta = 0.5 along v = 1 the
+        # domain ends at c0 = 0.5, and the bounds are those of the analytic
+        # CGF on (-0.5, 0.5); they sandwich the mean gap F'(theta') - F'(theta).
+        fam = _laplace_family()
+        theta, theta_prime, v = np.array([0.5]), np.array([0.3]), np.array([1.0])
+        assert _feasible_direction_bound(fam, theta, v) == pytest.approx(0.5, abs=1e-12)
+        slope = float(fam.grad_F(theta)[0])
+
+        def cgf(c):
+            k = fam.F(theta + c) - fam.F(theta) - c * slope
+            return k, float(fam.grad_F(theta + c)[0]) - slope
+
+        r = expfam_relative_entropy(fam, theta_prime, theta)
+        want = xi_bounds(AnalyticCgf(fn=cgf, domain_bound=0.5), r)
+        bound = expfam_xi_bounds(fam, theta_prime, theta, v)
+        assert bound.xi_plus == pytest.approx(want.xi_plus, rel=1e-10)
+        assert bound.xi_minus == pytest.approx(want.xi_minus, rel=1e-10)
+        gap = float(fam.grad_F(theta_prime)[0]) - slope
+        assert bound.xi_minus <= gap <= bound.xi_plus

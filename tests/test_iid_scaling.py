@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import product_measure, random_distribution
+from conftest import product_measure, random_distribution, random_triple
 from infoscale import (
     ParameterError,
     chi_squared,
@@ -12,6 +12,7 @@ from infoscale import (
     iid_scaled_divergences,
     relative_entropy,
     renyi_divergence,
+    xi_tensorized,
 )
 
 
@@ -79,3 +80,15 @@ def test_invalid_n(rng):
     p = random_distribution(rng, 3)
     with pytest.raises(ParameterError):
         iid_scaled_divergences(p, p, 0)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, "3", True, 2.5, -1.0])
+@pytest.mark.parametrize("product", [
+    lambda p, q, f, n: iid_scaled_divergences(p, q, n),
+    lambda p, q, f, n: xi_tensorized(p, q, f, n),
+], ids=["iid_scaled_divergences", "xi_tensorized"])
+def test_n_must_be_a_positive_integer(rng, product, n):
+    p, q, f = random_triple(rng)
+    with pytest.raises(ParameterError, match="N must be a positive integer"):
+        product(p, q, f, n)
+    assert product(p, q, f, 2.0) == product(p, q, f, 2)

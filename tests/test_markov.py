@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -13,6 +15,8 @@ from conftest import random_chain, random_distribution
 import infoscale.markov as markov
 from infoscale import (
     AbsoluteContinuityError,
+    AnalyticCgf,
+    DimensionError,
     DiscreteDistribution,
     EmpiricalCgf,
     NormalizationError,
@@ -33,6 +37,7 @@ from infoscale import (
     stationary_distribution,
     xi_rate_bounds,
 )
+from infoscale.jsonio import load_chain
 from infoscale.markov import hellinger_rate_limit, path_cgf, perron_root
 
 
@@ -49,11 +54,17 @@ class TestTransitionMatrix:
         with pytest.raises(StructureError):
             TransitionMatrix([[1.0, 0.0], [0.5, 0.5]])
 
-    def test_periodic_detected(self):
-        flip = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
-        assert not flip.is_aperiodic()
-        lazy = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
-        assert lazy.is_aperiodic()
+    def test_labels_become_strings(self):
+        assert TransitionMatrix([[0.5, 0.5], [0.5, 0.5]], labels=[0, "b"]).labels == ("0", "b")
+        assert TransitionMatrix([[1.0]]).labels is None
+
+    def test_label_count_mismatch_names_the_file(self, tmp_path):
+        with pytest.raises(DimensionError, match="label count does not match"):
+            TransitionMatrix([[0.5, 0.5], [0.5, 0.5]], labels=["a"])
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"rows": [[0.5, 0.5], [0.5, 0.5]], "labels": ["a", "b", "c"]}))
+        with pytest.raises(DimensionError, match=f"^{re.escape(str(path))}: label count"):
+            load_chain(path)
 
 
 class TestStationary:
@@ -157,23 +168,6 @@ class TestPerron:
             assert value == pytest.approx(math.log(dense) + shift, rel=1e-12)
 
 
-def _period_by_closed_walks(adjacency: np.ndarray) -> int:
-    """gcd of the lengths k <= n with a closed walk of length k.
-
-    Every simple cycle of an n-state graph has length at most n, and every
-    closed walk splits into simple cycles, so this is the gcd of all cycle
-    lengths.
-    """
-    n = adjacency.shape[0]
-    walk = np.eye(n, dtype=bool)
-    lengths = []
-    for k in range(1, n + 1):
-        walk = (walk.astype(int) @ adjacency.astype(int)) > 0
-        if walk.diagonal().any():
-            lengths.append(k)
-    return math.gcd(*lengths)
-
-
 @st.composite
 def _cyclic_patterns(draw):
     """A strongly connected pattern on 1 to 12 states whose edges all run
@@ -209,17 +203,6 @@ class TestPerronProperties:
         m = np.where(adjacency, np.reshape(entries, (n, n)), 0.0)
         dense = float(np.max(np.linalg.eigvals(m).real))
         assert perron_root(m)[0] == pytest.approx(dense, rel=1e-12, abs=0.0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(adjacency=_cyclic_patterns())
-    def test_period_matches_closed_walks(self, adjacency):
-        assert markov._period(adjacency) == _period_by_closed_walks(adjacency)
-
-    def test_periods_one_to_four(self):
-        for d in (1, 2, 3, 4):
-            ring = np.roll(np.eye(2 * d, dtype=bool), 1, axis=1)
-            ring[0, d + 1 if d > 1 else 0] = True  # a chord keeping the period d
-            assert markov._period(ring) == _period_by_closed_walks(ring) == d
 
     def test_dense_chain_needs_no_eigensolve(self, monkeypatch):
         # A positive 300-state chain mixes in a few steps; the power
@@ -294,6 +277,15 @@ class TestRates:
         assert relative_entropy_rate(p, p) == 0.0
         q = random_chain(rng, 3)
         assert relative_entropy_rate(q, p) > 0.0
+
+    def test_order_next_to_one_is_the_kl(self, rng):
+        # Inside the 1e-6 window the 1/(alpha - 1) prefactor would cancel
+        # catastrophically; the rate and the path report take the KL instead.
+        p, q = random_chain(rng, 3), random_chain(rng, 3)
+        alpha = 1.0 + 1e-7
+        assert renyi_rate(q, p, alpha) == relative_entropy_rate(q, p)
+        report = path_divergence_report(p, q, 5, alpha=alpha)
+        assert report.renyi == report.kl > 0.0 and report.renyi_alpha == alpha
 
     def test_renyi_rate_with_a_subnormal_entry(self):
         # q(1,1)^2 / p(1,1) = 9e321 overflows a float; the rate is then the
@@ -483,6 +475,36 @@ class TestXiRateBounds:
             assert abs(rb.xi_plus_rate - linear) < 10.0 * rb.rer
 
 
+def _periodic_chain(rng, n: int, d: int) -> TransitionMatrix:
+    """A random chain of period d on n states: state x lies in cyclic class
+    x mod d, and every step moves to the next class."""
+    classes = np.arange(n) % d
+    allowed = (classes[None, :] - classes[:, None]) % d == 1
+    rows = np.where(allowed, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
+
+
+_PERIODIC_SHAPES = [(3, 2), (4, 2), (6, 3), (8, 4), (9, 3), (12, 4)]
+
+
+def _lambda_second_derivative(p: TransitionMatrix, g: Observable) -> float:
+    """``lambda''(0)`` in 50 digits: the central second difference at
+    h = 1e-12 of the log of the largest real eigenvalue (``mpmath.eig``) of
+    ``p(x, y) e^{c g(y)}``; a period-d chain's other peripheral eigenvalues
+    are the root times the d-th roots of unity, whose real parts are smaller."""
+    with mpmath.workdps(50):
+        entries = [[mpmath.mpf(float(a)) for a in row] for row in p.rows]
+        values = [mpmath.mpf(float(v)) for v in g.values]
+
+        def log_root(c):
+            tilt = [mpmath.exp(c * v) for v in values]
+            m = mpmath.matrix([[a * t for a, t in zip(row, tilt)] for row in entries])
+            return mpmath.log(max(mpmath.re(e) for e in mpmath.eig(m, right=False)))
+
+        h = mpmath.mpf("1e-12")
+        return float((log_root(h) - 2 * log_root(0) + log_root(-h)) / h**2)
+
+
 class TestIntegratedAutocorrelation:
     def test_beyond_the_float_range_raises(self):
         # Values of size 1e152 on a chain that mixes in about 1e6 steps: the
@@ -527,10 +549,13 @@ class TestIntegratedAutocorrelation:
         fd = (lambda_pg(p, g, h) - 2.0 * lambda_pg(p, g, 0.0) + lambda_pg(p, g, -h)) / h**2
         assert v == pytest.approx(fd, abs=1e-5)
 
-    def test_periodic_chain_rejected(self):
-        flip = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(StructureError):
-            integrated_autocorrelation(flip, Observable([0.0, 1.0]))
+    @pytest.mark.parametrize("n, d", _PERIODIC_SHAPES)
+    def test_periodic_chain_is_the_lambda_second_derivative(self, rng, n, d):
+        # (I - p + 1 mu^T) is invertible for every irreducible p, so the
+        # Poisson solve gives the asymptotic variance of a periodic chain too.
+        p, g = _periodic_chain(rng, n, d), Observable(rng.uniform(-1.0, 1.0, n))
+        want = _lambda_second_derivative(p, g)
+        assert integrated_autocorrelation(p, g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCheapBounds:
@@ -568,8 +593,26 @@ class TestCheapBounds:
                     cs = (-2.0, -0.3, 0.3, 2.0)
                     assert [a(c) for c in cs] == [b(c) for c in cs], field.name
                 else:
-                    assert a == b or (math.isnan(a) and math.isnan(b)), field.name
-        assert math.isnan(want.iact) and not periodic_p.is_aperiodic()
+                    assert a == b, field.name
+        oracle = _lambda_second_derivative(periodic_p, g)
+        assert want.iact == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_periodic_pair_needs_no_finite_difference_variance(self, rng, monkeypatch):
+        # Every bound is linearized with the Poisson-equation IACT, periodic
+        # chain or not; the lambda-curve's own variance is never differenced.
+        monkeypatch.setattr(AnalyticCgf, "variance", lambda self: pytest.fail("variance called"))
+        for n, d in _PERIODIC_SHAPES:
+            p, q = _periodic_chain(rng, n, d), _periodic_chain(rng, n, d)
+            g = Observable(rng.uniform(-1.0, 1.0, n))
+            cheap = cheap_rate_bounds(q, p, g)
+            exact, iact = cheap.exact, integrated_autocorrelation(p, g)
+            assert exact.iact == iact > 0.0
+            gap = g.expectation(exact.mu_q) - g.expectation(exact.mu_p)
+            assert exact.xi_minus_rate <= gap <= exact.xi_plus_rate
+            for rate, bound in ((cheap.sup_row_re, cheap.bounds_sup_row_re),
+                                (cheap.sup_log_ratio, cheap.bounds_sup_log_ratio)):
+                want = math.sqrt(iact) * math.sqrt(2.0 * rate)
+                assert bound.linearized_half_width == pytest.approx(want, rel=1e-15)
 
     def test_intervals_nested(self, rng):
         for _ in range(20):

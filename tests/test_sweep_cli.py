@@ -44,6 +44,20 @@ from infoscale.sweep import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text: str):
+    """Parse a report that must be strict JSON: NaN and +-Infinity raise.
+
+    Two outputs are meant to hold them and are not parsed with this:
+    ``phase --format json`` NaN rows, and the chi-squared of N-fold product
+    measures past e^700, which ``divergence --iid`` prints as Infinity.
+    """
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def short_config(**overrides):
     base = dict(
         model_q=Ising1DParams(beta=1.6, J=1.0),
@@ -226,7 +240,7 @@ class TestCli:
     def test_divergence_report(self, fixtures, capsys):
         code = main(["divergence", "--p", fixtures["p.json"], "--q", fixtures["q.json"]])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["tv"] == pytest.approx(0.25)
         assert payload["kl"] == pytest.approx(0.1438410362258904, abs=1e-12)
 
@@ -238,7 +252,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["tv"] is None
         assert payload["bound_ckp"] >= abs(payload["qoi_gap"])
 
@@ -250,7 +264,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert set(payload) == {
             "xi_plus", "xi_minus", "c_star_plus", "c_star_minus", "linearized", "gap",
         }
@@ -264,7 +278,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["xi_minus"] <= payload["stationary_gap"] <= payload["xi_plus"]
         assert payload["rer"] <= payload["sup_row_re"] <= payload["sup_log_ratio"]
         assert payload["kl_per_step"] > 0
@@ -316,7 +330,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_markov_report_sets_up_the_pair_once(self, fixtures, capsys, monkeypatch):
-        counts = {"stationary": 0, "iact": 0, "period": 0, "xi_bounds": 0}
+        counts = {"stationary": 0, "iact": 0, "xi_bounds": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -329,7 +343,6 @@ class TestCli:
                             counted("stationary", markov.stationary_distribution))
         monkeypatch.setattr(markov, "integrated_autocorrelation",
                             counted("iact", markov.integrated_autocorrelation))
-        monkeypatch.setattr(markov, "_period", counted("period", markov._period))
         monkeypatch.setattr(markov, "xi_bounds", counted("xi_bounds", markov.xi_bounds))
         code = main(
             [
@@ -340,7 +353,7 @@ class TestCli:
         assert code == 0
         # mu_p and mu_q once each, plus the IACT's own mu_p; one bound at the
         # exact rate and one at each surrogate.
-        assert counts == {"stationary": 3, "iact": 1, "period": 1, "xi_bounds": 3}
+        assert counts == {"stationary": 3, "iact": 1, "xi_bounds": 3}
         monkeypatch.undo()
         payload = json.loads(capsys.readouterr().out)
         p, q = load_chain(fixtures["chainp.json"]), load_chain(fixtures["chainq.json"])
@@ -369,12 +382,60 @@ class TestCli:
             "hellinger_path": path.hellinger,
         }
 
+    def test_markov_report_on_a_periodic_pair(self, tmp_path, capsys):
+        # Period 2: every step switches between {0, 1} and {2, 3}.  The IACT
+        # is the Poisson-equation variance, finite, so the report is strict JSON.
+        chains = {
+            "p": [[0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4], [0.5, 0.5, 0, 0], [0.2, 0.8, 0, 0]],
+            "q": [[0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5], [0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0]],
+        }
+        args = ["markov", "--cheap"]
+        for name, rows in chains.items():
+            path = tmp_path / f"chain{name}.json"
+            path.write_text(json.dumps({"rows": rows}))
+            args += [f"--{name}", str(path)]
+        values = [1.0, 0.0, -1.0, 0.5]
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"values": values}))
+        assert main([*args, "--observable", str(g)]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        p = load_chain(str(tmp_path / "chainp.json"))
+        assert payload["iact"] == markov.integrated_autocorrelation(p, Observable(values)) > 0.0
+        assert payload["xi_minus"] <= payload["stationary_gap"] <= payload["xi_plus"]
+
+    @pytest.mark.parametrize("alpha, orders", [("2", [2.0]), ("3", [2.0, 3.0])])
+    def test_markov_solves_each_renyi_order_once(
+        self, fixtures, capsys, monkeypatch, alpha, orders
+    ):
+        # The chi-squared rate is the Renyi rate of order 2: at --alpha 2 the
+        # one order-2 Perron root serves both payload values.
+        solved = []
+        exponents = markov._renyi_exponents
+
+        def counted(q, p, order):
+            solved.append(order)
+            return exponents(q, p, order)
+
+        monkeypatch.setattr(markov, "_renyi_exponents", counted)
+        code = main(
+            [
+                "markov", "--p", fixtures["chainp.json"], "--q", fixtures["chainq.json"],
+                "--observable", fixtures["g.json"], "--alpha", alpha,
+            ]
+        )
+        assert code == 0
+        assert sorted(solved) == orders
+        payload = strict_json(capsys.readouterr().out)
+        p, q = load_chain(fixtures["chainp.json"]), load_chain(fixtures["chainq.json"])
+        assert payload["renyi_rate"] == renyi_rate(q, p, float(alpha))
+        assert payload["chi2_rate"] == chi2_rate(q, p)
+
     def test_gibbs_report(self, fixtures, capsys):
         code = main(
             ["gibbs", "--phi", fixtures["phi.json"], "--psi", fixtures["psi.json"], "--n", "3"]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["num_sites"] == 7
         assert payload["triple_norm_phi"] == pytest.approx(0.8)
         assert payload["xi_minus"] - 1e-9 <= payload["qoi_gap"] <= payload["xi_plus"] + 1e-9
