@@ -135,13 +135,13 @@ def _cmd_gibbs(args) -> int:
         g = gibbs.spin_observable(phi)
     else:
         g = jsonio.load_observable(args.observable).values
-    phi_m = gibbs.GibbsMeasure(phi, volume)
-    psi_m = gibbs.GibbsMeasure(psi, volume)
+    phi_m = gibbs.gibbs_measure(phi, volume)
+    psi_m = gibbs.gibbs_measure(psi, volume)
     r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
     bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
     triple = gibbs.triple_norm_xi(phi_m, psi, g)
     gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
-    totals = phi_m.site_total(g)
+    gap = psi_m.site_total_cgf(g).mean - phi_m.site_total_cgf(g).mean
     n_sites = volume.num_sites
     payload = {
         "num_sites": n_sites,
@@ -156,7 +156,7 @@ def _cmd_gibbs(args) -> int:
         "linearized": bound.linearized_half_width,
         "triple_xi_plus": triple.xi_plus,
         "triple_xi_minus": triple.xi_minus,
-        "qoi_gap": (psi_m.expectation(totals) - phi_m.expectation(totals)) / n_sites,
+        "qoi_gap": gap / n_sites,
     }
     _emit_json(payload, args.out)
     return 0

@@ -192,11 +192,18 @@ def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) ->
     vec = log_start
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
-            terms = vec[:, None] + exponents
-            top = terms.max(axis=0)
-            shift = np.where(np.isfinite(top), top, 0.0)
-            vec = shift + np.log(np.exp(terms - shift).sum(axis=0))
+            vec = _log_transfer_step(vec, exponents)
     return _logsumexp(vec)
+
+
+def _log_transfer_step(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """One step of :func:`_log_transfer`: ``out[y, ...] = log sum_x exp(vec[x,
+    ...] + exponents[x, y])``; trailing axes of ``vec`` ride along.  Run it
+    under ``np.errstate(all="ignore")``: an all ``-inf`` column warns."""
+    terms = vec[:, None] + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
+    top = terms.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    return shift + np.log(np.exp(terms - shift).sum(axis=0))
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

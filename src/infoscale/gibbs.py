@@ -7,20 +7,27 @@ coefficient times the product of the spins on that set, so the Hamiltonian is
 linear in the coefficients.  Hamiltonians use free boundary conditions:
 cluster translates that cross the volume boundary are dropped.
 
-Exact computation is by configuration enumeration (capped at 2e6
-configurations).  :func:`log_partition` instead runs the shared log-domain
-transfer product ``divergences._log_transfer`` whenever the volume is a
-contiguous 1-D chain and every cluster is a single site or a
-nearest-neighbour pair.  Every partition sum, enumerated or transferred,
-shifts by the largest exponent, as ``divergences._logsumexp`` does.
+A contiguous 1-D chain takes the transfer route at any length, for any
+finite-range interaction (any offsets, cluster sizes and spin states): a
+state is a block of r consecutive spins, r the interaction's range, and
+:func:`log_partition` is the log-domain block transfer product
+``divergences._log_transfer``.  A :class:`ChainGibbsMeasure` adds a count
+axis to that transfer for the law of the site total ``sum_x g(s_x)`` (N + 1
+atoms for a two-valued g), and forward passes for ``E_Psi(H^Psi - H^Phi)``;
+it builds no per-configuration array.  :func:`gibbs_measure` picks it for a
+chain volume.
 
-A :class:`GibbsMeasure` enumerates the energies once, at construction, in
-O(N q^N) work per cluster template: the spin on one site over every
-configuration is a tiled column, and each cluster instance multiplies the
-columns of its sites.  Its one memo holds, per g, the CGF of the site total
-``sum_x g(s_x)``, which both bounds read; that CGF runs over the distinct
+Every other volume, such as a 2-D box, is enumerated (capped at 2e6
+configurations).  A :class:`GibbsMeasure` enumerates the energies once, at
+construction, in O(N q^N) work per cluster template: the spin on one site
+over every configuration is a tiled column, and each cluster instance
+multiplies the columns of its sites.  Its one memo holds, per g, the CGF of
+the site total, which both bounds read; that CGF runs over the distinct
 totals only, not over the q^N configurations: for two-state spins and an
 integer-valued g, such as the magnetization, that is N + 1 terms per K(c).
+It is also the oracle of the transfer route wherever both run.  Every
+partition sum, enumerated or transferred, shifts by the largest exponent, as
+``divergences._logsumexp`` does.
 """
 
 from __future__ import annotations
@@ -28,19 +35,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .divergences import DiscreteDistribution, Observable, _log_transfer, _logsumexp
+from .divergences import (
+    DiscreteDistribution,
+    Observable,
+    _log_transfer,
+    _log_transfer_step,
+    _logsumexp,
+)
 from .errors import (
     DimensionError,
     EnumerationLimitError,
     ParameterError,
 )
-from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
+from .goal_oriented import EmpiricalCgf, GoalBound, _exp_tail, xi_bounds
 
 _OUT_OF_RANGE = "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
+_GAP_OUT_OF_RANGE = "the Hamiltonian difference H^Phi - H^Psi leaves the float range"
 _ENUMERATION_CAP = 2_000_000
 
 
@@ -269,36 +283,185 @@ def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarra
     return energies
 
 
+class _ChainTransfer:
+    """The block transfer of an interaction on a contiguous chain of L sites.
+
+    With range r (the largest ``max - min`` offset of a cluster), a state is a
+    block of ``w = min(max(r, 1), L)`` consecutive spins, numbered in base q
+    with the first spin most significant.  ``start[b]`` is the energy of the
+    cluster translates inside the first block.  A step appends spin x to
+    block b, moving to block ``succ[b, x] = (b mod q^(w-1)) q + x``, and
+    ``window[b, x]`` is the energy of the translates that end at that spin;
+    there are ``L - w`` steps.  In a dense ``q^w x q^w`` block matrix every
+    other entry is a zero weight; ``exponents`` is ``-window`` as one.
+    Construction raises ParameterError when an energy, or the spread between
+    the largest and the smallest, leaves the float range, as
+    :func:`_energy_vector` does.
+    """
+
+    def __init__(self, interaction: Interaction, volume: LatticeVolume):
+        if interaction.dimension != volume.dimension:
+            raise DimensionError("interaction and volume dimensions differ")
+        if not volume.is_contiguous_chain():
+            raise DimensionError("the transfer route needs a contiguous 1-D volume")
+        states = np.asarray(interaction.spin_states, dtype=float)
+        q, length = states.size, volume.num_sites
+        clusters = []
+        for cluster in interaction.clusters:
+            low = min(o[0] for o in cluster.offsets)
+            clusters.append((cluster.coeff, [o[0] - low for o in cluster.offsets]))
+        width = min(max([max(rel) for _, rel in clusters] + [1]), length)
+        if q ** (2 * width) > _ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"a {q ** width}-state block transfer matrix exceeds the cap "
+                f"{_ENUMERATION_CAP} on its entries"
+            )
+        blocks = q**width
+        self.num_states, self.width, self.steps = q, width, length - width
+        self.succ = (np.arange(blocks)[:, None] % (blocks // q)) * q + np.arange(q)
+        with np.errstate(all="ignore"):
+            self.start = _block_energies(clusters, states, width, last_only=False)
+            self.window = _block_energies(clusters, states, width + 1, last_only=True)
+            self.window = self.window.reshape(blocks, q)
+        largest, smallest = self.path_extremes(self.start, self.window)
+        if not math.isfinite(largest - smallest):
+            raise ParameterError(_OUT_OF_RANGE)
+        self.exponents = self.matrix(-self.window, -math.inf)
+
+    def matrix(self, window: np.ndarray, fill: float) -> np.ndarray:
+        """``window[b, x]`` at ``(b, succ[b, x])`` of a block matrix, ``fill`` elsewhere."""
+        out = np.full((self.succ.shape[0],) * 2, fill)
+        out[np.arange(self.succ.shape[0])[:, None], self.succ] = window
+        return out
+
+    def path_extremes(self, start: np.ndarray, window: np.ndarray) -> tuple[float, float]:
+        """The largest and the smallest path sum of ``start``/``window``, by
+        a max-plus transfer (NaN where a sum meets ``inf - inf``)."""
+        extremes = []
+        with np.errstate(all="ignore"):
+            for sign in (1.0, -1.0):
+                vec, step = sign * start, self.matrix(sign * window, -math.inf)
+                for _ in range(self.steps):
+                    vec = (vec[:, None] + step).max(axis=0)
+                extremes.append(sign * float(vec.max()))
+        return extremes[0], extremes[1]
+
+    def log_partition(self) -> float:
+        log_z = _log_transfer(-self.start, self.exponents, self.steps)
+        if not math.isfinite(log_z):
+            raise ParameterError(_OUT_OF_RANGE)
+        return log_z
+
+    def count_law(self, value_index: np.ndarray, num_values: int) -> tuple[np.ndarray, np.ndarray]:
+        """The law of the count vector ``n_j = #{x : value_index[s_x] = j}``:
+        the unnormalized log weights of the reachable count vectors, and those
+        vectors (one row each, ``num_values`` columns).
+
+        A count axis, over n_1 .. n_(num_values - 1) in radix L + 1, rides
+        along the transfer: each step shifts a block's row by the count
+        stride of its newest spin.  O(L^num_values q^(2w)) work.
+        """
+        q, blocks = self.num_states, self.succ.shape[0]
+        length = self.width + self.steps
+        size = (length + 1) ** (num_values - 1)
+        if blocks * size > _ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"{blocks} x {size} count-law entries exceed the cap {_ENUMERATION_CAP}"
+            )
+        radix_powers = (length + 1) ** np.arange(num_values - 1)
+        stride = np.concatenate(([0], radix_powers))[value_index]  # per spin state
+        digits = np.arange(blocks)[:, None] // q ** np.arange(self.width - 1, -1, -1) % q
+        vec = np.full((blocks, size), -math.inf)
+        vec[np.arange(blocks), stride[digits].sum(axis=1)] = -self.start
+        newest = stride[np.arange(blocks) % q]  # the stride of block b's last spin
+        shifts = [(shift, newest == shift) for shift in np.unique(newest[newest > 0])]
+        with np.errstate(all="ignore"):
+            for _ in range(self.steps):
+                vec = _log_transfer_step(vec, self.exponents)
+                for shift, rows in shifts:
+                    vec[rows, shift:] = vec[rows, :-shift]
+                    vec[rows, :shift] = -math.inf
+            # One more step, into a single state, sums over the last block.
+            log_w = _log_transfer_step(vec, np.zeros((blocks, 1)))[0]
+        reached = np.flatnonzero(np.isfinite(log_w))
+        counts = reached[:, None] // radix_powers % (length + 1)
+        counts = np.column_stack((length - counts.sum(axis=1), counts))
+        return log_w[reached], counts
+
+    def relative_entropy(self, other: "_ChainTransfer", log_ratio: float) -> float:
+        """``R(mu || mu^other)`` for this transfer's measure mu, given
+        ``log_ratio = log Z^other - log Z``: that less ``E(D)``, ``D = H -
+        H^other``; or, where D stays within 1 of its mean m on every path,
+        ``log1p E(e^(D - m) - 1 - (D - m))``, which keeps its digits.  Raises
+        ParameterError when D leaves the float range."""
+        with np.errstate(all="ignore"):
+            start, window = self.start - other.start, self.window - other.window
+        largest, smallest = self.path_extremes(start, window)
+        if not (math.isfinite(largest) and math.isfinite(smallest)):
+            raise ParameterError(_GAP_OUT_OF_RANGE)
+        mean = self._forward_mean(start, window)
+        if largest - mean <= 1.0 and mean - smallest <= 1.0:
+            tail = self._forward_mean(start, window, centre=mean)
+            if math.isfinite(tail):
+                return math.log1p(tail)
+        return log_ratio - mean
+
+    def _forward_mean(
+        self, start: np.ndarray, window: np.ndarray, centre: float | None = None
+    ) -> float:
+        """``E(G)`` under this transfer's measure for the path sum G of
+        ``start``/``window``, or, given ``centre``, ``E(e^y - 1 - y)`` with
+        ``y = G - centre``: a forward pass that carries, per block, the
+        conditional means of y and of ``e^y - 1 - y``, which a step with
+        increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``."""
+        gap = self.matrix(window, 0.0)
+        log_alpha = -self.start
+        with np.errstate(all="ignore"):
+            y = start - (centre or 0.0)
+            if centre is not None:
+                em1 = np.expm1(gap)
+                tail, f = _exp_tail(gap, em1), _exp_tail(y, np.expm1(y))
+            for _ in range(self.steps):
+                terms = log_alpha[:, None] + self.exponents
+                log_alpha = _log_transfer_step(log_alpha, self.exponents)
+                law = np.exp(terms - log_alpha)  # of the previous block, given the next
+                if centre is not None:
+                    f = (law * (f[:, None] * (1.0 + em1) + y[:, None] * em1 + tail)).sum(axis=0)
+                y = (law * (y[:, None] + gap)).sum(axis=0)
+        last = np.exp(log_alpha - _logsumexp(log_alpha))
+        return float(last @ (y if centre is None else f))
+
+
+def _block_energies(clusters, states: np.ndarray, width: int, last_only: bool) -> np.ndarray:
+    """Energy of every block of ``width`` spins (lexicographic, as
+    :func:`_enumerated_column`) from the cluster translates inside it; with
+    ``last_only``, from those that end at its last spin only.  ``clusters``
+    holds ``(coeff, offsets less their minimum)`` pairs."""
+    energies = np.zeros(states.size**width)
+    for coeff, rel in clusters:
+        span = max(rel)
+        for first in [width - 1 - span] if last_only else range(width - span):
+            if first < 0:
+                continue
+            product = _enumerated_column(states, width, first + rel[0])
+            for r in rel[1:]:
+                product *= _enumerated_column(states, width, first + r)
+            product *= coeff
+            energies += product
+    return energies
+
+
 def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     """``log sum_config exp(-H(config))``.
 
-    On a contiguous 1-D chain whose clusters are all single sites or
-    nearest-neighbour pairs this is the shared log-domain transfer product,
-    ``divergences._log_transfer``, at any length; otherwise it sums over all
+    On a contiguous 1-D chain this is the block transfer product of
+    :class:`_ChainTransfer` on ``divergences._log_transfer``, at any length
+    and for any finite-range interaction; otherwise it sums over all
     configurations with a max-exponent shift, up to the enumeration cap.
     """
-    nearest = {(0,), (1,)}
-    if not (
-        volume.is_contiguous_chain()
-        and interaction.dimension == 1
-        and all(set(c.offsets) <= nearest for c in interaction.clusters)
-    ):
+    if not volume.is_contiguous_chain():
         return _logsumexp(-_energy_vector(interaction, volume))
-    states = np.asarray(interaction.spin_states, dtype=float)
-    field = np.zeros(states.size)
-    bond = np.zeros((states.size, states.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cluster in interaction.clusters:
-            if cluster.size == 1:
-                field += cluster.coeff * states
-            else:
-                bond += cluster.coeff * np.outer(states, states)
-        exponents = -bond - field[None, :]
-    # Z = u . T^(L-1) . 1 with u(s) = e^{-field(s)}, T(s,s') = e^{-bond - field(s')}.
-    log_z = _log_transfer(-field, exponents, volume.num_sites - 1)
-    if not (np.all(np.isfinite(exponents)) and math.isfinite(log_z)):
-        raise ParameterError(_OUT_OF_RANGE)
-    return log_z
+    return _ChainTransfer(interaction, volume).log_partition()
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,29 +533,99 @@ class GibbsMeasure:
         return float(self.weights @ per_config)
 
 
-def _check_compatible(a: GibbsMeasure, b: GibbsMeasure) -> None:
+@dataclass(frozen=True, eq=False)
+class ChainGibbsMeasure:
+    """A finite-volume Gibbs measure on a contiguous 1-D chain, by transfer.
+
+    It takes any finite-range interaction (any offsets, cluster sizes and
+    spin states) through the block transfer of :class:`_ChainTransfer`, and
+    builds no per-configuration array: ``log_partition`` is the module-level
+    :func:`log_partition`, and the site-total CGF runs over the law of the
+    count vector of g's distinct values (N + 1 atoms for a two-valued g).
+    """
+
+    interaction: Interaction
+    volume: LatticeVolume
+    log_partition: float
+
+    def __init__(self, interaction: Interaction, volume: LatticeVolume):
+        transfer = _ChainTransfer(interaction, volume)
+        for name, value in (
+            ("interaction", interaction),
+            ("volume", volume),
+            ("log_partition", log_partition(interaction, volume)),
+            ("_transfer", transfer),
+            ("_site_total_cgfs", {}),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def num_sites(self) -> int:
+        return self.volume.num_sites
+
+    def site_total_cgf(self, g_values) -> EmpiricalCgf:
+        """Centered CGF of ``sum_x g(s_x)`` for a single-site g, built once
+        per g, as :meth:`GibbsMeasure.site_total_cgf` builds it: atom weights
+        are floored at the smallest normal float.  An atom is a count vector
+        of g's distinct values, and its total is ``sum_j n_j g_j`` (a
+        constant g has one atom)."""
+        g_values = np.asarray(g_values, dtype=float)
+        if g_values.size != self.interaction.num_states:
+            raise DimensionError("g must assign one value per spin state")
+        key = g_values.tobytes()
+        cgf = self._site_total_cgfs.get(key)
+        if cgf is None:
+            values, value_index = np.unique(g_values, return_inverse=True)
+            log_w, counts = self._transfer.count_law(value_index, values.size)
+            weights = np.maximum(np.exp(log_w - _logsumexp(log_w)), np.finfo(float).tiny)
+            cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(counts @ values))
+            self._site_total_cgfs[key] = cgf
+        return cgf
+
+
+def gibbs_measure(interaction: Interaction, volume: LatticeVolume) -> "Measure":
+    """The measure of a volume: :class:`ChainGibbsMeasure` on a contiguous
+    1-D chain, an enumerated :class:`GibbsMeasure` otherwise."""
+    if volume.is_contiguous_chain():
+        return ChainGibbsMeasure(interaction, volume)
+    return GibbsMeasure(interaction, volume)
+
+
+Measure = Union[GibbsMeasure, ChainGibbsMeasure]
+
+
+def _check_compatible(a: Measure, b: Measure) -> None:
     if a.volume.sites != b.volume.sites:
         raise DimensionError("Gibbs measures live on different volumes")
     if a.interaction.spin_states != b.interaction.spin_states:
         raise DimensionError("Gibbs measures have different spin state sets")
 
 
-def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure) -> float:
+def gibbs_relative_entropy(psi_measure: Measure, phi_measure: Measure) -> float:
     """``R(mu^Psi || mu^Phi) = log Z^Phi - log Z^Psi - E_Psi(D)`` with
     ``D = H^Psi - H^Phi``.
 
     The identity subtracts O(1) log partition functions, so a relative
     entropy near rounding level comes back as noise.  Where D, centred under
     Psi, stays within [-1, 1], R is taken as ``log E_Psi e^D - E_Psi D`` in
-    ``log1p``/``expm1`` form instead, which keeps its digits.
+    ``log1p``/``expm1`` form instead, which keeps its digits.  Where either
+    measure is a chain measure, the expectations come from forward passes of
+    the block transfer (:meth:`_ChainTransfer.relative_entropy`).
     """
     _check_compatible(psi_measure, phi_measure)
+    if not (isinstance(psi_measure, GibbsMeasure) and isinstance(phi_measure, GibbsMeasure)):
+        psi_t, phi_t = (
+            _ChainTransfer(m.interaction, m.volume) if isinstance(m, GibbsMeasure) else m._transfer
+            for m in (psi_measure, phi_measure)
+        )
+        log_ratio = phi_measure.log_partition - psi_measure.log_partition
+        return max(psi_t.relative_entropy(phi_t, log_ratio), 0.0)
     expect = psi_measure.expectation
     with np.errstate(over="ignore", invalid="ignore"):
         gap = psi_measure.energies - phi_measure.energies
         centred = gap - expect(gap)  # past the float range, the identity runs
     if not np.all(np.isfinite(gap)):
-        raise ParameterError("the Hamiltonian difference H^Phi - H^Psi leaves the float range")
+        raise ParameterError(_GAP_OUT_OF_RANGE)
     if float(np.abs(centred).max()) <= 1.0:
         value = math.log1p(expect(np.expm1(centred))) - expect(centred)
     else:
@@ -400,14 +633,12 @@ def gibbs_relative_entropy(psi_measure: GibbsMeasure, phi_measure: GibbsMeasure)
     return max(value, 0.0)
 
 
-def finite_volume_xi(
-    psi_measure: GibbsMeasure, phi_measure: GibbsMeasure, g_values
-) -> GoalBound:
+def finite_volume_xi(psi_measure: Measure, phi_measure: Measure, g_values) -> GoalBound:
     """Per-site goal-oriented bound on ``E_Psi(f_N) - E_Phi(f_N)`` for the
     site-averaged observable ``f_N = N^-1 sum_x g(s_x)``.
 
-    The extensive bound is :func:`xi_bounds` of the enumerated Gibbs measure
-    as an :class:`EmpiricalCgf` with the exact relative entropy R; it is
+    The extensive bound is :func:`xi_bounds` of Phi's site-total
+    :class:`EmpiricalCgf` with the exact relative entropy R; it is
     divided by N, and the returned optimizers refer to the extensive problem.
     Its ``linearized_half_width`` is ``sqrt(Var(sum g)/N) sqrt(2 R/N)``.
     """
@@ -416,9 +647,7 @@ def finite_volume_xi(
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
-def triple_norm_xi(
-    phi_measure: GibbsMeasure, psi_interaction: Interaction, g_values
-) -> GoalBound:
+def triple_norm_xi(phi_measure: Measure, psi_interaction: Interaction, g_values) -> GoalBound:
     """Per-site bound with the relative entropy replaced by its interaction
     surrogate ``2 N |||Phi - Psi|||`` — looser, but it needs no partition
     function for Psi.  The CGF is the same :class:`EmpiricalCgf` as in

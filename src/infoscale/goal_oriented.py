@@ -55,6 +55,14 @@ def _spread(centered: np.ndarray) -> float:
 _EXP_TAIL = [1.0 / math.factorial(k) for k in range(11, 1, -1)]
 
 
+def _exp_tail(y: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """``e^y - 1 - y`` to full relative precision, given ``em1 = expm1(y)``:
+    by its Taylor series where ``|y| <= 1/8``, where ``em1 - y`` cancels."""
+    import numpy as np
+
+    return np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalCgf:
     """Centered CGF of an observable under a finite-support distribution.
@@ -106,8 +114,7 @@ class EmpiricalCgf:
         y = c * self._centered
         if abs(c) * self._span <= 700.0:
             em1 = np.expm1(y)
-            tail = np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
-            tail = float(self._weights @ tail)
+            tail = float(self._weights @ _exp_tail(y, em1))
             return math.log1p(tail), float((self._weights * em1 / (1.0 + tail)) @ self._centered)
         from .divergences import _logsumexp
 

@@ -257,18 +257,18 @@ class TestLogPartition:
         assert abs(per_site - exact) < 5e-2
 
     def test_enumeration_cap(self):
-        # A next-nearest cluster has no transfer route, so 2^25 configurations
-        # hit the cap; the nearest-neighbour chain of the same length does not.
+        # 2^25 configurations hit the cap on a 5x5 box and in an enumerated
+        # measure; the block transfer takes a next-nearest chain of 25 sites.
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
         longer = Interaction(
             dimension=1,
             clusters=phi.clusters + (spin_product_cluster(((0,), (2,)), -0.1),),
         )
         with pytest.raises(EnumerationLimitError):
-            log_partition(longer, LatticeVolume.chain(25))
+            log_partition(ising_interaction(0.5, 1.0, 0.0, 2), LatticeVolume.centered(2, 2))
         with pytest.raises(EnumerationLimitError):
             GibbsMeasure(phi, LatticeVolume.chain(25))
-        assert math.isfinite(log_partition(phi, LatticeVolume.chain(25)))
+        assert math.isfinite(log_partition(longer, LatticeVolume.chain(25)))
 
 
 def _field_and_next_nearest(k):
@@ -692,32 +692,3 @@ class TestGibbsSandwichProperties:
         psi = ising_interaction(1.0, 0.6, 0.3, 1)
         loose = _assert_gibbs_sandwich(phi, psi, LatticeVolume.chain(8))
         assert loose.c_star_plus == loose.c_star_minus == 1e12
-
-
-def test_cli_job_builds_one_cgf_and_no_state_indices(tmp_path, monkeypatch, capsys):
-    # A gibbs job on a 17-site chain with a next-nearest cluster: both bounds
-    # and the printed gap share one site-total CGF; a measure holds no
-    # q^N x N state-index array.
-    from infoscale.cli import main
-
-    built = []
-    post_init = EmpiricalCgf.__post_init__
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(EmpiricalCgf, "__post_init__", counted_post_init)
-    paths = []
-    for name, k in (("phi", -0.1), ("psi", -0.25)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"d": 1, "clusters": [
-            {"offsets": [[0], [1]], "type": "pair_product", "coeff": -0.4},
-            {"offsets": [[0], [2]], "type": "pair_product", "coeff": k},
-            {"offsets": [[0]], "type": "field", "coeff": -0.05},
-        ]}))
-        paths.append(str(path))
-    assert main(["gibbs", "--phi", paths[0], "--psi", paths[1], "--n", "8"]) == 0
-    assert json.loads(capsys.readouterr().out)["num_sites"] == 17
-    assert len(built) == 1 and built[0].dist.support_size == 2**17
-    assert not hasattr(GibbsMeasure, "state_indices")

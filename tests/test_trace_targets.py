@@ -3,7 +3,7 @@
 ``perfbench/trace_job.py`` lists a target it cannot find as absent, and a
 traced benchmark run with a declared metric absent is malformed.  Deleting or
 renaming a traced function therefore fails here first.  The tracer is also
-run on six short jobs, to show that each job's wrappers fire.
+run on seven short jobs, to show that each job's wrappers fire.
 """
 
 import importlib.util
@@ -85,6 +85,18 @@ def _gibbs_args(tmp_path):
     return ["gibbs", "--phi", str(phi), "--psi", str(psi), "--n", "2"]
 
 
+def _gibbs_square_args(tmp_path):
+    # A 3x3 box, as in the benchmark's square job: the enumerated measure.
+    phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+    for path, j in ((phi, -0.3), (psi, -0.45)):
+        path.write_text(json.dumps({"d": 2, "clusters": [
+            {"offsets": [[0, 0], [1, 0]], "type": "pair_product", "coeff": j},
+            {"offsets": [[0, 0], [0, 1]], "type": "pair_product", "coeff": j},
+            {"offsets": [[0, 0]], "type": "field", "coeff": -0.05},
+        ]}))
+    return ["gibbs", "--phi", str(phi), "--psi", str(psi), "--n", "1"]
+
+
 @pytest.mark.parametrize("make_args, spans", [
     (lambda tmp_path: ["figure", "2a"], {"optimize.minimize", "exact_models.phase_point"}),
     (_phase2d_args, {"jsonio.load", "quadrature.simpson", "exact_models.phase_point"}),
@@ -92,9 +104,11 @@ def _gibbs_args(tmp_path):
     (lambda tmp_path: [*_markov_args(tmp_path), "--enumerate", "4"],
      {"markov.path_enum", "markov.perron"}),
     (_banded_args, {"markov.perron", "numpy.eigvals", "optimize.minimize"}),
-    (_gibbs_args, {"gibbs.measure", "gibbs.xi", "gibbs.log_partition", "goal_oriented.cgf"}),
+    # A chain takes the transfer route, which builds no enumerated measure.
+    (_gibbs_args, {"gibbs.xi", "gibbs.log_partition", "goal_oriented.cgf"}),
+    (_gibbs_square_args, {"gibbs.measure", "gibbs.xi", "gibbs.log_partition"}),
 ], ids=["figure-2a", "phase-2d", "markov-cheap", "markov-enumerate", "markov-banded",
-        "gibbs-nnn"])
+        "gibbs-nnn", "gibbs-square"])
 def test_traced_job_fires_its_spans(tmp_path, make_args, spans):
     # The CLI imports a subcommand's modules inside its handler, after the
     # tracer has wrapped them; the wrappers must still be what runs.
