@@ -136,12 +136,13 @@ def _cmd_gibbs(args) -> int:
     else:
         g = jsonio.load_observable(args.observable).values
     phi_m = gibbs.gibbs_measure(phi, volume)
+    phi_cgf = phi_m.site_total_cgf(g)  # a chain past the work cap stops here
     psi_m = gibbs.gibbs_measure(psi, volume)
     r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
     bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
     triple = gibbs.triple_norm_xi(phi_m, psi, g)
     gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
-    gap = psi_m.site_total_cgf(g).mean - phi_m.site_total_cgf(g).mean
+    gap = psi_m.site_total_cgf(g).mean - phi_cgf.mean
     n_sites = volume.num_sites
     payload = {
         "num_sites": n_sites,

@@ -183,24 +183,23 @@ def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) ->
     """``log sum exp(log_start[x_0] + sum_t exponents[x_t, x_(t+1)])`` over the
     paths ``x_0 .. x_n_steps`` (a ``-inf`` entry is a zero weight).
 
-    Each step is one log-sum-exp down every column of ``vec[:, None] +
-    exponents``, shifted by the column's largest exponent as in
-    :func:`_logsumexp`, so nothing under- or overflows however far the
-    exponents spread (a tiny entry can close the cycle that carries the
-    sum); an all ``-inf`` column stays ``-inf``.  O(n_steps S^2) work.
+    Each step is one :func:`_logsumexp_columns` of ``vec[:, None] +
+    exponents``, so nothing under- or overflows however far the exponents
+    spread (a tiny entry can close the cycle that carries the sum); an all
+    ``-inf`` column stays ``-inf``.  O(n_steps S^2) work.
     """
     vec = log_start
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
-            vec = _log_transfer_step(vec, exponents)
+            vec = _logsumexp_columns(np.add(vec[:, None], exponents))
     return _logsumexp(vec)
 
 
-def _log_transfer_step(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """One step of :func:`_log_transfer`: ``out[y, ...] = log sum_x exp(vec[x,
-    ...] + exponents[x, y])``; trailing axes of ``vec`` ride along.  Run it
-    under ``np.errstate(all="ignore")``: an all ``-inf`` column warns."""
-    terms = vec[:, None] + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
+def _logsumexp_columns(terms: np.ndarray) -> np.ndarray:
+    """``log sum exp`` down axis 0 of ``terms``, each column shifted by its
+    largest exponent as in :func:`_logsumexp`.  Run it under
+    ``np.errstate(all="ignore")``: an all ``-inf`` column warns (and stays
+    ``-inf``)."""
     top = terms.max(axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)
     return shift + np.log(np.exp(terms - shift).sum(axis=0))

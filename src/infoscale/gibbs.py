@@ -9,13 +9,15 @@ cluster translates that cross the volume boundary are dropped.
 
 A contiguous 1-D chain takes the transfer route at any length, for any
 finite-range interaction (any offsets, cluster sizes and spin states): a
-state is a block of r consecutive spins, r the interaction's range, and
-:func:`log_partition` is the log-domain block transfer product
-``divergences._log_transfer``.  A :class:`ChainGibbsMeasure` adds a count
-axis to that transfer for the law of the site total ``sum_x g(s_x)`` (N + 1
-atoms for a two-valued g), and forward passes for ``E_Psi(H^Psi - H^Phi)``;
-it builds no per-configuration array.  :func:`gibbs_measure` picks it for a
-chain volume.
+state is a block of r consecutive spins, r the interaction's range, each
+block has q predecessors, and :func:`log_partition` is the log-domain block
+transfer product, one ``divergences._logsumexp_columns`` per step.  A
+:class:`ChainGibbsMeasure` adds a count axis to that transfer for the law of
+the site total ``sum_x g(s_x)`` (N + 1 atoms for a two-valued g), and
+forward passes for ``E_Psi(H^Psi - H^Phi)``; it builds no per-configuration
+array.  :func:`gibbs_measure` picks it for a chain volume.  The transfer's
+work is capped (``EnumerationLimitError``) at 2e6 terms per step and 5e8 in
+all; the count law, quadratic in L for a two-valued g, reaches it first.
 
 Every other volume, such as a 2-D box, is enumerated (capped at 2e6
 configurations).  A :class:`GibbsMeasure` enumerates the energies once, at
@@ -42,9 +44,8 @@ import numpy as np
 from .divergences import (
     DiscreteDistribution,
     Observable,
-    _log_transfer,
-    _log_transfer_step,
     _logsumexp,
+    _logsumexp_columns,
 )
 from .errors import (
     DimensionError,
@@ -56,6 +57,7 @@ from .goal_oriented import EmpiricalCgf, GoalBound, _exp_tail, xi_bounds
 _OUT_OF_RANGE = "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
 _GAP_OUT_OF_RANGE = "the Hamiltonian difference H^Phi - H^Psi leaves the float range"
 _ENUMERATION_CAP = 2_000_000
+_TRANSFER_WORK_CAP = 500_000_000
 
 
 @dataclass(frozen=True)
@@ -287,19 +289,23 @@ class _ChainTransfer:
     """The block transfer of an interaction on a contiguous chain of L sites.
 
     With range r (the largest ``max - min`` offset of a cluster), a state is a
-    block of ``w = min(max(r, 1), L)`` consecutive spins, numbered in base q
-    with the first spin most significant.  ``start[b]`` is the energy of the
-    cluster translates inside the first block.  A step appends spin x to
-    block b, moving to block ``succ[b, x] = (b mod q^(w-1)) q + x``, and
-    ``window[b, x]`` is the energy of the translates that end at that spin;
-    there are ``L - w`` steps.  In a dense ``q^w x q^w`` block matrix every
-    other entry is a zero weight; ``exponents`` is ``-window`` as one.
+    block of ``w = min(max(r, width), L)`` consecutive spins, numbered in base
+    q with the first spin most significant; ``width`` widens the block when
+    two interactions of different ranges must share it.  ``start[b]`` is the
+    energy of the cluster translates inside the first block.  A step appends
+    spin x to block ``p q^(w-1) + m`` (p its first spin), moving to block
+    ``m q + x``, and ``window[p, m, x]`` is the energy of the translates that
+    end at that spin; there are ``L - w`` steps.  So each block has q
+    predecessors and a step is ``q^(w+1)`` terms (:func:`_block_terms`);
+    ``exponents`` is ``-window``.
+
     Construction raises ParameterError when an energy, or the spread between
     the largest and the smallest, leaves the float range, as
-    :func:`_energy_vector` does.
+    :func:`_energy_vector` does, and EnumerationLimitError when the transfer
+    passes the caps of :meth:`_check_work`.
     """
 
-    def __init__(self, interaction: Interaction, volume: LatticeVolume):
+    def __init__(self, interaction: Interaction, volume: LatticeVolume, width: int = 1):
         if interaction.dimension != volume.dimension:
             raise DimensionError("interaction and volume dimensions differ")
         if not volume.is_contiguous_chain():
@@ -310,29 +316,28 @@ class _ChainTransfer:
         for cluster in interaction.clusters:
             low = min(o[0] for o in cluster.offsets)
             clusters.append((cluster.coeff, [o[0] - low for o in cluster.offsets]))
-        width = min(max([max(rel) for _, rel in clusters] + [1]), length)
-        if q ** (2 * width) > _ENUMERATION_CAP:
-            raise EnumerationLimitError(
-                f"a {q ** width}-state block transfer matrix exceeds the cap "
-                f"{_ENUMERATION_CAP} on its entries"
-            )
-        blocks = q**width
+        width = min(max([max(rel) for _, rel in clusters] + [width]), length)
         self.num_states, self.width, self.steps = q, width, length - width
-        self.succ = (np.arange(blocks)[:, None] % (blocks // q)) * q + np.arange(q)
+        self._check_work(1)
         with np.errstate(all="ignore"):
             self.start = _block_energies(clusters, states, width, last_only=False)
             self.window = _block_energies(clusters, states, width + 1, last_only=True)
-            self.window = self.window.reshape(blocks, q)
+            self.window = self.window.reshape(q, -1, q)
+            self.exponents = -self.window
         largest, smallest = self.path_extremes(self.start, self.window)
         if not math.isfinite(largest - smallest):
             raise ParameterError(_OUT_OF_RANGE)
-        self.exponents = self.matrix(-self.window, -math.inf)
 
-    def matrix(self, window: np.ndarray, fill: float) -> np.ndarray:
-        """``window[b, x]`` at ``(b, succ[b, x])`` of a block matrix, ``fill`` elsewhere."""
-        out = np.full((self.succ.shape[0],) * 2, fill)
-        out[np.arange(self.succ.shape[0])[:, None], self.succ] = window
-        return out
+    def _check_work(self, size: int) -> None:
+        """Raise EnumerationLimitError unless a pass that carries ``size``
+        entries per block stays within the caps: ``q^(w+1) size`` terms per
+        step, and that times the steps in all."""
+        terms = self.num_states ** (self.width + 1) * size
+        if terms > _ENUMERATION_CAP or self.steps * terms > _TRANSFER_WORK_CAP:
+            raise EnumerationLimitError(
+                f"{self.steps} transfer steps of {terms} terms exceed the caps "
+                f"{_ENUMERATION_CAP} per step and {_TRANSFER_WORK_CAP} in all"
+            )
 
     def path_extremes(self, start: np.ndarray, window: np.ndarray) -> tuple[float, float]:
         """The largest and the smallest path sum of ``start``/``window``, by
@@ -340,14 +345,18 @@ class _ChainTransfer:
         extremes = []
         with np.errstate(all="ignore"):
             for sign in (1.0, -1.0):
-                vec, step = sign * start, self.matrix(sign * window, -math.inf)
+                vec, step = sign * start, sign * window
                 for _ in range(self.steps):
-                    vec = (vec[:, None] + step).max(axis=0)
+                    vec = _block_terms(vec, step).max(axis=0).ravel()
                 extremes.append(sign * float(vec.max()))
         return extremes[0], extremes[1]
 
     def log_partition(self) -> float:
-        log_z = _log_transfer(-self.start, self.exponents, self.steps)
+        vec = -self.start
+        with np.errstate(all="ignore"):
+            for _ in range(self.steps):
+                vec = _block_step(vec, self.exponents)
+        log_z = _logsumexp(vec)
         if not math.isfinite(log_z):
             raise ParameterError(_OUT_OF_RANGE)
         return log_z
@@ -359,15 +368,12 @@ class _ChainTransfer:
 
         A count axis, over n_1 .. n_(num_values - 1) in radix L + 1, rides
         along the transfer: each step shifts a block's row by the count
-        stride of its newest spin.  O(L^num_values q^(2w)) work.
+        stride of its newest spin.  O(L^num_values q^(w+1)) work.
         """
-        q, blocks = self.num_states, self.succ.shape[0]
+        q, blocks = self.num_states, self.start.size
         length = self.width + self.steps
         size = (length + 1) ** (num_values - 1)
-        if blocks * size > _ENUMERATION_CAP:
-            raise EnumerationLimitError(
-                f"{blocks} x {size} count-law entries exceed the cap {_ENUMERATION_CAP}"
-            )
+        self._check_work(size)
         radix_powers = (length + 1) ** np.arange(num_values - 1)
         stride = np.concatenate(([0], radix_powers))[value_index]  # per spin state
         digits = np.arange(blocks)[:, None] // q ** np.arange(self.width - 1, -1, -1) % q
@@ -377,12 +383,11 @@ class _ChainTransfer:
         shifts = [(shift, newest == shift) for shift in np.unique(newest[newest > 0])]
         with np.errstate(all="ignore"):
             for _ in range(self.steps):
-                vec = _log_transfer_step(vec, self.exponents)
+                vec = _block_step(vec, self.exponents)
                 for shift, rows in shifts:
                     vec[rows, shift:] = vec[rows, :-shift]
                     vec[rows, :shift] = -math.inf
-            # One more step, into a single state, sums over the last block.
-            log_w = _log_transfer_step(vec, np.zeros((blocks, 1)))[0]
+            log_w = _logsumexp_columns(vec)  # summed over the last block
         reached = np.flatnonzero(np.isfinite(log_w))
         counts = reached[:, None] // radix_powers % (length + 1)
         counts = np.column_stack((length - counts.sum(axis=1), counts))
@@ -390,10 +395,11 @@ class _ChainTransfer:
 
     def relative_entropy(self, other: "_ChainTransfer", log_ratio: float) -> float:
         """``R(mu || mu^other)`` for this transfer's measure mu, given
-        ``log_ratio = log Z^other - log Z``: that less ``E(D)``, ``D = H -
-        H^other``; or, where D stays within 1 of its mean m on every path,
-        ``log1p E(e^(D - m) - 1 - (D - m))``, which keeps its digits.  Raises
-        ParameterError when D leaves the float range."""
+        ``log_ratio = log Z^other - log Z`` and a transfer ``other`` of the
+        same block width: that less ``E(D)``, ``D = H - H^other``; or, where
+        D stays within 1 of its mean m on every path, ``log1p E(e^(D - m) - 1
+        - (D - m))``, which keeps its digits.  Raises ParameterError when D
+        leaves the float range."""
         with np.errstate(all="ignore"):
             start, window = self.start - other.start, self.window - other.window
         largest, smallest = self.path_extremes(start, window)
@@ -414,22 +420,38 @@ class _ChainTransfer:
         ``y = G - centre``: a forward pass that carries, per block, the
         conditional means of y and of ``e^y - 1 - y``, which a step with
         increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``."""
-        gap = self.matrix(window, 0.0)
+        heads = window.shape[:2] + (1,)  # a block's conditional mean, by predecessor
         log_alpha = -self.start
         with np.errstate(all="ignore"):
             y = start - (centre or 0.0)
             if centre is not None:
-                em1 = np.expm1(gap)
-                tail, f = _exp_tail(gap, em1), _exp_tail(y, np.expm1(y))
+                em1 = np.expm1(window)
+                tail, f = _exp_tail(window, em1), _exp_tail(y, np.expm1(y))
             for _ in range(self.steps):
-                terms = log_alpha[:, None] + self.exponents
-                log_alpha = _log_transfer_step(log_alpha, self.exponents)
-                law = np.exp(terms - log_alpha)  # of the previous block, given the next
+                terms = _block_terms(log_alpha, self.exponents)
+                log_alpha = _logsumexp_columns(terms)
+                law = np.exp(terms - log_alpha)  # of the predecessor, given the block
+                log_alpha = log_alpha.ravel()
                 if centre is not None:
-                    f = (law * (f[:, None] * (1.0 + em1) + y[:, None] * em1 + tail)).sum(axis=0)
-                y = (law * (y[:, None] + gap)).sum(axis=0)
+                    f = (law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail))
+                    f = f.sum(axis=0).ravel()
+                y = (law * _block_terms(y, window)).sum(axis=0).ravel()
         last = np.exp(log_alpha - _logsumexp(log_alpha))
         return float(last @ (y if centre is None else f))
+
+
+def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``vec[p q^(w-1) + m, ...] + exponents[p, m, x]`` at ``[p, m, x, ...]``:
+    for each block ``m q + x`` of the next step, its q predecessors down axis
+    0.  Trailing axes of ``vec`` ride along."""
+    head = vec.reshape(exponents.shape[:2] + (1,) + vec.shape[1:])
+    return head + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
+
+
+def _block_step(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """One log-domain transfer step over the q predecessors of each block,
+    O(q^(w+1)) terms per trailing entry; run it under ``np.errstate``."""
+    return _logsumexp_columns(_block_terms(vec, exponents)).reshape(vec.shape)
 
 
 def _block_energies(clusters, states: np.ndarray, width: int, last_only: bool) -> np.ndarray:
@@ -455,8 +477,8 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     """``log sum_config exp(-H(config))``.
 
     On a contiguous 1-D chain this is the block transfer product of
-    :class:`_ChainTransfer` on ``divergences._log_transfer``, at any length
-    and for any finite-range interaction; otherwise it sums over all
+    :class:`_ChainTransfer`, at any length and for any finite-range
+    interaction; otherwise it sums over all
     configurations with a max-exponent shift, up to the enumeration cap.
     """
     if not volume.is_contiguous_chain():
@@ -539,9 +561,9 @@ class ChainGibbsMeasure:
 
     It takes any finite-range interaction (any offsets, cluster sizes and
     spin states) through the block transfer of :class:`_ChainTransfer`, and
-    builds no per-configuration array: ``log_partition`` is the module-level
-    :func:`log_partition`, and the site-total CGF runs over the law of the
-    count vector of g's distinct values (N + 1 atoms for a two-valued g).
+    builds no per-configuration array: ``log_partition`` is that transfer's
+    product, and the site-total CGF runs over the law of the count vector of
+    g's distinct values (N + 1 atoms for a two-valued g).
     """
 
     interaction: Interaction
@@ -553,7 +575,7 @@ class ChainGibbsMeasure:
         for name, value in (
             ("interaction", interaction),
             ("volume", volume),
-            ("log_partition", log_partition(interaction, volume)),
+            ("log_partition", transfer.log_partition()),
             ("_transfer", transfer),
             ("_site_total_cgfs", {}),
         ):
@@ -599,6 +621,8 @@ def _check_compatible(a: Measure, b: Measure) -> None:
         raise DimensionError("Gibbs measures live on different volumes")
     if a.interaction.spin_states != b.interaction.spin_states:
         raise DimensionError("Gibbs measures have different spin state sets")
+    if type(a) is not type(b):
+        raise TypeError("pair measures of one route: build both with gibbs_measure")
 
 
 def gibbs_relative_entropy(psi_measure: Measure, phi_measure: Measure) -> float:
@@ -608,14 +632,17 @@ def gibbs_relative_entropy(psi_measure: Measure, phi_measure: Measure) -> float:
     The identity subtracts O(1) log partition functions, so a relative
     entropy near rounding level comes back as noise.  Where D, centred under
     Psi, stays within [-1, 1], R is taken as ``log E_Psi e^D - E_Psi D`` in
-    ``log1p``/``expm1`` form instead, which keeps its digits.  Where either
-    measure is a chain measure, the expectations come from forward passes of
-    the block transfer (:meth:`_ChainTransfer.relative_entropy`).
+    ``log1p``/``expm1`` form instead, which keeps its digits.  For two chain
+    measures the expectations come from forward passes of their block
+    transfers at a shared width, the larger of their two
+    (:meth:`_ChainTransfer.relative_entropy`).
     """
     _check_compatible(psi_measure, phi_measure)
-    if not (isinstance(psi_measure, GibbsMeasure) and isinstance(phi_measure, GibbsMeasure)):
+    if isinstance(psi_measure, ChainGibbsMeasure):
+        width = max(psi_measure._transfer.width, phi_measure._transfer.width)
         psi_t, phi_t = (
-            _ChainTransfer(m.interaction, m.volume) if isinstance(m, GibbsMeasure) else m._transfer
+            m._transfer if m._transfer.width == width
+            else _ChainTransfer(m.interaction, m.volume, width)
             for m in (psi_measure, phi_measure)
         )
         log_ratio = phi_measure.log_partition - psi_measure.log_partition

@@ -38,17 +38,18 @@ _OFFSETS = {
 _SPINS = {2: (-1.0, 1.0), 3: (-1.0, 0.5, 2.0)}
 
 
-def _random_pair(rng, spread, q):
-    """Phi and Psi with the clusters of ``_OFFSETS[spread]`` and independent
-    coefficients in [-0.6, 0.6]."""
-    def draw():
+def _random_pair(rng, spread, q, psi_spread=None):
+    """Phi with the clusters of ``_OFFSETS[spread]`` and Psi with those of
+    ``_OFFSETS[psi_spread]`` (by default the same), independent coefficients
+    in [-0.6, 0.6]."""
+    def draw(spread):
         clusters = tuple(
             spin_product_cluster(offsets, float(rng.uniform(-0.6, 0.6)))
             for offsets in _OFFSETS[spread]
         )
         return Interaction(dimension=1, clusters=clusters, spin_states=_SPINS[q])
 
-    return draw(), draw()
+    return draw(spread), draw(spread if psi_spread is None else psi_spread)
 
 
 def _next_nearest_and_field(k):
@@ -69,15 +70,17 @@ def _assert_sandwich(m_psi, m_phi):
 
 def _cases():
     # Two-state chains from 1 to 14 sites, three-state ones to 8 (3^8
-    # configurations), each at every range; L <= range included.
+    # configurations), each at every range; L <= range included.  Psi takes
+    # Phi's range and, in a second draw, the next one (range 3 against 0).
     for q, lengths in ((2, range(1, 15)), (3, range(1, 9))):
         for length in lengths:
             for spread in _OFFSETS:
-                yield q, length, spread
+                yield q, length, spread, spread
+                yield q, length, spread, (spread + 1) % len(_OFFSETS)
 
 
-def _both_routes(rng, q, length, spread):
-    phi, psi = _random_pair(rng, spread, q)
+def _both_routes(rng, q, length, spread, psi_spread=None):
+    phi, psi = _random_pair(rng, spread, q, psi_spread)
     volume = LatticeVolume.chain(length)
     enumerated = GibbsMeasure(phi, volume), GibbsMeasure(psi, volume)
     chain = ChainGibbsMeasure(phi, volume), ChainGibbsMeasure(psi, volume)
@@ -107,13 +110,13 @@ class TestAgainstEnumeration:
     def test_random_interactions(self, rng):
         # Within 1e-12 relative; a bound near 0 is a difference of site
         # totals per site, of order 1 here, so it keeps 1e-14 absolute.
-        for q, length, spread in _cases():
-            psi, enumerated, chain = _both_routes(rng, q, length, spread)
+        for q, length, spread, psi_spread in _cases():
+            psi, enumerated, chain = _both_routes(rng, q, length, spread, psi_spread)
             g = rng.uniform(-1.0, 1.0, q)
             want, got = _report(psi, enumerated, g), _report(psi, chain, g)
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-14), (
-                    q, length, spread, key
+                    q, length, spread, psi_spread, key
                 )
 
     def test_rounding_level_entropy(self):
@@ -154,11 +157,10 @@ class TestAgainstEnumeration:
         assert m_phi.site_total_cgf([0.3, 0.3, 0.3]).dist.support_size == 1
         assert (bound.xi_plus, bound.xi_minus) == (0.0, 0.0)
 
-    def test_mixed_pairs_take_the_transfer_for_the_entropy(self, rng):
-        psi, (e_phi, e_psi), (c_phi, c_psi) = _both_routes(rng, 2, 7, 3)
-        want = gibbs_relative_entropy(c_psi, c_phi)
-        assert gibbs_relative_entropy(e_psi, c_phi) == pytest.approx(want, rel=1e-12)
-        assert gibbs_relative_entropy(c_psi, e_phi) == pytest.approx(want, rel=1e-12)
+    def test_mixed_pairs_are_refused(self, rng):
+        psi, (e_phi, _), (_, c_psi) = _both_routes(rng, 2, 4, 1)
+        with pytest.raises(TypeError):
+            gibbs_relative_entropy(c_psi, e_phi)
 
     def test_factory_picks_the_route_by_geometry(self):
         chain = gibbs_measure(ising_interaction(0.5, 1.0, 0.1, 1), LatticeVolume.centered(1, 3))
@@ -271,6 +273,36 @@ class TestCli:
         assert main(["gibbs", *_write_pair(tmp_path, *_NNN_PAIR), "--n", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["num_sites"] == 17
         assert [cgf.dist.support_size for cgf in built] == [18, 18]
+
+    def test_pair_of_different_ranges(self, tmp_path, capsys):
+        # A nearest-neighbour Phi against a Psi with a next-nearest pair too:
+        # the report matches enumeration.
+        from infoscale.cli import main
+
+        pair = ([([[0], [1]], -0.4), ([[0]], -0.05)], _NNN_PAIR[1])
+        assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        phi, psi = (Interaction(dimension=1, clusters=tuple(
+            spin_product_cluster(offsets, coeff) for offsets, coeff in clusters
+        )) for clusters in pair)
+        volume = LatticeVolume.chain(7)
+        want = _report(psi, (GibbsMeasure(phi, volume), GibbsMeasure(psi, volume)), [-1.0, 1.0])
+        assert report["relative_entropy_per_site"] == pytest.approx(
+            want["relative_entropy"] / 7, rel=1e-12)
+        for key in ("log_partition_phi", "log_partition_psi", "xi_plus", "xi_minus",
+                    "linearized", "triple_xi_plus", "triple_xi_minus"):
+            assert report[key] == pytest.approx(want[key], rel=1e-12), key
+        assert report["qoi_gap"] == pytest.approx(
+            (want["mean_psi"] - want["mean_phi"]) / 7, rel=1e-12)
+
+    def test_work_past_the_cap_fails_fast(self, tmp_path, capsys):
+        # A range-10 Phi on 1,001 sites: 2^11 terms per step times 1,002
+        # counts pass the cap, so the job stops at Phi's site-total law.
+        from infoscale.cli import main
+
+        pair = ([([[0], [10]], -0.3)], [([[0], [1]], -0.3)])
+        assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "500"]) == 1
+        assert "exceed the caps" in capsys.readouterr().err
 
     def test_thousand_site_chain(self, tmp_path, capsys):
         # 1,001 sites, 2^1001 configurations: every value is finite, and the
