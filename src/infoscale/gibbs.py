@@ -7,29 +7,31 @@ coefficient times the product of the spins on that set, so the Hamiltonian is
 linear in the coefficients.  Hamiltonians use free boundary conditions:
 cluster translates that cross the volume boundary are dropped.
 
-A contiguous 1-D chain takes the transfer route at any length, for any
-finite-range interaction (any offsets, cluster sizes and spin states): a
-state is a block of r consecutive spins, r the interaction's range, each
-block has q predecessors, and :func:`log_partition` is the log-domain block
-transfer product, one ``divergences._logsumexp_columns`` per step.  A
-:class:`ChainGibbsMeasure` adds a count axis to that transfer for the law of
-the site total ``sum_x g(s_x)`` (N + 1 atoms for a two-valued g), and
-forward passes for ``E_Psi(H^Psi - H^Phi)``; it builds no per-configuration
-array.  :func:`gibbs_measure` picks it for a chain volume.  The transfer's
-work is capped (``EnumerationLimitError``) at 2e6 terms per step and 5e8 in
-all; the count law, quadratic in L for a two-valued g, reaches it first.
+Every Gibbs measure runs on one block transfer, :class:`_BlockTransfer`.
+On a contiguous 1-D chain a state is a block of r consecutive spins, r the
+interaction's range, each block has q predecessors, and a step is one
+``divergences._logsumexp_columns``, so a chain takes any length, for any
+finite-range interaction (any offsets, cluster sizes and spin states).  Any
+other volume, such as a 2-D box, is one block of all its N sites with no
+steps: that is enumeration, capped at q^N = 2e6 configurations.  One kernel,
+:func:`_energy_vector`, builds every block's energies in O(N q^N) work per
+cluster template: the spin on one site over every configuration is a tiled
+column, and each cluster instance multiplies the columns of its sites.  The
+transfer's work is capped (``EnumerationLimitError``) at 2e6 terms per step
+and 5e8 in all.  :func:`log_partition` is the transfer product, and the
+relative entropy of any two measures on one volume takes forward passes of
+their transfers at the wider block width of the pair.
 
-Every other volume, such as a 2-D box, is enumerated (capped at 2e6
-configurations).  A :class:`GibbsMeasure` enumerates the energies once, at
-construction, in O(N q^N) work per cluster template: the spin on one site
-over every configuration is a tiled column, and each cluster instance
-multiplies the columns of its sites.  Its one memo holds, per g, the CGF of
-the site total, which both bounds read; that CGF runs over the distinct
-totals only, not over the q^N configurations: for two-state spins and an
-integer-valued g, such as the magnetization, that is N + 1 terms per K(c).
-It is also the oracle of the transfer route wherever both run.  Every
-partition sum, enumerated or transferred, shifts by the largest exponent, as
-``divergences._logsumexp`` does.
+:func:`gibbs_measure` picks a :class:`ChainGibbsMeasure` for a chain: it
+adds a count axis to the transfer for the law of the site total
+``sum_x g(s_x)`` (N + 1 atoms for a two-valued g), quadratic in L, which
+reaches the cap first, and builds no per-configuration array.  Every other
+volume gets a :class:`GibbsMeasure`, the one-block case, which keeps the
+per-configuration weights; its site totals, summed column by column, are the
+oracle of the count law.  Each measure keeps one memo of the site-total CGF
+per g, which both bounds read; that CGF runs over the distinct totals only,
+not over the q^N configurations.  Every partition sum shifts by the largest
+exponent, as ``divergences._logsumexp`` does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -120,6 +122,8 @@ class Interaction:
                 )
         if len(self.spin_states) < 2:
             raise ParameterError("need at least two spin states")
+        if not all(math.isfinite(s) for s in self.spin_states):
+            raise ParameterError(f"spin states must be finite, got {self.spin_states!r}")
 
     @property
     def num_states(self) -> int:
@@ -175,6 +179,14 @@ class LatticeVolume:
 
     dimension: int
     sites: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.sites) == 0:
+            raise ParameterError("a volume needs at least one site")
+        if any(len(site) != self.dimension for site in self.sites):
+            raise DimensionError(f"volume sites must be {self.dimension}-vectors")
+        if len(set(self.sites)) != len(self.sites):
+            raise ParameterError("volume sites must be distinct")
 
     @classmethod
     def centered(cls, dimension: int, half_width: int) -> "LatticeVolume":
@@ -243,15 +255,6 @@ def hamiltonian(interaction: Interaction, volume: LatticeVolume, config) -> floa
     return total
 
 
-def _enumeration_size(num_sites: int, num_states: int) -> int:
-    count = num_states**num_sites
-    if count > _ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"{count} configurations exceed the enumeration cap {_ENUMERATION_CAP}"
-        )
-    return count
-
-
 def _enumerated_column(values: np.ndarray, num_sites: int, site: int) -> np.ndarray:
     """``values[state of site]`` over every configuration in lexicographic
     order: each value repeated ``q^(N-1-site)`` times, that run ``q^site``
@@ -260,9 +263,12 @@ def _enumerated_column(values: np.ndarray, num_sites: int, site: int) -> np.ndar
     return np.tile(np.repeat(values, q ** (num_sites - 1 - site)), q**site)
 
 
-def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarray:
+def _energy_vector(
+    interaction: Interaction, volume: LatticeVolume, last_site_only: bool = False
+) -> np.ndarray:
     """Hamiltonian of every enumerated configuration: per cluster instance,
-    ``coeff`` times the product of the spin columns of its sites.
+    ``coeff`` times the product of the spin columns of its sites; with
+    ``last_site_only``, of the instances that hold the last site only.
 
     Raises ParameterError when an energy, or the spread between the largest
     and the smallest, is not a finite float: ``exp(-H)`` relative to its
@@ -271,9 +277,11 @@ def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarra
     templates = _cluster_instances(interaction, volume)
     states = np.asarray(interaction.spin_states, dtype=float)
     num_sites = volume.num_sites
-    energies = np.zeros(_enumeration_size(num_sites, states.size))
+    energies = np.zeros(states.size**num_sites)
     with np.errstate(over="ignore", invalid="ignore"):
         for cluster, instances in templates:
+            if last_site_only:
+                instances = instances[(instances == num_sites - 1).any(axis=1)]
             for first, *rest in instances:
                 product = _enumerated_column(states, num_sites, first)
                 for site in rest:
@@ -285,44 +293,50 @@ def _energy_vector(interaction: Interaction, volume: LatticeVolume) -> np.ndarra
     return energies
 
 
-class _ChainTransfer:
-    """The block transfer of an interaction on a contiguous chain of L sites.
+class _BlockTransfer:
+    """The block transfer of an interaction on a volume of N sites.
 
-    With range r (the largest ``max - min`` offset of a cluster), a state is a
-    block of ``w = min(max(r, width), L)`` consecutive spins, numbered in base
-    q with the first spin most significant; ``width`` widens the block when
-    two interactions of different ranges must share it.  ``start[b]`` is the
-    energy of the cluster translates inside the first block.  A step appends
-    spin x to block ``p q^(w-1) + m`` (p its first spin), moving to block
-    ``m q + x``, and ``window[p, m, x]`` is the energy of the translates that
-    end at that spin; there are ``L - w`` steps.  So each block has q
-    predecessors and a step is ``q^(w+1)`` terms (:func:`_block_terms`);
+    On a contiguous chain with range r (the largest ``max - min`` offset of
+    a cluster), a state is a block of ``w = min(max(r, width), N)``
+    consecutive spins; ``width`` widens the block when two interactions of
+    different ranges must share it.  Any other volume, and any ``width >=
+    N``, is one block of all N sites.  Blocks are numbered as
+    :func:`_enumerated_column` numbers configurations, the first site most
+    significant.  ``start[b]`` is the energy of the cluster translates
+    inside the first block.  A step appends spin x to block ``p q^(w-1) +
+    m`` (p its first spin), moving to block ``m q + x``, and ``window[p, m,
+    x]`` is the energy of the translates that end at that spin; there are
+    ``N - w`` steps, and without steps there is no window.  So each block
+    has q predecessors and a step is ``q^(w+1)`` terms (:func:`_block_terms`);
     ``exponents`` is ``-window``.
 
-    Construction raises ParameterError when an energy, or the spread between
-    the largest and the smallest, leaves the float range, as
-    :func:`_energy_vector` does, and EnumerationLimitError when the transfer
-    passes the caps of :meth:`_check_work`.
+    Construction raises EnumerationLimitError, before it builds anything,
+    when the transfer passes the caps of :meth:`_check_work`, and
+    ParameterError when an energy, or the spread between the largest and the
+    smallest path sum, leaves the float range.
     """
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume, width: int = 1):
         if interaction.dimension != volume.dimension:
             raise DimensionError("interaction and volume dimensions differ")
-        if not volume.is_contiguous_chain():
-            raise DimensionError("the transfer route needs a contiguous 1-D volume")
-        states = np.asarray(interaction.spin_states, dtype=float)
-        q, length = states.size, volume.num_sites
-        clusters = []
-        for cluster in interaction.clusters:
-            low = min(o[0] for o in cluster.offsets)
-            clusters.append((cluster.coeff, [o[0] - low for o in cluster.offsets]))
-        width = min(max([max(rel) for _, rel in clusters] + [width]), length)
+        q, length = interaction.num_states, volume.num_sites
+        if volume.is_contiguous_chain():
+            for cluster in interaction.clusters:
+                coords = [o[0] for o in cluster.offsets]
+                width = max(width, max(coords) - min(coords))
+        else:
+            width = length
+        width = min(width, length)
         self.num_states, self.width, self.steps = q, width, length - width
         self._check_work(1)
-        with np.errstate(all="ignore"):
-            self.start = _block_energies(clusters, states, width, last_only=False)
-            self.window = _block_energies(clusters, states, width + 1, last_only=True)
-            self.window = self.window.reshape(q, -1, q)
+        block = LatticeVolume.chain(width) if self.steps else volume
+        self.start = _energy_vector(interaction, block)
+        self.window = self.exponents = None
+        if self.steps:
+            window = _energy_vector(
+                interaction, LatticeVolume.chain(width + 1), last_site_only=True
+            )
+            self.window = window.reshape(q, -1, q)
             self.exponents = -self.window
         largest, smallest = self.path_extremes(self.start, self.window)
         if not math.isfinite(largest - smallest):
@@ -330,24 +344,25 @@ class _ChainTransfer:
 
     def _check_work(self, size: int) -> None:
         """Raise EnumerationLimitError unless a pass that carries ``size``
-        entries per block stays within the caps: ``q^(w+1) size`` terms per
-        step, and that times the steps in all."""
-        terms = self.num_states ** (self.width + 1) * size
+        entries per block stays within the caps: ``q^w size`` terms for the
+        first block, ``q^(w+1) size`` per step, and that times the steps in
+        all."""
+        terms = self.num_states ** (self.width + (self.steps > 0)) * size
         if terms > _ENUMERATION_CAP or self.steps * terms > _TRANSFER_WORK_CAP:
             raise EnumerationLimitError(
                 f"{self.steps} transfer steps of {terms} terms exceed the caps "
                 f"{_ENUMERATION_CAP} per step and {_TRANSFER_WORK_CAP} in all"
             )
 
-    def path_extremes(self, start: np.ndarray, window: np.ndarray) -> tuple[float, float]:
+    def path_extremes(self, start: np.ndarray, window: np.ndarray | None) -> tuple[float, float]:
         """The largest and the smallest path sum of ``start``/``window``, by
         a max-plus transfer (NaN where a sum meets ``inf - inf``)."""
         extremes = []
         with np.errstate(all="ignore"):
             for sign in (1.0, -1.0):
-                vec, step = sign * start, sign * window
+                vec = sign * start
                 for _ in range(self.steps):
-                    vec = _block_terms(vec, step).max(axis=0).ravel()
+                    vec = _block_terms(vec, sign * window).max(axis=0).ravel()
                 extremes.append(sign * float(vec.max()))
         return extremes[0], extremes[1]
 
@@ -393,7 +408,7 @@ class _ChainTransfer:
         counts = np.column_stack((length - counts.sum(axis=1), counts))
         return log_w[reached], counts
 
-    def relative_entropy(self, other: "_ChainTransfer", log_ratio: float) -> float:
+    def relative_entropy(self, other: "_BlockTransfer", log_ratio: float) -> float:
         """``R(mu || mu^other)`` for this transfer's measure mu, given
         ``log_ratio = log Z^other - log Z`` and a transfer ``other`` of the
         same block width: that less ``E(D)``, ``D = H - H^other``; or, where
@@ -401,7 +416,8 @@ class _ChainTransfer:
         - (D - m))``, which keeps its digits.  Raises ParameterError when D
         leaves the float range."""
         with np.errstate(all="ignore"):
-            start, window = self.start - other.start, self.window - other.window
+            start = self.start - other.start
+            window = self.window - other.window if self.steps else None
         largest, smallest = self.path_extremes(start, window)
         if not (math.isfinite(largest) and math.isfinite(smallest)):
             raise ParameterError(_GAP_OUT_OF_RANGE)
@@ -413,20 +429,22 @@ class _ChainTransfer:
         return log_ratio - mean
 
     def _forward_mean(
-        self, start: np.ndarray, window: np.ndarray, centre: float | None = None
+        self, start: np.ndarray, window: np.ndarray | None, centre: float | None = None
     ) -> float:
         """``E(G)`` under this transfer's measure for the path sum G of
         ``start``/``window``, or, given ``centre``, ``E(e^y - 1 - y)`` with
         ``y = G - centre``: a forward pass that carries, per block, the
         conditional means of y and of ``e^y - 1 - y``, which a step with
         increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``."""
-        heads = window.shape[:2] + (1,)  # a block's conditional mean, by predecessor
+        heads = (self.num_states, -1, 1)  # a block's conditional mean, by predecessor
         log_alpha = -self.start
         with np.errstate(all="ignore"):
             y = start - (centre or 0.0)
             if centre is not None:
+                f = _exp_tail(y, np.expm1(y))
+            if centre is not None and self.steps:
                 em1 = np.expm1(window)
-                tail, f = _exp_tail(window, em1), _exp_tail(y, np.expm1(y))
+                tail = _exp_tail(window, em1)
             for _ in range(self.steps):
                 terms = _block_terms(log_alpha, self.exponents)
                 log_alpha = _logsumexp_columns(terms)
@@ -454,124 +472,24 @@ def _block_step(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return _logsumexp_columns(_block_terms(vec, exponents)).reshape(vec.shape)
 
 
-def _block_energies(clusters, states: np.ndarray, width: int, last_only: bool) -> np.ndarray:
-    """Energy of every block of ``width`` spins (lexicographic, as
-    :func:`_enumerated_column`) from the cluster translates inside it; with
-    ``last_only``, from those that end at its last spin only.  ``clusters``
-    holds ``(coeff, offsets less their minimum)`` pairs."""
-    energies = np.zeros(states.size**width)
-    for coeff, rel in clusters:
-        span = max(rel)
-        for first in [width - 1 - span] if last_only else range(width - span):
-            if first < 0:
-                continue
-            product = _enumerated_column(states, width, first + rel[0])
-            for r in rel[1:]:
-                product *= _enumerated_column(states, width, first + r)
-            product *= coeff
-            energies += product
-    return energies
-
-
 def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
-    """``log sum_config exp(-H(config))``.
-
-    On a contiguous 1-D chain this is the block transfer product of
-    :class:`_ChainTransfer`, at any length and for any finite-range
-    interaction; otherwise it sums over all
-    configurations with a max-exponent shift, up to the enumeration cap.
-    """
-    if not volume.is_contiguous_chain():
-        return _logsumexp(-_energy_vector(interaction, volume))
-    return _ChainTransfer(interaction, volume).log_partition()
+    """``log sum_config exp(-H(config))``, the product of the block transfer
+    of :class:`_BlockTransfer`: at any length on a contiguous 1-D chain, for
+    any finite-range interaction, and up to the enumeration cap on any other
+    volume."""
+    return _BlockTransfer(interaction, volume).log_partition()
 
 
 @dataclass(frozen=True, eq=False)
-class GibbsMeasure:
-    """A finite-volume Gibbs measure realized by exact enumeration.
-
-    Probabilities are proportional to ``exp(-H)`` over the configurations of
-    the volume, enumerated in lexicographic site order with spin states in
-    their declared order (so for the default states, -1 is the first);
-    that order is ``itertools.product(spin_states, repeat=N)``.  Construction
-    enumerates the energies only, and each site-total CGF is built on the
-    first request for its g.
-    """
-
-    interaction: Interaction
-    volume: LatticeVolume
-    log_partition: float
-    energies: np.ndarray
-    weights: np.ndarray
-
-    def __init__(self, interaction: Interaction, volume: LatticeVolume):
-        energies = _energy_vector(interaction, volume)
-        log_z = _logsumexp(-energies)
-        weights = np.exp(-energies - log_z)
-        weights /= weights.sum()
-        for name, value in (
-            ("interaction", interaction),
-            ("volume", volume),
-            ("log_partition", log_z),
-            ("energies", energies),
-            ("weights", weights),
-            ("_site_total_cgfs", {}),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def num_sites(self) -> int:
-        return self.volume.num_sites
-
-    def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.weights, renormalize=True)
-
-    def site_total_cgf(self, g_values) -> EmpiricalCgf:
-        """Centered CGF of ``sum_x g(s_x)`` for a single-site g, built once
-        per g.  Totals are summed site by site (so a constant g has a
-        constant total).  Weights are floored at the smallest normal float
-        before :class:`EmpiricalCgf` merges equal totals, so no configuration
-        whose weight underflowed leaves the support that sets the bound at
-        large c; raising weights only raises K (up to a 1e-300 mean shift)."""
-        g_values = np.asarray(g_values, dtype=float)
-        if g_values.size != self.interaction.num_states:
-            raise DimensionError("g must assign one value per spin state")
-        key = g_values.tobytes()
-        cgf = self._site_total_cgfs.get(key)
-        if cgf is None:
-            totals = np.zeros(self.weights.size)
-            for site in range(self.num_sites):
-                totals += _enumerated_column(g_values, self.num_sites, site)
-            weights = np.maximum(self.weights, np.finfo(float).tiny)
-            cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(totals))
-            self._site_total_cgfs[key] = cgf
-        return cgf
-
-    def site_total(self, g_values) -> np.ndarray:
-        """Read-only ``sum_x g(s_x)`` per configuration, from :meth:`site_total_cgf`."""
-        return self.site_total_cgf(g_values).observable.values
-
-    def expectation(self, per_config: np.ndarray) -> float:
-        return float(self.weights @ per_config)
-
-
-@dataclass(frozen=True, eq=False)
-class ChainGibbsMeasure:
-    """A finite-volume Gibbs measure on a contiguous 1-D chain, by transfer.
-
-    It takes any finite-range interaction (any offsets, cluster sizes and
-    spin states) through the block transfer of :class:`_ChainTransfer`, and
-    builds no per-configuration array: ``log_partition`` is that transfer's
-    product, and the site-total CGF runs over the law of the count vector of
-    g's distinct values (N + 1 atoms for a two-valued g).
-    """
+class _Measure:
+    """What both measures share: the interaction, the volume, the block
+    transfer and its ``log_partition``, and one site-total CGF per g."""
 
     interaction: Interaction
     volume: LatticeVolume
     log_partition: float
 
-    def __init__(self, interaction: Interaction, volume: LatticeVolume):
-        transfer = _ChainTransfer(interaction, volume)
+    def __init__(self, interaction: Interaction, volume: LatticeVolume, transfer: _BlockTransfer):
         for name, value in (
             ("interaction", interaction),
             ("volume", volume),
@@ -587,25 +505,91 @@ class ChainGibbsMeasure:
 
     def site_total_cgf(self, g_values) -> EmpiricalCgf:
         """Centered CGF of ``sum_x g(s_x)`` for a single-site g, built once
-        per g, as :meth:`GibbsMeasure.site_total_cgf` builds it: atom weights
-        are floored at the smallest normal float.  An atom is a count vector
-        of g's distinct values, and its total is ``sum_j n_j g_j`` (a
-        constant g has one atom)."""
+        per g over the law of :meth:`_site_total_law`.  Its weights are
+        floored at the smallest normal float before :class:`EmpiricalCgf`
+        merges equal totals, so no atom whose weight underflowed leaves the
+        support that sets the bound at large c; raising weights only raises K
+        (up to a 1e-300 mean shift)."""
         g_values = np.asarray(g_values, dtype=float)
         if g_values.size != self.interaction.num_states:
             raise DimensionError("g must assign one value per spin state")
         key = g_values.tobytes()
         cgf = self._site_total_cgfs.get(key)
         if cgf is None:
-            values, value_index = np.unique(g_values, return_inverse=True)
-            log_w, counts = self._transfer.count_law(value_index, values.size)
-            weights = np.maximum(np.exp(log_w - _logsumexp(log_w)), np.finfo(float).tiny)
-            cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(counts @ values))
+            weights, totals = self._site_total_law(g_values)
+            weights = np.maximum(weights, np.finfo(float).tiny)
+            cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(totals))
             self._site_total_cgfs[key] = cgf
         return cgf
 
 
-def gibbs_measure(interaction: Interaction, volume: LatticeVolume) -> "Measure":
+@dataclass(frozen=True, eq=False)
+class GibbsMeasure(_Measure):
+    """A finite-volume Gibbs measure realized by exact enumeration: the
+    one-block transfer of its volume.
+
+    Probabilities are proportional to ``exp(-H)`` over the configurations of
+    the volume, enumerated in lexicographic site order with spin states in
+    their declared order (so for the default states, -1 is the first);
+    that order is ``itertools.product(spin_states, repeat=N)``.  Construction
+    enumerates the energies only, and each site-total CGF is built on the
+    first request for its g.
+    """
+
+    weights: np.ndarray
+
+    def __init__(self, interaction: Interaction, volume: LatticeVolume):
+        super().__init__(interaction, volume, _BlockTransfer(interaction, volume, volume.num_sites))
+        weights = np.exp(-self.energies - self.log_partition)
+        weights /= weights.sum()
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self._transfer.start
+
+    def distribution(self) -> DiscreteDistribution:
+        return DiscreteDistribution(self.weights, renormalize=True)
+
+    def _site_total_law(self, g_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weight and the site total, summed site by site (so a constant
+        g has a constant total), of every configuration."""
+        totals = np.zeros(self.weights.size)
+        for site in range(self.num_sites):
+            totals += _enumerated_column(g_values, self.num_sites, site)
+        return self.weights, totals
+
+    def site_total(self, g_values) -> np.ndarray:
+        """Read-only ``sum_x g(s_x)`` per configuration, from :meth:`site_total_cgf`."""
+        return self.site_total_cgf(g_values).observable.values
+
+    def expectation(self, per_config: np.ndarray) -> float:
+        return float(self.weights @ per_config)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainGibbsMeasure(_Measure):
+    """A finite-volume Gibbs measure on a contiguous 1-D chain, by transfer.
+
+    It takes any finite-range interaction (any offsets, cluster sizes and
+    spin states) through the block transfer of :class:`_BlockTransfer`, and
+    builds no per-configuration array: the site-total CGF runs over the law
+    of the count vector of g's distinct values (N + 1 atoms for a two-valued
+    g).
+    """
+
+    def __init__(self, interaction: Interaction, volume: LatticeVolume):
+        super().__init__(interaction, volume, _BlockTransfer(interaction, volume))
+
+    def _site_total_law(self, g_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weight and the total ``sum_j n_j g_j`` of every count vector
+        n of g's distinct values (a constant g has one)."""
+        values, value_index = np.unique(g_values, return_inverse=True)
+        log_w, counts = self._transfer.count_law(value_index, values.size)
+        return np.exp(log_w - _logsumexp(log_w)), counts @ values
+
+
+def gibbs_measure(interaction: Interaction, volume: LatticeVolume) -> _Measure:
     """The measure of a volume: :class:`ChainGibbsMeasure` on a contiguous
     1-D chain, an enumerated :class:`GibbsMeasure` otherwise."""
     if volume.is_contiguous_chain():
@@ -613,54 +597,37 @@ def gibbs_measure(interaction: Interaction, volume: LatticeVolume) -> "Measure":
     return GibbsMeasure(interaction, volume)
 
 
-Measure = Union[GibbsMeasure, ChainGibbsMeasure]
-
-
-def _check_compatible(a: Measure, b: Measure) -> None:
+def _check_compatible(a: _Measure, b: _Measure) -> None:
     if a.volume.sites != b.volume.sites:
         raise DimensionError("Gibbs measures live on different volumes")
     if a.interaction.spin_states != b.interaction.spin_states:
         raise DimensionError("Gibbs measures have different spin state sets")
-    if type(a) is not type(b):
-        raise TypeError("pair measures of one route: build both with gibbs_measure")
 
 
-def gibbs_relative_entropy(psi_measure: Measure, phi_measure: Measure) -> float:
+def gibbs_relative_entropy(psi_measure: _Measure, phi_measure: _Measure) -> float:
     """``R(mu^Psi || mu^Phi) = log Z^Phi - log Z^Psi - E_Psi(D)`` with
     ``D = H^Psi - H^Phi``.
 
     The identity subtracts O(1) log partition functions, so a relative
     entropy near rounding level comes back as noise.  Where D, centred under
     Psi, stays within [-1, 1], R is taken as ``log E_Psi e^D - E_Psi D`` in
-    ``log1p``/``expm1`` form instead, which keeps its digits.  For two chain
-    measures the expectations come from forward passes of their block
-    transfers at a shared width, the larger of their two
-    (:meth:`_ChainTransfer.relative_entropy`).
+    ``log1p``/``expm1`` form instead, which keeps its digits.  The
+    expectations come from forward passes of the two block transfers at a
+    shared width, the wider of the two (:meth:`_BlockTransfer.relative_entropy`),
+    so any two measures on one volume pair up.
     """
     _check_compatible(psi_measure, phi_measure)
-    if isinstance(psi_measure, ChainGibbsMeasure):
-        width = max(psi_measure._transfer.width, phi_measure._transfer.width)
-        psi_t, phi_t = (
-            m._transfer if m._transfer.width == width
-            else _ChainTransfer(m.interaction, m.volume, width)
-            for m in (psi_measure, phi_measure)
-        )
-        log_ratio = phi_measure.log_partition - psi_measure.log_partition
-        return max(psi_t.relative_entropy(phi_t, log_ratio), 0.0)
-    expect = psi_measure.expectation
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = psi_measure.energies - phi_measure.energies
-        centred = gap - expect(gap)  # past the float range, the identity runs
-    if not np.all(np.isfinite(gap)):
-        raise ParameterError(_GAP_OUT_OF_RANGE)
-    if float(np.abs(centred).max()) <= 1.0:
-        value = math.log1p(expect(np.expm1(centred))) - expect(centred)
-    else:
-        value = phi_measure.log_partition - psi_measure.log_partition - expect(gap)
-    return max(value, 0.0)
+    width = max(psi_measure._transfer.width, phi_measure._transfer.width)
+    psi_t, phi_t = (
+        m._transfer if m._transfer.width == width
+        else _BlockTransfer(m.interaction, m.volume, width)
+        for m in (psi_measure, phi_measure)
+    )
+    log_ratio = phi_measure.log_partition - psi_measure.log_partition
+    return max(psi_t.relative_entropy(phi_t, log_ratio), 0.0)
 
 
-def finite_volume_xi(psi_measure: Measure, phi_measure: Measure, g_values) -> GoalBound:
+def finite_volume_xi(psi_measure: _Measure, phi_measure: _Measure, g_values) -> GoalBound:
     """Per-site goal-oriented bound on ``E_Psi(f_N) - E_Phi(f_N)`` for the
     site-averaged observable ``f_N = N^-1 sum_x g(s_x)``.
 
@@ -674,7 +641,7 @@ def finite_volume_xi(psi_measure: Measure, phi_measure: Measure, g_values) -> Go
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
-def triple_norm_xi(phi_measure: Measure, psi_interaction: Interaction, g_values) -> GoalBound:
+def triple_norm_xi(phi_measure: _Measure, psi_interaction: Interaction, g_values) -> GoalBound:
     """Per-site bound with the relative entropy replaced by its interaction
     surrogate ``2 N |||Phi - Psi|||`` — looser, but it needs no partition
     function for Psi.  The CGF is the same :class:`EmpiricalCgf` as in

@@ -119,7 +119,8 @@ def load_interaction(path) -> Interaction:
     ``pair_product``, ``field``, and ``product`` all denote
     coefficient-times-product-of-spins couplings; coefficients include the
     inverse temperature and must be finite.  Optional ``"spins"`` overrides
-    the default states (-1, +1).
+    the default states (-1, +1) with two or more finite states.  Every error
+    names the file.
     """
     from .gibbs import Interaction, SpinCluster, spin_product_cluster
 
@@ -145,7 +146,10 @@ def load_interaction(path) -> Interaction:
                 raise type(exc)(f"{path}: cluster {i}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: malformed interaction field: {exc}") from exc
-    return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)
+    try:
+        return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)
+    except (ParameterError, DimensionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 _MODEL_FIELDS = {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,6 +84,12 @@ class TransitionMatrix:
     @property
     def size(self) -> int:
         return int(self.rows.shape[0])
+
+    @cached_property
+    def _stationary(self) -> DiscreteDistribution:
+        """:func:`stationary_distribution`, solved on the first request; the
+        rows are read-only, so it holds for the matrix's lifetime."""
+        return stationary_distribution(self)
 
 
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
@@ -171,7 +178,7 @@ def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
     rows = _row_relative_entropies(q, p)
-    return max(float(stationary_distribution(q).weights @ rows), 0.0)
+    return max(float(q._stationary.weights @ rows), 0.0)
 
 
 def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
@@ -229,7 +236,7 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
     restored afterwards (:func:`_log_perron`), so large ``|c|`` is safe.
     """
     _check_observable(p, g)
-    mu = stationary_distribution(p).weights
+    mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
     return _lambda_curve(p.rows, centered)(c)[0]
 
@@ -303,7 +310,7 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     plus twice the summed stationary autocovariances of g.
     """
     _check_observable(p, g)
-    mu = stationary_distribution(p).weights
+    mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
     n = p.size
     system = np.eye(n) - p.rows + np.outer(np.ones(n), mu)
@@ -333,7 +340,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     """
     _require_mutual_ac(q.rows, p.rows, "steady-state rate bound")
     _check_observable(p, g)
-    mu_p, mu_q = stationary_distribution(p), stationary_distribution(q)
+    mu_p, mu_q = p._stationary, q._stationary
     centered = g.values - float(mu_p.weights @ g.values)
     curve = _lambda_curve(p.rows, centered)
     iact = integrated_autocorrelation(p, g)
@@ -385,7 +392,7 @@ def cheap_rate_bounds(
 def _initial_law(p: TransitionMatrix, nu: DiscreteDistribution | None) -> np.ndarray:
     """Weights of an initial law on p's states, p's stationary law by default."""
     if nu is None:
-        return stationary_distribution(p).weights
+        return p._stationary.weights
     if nu.support_size != p.size:
         raise DimensionError(f"initial law has {nu.support_size} states for {p.size}")
     return nu.weights

@@ -59,6 +59,11 @@ class TestClusters:
         with pytest.raises(ParameterError):
             spin_product_cluster(((0,),), coeff)
 
+    @pytest.mark.parametrize("state", [math.inf, -math.inf, math.nan])
+    def test_non_finite_spin_state_rejected(self, state):
+        with pytest.raises(ParameterError, match="spin states must be finite"):
+            Interaction(dimension=1, clusters=(), spin_states=(state, 1.0))
+
     def test_sup_norm_is_coefficient_times_largest_spin_power(self):
         cluster = spin_product_cluster(((0,), (1,), (2,)), -0.5)
         assert cluster.sup_norm((-1.0, 1.0)) == 0.5
@@ -148,6 +153,17 @@ def test_interaction_and_volume_dimensions_must_agree(interaction, volume):
         hamiltonian(interaction, volume, np.ones(volume.num_sites))
     with pytest.raises(DimensionError, match="interaction and volume dimensions differ"):
         GibbsMeasure(interaction, volume)
+
+
+@pytest.mark.parametrize("dimension, sites, error", [
+    (1, (), ParameterError),  # used to raise a raw IndexError
+    (1, ((0,), (0,)), ParameterError),  # used to count the site twice
+    (1, ((0, 0), (1,)), DimensionError),  # used to pass as a chain
+    (2, ((0, 0), (1,)), DimensionError),
+], ids=["empty", "duplicate", "mixed-on-a-chain", "mixed-on-a-plane"])
+def test_volume_sites_are_checked(dimension, sites, error):
+    with pytest.raises(error):
+        LatticeVolume(dimension, sites)
 
 
 class TestLogPartition:
@@ -269,6 +285,7 @@ class TestLogPartition:
         with pytest.raises(EnumerationLimitError):
             GibbsMeasure(phi, LatticeVolume.chain(25))
         assert math.isfinite(log_partition(longer, LatticeVolume.chain(25)))
+        assert GibbsMeasure(phi, LatticeVolume.chain(20)).weights.size == 2**20
 
 
 def _field_and_next_nearest(k):
@@ -286,14 +303,20 @@ class TestGibbsRelativeEntropy:
         assert gibbs_relative_entropy(m, m) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_generic_kl(self, rng):
-        for _ in range(10):
-            phi, psi = random_ising_pair(rng, 1)
-            vol = LatticeVolume.chain(6)
-            m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
-            generic = relative_entropy(m_psi.distribution(), m_phi.distribution())
-            assert gibbs_relative_entropy(m_psi, m_phi) == pytest.approx(
-                generic, abs=1e-10
-            )
+        # The plain KL of the two enumerated laws, on a chain and a 3x3 box,
+        # with two and with three spin states.
+        for vol in (LatticeVolume.chain(6), LatticeVolume.centered(2, 1)):
+            for spins in ((-1.0, 1.0), (-1.0, 0.5, 2.0)):
+                for _ in range(10):
+                    phi, psi = (
+                        Interaction(vol.dimension, m.clusters, spins)
+                        for m in random_ising_pair(rng, vol.dimension)
+                    )
+                    m_phi, m_psi = GibbsMeasure(phi, vol), GibbsMeasure(psi, vol)
+                    generic = relative_entropy(m_psi.distribution(), m_phi.distribution())
+                    assert gibbs_relative_entropy(m_psi, m_phi) == pytest.approx(
+                        generic, abs=1e-10
+                    )
 
     def test_triple_norm_inequalities(self, rng):
         # (1/N) R <= 2 |||Phi - Psi||| and |log Z gap| <= N |||Phi - Psi|||.
@@ -578,16 +601,19 @@ class TestSymmetryAndOrdering:
         np.testing.assert_allclose(m.weights, weights / weights.sum(), rtol=1e-14)
 
     def test_state_indices_are_built_on_first_access(self):
-        # No state-index array is built at all: a measure holds its energies
-        # and weights, in itertools.product order, and the CGF memo.
+        # No state-index array is built at all: a measure holds its weights
+        # and its one-block transfer, whose start is the energies in
+        # itertools.product order, and the CGF memo.
         spins = (-1.0, 0.5, 2.0)
         interaction = Interaction(
             dimension=1, clusters=(spin_product_cluster(((0,), (1,)), -0.4),), spin_states=spins
         )
         m = GibbsMeasure(interaction, LatticeVolume.chain(4))
         assert set(vars(m)) == {
-            "interaction", "volume", "log_partition", "energies", "weights", "_site_total_cgfs",
+            "interaction", "volume", "log_partition", "weights", "_transfer", "_site_total_cgfs",
         }
+        assert m._transfer.steps == 0 and m._transfer.window is None
+        assert m.energies is m._transfer.start
         configs = itertools.product(spins, repeat=4)
         energies = [hamiltonian(interaction, m.volume, config) for config in configs]
         np.testing.assert_array_equal(m.energies, energies)

@@ -157,10 +157,14 @@ class TestAgainstEnumeration:
         assert m_phi.site_total_cgf([0.3, 0.3, 0.3]).dist.support_size == 1
         assert (bound.xi_plus, bound.xi_minus) == (0.0, 0.0)
 
-    def test_mixed_pairs_are_refused(self, rng):
-        psi, (e_phi, _), (_, c_psi) = _both_routes(rng, 2, 4, 1)
-        with pytest.raises(TypeError):
-            gibbs_relative_entropy(c_psi, e_phi)
+    def test_mixed_pairs_match_enumeration(self, rng):
+        # An enumerated measure is the one-block transfer, so it pairs with a
+        # chain measure, at equal ranges or not, and gives the enumerated R.
+        for q, length, spread, psi_spread in ((2, 4, 1, 1), (2, 7, 0, 3), (3, 5, 2, 1)):
+            _, (e_phi, e_psi), (c_phi, c_psi) = _both_routes(rng, q, length, spread, psi_spread)
+            want = gibbs_relative_entropy(e_psi, e_phi)
+            for psi_m, phi_m in ((c_psi, e_phi), (e_psi, c_phi)):
+                assert gibbs_relative_entropy(psi_m, phi_m) == pytest.approx(want, rel=1e-12)
 
     def test_factory_picks_the_route_by_geometry(self):
         chain = gibbs_measure(ising_interaction(0.5, 1.0, 0.1, 1), LatticeVolume.centered(1, 3))
@@ -252,16 +256,25 @@ _NNN_PAIR = (
 
 class TestCli:
     def test_chain_job_enumerates_nothing(self, tmp_path, monkeypatch, capsys):
-        # A 17-site chain with a next-nearest cluster: no configuration is
-        # enumerated, and each measure builds one site-total CGF over the
+        # A 17-site chain with a next-nearest cluster (range 2): no enumerated
+        # measure is built, the energy kernel sees no block wider than range
+        # + 1 = 3 sites, and each measure builds one site-total CGF over the
         # 18 magnetization values, which its bounds and the printed gap share.
         from infoscale import EmpiricalCgf, gibbs
         from infoscale.cli import main
 
         def refuse(*args):
-            raise AssertionError("configurations were enumerated")
+            raise AssertionError("a GibbsMeasure was built")
 
-        monkeypatch.setattr(gibbs, "_energy_vector", refuse)
+        monkeypatch.setattr(gibbs.GibbsMeasure, "__init__", refuse)
+        block_sites = []
+        energy_vector = gibbs._energy_vector
+
+        def recorded(interaction, volume, **kwargs):
+            block_sites.append(volume.num_sites)
+            return energy_vector(interaction, volume, **kwargs)
+
+        monkeypatch.setattr(gibbs, "_energy_vector", recorded)
         built = []
         post_init = EmpiricalCgf.__post_init__
 
@@ -273,6 +286,7 @@ class TestCli:
         assert main(["gibbs", *_write_pair(tmp_path, *_NNN_PAIR), "--n", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["num_sites"] == 17
         assert [cgf.dist.support_size for cgf in built] == [18, 18]
+        assert block_sites and max(block_sites) == 3
 
     def test_pair_of_different_ranges(self, tmp_path, capsys):
         # A nearest-neighbour Phi against a Psi with a next-nearest pair too:

@@ -351,9 +351,9 @@ class TestCli:
             ]
         )
         assert code == 0
-        # mu_p and mu_q once each, plus the IACT's own mu_p; one bound at the
+        # mu_p and mu_q once each, which the IACT reuses; one bound at the
         # exact rate and one at each surrogate.
-        assert counts == {"stationary": 3, "iact": 1, "xi_bounds": 3}
+        assert counts == {"stationary": 2, "iact": 1, "xi_bounds": 3}
         monkeypatch.undo()
         payload = json.loads(capsys.readouterr().out)
         p, q = load_chain(fixtures["chainp.json"]), load_chain(fixtures["chainq.json"])
@@ -640,6 +640,23 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"infoscale: error: {bad}: cluster 0: ")
         assert "finite" in err[0]
+
+    @pytest.mark.parametrize("spins, message", [
+        ("[NaN, 1]", "spin states must be finite"),
+        ("[Infinity, 1]", "spin states must be finite"),
+        ("[-1]", "need at least two spin states"),
+    ])
+    def test_bad_spin_states_name_the_file(self, fixtures, tmp_path, capsys, spins, message):
+        # Non-finite states used to fail as "the Hamiltonian leaves the float
+        # range", and a single state named no file.
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"d": 1, "spins": {spins}, "clusters": '
+                       '[{"offsets": [[0]], "type": "field", "coeff": 0.1}]}')
+        argv = ["gibbs", "--phi", fixtures["phi.json"], "--psi", str(bad), "--n", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"infoscale: error: {bad}: {message}")
 
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
     @pytest.mark.parametrize("n, spins, coeff, message", [
