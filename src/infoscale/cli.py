@@ -5,38 +5,44 @@ Subcommands: ``divergence``, ``goal-bound``, ``markov``, ``gibbs``,
 to CSV.  The ``INFOSCALE_LOG`` environment variable (debug|info|warn)
 controls diagnostics on stderr.
 
-Each handler imports the modules it uses when it runs, and reads their
-functions at call time, so ``phase``, ``figure`` and ``--help`` never import
-numpy: only ``errors``, ``jsonio`` and ``sweep`` are loaded with this module,
-and ``figure`` needs ``sweep.PRESET_NAMES`` to build its parser.
+This module loads only ``argparse``, ``json``, ``os``, ``sys`` and ``errors``;
+each handler imports the layers it runs when it runs, and reads their
+functions at call time.  So ``--help`` loads no model layer, and the parser
+reads the ``figure`` preset names from the data-only ``presets``.  ``phase``
+and ``figure`` load ``jsonio``, ``sweep`` and the exact-model layer, never
+numpy; ``divergence``, ``goal-bound``, ``markov`` and ``gibbs`` load
+``jsonio``, numpy and their own layers, never ``sweep`` or ``exact_models``.
+The sweep diagnostics are the only logging: ``logging`` is imported, and
+configured from ``INFOSCALE_LOG``, only for ``phase`` and ``figure``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
-from pathlib import Path
 
-from . import jsonio, sweep
 from .errors import InfoscaleError, ParameterError
 
-log = logging.getLogger("infoscale.cli")
 
+def _configure_logging():
+    """Set the level from ``INFOSCALE_LOG``; returns this module's logger."""
+    import logging
 
-def _configure_logging() -> None:
     level = {"debug": logging.DEBUG, "info": logging.INFO, "warn": logging.WARNING}.get(
         os.environ.get("INFOSCALE_LOG", "warn").lower(), logging.WARNING
     )
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
+    return logging.getLogger("infoscale.cli")
 
 
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(payload)
     else:
+        from pathlib import Path
+
         Path(out_path).write_text(payload)
 
 
@@ -45,6 +51,7 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 
 def _cmd_divergence(args) -> int:
+    from . import jsonio
     from .divergences import classical_qoi_bounds, divergence_report, iid_scaled_divergences
 
     p = jsonio.load_distribution(args.p, renormalize=args.renormalize)
@@ -64,6 +71,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_goal_bound(args) -> int:
+    from . import jsonio
     from .divergences import relative_entropy
     from .goal_oriented import EmpiricalCgf, xi_bounds
 
@@ -79,7 +87,7 @@ def _cmd_goal_bound(args) -> int:
 
 
 def _cmd_markov(args) -> int:
-    from . import markov
+    from . import jsonio, markov
 
     p = jsonio.load_chain(args.p)
     q = jsonio.load_chain(args.q)
@@ -126,7 +134,7 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    from . import gibbs
+    from . import gibbs, jsonio
 
     phi = jsonio.load_interaction(args.phi)
     psi = jsonio.load_interaction(args.psi)
@@ -139,7 +147,7 @@ def _cmd_gibbs(args) -> int:
     phi_cgf = phi_m.site_total_cgf(g)  # a chain past the work cap stops here
     psi_m = gibbs.gibbs_measure(psi, volume)
     r = gibbs.gibbs_relative_entropy(psi_m, phi_m)
-    bound = gibbs.finite_volume_xi(psi_m, phi_m, g)
+    bound = gibbs._site_xi(phi_m, g, r)  # finite_volume_xi, on the R just computed
     triple = gibbs.triple_norm_xi(phi_m, psi, g)
     gap_norm = gibbs.triple_norm(gibbs.interaction_difference(phi, psi))
     gap = psi_m.site_total_cgf(g).mean - phi_cgf.mean
@@ -163,9 +171,12 @@ def _cmd_gibbs(args) -> int:
     return 0
 
 
-def _run_config(config: sweep.SweepConfig, args) -> int:
+def _run_config(config, args) -> int:
+    from . import sweep
+
     if args.jobs < 1:
         raise ParameterError("--jobs must be at least 1")
+    log = _configure_logging()
     rows, failures = sweep.run_sweep(config)
     if failures:
         log.warning("%d of %d grid points failed", failures, len(rows))
@@ -175,6 +186,8 @@ def _run_config(config: sweep.SweepConfig, args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    from . import jsonio, sweep
+
     config = sweep.SweepConfig(
         model_q=jsonio.load_model(args.q),
         model_p=jsonio.load_model(args.p),
@@ -192,6 +205,8 @@ def _cmd_phase(args) -> int:
 def _cmd_figure(args) -> int:
     from dataclasses import replace
 
+    from . import sweep
+
     config = replace(
         sweep.figure_preset(args.name),
         output_path=args.out,
@@ -202,6 +217,8 @@ def _cmd_figure(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .presets import PRESET_NAMES
+
     parser = argparse.ArgumentParser(
         prog="infoscale",
         description="Information-divergence UQ bounds for QoIs, chains, and lattices",
@@ -261,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     ph.set_defaults(handler=_cmd_phase)
 
     fg = sub.add_parser("figure", help="run a preset phase-diagram study")
-    fg.add_argument("name", choices=sweep.PRESET_NAMES)
+    fg.add_argument("name", choices=PRESET_NAMES)
     fg.set_defaults(handler=_cmd_figure)
 
     return parser
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

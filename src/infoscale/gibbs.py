@@ -636,8 +636,14 @@ def finite_volume_xi(psi_measure: _Measure, phi_measure: _Measure, g_values) -> 
     divided by N, and the returned optimizers refer to the extensive problem.
     Its ``linearized_half_width`` is ``sqrt(Var(sum g)/N) sqrt(2 R/N)``.
     """
-    r = gibbs_relative_entropy(psi_measure, phi_measure)
-    bound = xi_bounds(phi_measure.site_total_cgf(g_values), r)
+    return _site_xi(phi_measure, g_values, gibbs_relative_entropy(psi_measure, phi_measure))
+
+
+def _site_xi(phi_measure: _Measure, g_values, budget: float) -> GoalBound:
+    """:func:`xi_bounds` of Phi's site-total CGF with the extensive budget
+    ``budget``, divided by N: the shared tail of both bounds, and the way in
+    for a caller that already holds the relative entropy."""
+    bound = xi_bounds(phi_measure.site_total_cgf(g_values), budget)
     return bound.scaled(1.0 / phi_measure.num_sites)
 
 
@@ -655,8 +661,7 @@ def triple_norm_xi(phi_measure: _Measure, psi_interaction: Interaction, g_values
             f"the triple-norm surrogate 2 N |||Phi - Psi||| = {surrogate!r} "
             "leaves the float range"
         )
-    bound = xi_bounds(phi_measure.site_total_cgf(g_values), surrogate)
-    return bound.scaled(1.0 / phi_measure.num_sites)
+    return _site_xi(phi_measure, g_values, surrogate)
 
 
 def spin_observable(interaction: Interaction) -> np.ndarray:

@@ -1,9 +1,11 @@
 """JSON file formats for distributions, observables, chains, interactions,
 and model specifications.
 
-Each loader imports the module that builds its object when it is called, so
-reading a model specification loads neither numpy nor the Markov and Gibbs
-layers.
+This module imports only ``json``, ``pathlib``, ``typing`` and ``errors``.
+Each loader imports the module that builds its object when it is called:
+reading a distribution, a chain or an interaction loads numpy and its own
+layer, and reading a model specification loads ``exact_models`` but not
+numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DimensionError, NormalizationError, ParameterError, StructureError
-from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams, ModelSpec
 
 if TYPE_CHECKING:
     from .divergences import DiscreteDistribution, Observable
+    from .exact_models import ModelSpec
     from .gibbs import Interaction
     from .markov import TransitionMatrix
 
@@ -160,6 +162,11 @@ _MODEL_FIELDS = {
 
 
 def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
+    """The model that a spec such as ``{"kind": "meanfield", "beta": 1.0, "J": 2.0}``
+    names.  ``beta`` is required; the other fields default as in the
+    parameter classes."""
+    from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams
+
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
         raise ParameterError(

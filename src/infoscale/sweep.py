@@ -1,5 +1,12 @@
 """Phase-diagram sweep orchestration, figure presets, and CSV/JSON emission.
 
+The CLI imports this module only for ``phase`` and ``figure``.  It loads
+the model layer (``exact_models``, ``optimize``, ``quadrature``,
+``goal_oriented``) but not numpy, and its warnings, with the failure count
+the CLI adds, are the package's only logging.  A figure preset is a row of
+:data:`infoscale.presets.FIGURE_PRESETS`, built through
+:func:`infoscale.jsonio.model_from_dict` as a ``phase`` model file is.
+
 Grid points are evaluated one after another, in one process, and emitted in
 ascending parameter order: they are pure-Python work that threads cannot
 overlap, so the CLI's ``--jobs`` flag changes neither the output nor the
@@ -16,16 +23,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import jsonio, presets
 from .errors import InfoscaleError, ParameterError
-from .exact_models import (
-    Ising1DParams,
-    Ising2DParams,
-    MeanFieldParams,
-    ModelSpec,
-    PhasePoint,
-    check_phase_sweep,
-    phase_bound_point,
-)
+from .exact_models import ModelSpec, PhasePoint, check_phase_sweep, phase_bound_point
 
 log = logging.getLogger("infoscale.sweep")
 
@@ -153,65 +153,21 @@ def run_sweep(config: SweepConfig) -> tuple[list[PhasePoint], int]:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-_PRESETS = {
-    # Mean field vs mean field, field perturbed, beta sweep (J = 2).
-    "2a": lambda: SweepConfig(
-        model_q=MeanFieldParams(beta=1.0, J=2.0, h=0.6),
-        model_p=MeanFieldParams(beta=1.0, J=2.0, h=0.0),
-        sweep_parameter="beta", start=BETA_GRID[0], stop=BETA_GRID[1], step=BETA_GRID[2],
-    ),
-    # Mean field vs mean field, beta perturbed 1.0 -> 1.6, field sweep (J = 1).
-    "2b": lambda: SweepConfig(
-        model_q=MeanFieldParams(beta=1.6, J=1.0),
-        model_p=MeanFieldParams(beta=1.0, J=1.0),
-        sweep_parameter="h", start=H_GRID[0], stop=H_GRID[1], step=H_GRID[2],
-    ),
-    # 1-D Ising vs its mean-field surrogate, beta sweep (J = 1, h = 0).
-    "3a": lambda: SweepConfig(
-        model_q=Ising1DParams(beta=1.0, J=1.0, h=0.0),
-        model_p=MeanFieldParams(beta=1.0, J=1.0, h=0.0),
-        sweep_parameter="beta", start=BETA_GRID[0], stop=BETA_GRID[1], step=BETA_GRID[2],
-    ),
-    # 1-D Ising vs mean field, field sweep (beta = 1, J = 1).
-    "3b": lambda: SweepConfig(
-        model_q=Ising1DParams(beta=1.0, J=1.0),
-        model_p=MeanFieldParams(beta=1.0, J=1.0),
-        sweep_parameter="h", start=H_GRID[0], stop=H_GRID[1], step=H_GRID[2],
-    ),
-    # 2-D zero-field Ising vs 2-D mean field, beta sweep, h -> 0+ branches.
-    "4a": lambda: SweepConfig(
-        model_q=Ising2DParams(beta=1.0, J=1.0, branch="plus"),
-        model_p=MeanFieldParams(beta=1.0, J=1.0, d=2, branch="upper"),
-        sweep_parameter="beta", start=BETA_GRID[0], stop=BETA_GRID[1], step=BETA_GRID[2],
-    ),
-    # Same as 4a with the h -> 0- branches.
-    "4b": lambda: SweepConfig(
-        model_q=Ising2DParams(beta=1.0, J=1.0, branch="minus"),
-        model_p=MeanFieldParams(beta=1.0, J=1.0, d=2, branch="lower"),
-        sweep_parameter="beta", start=BETA_GRID[0], stop=BETA_GRID[1], step=BETA_GRID[2],
-    ),
-    # 1-D Ising h = 0 baseline vs h = 0.6 target, beta sweep (J = 1).
-    "5a": lambda: SweepConfig(
-        model_q=Ising1DParams(beta=1.0, J=1.0, h=0.6),
-        model_p=Ising1DParams(beta=1.0, J=1.0, h=0.0),
-        sweep_parameter="beta", start=BETA_GRID[0], stop=BETA_GRID[1], step=BETA_GRID[2],
-    ),
-    # 1-D Ising beta = 1 baseline vs beta = 1.6 target, field sweep (J = 1).
-    "5b": lambda: SweepConfig(
-        model_q=Ising1DParams(beta=1.6, J=1.0),
-        model_p=Ising1DParams(beta=1.0, J=1.0),
-        sweep_parameter="h", start=H_GRID[0], stop=H_GRID[1], step=H_GRID[2],
-    ),
-}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
+PRESET_NAMES = presets.PRESET_NAMES
 
 
 def figure_preset(name: str) -> SweepConfig:
-    """Parameter bindings for the preset phase-diagram studies."""
+    """The sweep of a preset phase-diagram study, over ``BETA_GRID`` or
+    ``H_GRID`` as its swept parameter says."""
     try:
-        return _PRESETS[name]()
+        spec_q, spec_p, parameter = presets.FIGURE_PRESETS[name]
     except KeyError:
         raise ParameterError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
+    start, stop, step = BETA_GRID if parameter == "beta" else H_GRID
+    return SweepConfig(
+        model_q=jsonio.model_from_dict(spec_q, f"preset {name}"),
+        model_p=jsonio.model_from_dict(spec_p, f"preset {name}"),
+        sweep_parameter=parameter, start=start, stop=stop, step=step,
+    )

@@ -309,6 +309,41 @@ class TestCli:
         assert report["qoi_gap"] == pytest.approx(
             (want["mean_psi"] - want["mean_phi"]) / 7, rel=1e-12)
 
+    def test_relative_entropy_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        # Ranges 1 and 2 on 17 sites: one relative entropy, and three
+        # transfers (one per measure, and Phi's again at Psi's wider block),
+        # where computing R inside finite_volume_xi too took two and four.
+        # The bound is finite_volume_xi's, to the last bit.
+        from infoscale import gibbs
+        from infoscale.cli import main
+
+        calls = {"init": 0, "relative_entropy": 0}
+        transfer = gibbs._BlockTransfer
+        init, relative_entropy = transfer.__init__, transfer.relative_entropy
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_relative_entropy(self, *args, **kwargs):
+            calls["relative_entropy"] += 1
+            return relative_entropy(self, *args, **kwargs)
+
+        monkeypatch.setattr(transfer, "__init__", counted_init)
+        monkeypatch.setattr(transfer, "relative_entropy", counted_relative_entropy)
+        pair = ([([[0], [1]], -0.4), ([[0]], -0.05)], _NNN_PAIR[1])
+        assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "8"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == {"init": 3, "relative_entropy": 1}
+        phi, psi = (Interaction(dimension=1, clusters=tuple(
+            spin_product_cluster(offsets, coeff) for offsets, coeff in clusters
+        )) for clusters in pair)
+        volume = LatticeVolume.chain(17)
+        bound = finite_volume_xi(gibbs_measure(psi, volume), gibbs_measure(phi, volume),
+                                 np.array([-1.0, 1.0]))
+        assert (report["xi_plus"], report["xi_minus"], report["linearized"]) == (
+            bound.xi_plus, bound.xi_minus, bound.linearized_half_width)
+
     def test_work_past_the_cap_fails_fast(self, tmp_path, capsys):
         # A range-10 Phi on 1,001 sites: 2^11 terms per step times 1,002
         # counts pass the cap, so the job stops at Phi's site-total law.

@@ -1,10 +1,12 @@
-"""The package namespace is lazy, and the phase path never imports numpy.
+"""The package namespace is lazy, and each CLI process loads only what its
+subcommand runs.
 
 ``import infoscale`` loads no submodule; each public name is resolved from
 its submodule on first access.  The ``cli`` handlers import what they use
-when they run, so ``--help``, ``figure`` and ``phase`` finish without numpy.
-Those checks run in a fresh interpreter, because this test session has
-numpy loaded already.
+when they run: ``--help`` loads no model layer and no ``logging``,
+``figure`` and ``phase`` finish without numpy, and the numpy subcommands
+load neither the sweep nor the exact models.  Those checks run in a fresh
+interpreter, because this test session has all of it loaded already.
 """
 
 import importlib
@@ -20,16 +22,20 @@ import infoscale
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Runs the CLI with the arguments it is given, then reports on stderr whether
-# numpy was imported, whatever the exit.
+# Runs the CLI with the arguments it is given, then reports on stderr the
+# modules loaded and whether numpy was imported, whatever the exit.
 PROBE = """
 import sys
 from infoscale.cli import main
 try:
     main(sys.argv[1:])
 finally:
+    print("modules:", *sorted(sys.modules), file=sys.stderr)
     print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
 """
+
+# The layers of the phase path, which only ``phase`` and ``figure`` load.
+SWEEP_LAYERS = {"infoscale.exact_models", "infoscale.quadrature", "infoscale.sweep"}
 
 
 def _run(*args, cwd=None):
@@ -54,6 +60,14 @@ def _phase_args(tmp_path):
             "--start", "-0.2", "--stop", "0.2", "--step", "0.1"]
 
 
+def _loaded(run) -> set[str]:
+    """The modules the PROBE reported, after a successful run."""
+    assert run.returncode == 0, run.stderr
+    line = run.stderr.splitlines()[-2]
+    assert line.startswith("modules: ")
+    return set(line.split()[1:])
+
+
 @pytest.mark.parametrize("make_args", [
     lambda tmp_path: ["--help"],
     lambda tmp_path: ["figure", "2a"],
@@ -61,19 +75,45 @@ def _phase_args(tmp_path):
     _phase_args,
 ], ids=["help", "figure-2a", "figure-4a", "phase"])
 def test_phase_path_runs_without_numpy(tmp_path, make_args):
-    run = _run("-c", PROBE, *make_args(tmp_path))
-    assert run.returncode == 0, run.stderr
+    args = make_args(tmp_path)
+    run = _run("-c", PROBE, *args)
+    loaded = _loaded(run)
     assert run.stderr.splitlines()[-1] == "numpy imported: False"
     assert run.stdout
+    if args == ["--help"]:
+        assert not loaded & {"logging", "numpy", "infoscale.goal_oriented", *SWEEP_LAYERS}
+    else:
+        assert {"logging", "infoscale.goal_oriented", *SWEEP_LAYERS} <= loaded
+
+
+def _numpy_args(tmp_path, command):
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    if command == "gibbs":
+        phi = write("phi.json", {"d": 1, "clusters": [{"offsets": [[0], [1]], "coeff": -0.5}]})
+        psi = write("psi.json", {"d": 1, "clusters": [{"offsets": [[0]], "coeff": 0.1}]})
+        return ["gibbs", "--phi", phi, "--psi", psi, "--n", "2"]
+    f = write("f.json", {"values": [-1.0, 1.0]})
+    if command == "markov":
+        p = write("p.json", {"rows": [[0.5, 0.5], [0.25, 0.75]]})
+        q = write("q.json", {"rows": [[0.4, 0.6], [0.3, 0.7]]})
+    else:
+        p = write("p.json", {"weights": [0.25, 0.75]})
+        q = write("q.json", {"weights": [0.5, 0.5]})
+    return [command, "--p", p, "--q", q, "--observable", f]
 
 
 def test_numpy_subcommands_still_import_it(tmp_path):
-    p, f = tmp_path / "p.json", tmp_path / "f.json"
-    p.write_text(json.dumps({"weights": [0.25, 0.75]}))
-    f.write_text(json.dumps({"values": [-1.0, 1.0]}))
-    run = _run("-c", PROBE, "goal-bound", "--p", str(p), "--q", str(p), "--observable", str(f))
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == "numpy imported: True"
+    # ... and none of them loads the sweep layers or logging.
+    for command in ("divergence", "goal-bound", "markov", "gibbs"):
+        run = _run("-c", PROBE, *_numpy_args(tmp_path, command))
+        loaded = _loaded(run)
+        assert run.stderr.splitlines()[-1] == "numpy imported: True", command
+        assert json.loads(run.stdout), command
+        assert not loaded & {"logging", *SWEEP_LAYERS}, command
 
 
 def test_every_public_name_is_its_module_attribute():

@@ -165,6 +165,15 @@ class TestPresets:
         for name in PRESET_NAMES:
             figure_preset(name)
 
+    def test_grid_follows_the_swept_parameter(self):
+        from infoscale.sweep import BETA_GRID, H_GRID
+
+        configs = {name: figure_preset(name) for name in PRESET_NAMES}
+        assert {n for n, c in configs.items() if c.sweep_parameter == "h"} == {"2b", "3b", "5b"}
+        for cfg in configs.values():
+            grid = BETA_GRID if cfg.sweep_parameter == "beta" else H_GRID
+            assert (cfg.start, cfg.stop, cfg.step) == grid
+
     def test_4b_is_4a_with_flipped_branches(self):
         a = figure_preset("4a")
         b = figure_preset("4b")
