@@ -10,8 +10,9 @@ convention ``0 * log(0/p) = 0``.  Absolute-continuity violations raise
 
 The Markov and Gibbs layers share this module's array kernels: the one
 max-shifted log-sum-exp and the log-domain transfer product on its shift
-rule (Markov paths, 1-D Gibbs chains), the KL terms, the size and mutual
-absolute-continuity checks, and the Renyi order rule.
+rule (Markov paths, 1-D Gibbs chains), the exponential tail ``e^y - 1 - y``,
+the Bregman KL terms, the size and mutual absolute-continuity checks, and
+the Renyi order rule.
 """
 
 from __future__ import annotations
@@ -130,12 +131,50 @@ def _require_mutual_ac(q: np.ndarray, p: np.ndarray, what: str) -> None:
         )
 
 
+# 1/k!, k = 11 to 2: (e^y - 1 - y) / y^2 to 4e-18 relative for |y| <= 1/8.
+_EXP_TAIL = [1.0 / math.factorial(k) for k in range(11, 1, -1)]
+
+
+def _exp_tail(y: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """``e^y - 1 - y`` to full relative precision, given ``em1 = expm1(y)``:
+    by its Taylor series where ``|y| <= 1/8``, where ``em1 - y`` cancels."""
+    return np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
+
+
+def _log_ratio(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``log(q / p)`` entrywise, any shape, ``-inf`` where q is 0; p must be
+    positive wherever q is.  It is ``log q - log p``, except where that lies
+    within 1/8 of 0: there it is ``log1p((q - p) / p)``, whose difference is
+    exact, so it keeps its relative digits however close q is to p."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log(q)
+        s -= np.log(p)
+        near = np.abs(s) <= 0.125
+        p_near = p[near]
+        s[near] = np.log1p((q[near] - p_near) / p_near)
+    return s
+
+
 def _kl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``q log(q / p)`` entrywise, any shape, with ``0 log 0 = 0``; p must
-    be positive wherever q is."""
-    support = q > 0
-    terms = np.zeros_like(q)
-    terms[support] = q[support] * (np.log(q[support]) - np.log(p[support]))
+    """The Bregman terms ``q log(q / p) - q + p`` entrywise, any shape: each
+    is >= 0, and it is p where q is 0; p must be positive wherever q is.
+    Over two laws they sum to the relative entropy.  Where ``|s| <= 1/8``,
+    ``s = log(q / p)`` and ``d = e^s - 1``, a term is ``p (d s - tail(s))``
+    with ``tail(s) = e^s - 1 - s`` (:func:`_exp_tail`): both parts are of
+    the order of s^2, so it keeps its relative digits however close q is
+    to p."""
+    s = _log_ratio(q, p)
+    near = np.abs(s) <= 0.125
+    s_near = s[near]
+    terms = s  # in place: the Markov rows pass whole transition matrices
+    with np.errstate(invalid="ignore"):  # 0 * -inf where q is 0, set below
+        terms *= q
+        terms -= q
+        terms += p
+    d = np.expm1(s_near)
+    terms[near] = p[near] * (d * s_near - _exp_tail(s_near, d))
+    absent = q == 0
+    terms[absent] = p[absent]
     return terms
 
 
@@ -212,7 +251,8 @@ def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 
 def relative_entropy(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
-    """Kullback-Leibler divergence ``R(q || p) = sum q log(q / p)`` in nats.
+    """Kullback-Leibler divergence ``R(q || p) = sum q log(q / p)`` in nats,
+    summed as the Bregman terms of :func:`_kl_terms`, each >= 0.
 
     Requires q absolutely continuous w.r.t. p.
     """
@@ -221,27 +261,28 @@ def relative_entropy(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
         raise AbsoluteContinuityError(
             "relative entropy undefined: q is not absolutely continuous w.r.t. p"
         )
-    return _clamp_nonneg(float(np.sum(_kl_terms(q.weights, p.weights))), "relative entropy")
+    return float(np.sum(_kl_terms(q.weights, p.weights)))
 
 
 def chi_squared(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
-    """Chi-squared divergence ``sum p (q/p - 1)^2 = sum q^2/p - 1``."""
+    """Chi-squared divergence ``sum (q - p)^2 / p``, each term >= 0."""
     _check_same_support(q.weights, p.weights, "chi-squared divergence")
-    if np.array_equal(q.weights, p.weights):
-        return 0.0
     if np.any((q.weights > 0) & (p.weights == 0)):
         raise AbsoluteContinuityError(
             "chi-squared divergence undefined: q is not absolutely continuous w.r.t. p"
         )
     mask = p.weights > 0
-    value = float(np.sum(q.weights[mask] ** 2 / p.weights[mask])) - 1.0
-    return _clamp_nonneg(value, "chi-squared divergence")
+    p_mask = p.weights[mask]
+    return float(np.sum((q.weights[mask] - p_mask) ** 2 / p_mask))
 
 
 def hellinger(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
-    """Hellinger distance ``sqrt(sum (sqrt(q) - sqrt(p))^2)``, in [0, sqrt(2)]."""
+    """Hellinger distance ``sqrt(sum (sqrt(q) - sqrt(p))^2)``, in [0, sqrt(2)],
+    each difference taken as ``(q - p) / (sqrt q + sqrt p)``."""
     _check_same_support(q.weights, p.weights, "Hellinger distance")
-    return float(np.sqrt(np.sum((np.sqrt(q.weights) - np.sqrt(p.weights)) ** 2)))
+    mask = (q.weights > 0) | (p.weights > 0)
+    q_mask, p_mask = q.weights[mask], p.weights[mask]
+    return float(np.sqrt(np.sum(((q_mask - p_mask) / (np.sqrt(q_mask) + np.sqrt(p_mask))) ** 2)))
 
 
 def renyi_divergence(
@@ -249,18 +290,29 @@ def renyi_divergence(
 ) -> float:
     """Renyi divergence of order alpha, ``(alpha-1)^-1 log sum q^a p^(1-a)``.
 
-    Nondecreasing in alpha.  Orders within 1e-6 of 1 are evaluated by the KL
-    limit.  Requires mutual absolute continuity and ``alpha > 0``.
+    With ``s = log(q / p)`` and ``tail(y) = e^y - 1 - y``, that log is
+    ``log1p(sum p (tail(a s) - a tail(s)))``, whose terms all have the sign
+    of ``a - 1``, so it keeps its digits however close q is to p.  It is a
+    log-sum-exp past ``max(a, 1) max|s| = 700``, where ``e^(a s)`` could
+    overflow, and where the log1p argument is below -1/2: there the sum is
+    far from 1, and its absolute error of about 1e-16 per term would swamp
+    a sum near 0.  Nondecreasing in alpha.  Orders within 1e-6 of 1 are
+    evaluated by the KL limit.  Requires mutual absolute continuity and
+    ``alpha > 0``.
     """
     if _near_kl(alpha, "relative_entropy"):
         return relative_entropy(q, p)
-    if np.array_equal(q.weights, p.weights):
-        return 0.0
     _require_mutual_ac(q.weights, p.weights, "Renyi divergence")
     mask = q.weights > 0
-    logq = np.log(q.weights[mask])
-    logp = np.log(p.weights[mask])
-    value = _logsumexp(alpha * logq + (1.0 - alpha) * logp) / (alpha - 1.0)
+    q_mask, p_mask = q.weights[mask], p.weights[mask]
+    s = _log_ratio(q_mask, p_mask)
+    if max(alpha, 1.0) * float(np.max(np.abs(s))) <= 700.0:
+        a_s = alpha * s
+        terms = _exp_tail(a_s, np.expm1(a_s)) - alpha * _exp_tail(s, np.expm1(s))
+        gap = float(p_mask @ terms)
+        if gap >= -0.5:  # below, the sum is under 1/2 and its log needs no log1p
+            return math.log1p(gap) / (alpha - 1.0)
+    value = _logsumexp(alpha * np.log(q_mask) + (1.0 - alpha) * np.log(p_mask)) / (alpha - 1.0)
     return _clamp_nonneg(value, "Renyi divergence")
 
 

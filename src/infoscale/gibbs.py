@@ -18,9 +18,12 @@ steps: that is enumeration, capped at q^N = 2e6 configurations.  One kernel,
 cluster template: the spin on one site over every configuration is a tiled
 column, and each cluster instance multiplies the columns of its sites.  The
 transfer's work is capped (``EnumerationLimitError``) at 2e6 terms per step
-and 5e8 in all.  :func:`log_partition` is the transfer product, and the
-relative entropy of any two measures on one volume takes forward passes of
-their transfers at the wider block width of the pair.
+and 5e8 in all.  One forward recursion, :meth:`_BlockTransfer._forward`,
+carries a path sum's extremes, log Z and an expectation in one pass:
+construction takes one, which gives the range check and
+:func:`log_partition` together, and the relative entropy of any two
+measures on one volume one (two for its tail form) at the wider block width
+of the pair.
 
 :func:`gibbs_measure` picks a :class:`ChainGibbsMeasure` for a chain: it
 adds a count axis to the transfer for the law of the site total
@@ -46,6 +49,7 @@ import numpy as np
 from .divergences import (
     DiscreteDistribution,
     Observable,
+    _exp_tail,
     _logsumexp,
     _logsumexp_columns,
 )
@@ -54,7 +58,7 @@ from .errors import (
     EnumerationLimitError,
     ParameterError,
 )
-from .goal_oriented import EmpiricalCgf, GoalBound, _exp_tail, xi_bounds
+from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
 
 _OUT_OF_RANGE = "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
 _GAP_OUT_OF_RANGE = "the Hamiltonian difference H^Phi - H^Psi leaves the float range"
@@ -310,10 +314,12 @@ class _BlockTransfer:
     has q predecessors and a step is ``q^(w+1)`` terms (:func:`_block_terms`);
     ``exponents`` is ``-window``.
 
-    Construction raises EnumerationLimitError, before it builds anything,
-    when the transfer passes the caps of :meth:`_check_work`, and
-    ParameterError when an energy, or the spread between the largest and the
-    smallest path sum, leaves the float range.
+    Construction keeps ``log_partition``, log Z, from the one forward pass
+    that also checks the range.  It raises EnumerationLimitError, before it
+    builds anything, when the transfer passes the caps of
+    :meth:`_check_work`, and ParameterError when an energy, the spread
+    between the largest and the smallest path sum, or log Z leaves the float
+    range.
     """
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume, width: int = 1):
@@ -338,8 +344,8 @@ class _BlockTransfer:
             )
             self.window = window.reshape(q, -1, q)
             self.exponents = -self.window
-        largest, smallest = self.path_extremes(self.start, self.window)
-        if not math.isfinite(largest - smallest):
+        largest, smallest, self.log_partition, _ = self._forward(self.start, self.window)
+        if not (math.isfinite(largest - smallest) and math.isfinite(self.log_partition)):
             raise ParameterError(_OUT_OF_RANGE)
 
     def _check_work(self, size: int) -> None:
@@ -353,28 +359,6 @@ class _BlockTransfer:
                 f"{self.steps} transfer steps of {terms} terms exceed the caps "
                 f"{_ENUMERATION_CAP} per step and {_TRANSFER_WORK_CAP} in all"
             )
-
-    def path_extremes(self, start: np.ndarray, window: np.ndarray | None) -> tuple[float, float]:
-        """The largest and the smallest path sum of ``start``/``window``, by
-        a max-plus transfer (NaN where a sum meets ``inf - inf``)."""
-        extremes = []
-        with np.errstate(all="ignore"):
-            for sign in (1.0, -1.0):
-                vec = sign * start
-                for _ in range(self.steps):
-                    vec = _block_terms(vec, sign * window).max(axis=0).ravel()
-                extremes.append(sign * float(vec.max()))
-        return extremes[0], extremes[1]
-
-    def log_partition(self) -> float:
-        vec = -self.start
-        with np.errstate(all="ignore"):
-            for _ in range(self.steps):
-                vec = _block_step(vec, self.exponents)
-        log_z = _logsumexp(vec)
-        if not math.isfinite(log_z):
-            raise ParameterError(_OUT_OF_RANGE)
-        return log_z
 
     def count_law(self, value_index: np.ndarray, num_values: int) -> tuple[np.ndarray, np.ndarray]:
         """The law of the count vector ``n_j = #{x : value_index[s_x] = j}``:
@@ -398,7 +382,7 @@ class _BlockTransfer:
         shifts = [(shift, newest == shift) for shift in np.unique(newest[newest > 0])]
         with np.errstate(all="ignore"):
             for _ in range(self.steps):
-                vec = _block_step(vec, self.exponents)
+                vec = _logsumexp_columns(_block_terms(vec, self.exponents)).reshape(vec.shape)
                 for shift, rows in shifts:
                     vec[rows, shift:] = vec[rows, :-shift]
                     vec[rows, :shift] = -math.inf
@@ -418,44 +402,60 @@ class _BlockTransfer:
         with np.errstate(all="ignore"):
             start = self.start - other.start
             window = self.window - other.window if self.steps else None
-        largest, smallest = self.path_extremes(start, window)
+        largest, smallest, _, mean = self._forward(start, window)
         if not (math.isfinite(largest) and math.isfinite(smallest)):
             raise ParameterError(_GAP_OUT_OF_RANGE)
-        mean = self._forward_mean(start, window)
         if largest - mean <= 1.0 and mean - smallest <= 1.0:
-            tail = self._forward_mean(start, window, centre=mean)
+            tail = self._forward(start, window, centre=mean)[3]
             if math.isfinite(tail):
                 return math.log1p(tail)
         return log_ratio - mean
 
-    def _forward_mean(
+    def _forward(
         self, start: np.ndarray, window: np.ndarray | None, centre: float | None = None
-    ) -> float:
-        """``E(G)`` under this transfer's measure for the path sum G of
-        ``start``/``window``, or, given ``centre``, ``E(e^y - 1 - y)`` with
-        ``y = G - centre``: a forward pass that carries, per block, the
-        conditional means of y and of ``e^y - 1 - y``, which a step with
-        increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``."""
+    ) -> tuple[float, float, float, float]:
+        """One forward pass of this transfer's measure, for the path sum G of
+        ``start``/``window``: the largest and the smallest G, by max-plus (NaN
+        where a sum meets ``inf - inf``); log Z, from the log-sum-exp
+        ``log_alpha``; and ``E(G)``, or, given ``centre``, ``E(e^y - 1 - y)``
+        with ``y = G - centre``.  The last rides on the conditional means,
+        per block, of y and of ``e^y - 1 - y``, which a step with increment d
+        maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``.
+
+        A pass carries only what its caller reads, and returns NaN for the
+        rest: the extremes unless ``centre`` is given (the tail pass), and
+        the expectation unless ``start`` is this transfer's own (construction,
+        which reads the extremes and log Z)."""
+        extremes, expectation = centre is None, start is not self.start
         heads = (self.num_states, -1, 1)  # a block's conditional mean, by predecessor
-        log_alpha = -self.start
+        log_alpha, high, low = -self.start, start, start
         with np.errstate(all="ignore"):
-            y = start - (centre or 0.0)
+            y = start if centre is None else start - centre
             if centre is not None:
                 f = _exp_tail(y, np.expm1(y))
             if centre is not None and self.steps:
                 em1 = np.expm1(window)
                 tail = _exp_tail(window, em1)
             for _ in range(self.steps):
+                if extremes:
+                    high = _block_terms(high, window).max(axis=0).ravel()
+                    low = _block_terms(low, window).min(axis=0).ravel()
                 terms = _block_terms(log_alpha, self.exponents)
                 log_alpha = _logsumexp_columns(terms)
-                law = np.exp(terms - log_alpha)  # of the predecessor, given the block
+                if expectation:
+                    law = np.exp(terms - log_alpha)  # of the predecessor, given the block
+                    if centre is not None:
+                        f = law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail)
+                        f = f.sum(axis=0).ravel()
+                    y = (law * _block_terms(y, window)).sum(axis=0).ravel()
                 log_alpha = log_alpha.ravel()
-                if centre is not None:
-                    f = (law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail))
-                    f = f.sum(axis=0).ravel()
-                y = (law * _block_terms(y, window)).sum(axis=0).ravel()
-        last = np.exp(log_alpha - _logsumexp(log_alpha))
-        return float(last @ (y if centre is None else f))
+            log_z = _logsumexp(log_alpha)
+            value = math.nan
+            if expectation:
+                last = np.exp(log_alpha - log_z)
+                value = float(last @ (y if centre is None else f))
+        largest, smallest = (float(high.max()), float(low.min())) if extremes else (math.nan,) * 2
+        return largest, smallest, log_z, value
 
 
 def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -466,18 +466,12 @@ def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return head + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
 
 
-def _block_step(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """One log-domain transfer step over the q predecessors of each block,
-    O(q^(w+1)) terms per trailing entry; run it under ``np.errstate``."""
-    return _logsumexp_columns(_block_terms(vec, exponents)).reshape(vec.shape)
-
-
 def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     """``log sum_config exp(-H(config))``, the product of the block transfer
     of :class:`_BlockTransfer`: at any length on a contiguous 1-D chain, for
     any finite-range interaction, and up to the enumeration cap on any other
     volume."""
-    return _BlockTransfer(interaction, volume).log_partition()
+    return _BlockTransfer(interaction, volume).log_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,7 +487,7 @@ class _Measure:
         for name, value in (
             ("interaction", interaction),
             ("volume", volume),
-            ("log_partition", transfer.log_partition()),
+            ("log_partition", transfer.log_partition),
             ("_transfer", transfer),
             ("_site_total_cgfs", {}),
         ):

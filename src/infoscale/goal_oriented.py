@@ -51,18 +51,6 @@ def _spread(centered: np.ndarray) -> float:
     return span
 
 
-# 1/k!, k = 11 to 2: (e^y - 1 - y) / y^2 to 4e-18 relative for |y| <= 1/8.
-_EXP_TAIL = [1.0 / math.factorial(k) for k in range(11, 1, -1)]
-
-
-def _exp_tail(y: np.ndarray, em1: np.ndarray) -> np.ndarray:
-    """``e^y - 1 - y`` to full relative precision, given ``em1 = expm1(y)``:
-    by its Taylor series where ``|y| <= 1/8``, where ``em1 - y`` cancels."""
-    import numpy as np
-
-    return np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalCgf:
     """Centered CGF of an observable under a finite-support distribution.
@@ -113,6 +101,8 @@ class EmpiricalCgf:
 
         y = c * self._centered
         if abs(c) * self._span <= 700.0:
+            from .divergences import _exp_tail
+
             em1 = np.expm1(y)
             tail = float(self._weights @ _exp_tail(y, em1))
             return math.log1p(tail), float((self._weights * em1 / (1.0 + tail)) @ self._centered)

@@ -170,7 +170,8 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
 
 
 def _row_relative_entropies(q: TransitionMatrix, p: TransitionMatrix) -> np.ndarray:
-    """``R(q(x,.) || p(x,.))`` for every state x, with ``0 log 0 = 0``."""
+    """``R(q(x,.) || p(x,.))`` for every state x: its row of the Bregman
+    terms of ``divergences._kl_terms``, each >= 0, summed."""
     return _kl_terms(q.rows, p.rows).sum(axis=1)
 
 
@@ -178,7 +179,7 @@ def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
     rows = _row_relative_entropies(q, p)
-    return max(float(q._stationary.weights @ rows), 0.0)
+    return float(q._stationary.weights @ rows)
 
 
 def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
@@ -344,7 +345,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     centered = g.values - float(mu_p.weights @ g.values)
     curve = _lambda_curve(p.rows, centered)
     iact = integrated_autocorrelation(p, g)
-    rer = max(float(mu_q.weights @ _row_relative_entropies(q, p)), 0.0)
+    rer = float(mu_q.weights @ _row_relative_entropies(q, p))
     bound = _optimized(curve, iact, rer)
     return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, mu_q, mu_p)
 
@@ -447,7 +448,7 @@ def path_divergence_report(
         kl_terms.append(float(marginal @ row_kl))
         h2_terms.append(float(affinity @ row_h2))
         marginal, affinity = marginal @ q.rows, affinity @ overlap
-    kl = _clamp_nonneg(math.fsum(kl_terms), "path relative entropy")
+    kl = math.fsum(kl_terms)
 
     def log_renyi_sum(order: float) -> float:
         return _log_transfer(

@@ -22,6 +22,20 @@ def random_triple(rng, n=None):
     return p, q, f
 
 
+def close_pair(rng, n, eps):
+    """(P, Q) on n atoms whose weights are multiples of 2^-52 that sum to
+    exactly 1, Q off P by relative differences of up to about ``eps`` (at
+    most 1): so the float weights are the measures, and a sum over them has
+    one exact value to test against."""
+    unit = 2**52
+    k = rng.integers(unit // (2 * n), unit // n, n - 1)
+    k = np.append(k, unit - k.sum())
+    moved = k * (1.0 + eps * rng.uniform(-0.9, 0.9, n))
+    j = np.rint(moved[:-1] * (unit / moved.sum())).astype(np.int64)
+    j = np.append(j, unit - j.sum())
+    return DiscreteDistribution(k / unit), DiscreteDistribution(j / unit)
+
+
 def random_chain(rng, n, floor=0.1):
     rows = rng.random((n, n)) + floor
     return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from conftest import random_triple
+from conftest import close_pair, random_triple
 from infoscale import (
     DiscreteDistribution,
     Observable,
@@ -12,6 +14,7 @@ from infoscale import (
     iid_scaled_divergences,
     relative_entropy,
 )
+from infoscale.goal_oriented import EmpiricalCgf, xi_bounds
 
 
 def test_identical_measures_all_zero_except_scheffe():
@@ -72,3 +75,30 @@ def test_pinsker_at_order_one_is_ckp(rng):
     p, q, f = random_triple(rng)
     b = classical_qoi_bounds(p, q, f, alpha=1.0)
     assert b.pinsker == pytest.approx(b.ckp, rel=1e-12)
+
+
+def test_close_measures_stay_sandwiched():
+    # Q off P by relative differences of 1e-12 to 1e-2, on 3 to 8 atoms whose
+    # float weights are the measures (conftest.close_pair), so the gap has one
+    # exact value.  Every classical half-width covers it, and the
+    # goal-oriented interval at R = R(Q || P) contains it, up to 1e-12 of the
+    # gap: the divergences keep their digits however close Q is to P.
+    rng = np.random.default_rng(26)
+    misses = []
+    for draw in range(1500):
+        n = int(rng.integers(3, 9))
+        p, q = close_pair(rng, n, 10.0 ** rng.uniform(-12.0, -2.0))
+        f = Observable(rng.uniform(-1.0, 1.0, n))
+        with mpmath.workdps(40):
+            gap = float(mpmath.fsum(
+                (mpmath.mpf(float(a)) - mpmath.mpf(float(b))) * mpmath.mpf(float(v))
+                for a, b, v in zip(q.weights, p.weights, f.values)
+            ))
+        slack = 1e-12 * abs(gap)
+        bounds = classical_qoi_bounds(p, q, f, alpha=0.5).as_dict()
+        misses += [(draw, name) for name, value in bounds.items()
+                   if name != "pinsker_alpha" and value < abs(gap) - slack]
+        xi = xi_bounds(EmpiricalCgf(p, f), relative_entropy(q, p))
+        if not xi.xi_minus - slack <= gap <= xi.xi_plus + slack:
+            misses.append((draw, "xi"))
+    assert misses == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distribution
+from conftest import close_pair, random_distribution
 from infoscale import (
     AbsoluteContinuityError,
     DimensionError,
@@ -292,3 +292,76 @@ def test_positivity_for_distinct_measures(rng):
     assert chi_squared(q, p) > 0
     assert hellinger(q, p) > 0
     assert renyi_divergence(q, p, 2.0) > 0
+
+
+def _mp_divergences(q, p, alphas):
+    """40-digit KL, chi^2, H and the Renyi orders ``alphas`` of the float
+    weights as given (q may vanish where p does not, for all but Renyi)."""
+    with mpmath.workdps(40):
+        qs = [mpmath.mpf(float(x)) for x in q]
+        ps = [mpmath.mpf(float(x)) for x in p]
+        kl = mpmath.fsum(b - a + (a * mpmath.log(a / b) if a else 0) for a, b in zip(qs, ps))
+        chi2 = mpmath.fsum((a - b) ** 2 / b for a, b in zip(qs, ps))
+        h = mpmath.sqrt(mpmath.fsum((mpmath.sqrt(a) - mpmath.sqrt(b)) ** 2 for a, b in zip(qs, ps)))
+        renyi = [
+            mpmath.log(mpmath.fsum(a**alpha * b ** (1 - alpha) for a, b in zip(qs, ps))) / (alpha - 1)
+            for alpha in alphas
+        ]
+        return float(kl), float(chi2), float(h), [float(r) for r in renyi]
+
+
+class TestPrecision:
+    """Near q = p the divergences are differences of nearly equal sums.  Each
+    one is taken in a form whose terms keep their digits (Bregman KL terms,
+    ``(q - p)^2 / p``, ``(q - p) / (sqrt q + sqrt p)``, the Renyi tail form),
+    so it matches a 40-digit evaluation to 1e-12 relative at any distance."""
+
+    ORDERS = (0.5, 2.0, 7.0)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0])
+    def test_matches_mpmath_at_every_distance(self, rng, eps):
+        for _ in range(20):
+            p, q = close_pair(rng, int(rng.integers(3, 9)), eps)
+            kl, chi2, h, renyi = _mp_divergences(q.weights, p.weights, self.ORDERS)
+            assert relative_entropy(q, p) == pytest.approx(kl, rel=1e-12, abs=0.0)
+            assert chi_squared(q, p) == pytest.approx(chi2, rel=1e-12, abs=0.0)
+            assert hellinger(q, p) == pytest.approx(h, rel=1e-12, abs=0.0)
+            for alpha, want in zip(self.ORDERS, renyi):
+                assert renyi_divergence(q, p, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_far_apart_measures(self, rng, alpha):
+        # Q and P put most of their mass on different atoms, and the rest
+        # over 30 decades.  Below order 1 the Renyi sum q^a p^(1-a) is then
+        # far below 1, where its log1p form loses every digit (and, near 0,
+        # meets log1p(-1)); the log-sum-exp keeps them.
+        pairs = [(np.array([1.0, 1e-40]), np.array([1e-40, 1.0]))]
+        for _ in range(20):
+            w = 10.0 ** rng.uniform(-30.0, -1.0, (2, int(rng.integers(3, 9))))
+            w[0, 0] = w[1, 1] = 1.0
+            pairs.append(tuple(w / w.sum(axis=1, keepdims=True)))
+        for q_w, p_w in pairs:
+            q, p = DiscreteDistribution(q_w), DiscreteDistribution(p_w)
+            kl, chi2, h, (want,) = _mp_divergences(q.weights, p.weights, (alpha,))
+            assert renyi_divergence(q, p, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert relative_entropy(q, p) == pytest.approx(kl, rel=1e-12, abs=0.0)
+            assert chi_squared(q, p) == pytest.approx(chi2, rel=1e-12, abs=0.0)
+            assert hellinger(q, p) == pytest.approx(h, rel=1e-12, abs=0.0)
+
+    def test_an_absent_atom_contributes_its_p(self, rng):
+        # q = 0 on one atom: its Bregman term is p, and the rest keep their digits.
+        p, q = close_pair(rng, 4, 1e-10)
+        w = q.weights.copy()
+        w[1] += w[0]
+        w[0] = 0.0
+        q = DiscreteDistribution(w)
+        kl, chi2, h, _ = _mp_divergences(q.weights, p.weights, ())
+        assert relative_entropy(q, p) == pytest.approx(kl, rel=1e-12, abs=0.0)
+        assert chi_squared(q, p) == pytest.approx(chi2, rel=1e-12, abs=0.0)
+        assert hellinger(q, p) == pytest.approx(h, rel=1e-12, abs=0.0)
+
+    def test_identical_measures_give_zero(self, rng):
+        p, _ = close_pair(rng, 5, 0.0)
+        assert relative_entropy(p, p) == chi_squared(p, p) == hellinger(p, p) == 0.0
+        for alpha in self.ORDERS:
+            assert renyi_divergence(p, p, alpha) == 0.0

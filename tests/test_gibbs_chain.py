@@ -313,28 +313,27 @@ class TestCli:
         # Ranges 1 and 2 on 17 sites: one relative entropy, and three
         # transfers (one per measure, and Phi's again at Psi's wider block),
         # where computing R inside finite_volume_xi too took two and four.
-        # The bound is finite_volume_xi's, to the last bit.
+        # Each transfer makes one forward pass, for its range check and log
+        # Z, and R one more, for the range and the mean of D; D spreads
+        # more than 1 from its mean, so R takes no tail pass.  The bound is
+        # finite_volume_xi's, to the last bit.
         from infoscale import gibbs
         from infoscale.cli import main
 
-        calls = {"init": 0, "relative_entropy": 0}
+        calls = {"__init__": 0, "relative_entropy": 0, "_forward": 0}
         transfer = gibbs._BlockTransfer
-        init, relative_entropy = transfer.__init__, transfer.relative_entropy
+        for name in calls:
+            method = getattr(transfer, name)
 
-        def counted_init(self, *args, **kwargs):
-            calls["init"] += 1
-            init(self, *args, **kwargs)
+            def counted(self, *args, _name=name, _method=method, **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
 
-        def counted_relative_entropy(self, *args, **kwargs):
-            calls["relative_entropy"] += 1
-            return relative_entropy(self, *args, **kwargs)
-
-        monkeypatch.setattr(transfer, "__init__", counted_init)
-        monkeypatch.setattr(transfer, "relative_entropy", counted_relative_entropy)
+            monkeypatch.setattr(transfer, name, counted)
         pair = ([([[0], [1]], -0.4), ([[0]], -0.05)], _NNN_PAIR[1])
         assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "8"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert calls == {"init": 3, "relative_entropy": 1}
+        assert calls == {"__init__": 3, "relative_entropy": 1, "_forward": 4}
         phi, psi = (Interaction(dimension=1, clusters=tuple(
             spin_product_cluster(offsets, coeff) for offsets, coeff in clusters
         )) for clusters in pair)
