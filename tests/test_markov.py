@@ -134,6 +134,16 @@ class TestPerron:
         p = random_chain(rng, 4)
         assert perron_root(p.rows)[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # On either route (2 states dense, 30 power) they would otherwise
+        # reach numpy's eigensolve and leak its LinAlgError.
+        for n in (2, 30):
+            m = np.ones((n, n))
+            m[0, 1] = bad
+            with pytest.raises(ParameterError, match="finite"):
+                perron_root(m)
+
     def test_underflow_truncated_tilt_stays_bounded(self):
         # An extreme tilt underflows all but one column, leaving a reducible
         # pattern whose root is the surviving diagonal entry; the shifted
@@ -164,8 +174,12 @@ class TestPerron:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 value = lambda_pg(p, g, c)
+                route = markov._PerronRoute(power=True)
+                forced = perron_root(rows * np.exp(tilt - shift)[None, :], route)[0]
             assert math.isfinite(value)
             assert value == pytest.approx(math.log(dense) + shift, rel=1e-12)
+            assert route.power is (c == -128.0)  # past it the power iteration falls back
+            assert forced == pytest.approx(dense, rel=1e-12)
 
 
 @st.composite
@@ -203,6 +217,9 @@ class TestPerronProperties:
         m = np.where(adjacency, np.reshape(entries, (n, n)), 0.0)
         dense = float(np.max(np.linalg.eigvals(m).real))
         assert perron_root(m)[0] == pytest.approx(dense, rel=1e-12, abs=0.0)
+        # Below _DENSE_BELOW states the power route runs only when forced.
+        forced = perron_root(m, markov._PerronRoute(power=True))[0]
+        assert forced == pytest.approx(dense, rel=1e-12, abs=0.0)
 
     def test_dense_chain_needs_no_eigensolve(self, monkeypatch):
         # A positive 300-state chain mixes in a few steps; the power
@@ -238,19 +255,22 @@ class TestPerronVectors:
 
     def test_power_iteration_vectors(self, rng, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", None)  # no dense solve
-        for n in (3, 8, 40):
+        for n in (markov._DENSE_BELOW, markov._DENSE_BELOW + 8, 40):
             self._assert_eigenvectors(rng.uniform(0.5, 2.0, (n, n)))
 
-    def test_dense_solve_vectors(self):
-        # A periodic pattern and a banded ring at a tilt the power iteration
-        # does not settle: both take the dense solve.
+    def test_dense_solve_vectors(self, rng):
+        # Small positive matrices take the dense route by size; a periodic
+        # pattern and a banded ring at a tilt the power iteration does not
+        # settle would take it on any route.
+        for n in (3, 8):
+            self._assert_eigenvectors(rng.uniform(0.5, 2.0, (n, n)))
         self._assert_eigenvectors(np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]))
         p, g = _banded_chain()
         self._assert_eigenvectors(p.rows * np.exp(-2.0 * (g.values - g.values.max()))[None, :])
 
     @pytest.mark.parametrize("banded", [False, True])
     def test_lambda_slope_matches_a_central_difference(self, rng, banded, monkeypatch):
-        if banded:  # the ring mixes slowly: all but c = 5 take the dense solve
+        if banded:  # 10 states, below _DENSE_BELOW: every solve is dense
             p, g = _banded_chain()
             cs = (-256.0, -3.0, -0.4, 0.7, 5.0)
         else:
@@ -269,6 +289,95 @@ class TestPerronVectors:
             assert slope == pytest.approx(difference, rel=1e-6, abs=1e-9), c
             if banded and c == -256.0:
                 assert len(dense) > before
+
+    @pytest.mark.parametrize("offset", [-21, -1, 0, 16])
+    def test_routes_agree(self, rng, offset):
+        # One matrix on each route, on both sides of _DENSE_BELOW.
+        n = markov._DENSE_BELOW + offset
+        m = rng.uniform(0.5, 2.0, (n, n))
+        power = markov._PerronRoute(power=True)
+        rho_p, left_p, right_p = perron_root(m, power)
+        rho_d, left_d, right_d = perron_root(m, markov._PerronRoute(power=False))
+        assert power.power is True  # the power iteration settled
+        assert rho_p == pytest.approx(rho_d, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(left_p * right_p, left_d * right_d, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("c", [0.5, -256.0])
+    def test_banded_curve_matches_mpmath(self, c):
+        # 50-digit eigensolves of the tilted ring and of its transpose give
+        # the root and the slope sum l g r / sum l r from both Perron vectors.
+        p, g = _banded_chain()
+        centered = g.values - float(p._stationary.weights @ g.values)
+        value, slope = markov._lambda_curve(p.rows, centered)(c)
+        with mpmath.workdps(50):
+            tilt = [mpmath.exp(mpmath.mpf(c) * mpmath.mpf(float(v))) for v in centered]
+            m = mpmath.matrix([[mpmath.mpf(float(a)) * t for a, t in zip(row, tilt)]
+                               for row in p.rows])
+
+            def perron(matrix):
+                roots, vectors = mpmath.eig(matrix)
+                k = max(range(len(roots)), key=lambda i: mpmath.re(roots[i]))
+                return mpmath.re(roots[k]), [mpmath.re(vectors[i, k]) for i in range(10)]
+
+            rho, right = perron(m)
+            left = perron(m.T)[1]
+            overlap = [a * b for a, b in zip(left, right)]
+            want_slope = sum(o * mpmath.mpf(float(v)) for o, v in zip(overlap, centered)) / sum(overlap)
+            want = float(mpmath.log(rho))
+        assert value == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert slope == pytest.approx(float(want_slope), rel=1e-12)
+
+
+def _ring_pair(n: int, seed: int):
+    """Chains q and p on one tridiagonal ring of n states (each state steps
+    to itself and its two neighbours), with an observable."""
+    rng = np.random.default_rng(seed)
+    ring = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    ring |= ring.T
+    p = np.where(ring, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    q = p * np.exp(rng.uniform(-1.0, 1.0, (n, n)))
+    return (TransitionMatrix(q / q.sum(axis=1, keepdims=True)),
+            TransitionMatrix(p / p.sum(axis=1, keepdims=True)),
+            Observable(rng.uniform(-1.0, 1.0, n)))
+
+
+class TestPerronRoute:
+    """The route is chosen once per chain; these counts do not depend on
+    the machine."""
+
+    @staticmethod
+    def _count(monkeypatch, q, p, g):
+        counts = {"power": 0, "dense": 0}
+        power, eigvals = markov._power_iteration, np.linalg.eigvals
+
+        def counted_power(step):
+            counts["power"] += 1
+            return power(step)
+
+        def counted_eigvals(m):
+            counts["dense"] += 1
+            return eigvals(m)
+
+        monkeypatch.setattr(markov, "_power_iteration", counted_power)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        cheap_rate_bounds(q, p, g)
+        return counts
+
+    def test_small_ring_runs_no_power_step(self, monkeypatch):
+        counts = self._count(monkeypatch, *_ring_pair(10, 0))
+        assert counts["power"] == 0 and counts["dense"] > 0
+
+    def test_large_ring_tries_the_power_route_once(self, monkeypatch):
+        # One lambda-curve serves all three bounds; its first power solve
+        # falls back, and every later solve goes straight to the dense one.
+        counts = self._count(monkeypatch, *_ring_pair(30, 0))
+        assert counts["power"] <= 1 and counts["dense"] > 10
+
+    def test_large_positive_chain_runs_no_dense_solve(self, monkeypatch):
+        rng = np.random.default_rng(100)
+        p, q = random_chain(rng, 100), random_chain(rng, 100)
+        counts = self._count(monkeypatch, q, p, Observable(rng.uniform(-1.0, 1.0, 100)))
+        assert counts["dense"] == 0 and counts["power"] > 10
 
 
 class TestRates:
@@ -462,6 +571,30 @@ class TestXiRateBounds:
                 stationary_distribution(p)
             )
             assert rb.xi_minus_rate - 1e-9 <= gap <= rb.xi_plus_rate + 1e-9
+
+    def test_nearby_pairs_give_finite_bounds_around_zero(self):
+        # lambda(c) >= c mu_p . gbar = 0 for the centred tilt, so each bound
+        # (lambda + r) / c keeps its sign; rounding near c = 0 once gave
+        # lambda(1e-8) = -9.9e-17 and xi_plus_rate = -4.3e302.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(3, 8))
+            p = random_chain(rng, n)
+            q = p.rows * np.exp(10.0 ** rng.uniform(-12.0, -4.0) * rng.uniform(-1.0, 1.0, (n, n)))
+            q = TransitionMatrix(q / q.sum(axis=1, keepdims=True))
+            rb = xi_rate_bounds(q, p, Observable(rng.uniform(-1.0, 1.0, n)))
+            assert math.isfinite(rb.xi_minus_rate) and math.isfinite(rb.xi_plus_rate)
+            assert rb.xi_minus_rate <= 0.0 <= rb.xi_plus_rate
+
+    def test_periodic_pair_with_a_zero_curve(self):
+        # g is constant on the two cyclic classes, so lambda is identically
+        # 0 and so is the gap; the dense solve's rounding once put
+        # xi_plus_rate at -0.00111.
+        flip = np.array([[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4],
+                         [0.5, 0.5, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]])
+        p, q = TransitionMatrix(flip), TransitionMatrix(np.where(flip > 0, 0.5, 0.0))
+        rb = xi_rate_bounds(q, p, Observable([1.0, 1.0, -1.0, -1.0]))
+        assert rb.xi_minus_rate <= 0.0 <= rb.xi_plus_rate
 
     def test_linearization_for_small_perturbations(self, rng):
         # q = (1 - eps) p + eps uniform: xi+ approaches sqrt(v) sqrt(2 r).
