@@ -9,17 +9,18 @@ convention ``0 * log(0/p) = 0``.  Absolute-continuity violations raise
 :class:`~infoscale.errors.AbsoluteContinuityError`.
 
 The Markov and Gibbs layers share this module's array kernels: the one
-max-shifted log-sum-exp and the log-domain transfer product on its shift
-rule (Markov paths, 1-D Gibbs chains), the exponential tail ``e^y - 1 - y``,
-the Bregman KL terms, the size and mutual absolute-continuity checks, and
-the Renyi order rule.
+max-shifted log-sum-exp; the one path-measure transfer, :class:`_PathTransfer`
+(Markov paths, Gibbs measures), whose forward recursion steps on that shift
+rule and whose centred-CGF method gives the path CGF and the Gibbs relative
+entropy; the exponential tail ``e^y - 1 - y``, the Bregman KL terms, the
+size and mutual absolute-continuity checks, and the Renyi order rule.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +37,7 @@ _CHAIN_TOL = 1e-10
 # Below this distance from 1, the Renyi order is evaluated by its KL limit
 # to avoid catastrophic cancellation in the 1/(alpha-1) prefactor.
 _RENYI_KL_WINDOW = 1e-6
+_FLOAT_MIN = float(np.finfo(float).min)
 
 
 def _as_readonly_array(values, name: str) -> np.ndarray:
@@ -179,11 +181,11 @@ def _kl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _near_kl(alpha: float, kl_name: str) -> bool:
-    """Check a Renyi order: positive and not 1 (``kl_name`` is the KL function
-    to call instead).  True within ``_RENYI_KL_WINDOW`` of 1, where the order
-    is evaluated by its KL limit."""
-    if not (alpha > 0):
-        raise ParameterError(f"Renyi order must be positive, got {alpha!r}")
+    """Check a Renyi order: positive, finite and not 1 (``kl_name`` is the KL
+    function to call instead).  True within ``_RENYI_KL_WINDOW`` of 1, where
+    the order is evaluated by its KL limit."""
+    if not (0 < alpha < math.inf):
+        raise ParameterError(f"Renyi order must be positive and finite, got {alpha!r}")
     if alpha == 1.0:
         raise ParameterError(f"Renyi order 1 is the KL limit; use {kl_name}")
     return abs(alpha - 1.0) < _RENYI_KL_WINDOW
@@ -218,22 +220,6 @@ def _logsumexp(exponents: np.ndarray, weights: np.ndarray | None = None) -> floa
     return m + math.log(float(np.sum(terms) if weights is None else weights @ terms))
 
 
-def _log_transfer(log_start: np.ndarray, exponents: np.ndarray, n_steps: int) -> float:
-    """``log sum exp(log_start[x_0] + sum_t exponents[x_t, x_(t+1)])`` over the
-    paths ``x_0 .. x_n_steps`` (a ``-inf`` entry is a zero weight).
-
-    Each step is one :func:`_logsumexp_columns` of ``vec[:, None] +
-    exponents``, so nothing under- or overflows however far the exponents
-    spread (a tiny entry can close the cycle that carries the sum); an all
-    ``-inf`` column stays ``-inf``.  O(n_steps S^2) work.
-    """
-    vec = log_start
-    with np.errstate(all="ignore"):
-        for _ in range(n_steps):
-            vec = _logsumexp_columns(np.add(vec[:, None], exponents))
-    return _logsumexp(vec)
-
-
 def _logsumexp_columns(terms: np.ndarray) -> np.ndarray:
     """``log sum exp`` down axis 0 of ``terms``, each column shifted by its
     largest exponent as in :func:`_logsumexp`.  Run it under
@@ -242,6 +228,108 @@ def _logsumexp_columns(terms: np.ndarray) -> np.ndarray:
     top = terms.max(axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)
     return shift + np.log(np.exp(terms - shift).sum(axis=0))
+
+
+class _PathTransfer:
+    """A measure on the paths ``b_0 .. b_n`` of n = ``steps`` steps over
+    blocks, with log weight ``log_start[b_0] + sum_t exponents[p, m, x]``
+    (a ``-inf`` entry is a zero weight).  A step moves block ``p q^(w-1) +
+    m`` (of q^w blocks, numbered first spin most significant) to block ``m
+    q + x``, so each block has q predecessors and ``exponents`` has shape
+    ``(q, q^(w-1), q)``; without steps it is never read.  A Markov path is
+    the case w = 1 (``log nu`` and ``log P[:, None, :]``); a 1-D Gibbs chain
+    is a block of r spins, r the interaction's range, and any other volume
+    one block of all its sites with no steps.
+
+    Construction keeps ``log_partition``, log Z, from one forward pass;
+    given ``out_of_range``, that pass also takes the largest and the
+    smallest log weight, and ParameterError(``out_of_range``) is raised
+    where their spread or log Z leaves the float range.
+    """
+
+    def __init__(self, log_start, exponents, steps: int, out_of_range: str | None = None):
+        self.log_start, self.exponents, self.steps = log_start, exponents, steps
+        largest, smallest, self.log_partition, _ = self._forward(extremes=out_of_range is not None)
+        finite = math.isfinite(largest - smallest) and math.isfinite(self.log_partition)
+        if out_of_range and not finite:
+            raise ParameterError(out_of_range)
+
+    def cgf(self, start, window, log_ratio: float | None = None, name="the path sum") -> float:
+        """``log E e^G - E G`` under this measure, for the path sum G of
+        ``start``/``window`` (laid out as ``log_start``/``exponents``); a
+        tilt c is G scaled by c.  Exactly 0 where G is constant.  Where G
+        stays within 1 of its mean m on every path, it is ``log1p E(e^(G -
+        m) - 1 - (G - m))``, which keeps its digits however small it is;
+        elsewhere ``log_ratio - m``, with ``log_ratio`` the log Z of the
+        measure tilted by e^G less this one's (computed when not given).
+        ParameterError names G (``name``) where it leaves the float range."""
+        largest, smallest, _, mean = self._forward(start, window, extremes=True)
+        if not (math.isfinite(largest) and math.isfinite(smallest)):
+            raise ParameterError(f"{name} leaves the float range")
+        if largest == smallest:
+            return 0.0
+        if largest - mean <= 1.0 and mean - smallest <= 1.0:
+            # G - n k has the same centred CGF; k, the window's midrange, keeps y near 0
+            lift = window.max() / 2 + window.min() / 2 if self.steps else 0.0
+            tail = self._forward(start, window - lift, centre=mean - self.steps * lift)[3]
+            if math.isfinite(tail):
+                return math.log1p(tail)
+        if log_ratio is None:
+            tilted = _PathTransfer(self.log_start + start, self.exponents + window, self.steps)
+            log_ratio = tilted.log_partition - self.log_partition
+        return log_ratio - mean
+
+    def _forward(
+        self, start=None, window=None, centre: float | None = None, extremes: bool = False
+    ) -> tuple[float, float, float, float]:
+        """One forward pass of this measure, for the path sum G of
+        ``start``/``window`` (this measure's own log weight by default):
+        with ``extremes``, the largest and the smallest G, by max-plus (NaN
+        where a sum meets ``inf - inf``); log Z, from the log-sum-exp
+        ``log_alpha``; and, for a given G, ``E(G)``, or, given ``centre``,
+        ``E(e^y - 1 - y)`` with ``y = G - centre``.  The last rides on the
+        conditional means, per block, of y and of ``e^y - 1 - y``, which a
+        step with increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) +
+        (e^d - 1 - d)``; a block no path reaches has law 0.  What a pass
+        does not carry comes back NaN."""
+        expectation = start is not None
+        start, window = (start, window) if expectation else (self.log_start, self.exponents)
+        heads = self.exponents.shape[:2] + (1,)  # a block's conditional mean, by predecessor
+        log_alpha, high, low = self.log_start, start, start
+        with np.errstate(all="ignore"):
+            y = start if centre is None else start - centre
+            if centre is not None:
+                f, em1 = _exp_tail(y, np.expm1(y)), np.expm1(window)
+                tail = _exp_tail(window, em1)
+            for _ in range(self.steps):
+                if extremes:
+                    high = _block_terms(high, window).max(axis=0).ravel()
+                    low = _block_terms(low, window).min(axis=0).ravel()
+                terms = _block_terms(log_alpha, self.exponents)
+                log_alpha = _logsumexp_columns(terms)
+                if expectation:
+                    # of the predecessor, given the block; 0 where no path reaches it
+                    law = np.exp(terms - np.maximum(log_alpha, _FLOAT_MIN))
+                    if centre is not None:
+                        f = law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail)
+                        f = f.sum(axis=0).ravel()
+                    y = (law * _block_terms(y, window)).sum(axis=0).ravel()
+                log_alpha = log_alpha.ravel()
+            log_z = _logsumexp(log_alpha)
+            value = math.nan
+            if expectation:
+                last = np.exp(log_alpha - log_z)
+                value = float(last @ (y if centre is None else f))
+        largest, smallest = (float(high.max()), float(low.min())) if extremes else (math.nan,) * 2
+        return largest, smallest, log_z, value
+
+
+def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``vec[p q^(w-1) + m, ...] + exponents[p, m, x]`` at ``[p, m, x, ...]``:
+    for each block ``m q + x`` of the next step, its q predecessors down axis
+    0.  Trailing axes of ``vec`` ride along."""
+    head = vec.reshape(exponents.shape[:2] + (1,) + vec.shape[1:])
+    return head + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -359,14 +447,7 @@ class DivergenceReport:
                 )
 
     def as_dict(self) -> dict:
-        return {
-            "tv": self.tv,
-            "hellinger": self.hellinger,
-            "kl": self.kl,
-            "renyi_alpha": self.renyi_alpha,
-            "renyi": self.renyi,
-            "chi2": self.chi2,
-        }
+        return asdict(self)
 
 
 def divergence_report(
@@ -442,15 +523,7 @@ class ClassicalBounds:
     hellinger_improved: float
 
     def as_dict(self) -> dict:
-        return {
-            "ckp": self.ckp,
-            "pinsker": self.pinsker,
-            "pinsker_alpha": self.pinsker_alpha,
-            "scheffe": self.scheffe,
-            "chapman_robbins": self.chapman_robbins,
-            "le_cam": self.le_cam,
-            "hellinger_improved": self.hellinger_improved,
-        }
+        return asdict(self)
 
 
 def classical_qoi_bounds(

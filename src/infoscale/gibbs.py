@@ -7,9 +7,11 @@ coefficient times the product of the spins on that set, so the Hamiltonian is
 linear in the coefficients.  Hamiltonians use free boundary conditions:
 cluster translates that cross the volume boundary are dropped.
 
-Every Gibbs measure runs on one block transfer, :class:`_BlockTransfer`.
-On a contiguous 1-D chain a state is a block of r consecutive spins, r the
-interaction's range, each block has q predecessors, and a step is one
+Every Gibbs measure runs on one block transfer, :class:`_BlockTransfer`,
+the path-measure transfer ``divergences._PathTransfer`` that Markov paths
+share, with the energies from the interaction.  On a contiguous 1-D chain a
+state is a block of r consecutive spins, r the interaction's range, each
+block has q predecessors, and a step is one
 ``divergences._logsumexp_columns``, so a chain takes any length, for any
 finite-range interaction (any offsets, cluster sizes and spin states).  Any
 other volume, such as a 2-D box, is one block of all its N sites with no
@@ -18,12 +20,12 @@ steps: that is enumeration, capped at q^N = 2e6 configurations.  One kernel,
 cluster template: the spin on one site over every configuration is a tiled
 column, and each cluster instance multiplies the columns of its sites.  The
 transfer's work is capped (``EnumerationLimitError``) at 2e6 terms per step
-and 5e8 in all.  One forward recursion, :meth:`_BlockTransfer._forward`,
-carries a path sum's extremes, log Z and an expectation in one pass:
-construction takes one, which gives the range check and
-:func:`log_partition` together, and the relative entropy of any two
-measures on one volume one (two for its tail form) at the wider block width
-of the pair.
+and 5e8 in all.  The shared transfer's one forward recursion carries a path
+sum's extremes, log Z and an expectation in one pass: construction takes
+one, which gives the range check and :func:`log_partition` together, and
+the relative entropy of any two measures on one volume, the transfer's
+centred CGF at 1, one (two for its tail form) at the wider block width of
+the pair.
 
 :func:`gibbs_measure` picks a :class:`ChainGibbsMeasure` for a chain: it
 adds a count axis to the transfer for the law of the site total
@@ -49,9 +51,10 @@ import numpy as np
 from .divergences import (
     DiscreteDistribution,
     Observable,
-    _exp_tail,
+    _block_terms,
     _logsumexp,
     _logsumexp_columns,
+    _PathTransfer,
 )
 from .errors import (
     DimensionError,
@@ -61,7 +64,6 @@ from .errors import (
 from .goal_oriented import EmpiricalCgf, GoalBound, xi_bounds
 
 _OUT_OF_RANGE = "the Hamiltonian leaves the float range: its energies, or their spread, overflow"
-_GAP_OUT_OF_RANGE = "the Hamiltonian difference H^Phi - H^Psi leaves the float range"
 _ENUMERATION_CAP = 2_000_000
 _TRANSFER_WORK_CAP = 500_000_000
 
@@ -297,22 +299,20 @@ def _energy_vector(
     return energies
 
 
-class _BlockTransfer:
-    """The block transfer of an interaction on a volume of N sites.
+class _BlockTransfer(_PathTransfer):
+    """The block transfer of an interaction on a volume of N sites: the
+    :class:`~infoscale.divergences._PathTransfer` of its Gibbs measure.
 
     On a contiguous chain with range r (the largest ``max - min`` offset of
     a cluster), a state is a block of ``w = min(max(r, width), N)``
     consecutive spins; ``width`` widens the block when two interactions of
     different ranges must share it.  Any other volume, and any ``width >=
     N``, is one block of all N sites.  Blocks are numbered as
-    :func:`_enumerated_column` numbers configurations, the first site most
-    significant.  ``start[b]`` is the energy of the cluster translates
-    inside the first block.  A step appends spin x to block ``p q^(w-1) +
-    m`` (p its first spin), moving to block ``m q + x``, and ``window[p, m,
-    x]`` is the energy of the translates that end at that spin; there are
-    ``N - w`` steps, and without steps there is no window.  So each block
-    has q predecessors and a step is ``q^(w+1)`` terms (:func:`_block_terms`);
-    ``exponents`` is ``-window``.
+    :func:`_enumerated_column` numbers configurations.  ``-log_start[b]`` is
+    the energy of the cluster translates inside the first block, and
+    ``-exponents[p, m, x]`` that of the translates that end at the spin x a
+    step appends; there are ``N - w`` steps, and without steps the
+    exponents are empty.  Only these log weights are kept.
 
     Construction keeps ``log_partition``, log Z, from the one forward pass
     that also checks the range.  It raises EnumerationLimitError, before it
@@ -336,17 +336,10 @@ class _BlockTransfer:
         self.num_states, self.width, self.steps = q, width, length - width
         self._check_work(1)
         block = LatticeVolume.chain(width) if self.steps else volume
-        self.start = _energy_vector(interaction, block)
-        self.window = self.exponents = None
+        start, window = _energy_vector(interaction, block), np.zeros(0)
         if self.steps:
-            window = _energy_vector(
-                interaction, LatticeVolume.chain(width + 1), last_site_only=True
-            )
-            self.window = window.reshape(q, -1, q)
-            self.exponents = -self.window
-        largest, smallest, self.log_partition, _ = self._forward(self.start, self.window)
-        if not (math.isfinite(largest - smallest) and math.isfinite(self.log_partition)):
-            raise ParameterError(_OUT_OF_RANGE)
+            window = _energy_vector(interaction, LatticeVolume.chain(width + 1), last_site_only=True)
+        super().__init__(-start, -window.reshape(q, -1, q), self.steps, _OUT_OF_RANGE)
 
     def _check_work(self, size: int) -> None:
         """Raise EnumerationLimitError unless a pass that carries ``size``
@@ -369,7 +362,7 @@ class _BlockTransfer:
         along the transfer: each step shifts a block's row by the count
         stride of its newest spin.  O(L^num_values q^(w+1)) work.
         """
-        q, blocks = self.num_states, self.start.size
+        q, blocks = self.num_states, self.log_start.size
         length = self.width + self.steps
         size = (length + 1) ** (num_values - 1)
         self._check_work(size)
@@ -377,7 +370,7 @@ class _BlockTransfer:
         stride = np.concatenate(([0], radix_powers))[value_index]  # per spin state
         digits = np.arange(blocks)[:, None] // q ** np.arange(self.width - 1, -1, -1) % q
         vec = np.full((blocks, size), -math.inf)
-        vec[np.arange(blocks), stride[digits].sum(axis=1)] = -self.start
+        vec[np.arange(blocks), stride[digits].sum(axis=1)] = self.log_start
         newest = stride[np.arange(blocks) % q]  # the stride of block b's last spin
         shifts = [(shift, newest == shift) for shift in np.unique(newest[newest > 0])]
         with np.errstate(all="ignore"):
@@ -391,79 +384,6 @@ class _BlockTransfer:
         counts = reached[:, None] // radix_powers % (length + 1)
         counts = np.column_stack((length - counts.sum(axis=1), counts))
         return log_w[reached], counts
-
-    def relative_entropy(self, other: "_BlockTransfer", log_ratio: float) -> float:
-        """``R(mu || mu^other)`` for this transfer's measure mu, given
-        ``log_ratio = log Z^other - log Z`` and a transfer ``other`` of the
-        same block width: that less ``E(D)``, ``D = H - H^other``; or, where
-        D stays within 1 of its mean m on every path, ``log1p E(e^(D - m) - 1
-        - (D - m))``, which keeps its digits.  Raises ParameterError when D
-        leaves the float range."""
-        with np.errstate(all="ignore"):
-            start = self.start - other.start
-            window = self.window - other.window if self.steps else None
-        largest, smallest, _, mean = self._forward(start, window)
-        if not (math.isfinite(largest) and math.isfinite(smallest)):
-            raise ParameterError(_GAP_OUT_OF_RANGE)
-        if largest - mean <= 1.0 and mean - smallest <= 1.0:
-            tail = self._forward(start, window, centre=mean)[3]
-            if math.isfinite(tail):
-                return math.log1p(tail)
-        return log_ratio - mean
-
-    def _forward(
-        self, start: np.ndarray, window: np.ndarray | None, centre: float | None = None
-    ) -> tuple[float, float, float, float]:
-        """One forward pass of this transfer's measure, for the path sum G of
-        ``start``/``window``: the largest and the smallest G, by max-plus (NaN
-        where a sum meets ``inf - inf``); log Z, from the log-sum-exp
-        ``log_alpha``; and ``E(G)``, or, given ``centre``, ``E(e^y - 1 - y)``
-        with ``y = G - centre``.  The last rides on the conditional means,
-        per block, of y and of ``e^y - 1 - y``, which a step with increment d
-        maps to ``y + d`` and ``F e^d + y (e^d - 1) + (e^d - 1 - d)``.
-
-        A pass carries only what its caller reads, and returns NaN for the
-        rest: the extremes unless ``centre`` is given (the tail pass), and
-        the expectation unless ``start`` is this transfer's own (construction,
-        which reads the extremes and log Z)."""
-        extremes, expectation = centre is None, start is not self.start
-        heads = (self.num_states, -1, 1)  # a block's conditional mean, by predecessor
-        log_alpha, high, low = -self.start, start, start
-        with np.errstate(all="ignore"):
-            y = start if centre is None else start - centre
-            if centre is not None:
-                f = _exp_tail(y, np.expm1(y))
-            if centre is not None and self.steps:
-                em1 = np.expm1(window)
-                tail = _exp_tail(window, em1)
-            for _ in range(self.steps):
-                if extremes:
-                    high = _block_terms(high, window).max(axis=0).ravel()
-                    low = _block_terms(low, window).min(axis=0).ravel()
-                terms = _block_terms(log_alpha, self.exponents)
-                log_alpha = _logsumexp_columns(terms)
-                if expectation:
-                    law = np.exp(terms - log_alpha)  # of the predecessor, given the block
-                    if centre is not None:
-                        f = law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail)
-                        f = f.sum(axis=0).ravel()
-                    y = (law * _block_terms(y, window)).sum(axis=0).ravel()
-                log_alpha = log_alpha.ravel()
-            log_z = _logsumexp(log_alpha)
-            value = math.nan
-            if expectation:
-                last = np.exp(log_alpha - log_z)
-                value = float(last @ (y if centre is None else f))
-        largest, smallest = (float(high.max()), float(low.min())) if extremes else (math.nan,) * 2
-        return largest, smallest, log_z, value
-
-
-def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """``vec[p q^(w-1) + m, ...] + exponents[p, m, x]`` at ``[p, m, x, ...]``:
-    for each block ``m q + x`` of the next step, its q predecessors down axis
-    0.  Trailing axes of ``vec`` ride along."""
-    head = vec.reshape(exponents.shape[:2] + (1,) + vec.shape[1:])
-    return head + exponents.reshape(exponents.shape + (1,) * (vec.ndim - 1))
 
 
 def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
@@ -534,13 +454,13 @@ class GibbsMeasure(_Measure):
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume):
         super().__init__(interaction, volume, _BlockTransfer(interaction, volume, volume.num_sites))
-        weights = np.exp(-self.energies - self.log_partition)
+        weights = np.exp(self._transfer.log_start - self.log_partition)
         weights /= weights.sum()
         object.__setattr__(self, "weights", weights)
 
     @property
     def energies(self) -> np.ndarray:
-        return self._transfer.start
+        return -self._transfer.log_start
 
     def distribution(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.weights, renormalize=True)
@@ -603,12 +523,12 @@ def gibbs_relative_entropy(psi_measure: _Measure, phi_measure: _Measure) -> floa
     ``D = H^Psi - H^Phi``.
 
     The identity subtracts O(1) log partition functions, so a relative
-    entropy near rounding level comes back as noise.  Where D, centred under
-    Psi, stays within [-1, 1], R is taken as ``log E_Psi e^D - E_Psi D`` in
-    ``log1p``/``expm1`` form instead, which keeps its digits.  The
-    expectations come from forward passes of the two block transfers at a
-    shared width, the wider of the two (:meth:`_BlockTransfer.relative_entropy`),
-    so any two measures on one volume pair up.
+    entropy near rounding level comes back as noise.  R is the centred CGF
+    of D under Psi at 1, :meth:`~infoscale.divergences._PathTransfer.cgf` of
+    Psi's block transfer: where D, centred under Psi, stays within [-1, 1],
+    it is taken as ``log E_Psi e^D - E_Psi D`` in ``log1p``/``expm1`` form
+    instead, which keeps its digits.  The two transfers share a width, the
+    wider of the two, so any two measures on one volume pair up.
     """
     _check_compatible(psi_measure, phi_measure)
     width = max(psi_measure._transfer.width, phi_measure._transfer.width)
@@ -617,8 +537,10 @@ def gibbs_relative_entropy(psi_measure: _Measure, phi_measure: _Measure) -> floa
         else _BlockTransfer(m.interaction, m.volume, width)
         for m in (psi_measure, phi_measure)
     )
+    with np.errstate(all="ignore"):  # D from the log weights, -H
+        start, window = phi_t.log_start - psi_t.log_start, phi_t.exponents - psi_t.exponents
     log_ratio = phi_measure.log_partition - psi_measure.log_partition
-    return max(psi_t.relative_entropy(phi_t, log_ratio), 0.0)
+    return max(psi_t.cgf(start, window, log_ratio, "the Hamiltonian difference H^Phi - H^Psi"), 0.0)
 
 
 def finite_volume_xi(psi_measure: _Measure, phi_measure: _Measure, g_values) -> GoalBound:

@@ -105,11 +105,14 @@ def load_observable(path) -> Observable:
 
 
 def load_chain(path) -> TransitionMatrix:
-    """Read ``{"rows": [[...], ...], "labels": [...]}`` (labels optional)."""
+    """Read ``{"rows": [[...], ...], "labels": [...]}``, labels (strings or numbers) optional."""
     from .markov import TransitionMatrix
 
     data = _load_json(path)
     _reject_unknown(data, ("rows", "labels"), str(path))
+    labels = data.get("labels", [])
+    if not (isinstance(labels, list) and all(type(x) in (str, int, float) for x in labels)):
+        raise ParameterError(f"{path}: field 'labels' must be a list of strings or numbers")
     return _numbers(path, "rows", TransitionMatrix, data, labels=data.get("labels"))
 
 

@@ -20,8 +20,10 @@ reuses it for the two surrogate rates.
 The finite-horizon path divergences and CGF are sums over paths of products
 along the path, so they are transfer products in O(N |S|^2) work: additive
 sums of row terms for the KL and Hellinger, and for the Renyi sums and the
-tilted CGF the log-domain transfer product ``divergences._log_transfer``,
-shared with the 1-D Gibbs partition sums.  No path law is ever built.
+centred CGF the path-measure transfer ``divergences._PathTransfer`` with
+one-state blocks, shared with the Gibbs measures: the Renyi sums are log
+partitions of its tilted transfer, and the CGF its centred-CGF method.  No
+path law is ever built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .divergences import (
     DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
-    _kl_terms, _log_transfer, _near_kl, _positive_int, _require_mutual_ac,
+    _kl_terms, _near_kl, _PathTransfer, _positive_int, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -508,9 +510,8 @@ def path_divergence_report(
     kl = math.fsum(kl_terms)
 
     def log_renyi_sum(order: float) -> float:
-        return _log_transfer(
-            _renyi_exponents(start_q, start_p, order), _renyi_exponents(q.rows, p.rows, order), n
-        )
+        exponents = _renyi_exponents(q.rows, p.rows, order)[:, None, :]  # one-state blocks
+        return _PathTransfer(_renyi_exponents(start_q, start_p, order), exponents, n).log_partition
 
     log_two = log_renyi_sum(2.0)
     if near_kl:
@@ -532,20 +533,21 @@ def path_cgf(
     *,
     nu_p: DiscreteDistribution | None = None,
 ) -> float:
-    """Centered finite-horizon CGF ``log E[e^{c sum_{k=1}^N g(X_k)}] - c N E(f_N)``.
+    """Centered finite-horizon CGF ``log E[e^{c S_N}] - c E(S_N)`` of the
+    additive functional ``S_N = sum_{k=1}^N g(X_k)``, under the initial law
+    (stationary by default).
 
-    The log moment generating function is the log-domain transfer product
-    (``divergences._log_transfer``) of the tilt ``log p(x,y) + c g(y)``, so any c is
-    safe; the centering uses the exact finite-horizon mean of the additive
-    functional under the initial law (stationary by default).
+    It is the centred CGF (``divergences._PathTransfer.cgf``) of the path sum
+    ``c S_N`` under the chain's path transfer: in its ``log1p`` tail form
+    wherever ``c S_N`` stays within 1 of its mean on every path, which keeps
+    the digits of a small c, and otherwise the difference of the log
+    partitions of the tilt ``log p(x,y) + c g(y)`` and of the chain, so any
+    c is safe.  Exactly 0 at c = 0 and for a constant g.  The tilt is of g
+    less its midrange, so an offset of g stays out of the rounding of c g.
     """
     _check_observable(p, g)
     n = _positive_int(n_steps, "n_steps")
-    nu = _initial_law(p, nu_p)
     with np.errstate(divide="ignore"):
-        log_mgf = _log_transfer(np.log(nu), np.log(p.rows) + c * g.values, n)
-    marginal, mean_sum = nu, 0.0
-    for _ in range(n):
-        marginal = marginal @ p.rows
-        mean_sum += float(marginal @ g.values)
-    return log_mgf - c * mean_sum
+        transfer = _PathTransfer(np.log(_initial_law(p, nu_p)), np.log(p.rows)[:, None, :], n)
+    tilt = c * (g.values - (g.values.max() / 2 + g.values.min() / 2))
+    return transfer.cgf(np.zeros(p.size), np.tile(tilt, (p.size, 1, 1)))

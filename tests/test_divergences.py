@@ -17,11 +17,12 @@ from infoscale import (
     chi_squared,
     divergence_report,
     hellinger,
+    iid_scaled_divergences,
     relative_entropy,
     renyi_divergence,
     total_variation,
 )
-from infoscale.divergences import _log_transfer, _logsumexp, _require_mutual_ac
+from infoscale.divergences import _logsumexp, _PathTransfer, _require_mutual_ac
 
 
 class TestConstruction:
@@ -182,6 +183,15 @@ class TestRenyi:
         with pytest.raises(ParameterError):
             renyi_divergence(q, q, 1.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_non_finite_orders_rejected(self, alpha):
+        # An infinite order used to give NaN, with a RuntimeWarning.
+        p, q = DiscreteDistribution([0.25, 0.75]), DiscreteDistribution([0.5, 0.5])
+        with pytest.raises(ParameterError, match="Renyi order must be positive and finite"):
+            renyi_divergence(q, p, alpha)
+        with pytest.raises(ParameterError, match="Renyi order must be positive and finite"):
+            iid_scaled_divergences(p, q, 3, alpha=alpha)
+
 
 class TestLogSumExp:
     def test_weighted_matches_mpmath(self, rng):
@@ -205,6 +215,11 @@ class TestLogSumExp:
         assert _logsumexp(x, np.array([0.0, 1.0, 0.0])) == 0.0
         assert _logsumexp(x, np.zeros(3)) == -math.inf
         assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def _log_partition(log_start, exponents, n_steps):
+    """The log partition of the path transfer with one-state blocks."""
+    return _PathTransfer(log_start, exponents[:, None, :], n_steps).log_partition
 
 
 def _enumerated_log_transfer(log_start, exponents, n_steps):
@@ -250,7 +265,7 @@ class TestLogTransfer:
     def test_matches_path_enumeration(self, log_start, exponents, n_steps):
         log_start, exponents = np.array(log_start), np.array(exponents)
         want = _enumerated_log_transfer(log_start, exponents, n_steps)
-        got = _log_transfer(log_start, exponents, n_steps)
+        got = _log_partition(log_start, exponents, n_steps)
         assert got == (-math.inf if want == -math.inf else pytest.approx(want, rel=1e-14, abs=1e-14))
 
     def test_random_chains_match_path_enumeration(self, rng):
@@ -260,7 +275,7 @@ class TestLogTransfer:
             exponents[rng.random((n, n)) < 0.2] = -math.inf
             log_start = rng.normal(size=n)
             want = _enumerated_log_transfer(log_start, exponents, steps)
-            got = _log_transfer(log_start, exponents, steps)
+            got = _log_partition(log_start, exponents, steps)
             assert got == (-math.inf if want == -math.inf else pytest.approx(want, rel=1e-13))
 
 

@@ -35,6 +35,7 @@ from infoscale.gibbs import (
     interaction_difference,
     spin_observable,
     _logsumexp,
+    gibbs_measure,
 )
 
 
@@ -349,6 +350,36 @@ class TestGibbsRelativeEntropy:
             ) / z_psi
         assert got == pytest.approx(float(want), rel=1e-6, abs=0.0)
 
+    def test_offset_spin_states_against_mpmath(self):
+        # Spins 100 and 101 on a 10-site chain: each step of D = H^Psi -
+        # H^Phi is about 0.1 with a spread of 1e-3, so a tail pass about the
+        # raw D started at -0.9 and summed terms of order 1 for R of about
+        # 1e-6 (1.1e-10 relative off).  The float energies carry about 2e-12.
+        spins = (100.0, 101.0)
+
+        def chain(h):
+            clusters = (spin_product_cluster(((0,), (1,)), 1e-3), spin_product_cluster(((0,),), h))
+            return Interaction(1, clusters, spins)
+
+        vol = LatticeVolume.chain(10)
+        m_psi, m_phi = gibbs_measure(chain(0.021), vol), gibbs_measure(chain(0.02), vol)
+        assert m_psi._transfer.steps == 9
+        with mpmath.workdps(50):
+            configs = [[mpmath.mpf(x) for x in s] for s in itertools.product(spins, repeat=10)]
+
+            def energies(h):
+                return [mpmath.mpf(1e-3) * mpmath.fsum(a * b for a, b in zip(s, s[1:]))
+                        + mpmath.mpf(h) * mpmath.fsum(s) for s in configs]
+
+            h_psi, h_phi = energies(0.021), energies(0.02)
+            low = min(h_psi)
+            w_psi = [mpmath.exp(low - h) for h in h_psi]
+            d = [a - b for a, b in zip(h_psi, h_phi)]
+            mean = mpmath.fsum(w * x for w, x in zip(w_psi, d)) / mpmath.fsum(w_psi)
+            want = mpmath.log(mpmath.fsum(w * mpmath.exp(x - mean) for w, x in zip(w_psi, d))
+                              / mpmath.fsum(w_psi))
+        assert gibbs_relative_entropy(m_psi, m_phi) == pytest.approx(float(want), rel=2e-11, abs=0.0)
+
     def test_volume_mismatch(self):
         phi = ising_interaction(0.5, 1.0, 0.0, 1)
         a = GibbsMeasure(phi, LatticeVolume.chain(4))
@@ -602,8 +633,8 @@ class TestSymmetryAndOrdering:
 
     def test_state_indices_are_built_on_first_access(self):
         # No state-index array is built at all: a measure holds its weights
-        # and its one-block transfer, whose start is the energies in
-        # itertools.product order, and the CGF memo.
+        # and its one-block transfer, whose log weights are the negated
+        # energies in itertools.product order, and the CGF memo.
         spins = (-1.0, 0.5, 2.0)
         interaction = Interaction(
             dimension=1, clusters=(spin_product_cluster(((0,), (1,)), -0.4),), spin_states=spins
@@ -612,8 +643,8 @@ class TestSymmetryAndOrdering:
         assert set(vars(m)) == {
             "interaction", "volume", "log_partition", "weights", "_transfer", "_site_total_cgfs",
         }
-        assert m._transfer.steps == 0 and m._transfer.window is None
-        assert m.energies is m._transfer.start
+        assert m._transfer.steps == 0 and m._transfer.exponents.size == 0
+        np.testing.assert_array_equal(m.energies, -m._transfer.log_start)
         configs = itertools.product(spins, repeat=4)
         energies = [hamiltonian(interaction, m.volume, config) for config in configs]
         np.testing.assert_array_equal(m.energies, energies)

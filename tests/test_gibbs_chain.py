@@ -314,26 +314,28 @@ class TestCli:
         # transfers (one per measure, and Phi's again at Psi's wider block),
         # where computing R inside finite_volume_xi too took two and four.
         # Each transfer makes one forward pass, for its range check and log
-        # Z, and R one more, for the range and the mean of D; D spreads
-        # more than 1 from its mean, so R takes no tail pass.  The bound is
-        # finite_volume_xi's, to the last bit.
-        from infoscale import gibbs
+        # Z, and R, the shared transfer's centred CGF of D, one more, for
+        # the range and the mean of D; D spreads more than 1 from its mean,
+        # so R takes no tail pass.  The bound is finite_volume_xi's, to the
+        # last bit.
+        from infoscale import divergences, gibbs
         from infoscale.cli import main
 
-        calls = {"__init__": 0, "relative_entropy": 0, "_forward": 0}
-        transfer = gibbs._BlockTransfer
-        for name in calls:
-            method = getattr(transfer, name)
+        calls = {"__init__": 0, "cgf": 0, "_forward": 0}
+        owners = {"__init__": gibbs._BlockTransfer, "cgf": divergences._PathTransfer,
+                  "_forward": divergences._PathTransfer}
+        for name, owner in owners.items():
+            method = getattr(owner, name)
 
             def counted(self, *args, _name=name, _method=method, **kwargs):
                 calls[_name] += 1
                 return _method(self, *args, **kwargs)
 
-            monkeypatch.setattr(transfer, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         pair = ([([[0], [1]], -0.4), ([[0]], -0.05)], _NNN_PAIR[1])
         assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "8"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert calls == {"__init__": 3, "relative_entropy": 1, "_forward": 4}
+        assert calls == {"__init__": 3, "cgf": 1, "_forward": 4}
         phi, psi = (Interaction(dimension=1, clusters=tuple(
             spin_product_cluster(offsets, coeff) for offsets, coeff in clusters
         )) for clusters in pair)

@@ -66,6 +66,20 @@ class TestTransitionMatrix:
         with pytest.raises(DimensionError, match=f"^{re.escape(str(path))}: label count"):
             load_chain(path)
 
+    @pytest.mark.parametrize("labels", [
+        "ab", {"a": 1, "b": 2}, ["a", None], [True, "b"], [["a"], "b"], None,
+    ], ids=["string", "object", "null", "boolean", "nested-list", "null-field"])
+    def test_labels_must_be_a_list_of_strings_or_numbers(self, tmp_path, labels):
+        # Each used to load: a string as its characters, an object as its
+        # keys, null, booleans and lists as their text, and a null field as
+        # no labels.
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"rows": [[0.5, 0.5], [0.5, 0.5]], "labels": labels}))
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: field 'labels'"):
+            load_chain(path)
+        path.write_text(json.dumps({"rows": [[0.5, 0.5], [0.5, 0.5]], "labels": [1, "b"]}))
+        assert load_chain(path).labels == ("1", "b")
+
 
 class TestStationary:
     def test_doubly_stochastic_gives_uniform(self):
@@ -489,6 +503,16 @@ class TestRates:
         assert gaps[-1] < 2e-2
         assert gaps[0] >= gaps[-1] - 1e-12
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_orders_rejected(self, rng, alpha):
+        # An infinite order used to fail as "Perron root requires finite
+        # entries" in the rate, and to reach the path transfer in the report.
+        p, q = random_chain(rng, 3), random_chain(rng, 3)
+        with pytest.raises(ParameterError, match="Renyi order must be positive and finite"):
+            renyi_rate(q, p, alpha)
+        with pytest.raises(ParameterError, match="Renyi order must be positive and finite"):
+            path_divergence_report(p, q, 4, alpha=alpha)
+
     def test_chi2_rate_is_renyi_two(self, rng):
         p = random_chain(rng, 3)
         q = random_chain(rng, 3)
@@ -878,6 +902,64 @@ class TestPathEnumeration:
             value = path_cgf(p, g, 6, -c)
             assert math.isfinite(value)
             assert value == pytest.approx(path_cgf(p, minus_g, 6, c), rel=1e-12)
+
+    @staticmethod
+    def _mp_path_cgf(nu, rows, g, n_steps, tilts):
+        """60-digit ``log E e^{c (S_N - E S_N)}``, ``S_N = sum_{k=1}^N
+        g(X_k)``, at each c of ``tilts``, path by path, with nu and every
+        row of P normalized in 60 digits."""
+        with mpmath.workdps(60):
+            nu = [mpmath.mpf(float(x)) for x in nu]
+            nu = [x / mpmath.fsum(nu) for x in nu]
+            rows = [[mpmath.mpf(float(x)) for x in row] for row in rows]
+            rows = [[x / mpmath.fsum(row) for x in row] for row in rows]
+            probs, sums = [], []
+            for path in itertools.product(range(len(nu)), repeat=n_steps + 1):
+                prob = nu[path[0]]
+                for a, b in zip(path, path[1:]):
+                    prob *= rows[a][b]
+                probs.append(prob)
+                sums.append(mpmath.fsum(mpmath.mpf(float(g[x])) for x in path[1:]))
+            mean = mpmath.fsum(a * b for a, b in zip(probs, sums))
+            return [float(mpmath.log(mpmath.fsum(
+                a * mpmath.exp(mpmath.mpf(c) * (b - mean)) for a, b in zip(probs, sums)
+            ))) for c in tilts]
+
+    def test_path_cgf_matches_a_60_digit_path_enumeration(self, rng):
+        # Small tilts take the log1p tail form, which keeps the digits that
+        # log E e^{c S_N} - c E S_N, two numbers of size |c| N |E g|, lost
+        # (3.9e-2 relative at c = 1e-6); large ones the difference of log
+        # partitions.  Some chains have zero entries, and some initial laws
+        # a zero, so a state can be unreachable at a step.  Every third g
+        # sits at an offset of 100 next to a spread of about 1, where the
+        # tail pass must not sum terms of size |c| N 100 that cancel.
+        tilts = (1e-2, -1e-2, 1e-4, -1e-4, 1e-6, 0.3, 0.5, -2.0, 40.0)
+        for draw in range(20):
+            n = int(rng.integers(2, 5))
+            rows = rng.random((n, n))
+            if draw % 2:  # zero entries off a ring, which keeps p irreducible
+                ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+                rows[(rng.random((n, n)) < 0.3) & ~ring] = 0.0
+            p = TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
+            nu = None
+            if draw % 4 == 3:
+                weights = rng.random(n)
+                weights[0] = 0.0
+                nu = DiscreteDistribution(weights / weights.sum())
+            g = Observable(rng.normal(size=n) + (100.0 if draw % 3 == 0 else 0.0))
+            law = (nu or stationary_distribution(p)).weights
+            for n_steps in (1, 3):
+                want = self._mp_path_cgf(law, p.rows, g.values, n_steps, tilts)
+                for c, value in zip(tilts, want):
+                    got = path_cgf(p, g, n_steps, c, nu_p=nu)
+                    assert got == pytest.approx(value, rel=1e-12, abs=0.0), (draw, n_steps, c)
+
+    def test_path_cgf_is_exactly_zero_at_c_zero_and_for_a_constant_g(self, rng):
+        for _ in range(5):
+            p = random_chain(rng, 3)
+            g = Observable(rng.normal(size=3))
+            assert path_cgf(p, g, 4, 0.0) == 0.0
+            assert path_cgf(p, Observable([0.7, 0.7, 0.7]), 4, 2.5) == 0.0
 
     def test_finite_horizon_xi_converges_to_rate(self, rng):
         # Per-site goal-oriented bounds from exact path quantities approach

@@ -702,6 +702,26 @@ class TestCli:
         assert len(err) == 1, run.stderr
         assert err[0].startswith(f"infoscale: error: {message}")
 
+    @pytest.mark.parametrize("command", [
+        ["divergence", "--p", "p.json", "--q", "q.json"],
+        ["markov", "--p", "chainp.json", "--q", "chainq.json", "--observable", "g.json",
+         "--enumerate", "3"],
+    ], ids=["divergence", "markov"])
+    def test_infinite_renyi_order_is_one_error_line(self, fixtures, command):
+        # divergence used to exit 0 with "renyi": NaN and a RuntimeWarning;
+        # markov failed as "Perron root requires finite entries".
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "infoscale.cli",
+             *[fixtures.get(a, a) for a in command], "--alpha", "inf"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.splitlines() == [
+            "infoscale: error: Renyi order must be positive and finite, got inf"
+        ]
+
     def test_oversized_grid_is_error_exit(self, fixtures, capsys, monkeypatch):
         # Fail, rather than allocate ~1e299 floats, if the cap is ever lost.
         monkeypatch.setattr(SweepConfig, "grid", lambda self: pytest.fail("grid built"))
