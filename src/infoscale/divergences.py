@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -241,18 +242,16 @@ class _PathTransfer:
     is a block of r spins, r the interaction's range, and any other volume
     one block of all its sites with no steps.
 
-    Construction keeps ``log_partition``, log Z, from one forward pass;
-    given ``out_of_range``, that pass also takes the largest and the
-    smallest log weight, and ParameterError(``out_of_range``) is raised
-    where their spread or log Z leaves the float range.
+    Construction runs no pass: ``log_partition``, log Z, is one forward
+    pass on first read.
     """
 
-    def __init__(self, log_start, exponents, steps: int, out_of_range: str | None = None):
+    def __init__(self, log_start, exponents, steps: int):
         self.log_start, self.exponents, self.steps = log_start, exponents, steps
-        largest, smallest, self.log_partition, _ = self._forward(extremes=out_of_range is not None)
-        finite = math.isfinite(largest - smallest) and math.isfinite(self.log_partition)
-        if out_of_range and not finite:
-            raise ParameterError(out_of_range)
+
+    @cached_property
+    def log_partition(self) -> float:
+        return self._forward()[2]
 
     def cgf(self, start, window, log_ratio: float | None = None, name="the path sum") -> float:
         """``log E e^G - E G`` under this measure, for the path sum G of
@@ -263,7 +262,7 @@ class _PathTransfer:
         elsewhere ``log_ratio - m``, with ``log_ratio`` the log Z of the
         measure tilted by e^G less this one's (computed when not given).
         ParameterError names G (``name``) where it leaves the float range."""
-        largest, smallest, _, mean = self._forward(start, window, extremes=True)
+        largest, smallest, log_z, mean = self._forward(start, window, extremes=True)
         if not (math.isfinite(largest) and math.isfinite(smallest)):
             raise ParameterError(f"{name} leaves the float range")
         if largest == smallest:
@@ -276,7 +275,7 @@ class _PathTransfer:
                 return math.log1p(tail)
         if log_ratio is None:
             tilted = _PathTransfer(self.log_start + start, self.exponents + window, self.steps)
-            log_ratio = tilted.log_partition - self.log_partition
+            log_ratio = tilted.log_partition - log_z
         return log_ratio - mean
 
     def _forward(
@@ -290,12 +289,18 @@ class _PathTransfer:
         ``E(e^y - 1 - y)`` with ``y = G - centre``.  The last rides on the
         conditional means, per block, of y and of ``e^y - 1 - y``, which a
         step with increment d maps to ``y + d`` and ``F e^d + y (e^d - 1) +
-        (e^d - 1 - d)``; a block no path reaches has law 0.  What a pass
-        does not carry comes back NaN."""
+        (e^d - 1 - d)``; a block no path reaches has law 0.  Each step
+        lowers its exponents by the largest finite running log weight, so
+        those stay O(1) and the predecessor laws are differences of O(1)
+        numbers, not of O(t) ones; log Z is the ``math.fsum`` of the shifts
+        and the last log-sum-exp.  E(G) is kept the same way: each step
+        shifts the conditional means of G by their largest value, and the
+        shifts are summed back at the end.  What a pass does not carry comes
+        back NaN."""
         expectation = start is not None
         start, window = (start, window) if expectation else (self.log_start, self.exponents)
         heads = self.exponents.shape[:2] + (1,)  # a block's conditional mean, by predecessor
-        log_alpha, high, low = self.log_start, start, start
+        log_alpha, high, low, shifts, offsets = self.log_start, start, start, [], []
         with np.errstate(all="ignore"):
             y = start if centre is None else start - centre
             if centre is not None:
@@ -305,7 +310,8 @@ class _PathTransfer:
                 if extremes:
                     high = _block_terms(high, window).max(axis=0).ravel()
                     low = _block_terms(low, window).min(axis=0).ravel()
-                terms = _block_terms(log_alpha, self.exponents)
+                shifts.append(_peak(log_alpha))
+                terms = _block_terms(log_alpha, self.exponents - shifts[-1])
                 log_alpha = _logsumexp_columns(terms)
                 if expectation:
                     # of the predecessor, given the block; 0 where no path reaches it
@@ -314,14 +320,26 @@ class _PathTransfer:
                         f = law * (f.reshape(heads) * (1.0 + em1) + y.reshape(heads) * em1 + tail)
                         f = f.sum(axis=0).ravel()
                     y = (law * _block_terms(y, window)).sum(axis=0).ravel()
+                    if centre is None:  # y is only read at the end: keep it O(1)
+                        offsets.append(_peak(y))
+                        y = y - offsets[-1]
                 log_alpha = log_alpha.ravel()
-            log_z = _logsumexp(log_alpha)
+            log_last = _logsumexp(log_alpha)
+            log_z = math.fsum(shifts + [log_last])
             value = math.nan
             if expectation:
-                last = np.exp(log_alpha - log_z)
-                value = float(last @ (y if centre is None else f))
+                last = np.exp(log_alpha - log_last)
+                value = math.fsum(offsets + [float(last @ (y if centre is None else f))])
         largest, smallest = (float(high.max()), float(low.min())) if extremes else (math.nan,) * 2
         return largest, smallest, log_z, value
+
+
+def _peak(log_weights: np.ndarray) -> float:
+    """The largest entry of ``log_weights``, or 0 where that is not finite:
+    the shift that keeps a transfer's running log weights, or conditional
+    means, O(1)."""
+    top = float(log_weights.max())
+    return top if math.isfinite(top) else 0.0
 
 
 def _block_terms(vec: np.ndarray, exponents: np.ndarray) -> np.ndarray:

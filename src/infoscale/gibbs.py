@@ -21,22 +21,27 @@ cluster template: the spin on one site over every configuration is a tiled
 column, and each cluster instance multiplies the columns of its sites.  The
 transfer's work is capped (``EnumerationLimitError``) at 2e6 terms per step
 and 5e8 in all.  The shared transfer's one forward recursion carries a path
-sum's extremes, log Z and an expectation in one pass: construction takes
-one, which gives the range check and :func:`log_partition` together, and
-the relative entropy of any two measures on one volume, the transfer's
-centred CGF at 1, one (two for its tail form) at the wider block width of
-the pair.
+sum's extremes, log Z and an expectation in one pass: making a measure, or
+calling :func:`log_partition`, takes one, which gives the range check and
+log Z together (a bare transfer takes none); the relative entropy of any
+two measures on one volume, the transfer's centred CGF at 1, one (two for
+its tail form) at the wider block width of the pair; and the mean of a site
+total ``sum_x g(s_x)``, one.  :meth:`_BlockTransfer.site_sums` lays out any
+such site total as a path sum: each first block's site sum, and g of the
+spin each step appends.
 
 :func:`gibbs_measure` picks a :class:`ChainGibbsMeasure` for a chain: it
 adds a count axis to the transfer for the law of the site total
 ``sum_x g(s_x)`` (N + 1 atoms for a two-valued g), quadratic in L, which
 reaches the cap first, and builds no per-configuration array.  Every other
 volume gets a :class:`GibbsMeasure`, the one-block case, which keeps the
-per-configuration weights; its site totals, summed column by column, are the
+per-configuration weights; its site totals, from the same layout, are the
 oracle of the count law.  Each measure keeps one memo of the site-total CGF
 per g, which both bounds read; that CGF runs over the distinct totals only,
-not over the q^N configurations.  Every partition sum shifts by the largest
-exponent, as ``divergences._logsumexp`` does.
+not over the q^N configurations.  Only Phi's is built: the bounds need no
+law of Psi, and a mean needs no law at all.  Every partition sum shifts by
+the largest exponent, as ``divergences._logsumexp`` does, and a transfer's
+running log weights are shifted to O(1) at every step.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .divergences import (
     _logsumexp,
     _logsumexp_columns,
     _PathTransfer,
+    _peak,
 )
 from .errors import (
     DimensionError,
@@ -314,12 +320,10 @@ class _BlockTransfer(_PathTransfer):
     step appends; there are ``N - w`` steps, and without steps the
     exponents are empty.  Only these log weights are kept.
 
-    Construction keeps ``log_partition``, log Z, from the one forward pass
-    that also checks the range.  It raises EnumerationLimitError, before it
+    Construction runs no pass.  It raises EnumerationLimitError, before it
     builds anything, when the transfer passes the caps of
-    :meth:`_check_work`, and ParameterError when an energy, the spread
-    between the largest and the smallest path sum, or log Z leaves the float
-    range.
+    :meth:`_check_work`, and ParameterError when an energy leaves the float
+    range; :meth:`checked_log_partition` checks the path sums.
     """
 
     def __init__(self, interaction: Interaction, volume: LatticeVolume, width: int = 1):
@@ -339,7 +343,16 @@ class _BlockTransfer(_PathTransfer):
         start, window = _energy_vector(interaction, block), np.zeros(0)
         if self.steps:
             window = _energy_vector(interaction, LatticeVolume.chain(width + 1), last_site_only=True)
-        super().__init__(-start, -window.reshape(q, -1, q), self.steps, _OUT_OF_RANGE)
+        super().__init__(-start, -window.reshape(q, -1, q), self.steps)
+
+    def checked_log_partition(self) -> float:
+        """log Z from one forward pass that also takes the largest and the
+        smallest path sum: ParameterError where their spread or log Z leaves
+        the float range."""
+        largest, smallest, log_z, _ = self._forward(extremes=True)
+        if not (math.isfinite(largest - smallest) and math.isfinite(log_z)):
+            raise ParameterError(_OUT_OF_RANGE)
+        return log_z
 
     def _check_work(self, size: int) -> None:
         """Raise EnumerationLimitError unless a pass that carries ``size``
@@ -353,32 +366,44 @@ class _BlockTransfer(_PathTransfer):
                 f"{_ENUMERATION_CAP} per step and {_TRANSFER_WORK_CAP} in all"
             )
 
+    def site_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The site sum ``sum_x values[s_x]`` laid out as a path sum, in the
+        shape of ``log_start``/``exponents``: per first block, the sum over its
+        sites, taken site by site (so a constant has a constant sum), and per
+        step, ``values`` of the spin it appends."""
+        first = np.zeros(self.log_start.size, dtype=values.dtype)
+        for site in range(self.width):
+            first += _enumerated_column(values, self.width, site)
+        return first, np.broadcast_to(values, self.exponents.shape)
+
     def count_law(self, value_index: np.ndarray, num_values: int) -> tuple[np.ndarray, np.ndarray]:
         """The law of the count vector ``n_j = #{x : value_index[s_x] = j}``:
-        the unnormalized log weights of the reachable count vectors, and those
-        vectors (one row each, ``num_values`` columns).
+        the log weights, up to one constant, of the reachable count vectors,
+        and those vectors (one row each, ``num_values`` columns).
 
         A count axis, over n_1 .. n_(num_values - 1) in radix L + 1, rides
-        along the transfer: each step shifts a block's row by the count
-        stride of its newest spin.  O(L^num_values q^(w+1)) work.
+        along the transfer: a first block starts at the count index of its
+        spins, and each step shifts a block's row by the count stride of the
+        spin it appends.  Each step lowers its exponents by the largest
+        finite log weight, as the forward pass does.  O(L^num_values
+        q^(w+1)) work.
         """
-        q, blocks = self.num_states, self.log_start.size
         length = self.width + self.steps
         size = (length + 1) ** (num_values - 1)
         self._check_work(size)
         radix_powers = (length + 1) ** np.arange(num_values - 1)
         stride = np.concatenate(([0], radix_powers))[value_index]  # per spin state
-        digits = np.arange(blocks)[:, None] // q ** np.arange(self.width - 1, -1, -1) % q
-        vec = np.full((blocks, size), -math.inf)
-        vec[np.arange(blocks), stride[digits].sum(axis=1)] = self.log_start
-        newest = stride[np.arange(blocks) % q]  # the stride of block b's last spin
-        shifts = [(shift, newest == shift) for shift in np.unique(newest[newest > 0])]
+        vec = np.full((self.log_start.size, size), -math.inf)
+        vec[np.arange(vec.shape[0]), self.site_sums(stride)[0]] = self.log_start
         with np.errstate(all="ignore"):
             for _ in range(self.steps):
-                vec = _logsumexp_columns(_block_terms(vec, self.exponents)).reshape(vec.shape)
-                for shift, rows in shifts:
-                    vec[rows, shift:] = vec[rows, :-shift]
-                    vec[rows, :shift] = -math.inf
+                # axis 1 is the spin x that block m q + x appends
+                vec = _logsumexp_columns(_block_terms(vec, self.exponents - _peak(vec)))
+                for spin, shift in enumerate(stride):
+                    if shift:
+                        vec[:, spin, shift:] = vec[:, spin, :-shift]
+                        vec[:, spin, :shift] = -math.inf
+                vec = vec.reshape(-1, size)
             log_w = _logsumexp_columns(vec)  # summed over the last block
         reached = np.flatnonzero(np.isfinite(log_w))
         counts = reached[:, None] // radix_powers % (length + 1)
@@ -391,13 +416,14 @@ def log_partition(interaction: Interaction, volume: LatticeVolume) -> float:
     of :class:`_BlockTransfer`: at any length on a contiguous 1-D chain, for
     any finite-range interaction, and up to the enumeration cap on any other
     volume."""
-    return _BlockTransfer(interaction, volume).log_partition
+    return _BlockTransfer(interaction, volume).checked_log_partition()
 
 
 @dataclass(frozen=True, eq=False)
 class _Measure:
     """What both measures share: the interaction, the volume, the block
-    transfer and its ``log_partition``, and one site-total CGF per g."""
+    transfer and its range-checked ``log_partition``, one site-total CGF per
+    g, and the site-total mean of any g."""
 
     interaction: Interaction
     volume: LatticeVolume
@@ -407,7 +433,7 @@ class _Measure:
         for name, value in (
             ("interaction", interaction),
             ("volume", volume),
-            ("log_partition", transfer.log_partition),
+            ("log_partition", transfer.checked_log_partition()),
             ("_transfer", transfer),
             ("_site_total_cgfs", {}),
         ):
@@ -424,9 +450,7 @@ class _Measure:
         merges equal totals, so no atom whose weight underflowed leaves the
         support that sets the bound at large c; raising weights only raises K
         (up to a 1e-300 mean shift)."""
-        g_values = np.asarray(g_values, dtype=float)
-        if g_values.size != self.interaction.num_states:
-            raise DimensionError("g must assign one value per spin state")
+        g_values = self._g_values(g_values)
         key = g_values.tobytes()
         cgf = self._site_total_cgfs.get(key)
         if cgf is None:
@@ -435,6 +459,17 @@ class _Measure:
             cgf = EmpiricalCgf(DiscreteDistribution(weights), Observable(totals))
             self._site_total_cgfs[key] = cgf
         return cgf
+
+    def site_total_mean(self, g_values) -> float:
+        """``E sum_x g(s_x)`` for a single-site g: one expectation pass of the
+        block transfer, with no site-total law built."""
+        return self._transfer._forward(*self._transfer.site_sums(self._g_values(g_values)))[3]
+
+    def _g_values(self, g_values) -> np.ndarray:
+        g_values = np.asarray(g_values, dtype=float)
+        if g_values.size != self.interaction.num_states:
+            raise DimensionError("g must assign one value per spin state")
+        return g_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,12 +501,8 @@ class GibbsMeasure(_Measure):
         return DiscreteDistribution(self.weights, renormalize=True)
 
     def _site_total_law(self, g_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The weight and the site total, summed site by site (so a constant
-        g has a constant total), of every configuration."""
-        totals = np.zeros(self.weights.size)
-        for site in range(self.num_sites):
-            totals += _enumerated_column(g_values, self.num_sites, site)
-        return self.weights, totals
+        """The weight and the site total of every configuration."""
+        return self.weights, self._transfer.site_sums(g_values)[0]
 
     def site_total(self, g_values) -> np.ndarray:
         """Read-only ``sum_x g(s_x)`` per configuration, from :meth:`site_total_cgf`."""

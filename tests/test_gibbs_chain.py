@@ -258,8 +258,10 @@ class TestCli:
     def test_chain_job_enumerates_nothing(self, tmp_path, monkeypatch, capsys):
         # A 17-site chain with a next-nearest cluster (range 2): no enumerated
         # measure is built, the energy kernel sees no block wider than range
-        # + 1 = 3 sites, and each measure builds one site-total CGF over the
-        # 18 magnetization values, which its bounds and the printed gap share.
+        # + 1 = 3 sites, and only Phi builds a site-total CGF, over the 18
+        # magnetization values, from one count law, which both bounds read:
+        # the printed gap takes each measure's mean from an expectation pass,
+        # so Psi builds no law.
         from infoscale import EmpiricalCgf, gibbs
         from infoscale.cli import main
 
@@ -283,9 +285,18 @@ class TestCli:
             post_init(self)
 
         monkeypatch.setattr(EmpiricalCgf, "__post_init__", counted_post_init)
+        laws = []
+        count_law = gibbs._BlockTransfer.count_law
+
+        def counted_count_law(self, *args):
+            laws.append(args)
+            return count_law(self, *args)
+
+        monkeypatch.setattr(gibbs._BlockTransfer, "count_law", counted_count_law)
         assert main(["gibbs", *_write_pair(tmp_path, *_NNN_PAIR), "--n", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["num_sites"] == 17
-        assert [cgf.dist.support_size for cgf in built] == [18, 18]
+        assert [cgf.dist.support_size for cgf in built] == [18]
+        assert len(laws) == 1
         assert block_sites and max(block_sites) == 3
 
     def test_pair_of_different_ranges(self, tmp_path, capsys):
@@ -313,11 +324,13 @@ class TestCli:
         # Ranges 1 and 2 on 17 sites: one relative entropy, and three
         # transfers (one per measure, and Phi's again at Psi's wider block),
         # where computing R inside finite_volume_xi too took two and four.
-        # Each transfer makes one forward pass, for its range check and log
-        # Z, and R, the shared transfer's centred CGF of D, one more, for
+        # Each measure makes one forward pass, for its range check and log
+        # Z; Phi's rebuilt transfer makes none, since R reads only its log
+        # weights.  R, the shared transfer's centred CGF of D, makes one, for
         # the range and the mean of D; D spreads more than 1 from its mean,
-        # so R takes no tail pass.  The bound is finite_volume_xi's, to the
-        # last bit.
+        # so R takes no tail pass.  The printed gap takes one expectation
+        # pass per measure: 3 + 2 passes.  The bound is finite_volume_xi's,
+        # to the last bit.
         from infoscale import divergences, gibbs
         from infoscale.cli import main
 
@@ -335,7 +348,7 @@ class TestCli:
         pair = ([([[0], [1]], -0.4), ([[0]], -0.05)], _NNN_PAIR[1])
         assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "8"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert calls == {"__init__": 3, "cgf": 1, "_forward": 4}
+        assert calls == {"__init__": 3, "cgf": 1, "_forward": 5}
         phi, psi = (Interaction(dimension=1, clusters=tuple(
             spin_product_cluster(offsets, coeff) for offsets, coeff in clusters
         )) for clusters in pair)
@@ -354,6 +367,21 @@ class TestCli:
         assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "500"]) == 1
         assert "exceed the caps" in capsys.readouterr().err
 
+    def test_target_past_the_cap_builds_no_law(self, tmp_path, capsys):
+        # A range-10 Psi against a nearest-neighbour Phi on 1,001 sites: a
+        # count law at Psi's block would pass the cap, but only Phi's law is
+        # built, and Psi's mean is one expectation pass, so the job runs.
+        from infoscale.cli import main
+
+        pair = ([([[0], [1]], -0.3), ([[0]], -0.05)],
+                [([[0], [1]], -0.3), ([[0], [10]], -0.3), ([[0]], -0.1)])
+        assert main(["gibbs", *_write_pair(tmp_path, *pair), "--n", "500"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        gap = report["qoi_gap"]
+        assert gap > 0.1
+        assert report["xi_minus"] <= gap <= report["xi_plus"]
+        assert report["triple_xi_minus"] <= gap <= report["triple_xi_plus"]
+
     def test_thousand_site_chain(self, tmp_path, capsys):
         # 1,001 sites, 2^1001 configurations: every value is finite, and the
         # exact gap lies in both intervals.
@@ -368,3 +396,62 @@ class TestCli:
         assert report["triple_xi_minus"] <= report["xi_minus"]
         assert report["xi_plus"] <= report["triple_xi_plus"]
         assert 0.0 < report["relative_entropy_per_site"] <= 2 * report["triple_norm_difference"]
+
+
+def _mp_transfer(log_start, exponents, steps, start, window):
+    """log Z and E(G) of the path sum G of ``start``/``window`` under the
+    transfer of ``log_start``/``exponents``, in the working precision of
+    mpmath: per block, the weight of the paths that end there and that
+    weight times G."""
+    import mpmath
+
+    mp, exp = (np.vectorize(f, otypes=[object]) for f in (mpmath.mpf, mpmath.exp))
+    weights, window, alpha = exp(mp(exponents)), mp(window), exp(mp(log_start))
+    beta = alpha * mp(start)
+    heads = exponents.shape[:2] + (1,)
+    for _ in range(steps):
+        terms = alpha.reshape(heads) * weights
+        beta = (beta.reshape(heads) * weights + terms * window).sum(axis=0).ravel()
+        alpha = terms.sum(axis=0).ravel()
+    z = mpmath.fsum(alpha)
+    return mpmath.log(z), mpmath.fsum(beta) / z
+
+
+class TestPrecision:
+    def test_thousand_sites_against_a_40_digit_transfer(self):
+        # The seed-1 next-nearest pair of the benchmark's Gibbs jobs on
+        # 1,001 sites, against the same transfer in 40-digit arithmetic on
+        # the same float log weights.  The forward pass shifts its running
+        # log weights and conditional means to O(1) each step, so log Z, the
+        # expectation-pass means, the count-law means and R keep their
+        # digits; with cumulative log weights R was 3.0e-11 off and log Z
+        # 1.2e-14, and with cumulative means the pass means were 1.1e-14 off.
+        import mpmath
+
+        def chain(pair, nnn, field):
+            return Interaction(dimension=1, clusters=(
+                spin_product_cluster(((0,), (1,)), pair),
+                spin_product_cluster(((0,), (2,)), nnn),
+                spin_product_cluster(((0,),), field),
+            ))
+
+        phi = chain(-0.4584231827048247, -0.15528906739571963, -0.05829951970090308)
+        psi = chain(-0.6190638252134419, -0.2251836746800163, -0.30469410182896395)
+        volume, g = LatticeVolume.chain(1001), np.array([-1.0, 1.0])
+        measures = {"phi": gibbs_measure(phi, volume), "psi": gibbs_measure(psi, volume)}
+        with mpmath.workdps(40):
+            log_z = {}
+            for name, measure in measures.items():
+                t = measure._transfer
+                log_z[name], mean = _mp_transfer(t.log_start, t.exponents, t.steps, *t.site_sums(g))
+                assert measure.log_partition == pytest.approx(float(log_z[name]), rel=1e-15)
+                assert measure.site_total_mean(g) == pytest.approx(float(mean), rel=5e-15)
+                assert measure.site_total_cgf(g).mean == pytest.approx(float(mean), rel=5e-15)
+            psi_t, phi_t = measures["psi"]._transfer, measures["phi"]._transfer
+            mp = np.vectorize(mpmath.mpf, otypes=[object])
+            _, mean_d = _mp_transfer(psi_t.log_start, psi_t.exponents, psi_t.steps,
+                                     mp(phi_t.log_start) - mp(psi_t.log_start),
+                                     mp(phi_t.exponents) - mp(psi_t.exponents))
+            want = float(log_z["phi"] - log_z["psi"] - mean_d)
+        assert gibbs_relative_entropy(measures["psi"], measures["phi"]) == pytest.approx(
+            want, rel=5e-14)

@@ -109,14 +109,17 @@ def _numpy_args(tmp_path, command):
 def test_numpy_subcommands_still_import_it(tmp_path):
     # ... and none of them loads the sweep layers or logging.  The path
     # transfer that Markov paths and Gibbs chains share lives in
-    # divergences, so markov loads no gibbs and gibbs no markov.
+    # divergences, so markov loads no gibbs and gibbs no markov.  Nor does
+    # any load numpy.ma, which np.unique without return_inverse imports in
+    # numpy 2.4, at 11-17 ms a job.
     others = {"markov": {"infoscale.gibbs"}, "gibbs": {"infoscale.markov"}}
     for command in ("divergence", "goal-bound", "markov", "gibbs"):
         run = _run("-c", PROBE, *_numpy_args(tmp_path, command))
         loaded = _loaded(run)
         assert run.stderr.splitlines()[-1] == "numpy imported: True", command
         assert json.loads(run.stdout), command
-        assert not loaded & {"logging", *SWEEP_LAYERS, *others.get(command, ())}, command
+        forbidden = {"logging", "numpy.ma", *SWEEP_LAYERS, *others.get(command, ())}
+        assert not loaded & forbidden, command
 
 
 def test_every_public_name_is_its_module_attribute():
