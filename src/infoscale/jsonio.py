@@ -1,11 +1,21 @@
 """JSON file formats for distributions, observables, chains, interactions,
 and model specifications.
 
+Files are UTF-8.  Every error names its file: invalid JSON (with its line
+and column), bytes that are not UTF-8, a field of the wrong type, a number
+beyond the float range (a JSON integer such as 1 followed by 400 zeros), and
+a value that the built object rejects.
+
+A chain's ``rows`` are read one row at a time into one float64 matrix, so
+a large chain never exists as a list of Python floats; a ``rows`` value that
+is not a matrix of numbers parses as any other value does, so its checks
+and their messages are the same.
+
 This module imports only ``json``, ``pathlib``, ``typing`` and ``errors``.
 Each loader imports the module that builds its object when it is called:
 reading a distribution, a chain or an interaction loads numpy and its own
-layer, and reading a model specification loads ``exact_models`` but not
-numpy.
+layer (a chain also ``array``), and reading a model specification loads
+``exact_models`` but not numpy.
 """
 
 from __future__ import annotations
@@ -23,17 +33,70 @@ if TYPE_CHECKING:
     from .markov import TransitionMatrix
 
 
-def _load_json(path) -> dict:
-    text = Path(path).read_text()
+_scan_once = json.JSONDecoder().scan_once  # the stdlib's C scanner where it has one
+_skip_space = json.decoder.WHITESPACE.match
+
+
+def _load_json(path, scan_value=None) -> dict:
+    """The top-level object of the UTF-8 JSON file ``path``.  ``scan_value``,
+    if given, parses each of the object's values in place of ``_scan_once``
+    (same signature: ``(text, idx) -> (value, end)``)."""
     try:
-        data = json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
+    try:
+        start = _skip_space(text, 0).end()
+        if scan_value is None or not text.startswith("{", start):
+            data = json.loads(text)
+        else:
+            data, end = json.decoder.JSONObject((text, start + 1), True, scan_value, None, None)
+            end = _skip_space(text, end).end()
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
         raise ParameterError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the digit limit of int()
+        raise ParameterError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"{path}: expected a JSON object at the top level")
     return data
+
+
+def _scan_matrix(text: str, idx: int):
+    """``_scan_once(text, idx)``, except that an array of equally long arrays
+    of numbers (booleans are not numbers) becomes a float64 matrix,
+    read one row at a time: each row is scanned to a list, checked and
+    appended to one growing array of doubles, so no list of Python floats
+    per entry is ever built.  Anything else, a row that does not scan or an
+    entry beyond the float range, is left to ``_scan_once`` from ``idx``,
+    which returns the same value or raises the same error as ``json.loads``."""
+    if text.startswith("[", idx):
+        from array import array
+
+        values, rows, width = array("d"), 0, 0
+        end = _skip_space(text, idx + 1).end()
+        while text.startswith("[", end):
+            try:
+                row, end = _scan_once(text, end)
+                ragged = rows and len(row) != width
+                if ragged or not set(map(type, row)) <= {int, float}:
+                    break
+                values.extend(row)
+            except (ValueError, OverflowError):
+                break
+            rows, width = rows + 1, len(row)
+            end = _skip_space(text, end).end()
+            if text.startswith("]", end):
+                import numpy as np
+
+                return np.frombuffer(values).reshape(rows, width), end + 1
+            if not text.startswith(",", end):
+                break
+            end = _skip_space(text, end + 1).end()
+    return _scan_once(text, idx)
 
 
 def _require(data: dict, field: str, path) -> object:
@@ -59,7 +122,7 @@ def _numbers(path, field: str, make, data: dict, **kwargs):
         if _has_boolean(value):
             raise TypeError("a JSON boolean is not a number")
         return make(value, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{path}: field {field!r} must hold numbers: {exc}") from exc
     except (NormalizationError, DimensionError, StructureError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
@@ -105,10 +168,11 @@ def load_observable(path) -> Observable:
 
 
 def load_chain(path) -> TransitionMatrix:
-    """Read ``{"rows": [[...], ...], "labels": [...]}``, labels (strings or numbers) optional."""
+    """Read ``{"rows": [[...], ...], "labels": [...]}``, labels (strings or numbers)
+    optional; the rows are read one at a time (:func:`_scan_matrix`)."""
     from .markov import TransitionMatrix
 
-    data = _load_json(path)
+    data = _load_json(path, _scan_matrix)
     _reject_unknown(data, ("rows", "labels"), str(path))
     labels = data.get("labels", [])
     if not (isinstance(labels, list) and all(type(x) in (str, int, float) for x in labels)):
@@ -149,7 +213,7 @@ def load_interaction(path) -> Interaction:
                 clusters.append(spin_product_cluster(offsets, _float(spec["coeff"])))
             except (ParameterError, DimensionError) as exc:
                 raise type(exc)(f"{path}: cluster {i}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{path}: malformed interaction field: {exc}") from exc
     try:
         return Interaction(dimension=dimension, clusters=tuple(clusters), spin_states=spins)
@@ -196,7 +260,7 @@ def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
         raise ParameterError(f"{source}: missing model field {exc}") from exc
     except ParameterError as exc:
         raise ParameterError(f"{source}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{source}: malformed model field: {exc}") from exc
 
 

@@ -197,7 +197,8 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
     constraint, then verifies the fixed-point residual to 1e-12.
     """
     n = p.size
-    a = p.rows.T - np.eye(n)
+    a = p.rows.T.copy()
+    a.flat[:: n + 1] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -226,12 +227,20 @@ def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     return float(q._stationary.weights @ rows)
 
 
+def _log_on(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
+    """``log x`` on ``support`` and ``fill`` off it, in one new array."""
+    return np.log(x, where=support, out=np.full_like(x, fill))
+
+
 def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
     """``alpha log q + (1 - alpha) log p`` entrywise, ``-inf`` where q is 0;
-    q and p must be mutually absolutely continuous."""
+    alpha > 0, and q and p must be mutually absolutely continuous."""
     support = q > 0
-    exponents = np.full_like(q, -math.inf)
-    exponents[support] = alpha * np.log(q[support]) + (1.0 - alpha) * np.log(p[support])
+    exponents = _log_on(q, support, -math.inf)
+    exponents *= alpha
+    log_p = _log_on(p, support, 0.0)
+    log_p *= 1.0 - alpha
+    exponents += log_p
     return exponents
 
 
@@ -372,8 +381,9 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     _check_observable(p, g)
     mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
-    n = p.size
-    system = np.eye(n) - p.rows + np.outer(np.ones(n), mu)
+    system = -p.rows
+    system.flat[:: p.size + 1] += 1.0
+    system += mu  # I - p + 1 mu^T, summed in that order
     h = np.linalg.solve(system, centered)
     weighted = mu * centered
     with np.errstate(over="ignore"):
@@ -442,9 +452,9 @@ def cheap_rate_bounds(
     exact = xi_rate_bounds(q, p, g)
     sup_row = float(_row_relative_entropies(q, p).max())
     support = q.rows > 0
-    sup_ratio = float(
-        np.max(np.abs(np.log(q.rows[support]) - np.log(p.rows[support])))
-    )
+    log_ratio = _log_on(q.rows, support, 0.0)
+    log_ratio -= _log_on(p.rows, support, 0.0)
+    sup_ratio = float(np.abs(log_ratio, out=log_ratio).max())
     bounds = [_optimized(exact.lambda_curve, exact.iact, r) for r in (sup_row, sup_ratio)]
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
 

@@ -235,6 +235,24 @@ def fixtures(tmp_path):
     return paths
 
 
+def _argv_reading(command, path, fixtures):
+    """CLI arguments for ``command`` with ``path`` as one of its input files
+    (``markov-q``: the target chain) and the other inputs from ``fixtures``."""
+    path = str(path)
+    return {
+        "gibbs": ["gibbs", "--phi", path, "--psi", fixtures["psi.json"], "--n", "1"],
+        "phase": ["phase", "--q", path, "--p", fixtures["mp.json"], "--sweep", "h",
+                  "--start", "0", "--stop", "0.1", "--step", "0.1"],
+        "divergence": ["divergence", "--p", path, "--q", fixtures["q.json"]],
+        "goal-bound": ["goal-bound", "--p", fixtures["p.json"], "--q", fixtures["q.json"],
+                       "--observable", path],
+        "markov": ["markov", "--p", path, "--q", fixtures["chainq.json"],
+                   "--observable", fixtures["g.json"]],
+        "markov-q": ["markov", "--p", fixtures["chainp.json"], "--q", path,
+                     "--observable", fixtures["g.json"]],
+    }[command]
+
+
 def _low_temperature_sweep(tmp_path):
     """``phase`` arguments for a 1-D chain at beta J = 400 against mean field,
     swept over h in {0, 0.1}."""
@@ -576,25 +594,36 @@ class TestCli:
         # and a bad --q can be told apart.
         ("divergence", {"weights": [0.3, 0.3]}),
         ("markov-q", {"rows": [[0.5, 0.4], [0.4, 0.6]]}),
+        # An integer beyond the float range used to escape as a raw
+        # OverflowError traceback.
+        ("divergence", {"weights": [10**400, 1]}),
+        ("goal-bound", {"values": [10**400, 1]}),
+        ("markov", {"rows": [[0.5, 0.5], [10**400, 0]]}),
+        ("phase", {"kind": "ising1d", "beta": 10**400}),
+        ("gibbs", {"d": 1, "clusters": [{"offsets": [[0]], "type": "field", "coeff": 10**400}]}),
     ])
     def test_malformed_fields_name_the_file(self, fixtures, tmp_path, capsys, command, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        argv = {
-            "gibbs": ["gibbs", "--phi", str(bad), "--psi", fixtures["psi.json"], "--n", "1"],
-            "phase": ["phase", "--q", str(bad), "--p", fixtures["mp.json"], "--sweep", "h",
-                      "--start", "0", "--stop", "0.1", "--step", "0.1"],
-            "divergence": ["divergence", "--p", str(bad), "--q", fixtures["q.json"]],
-            "goal-bound": ["goal-bound", "--p", fixtures["p.json"], "--q", fixtures["q.json"],
-                           "--observable", str(bad)],
-            "markov": ["markov", "--p", str(bad), "--q", fixtures["chainq.json"],
-                       "--observable", fixtures["g.json"]],
-            "markov-q": ["markov", "--p", fixtures["chainp.json"], "--q", str(bad),
-                         "--observable", fixtures["g.json"]],
-        }[command]
-        assert main(argv) == 1
+        assert main(_argv_reading(command, bad, fixtures)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"infoscale: error: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["gibbs", "phase", "divergence", "goal-bound", "markov"])
+    @pytest.mark.parametrize("content", [
+        b"\xff{}",
+        b'{"values": [1' + b"0" * 5000 + b"]}",
+    ], ids=["not-utf-8", "past-int-digit-limit"])
+    def test_unreadable_file_names_itself(self, fixtures, tmp_path, capsys, command, content):
+        # Each used to print only the decoder's message ("'utf-8' codec can't
+        # decode byte 0xff ..." or "Exceeds the limit (4300 digits) ..."),
+        # with no path.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(_argv_reading(command, bad, fixtures)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"infoscale: error: {bad}: ")
+        assert ("codec can't decode" if content[0] == 0xFF else "integer string") in err[0]
 
     def test_integral_floats_still_load(self, tmp_path):
         # 2.0 is an integer: a mean-field dimension, an interaction dimension
