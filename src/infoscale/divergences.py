@@ -181,6 +181,23 @@ def _kl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _log_on(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
+    """``log x`` on ``support`` and ``fill`` off it, in one new array."""
+    return np.log(x, where=support, out=np.full_like(x, fill))
+
+
+def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
+    """``alpha log q + (1 - alpha) log p`` entrywise, ``-inf`` where q is 0;
+    any shape, alpha > 0, and q and p must be mutually absolutely continuous."""
+    support = q > 0
+    exponents = _log_on(q, support, -math.inf)
+    exponents *= alpha
+    log_p = _log_on(p, support, 0.0)
+    log_p *= 1.0 - alpha
+    exponents += log_p
+    return exponents
+
+
 def _near_kl(alpha: float, kl_name: str) -> bool:
     """Check a Renyi order: positive, finite and not 1 (``kl_name`` is the KL
     function to call instead).  True within ``_RENYI_KL_WINDOW`` of 1, where
@@ -418,7 +435,7 @@ def renyi_divergence(
         gap = float(p_mask @ terms)
         if gap >= -0.5:  # below, the sum is under 1/2 and its log needs no log1p
             return math.log1p(gap) / (alpha - 1.0)
-    value = _logsumexp(alpha * np.log(q_mask) + (1.0 - alpha) * np.log(p_mask)) / (alpha - 1.0)
+    value = _logsumexp(_renyi_exponents(q_mask, p_mask, alpha)) / (alpha - 1.0)
     return _clamp_nonneg(value, "Renyi divergence")
 
 

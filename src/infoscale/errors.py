@@ -28,7 +28,7 @@ class ParameterError(InfoscaleError):
 
 
 class CgfDomainError(InfoscaleError):
-    """A cumulant generating function was evaluated outside its domain."""
+    """A cumulant generating function has no domain on one side of 0."""
 
 
 class UnboundedObservableError(InfoscaleError):

@@ -89,10 +89,6 @@ class EmpiricalCgf:
         object.__setattr__(self, "_centered", centered)
         object.__setattr__(self, "_span", _spread(centered))
 
-    @property
-    def domain_bound(self) -> float:
-        return math.inf
-
     def variance(self) -> float:
         return float(self._weights @ self._centered**2)
 
@@ -114,25 +110,34 @@ class EmpiricalCgf:
 
 @dataclass(frozen=True, eq=False)
 class AnalyticCgf:
-    """A caller-supplied centered CGF on the open domain (-c0, c0).
+    """A caller-supplied centered CGF.
 
-    ``fn(c)`` returns ``(K(c), K'(c))``.  The contract (K(0) = 0, K'(0) = 0,
-    K' the slope of K, K convex) is spot-checked at construction;
-    evaluations outside the stated domain raise CgfDomainError rather than
-    being clamped.
+    ``fn(c)`` returns ``(K(c), K'(c))``.  Past an edge of its domain K is
+    infinite, or ``fn`` raises an ArithmeticError; each side of a bound then
+    searches up to its own edge.  The contract (K(0) = 0, K'(0) = 0, K' the
+    slope of K, K convex) is spot-checked at construction, at a probe inside
+    both edges.
     """
 
     fn: Callable[[float], tuple[float, float]]
-    domain_bound: float = math.inf
     check_contract: bool = True
 
     def __post_init__(self):
-        if not (self.domain_bound > 0):
-            raise UnboundedObservableError(
-                "analytic CGF has an empty positive domain"
-            )
         if self.check_contract:
             self._spot_check()
+
+    def _inside(self, step: float) -> float:
+        """``step``, halved until K is finite at ``+-2 step``: the one place
+        that knows a domain has edges.  Raises UnboundedObservableError where
+        K is infinite next to 0."""
+        while step > 0.0:
+            try:
+                if all(math.isfinite(self.fn(c)[0]) for c in (-2.0 * step, 2.0 * step)):
+                    return step
+            except ArithmeticError:
+                pass
+            step /= 2.0
+        raise UnboundedObservableError("centered CGF is infinite next to 0")
 
     def _spot_check(self) -> None:
         at_zero, slope = self.fn(0.0)
@@ -142,7 +147,7 @@ class AnalyticCgf:
             raise ParameterError(
                 f"centered CGF must have zero slope at 0, got {slope!r}"
             )
-        probe = min(1.0, self.domain_bound / 2.0)
+        probe = self._inside(1.0)
         below, above = (self.fn(c)[1] for c in (-probe, probe))
         for c, dk in ((-probe, below), (probe, above)):
             fd = (self.fn(c * 1.0001)[0] - self.fn(c * 0.9999)[0]) / (2e-4 * c)
@@ -152,15 +157,10 @@ class AnalyticCgf:
             raise ParameterError("centered CGF failed the convexity spot check")
 
     def variance(self) -> float:
-        h = min(_VAR_FD_STEP, self.domain_bound / 4.0)
+        h = self._inside(_VAR_FD_STEP)
         return max((self.fn(h)[0] - 2.0 * self.fn(0.0)[0] + self.fn(-h)[0]) / h**2, 0.0)
 
     def evaluate(self, c: float) -> tuple[float, float]:
-        if abs(c) >= self.domain_bound:
-            raise CgfDomainError(
-                f"CGF argument {c!r} outside the open domain "
-                f"(-{self.domain_bound!r}, {self.domain_bound!r})"
-            )
         return self.fn(c)
 
 
@@ -228,12 +228,16 @@ def xi_bounds(
     the cap, within ``R / cap`` of the limit.  An ArithmeticError in the
     source counts as a non-finite value, right of the optimum.
 
+    The cap is 1e12 for every source: past an edge of its domain a CGF is
+    infinite, and each side's search stops short of its own edge.
+
     ``variance`` sets the linearized half width and the starting point (the
-    cap, if it rounds to 0 where K does not).  Without it, empirical sources
-    use the exact variance and analytic sources a central finite difference
-    of K at 0, and a zero there marks a constant observable, which
-    short-circuits to exactly (0, 0).  With it, a constant observable is
-    optimized like any other and gives ``(R / cap, -R / cap)``.
+    cap, if it is 0).  Without it, empirical sources use the exact variance
+    and analytic sources a central finite difference of K at 0.  Only an
+    empirical source whose centered values are all 0 proves its observable
+    constant, and short-circuits to exactly (0, 0).  A zero variance from
+    any other source (a difference of K that cancels, say) starts the search
+    at the cap; a constant observable then gives ``(R / cap, -R / cap)``.
     """
     r = relative_entropy_value
     if not (0.0 <= r < math.inf):
@@ -241,11 +245,11 @@ def xi_bounds(
     if r == 0.0:
         return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
     if variance is None:
-        variance = source.variance()
-        if variance <= 0.0:
+        if isinstance(source, EmpiricalCgf) and source._span == 0.0:
             return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
+        variance = source.variance()
 
-    cap = min(1e12, source.domain_bound * (1.0 - 1e-9))  # inside an open domain
+    cap = 1e12
     # sqrt(2 R) / sqrt(Var), not sqrt(2 R / Var): the ratio can underflow
     c_init = min(math.sqrt(2.0 * r) / math.sqrt(variance), cap) if variance > 0.0 else cap
 
@@ -345,38 +349,6 @@ def expfam_relative_entropy(
     return max(value, 0.0)
 
 
-def _feasible_direction_bound(fam: ExponentialFamily, theta, v) -> float:
-    """Largest c0 with theta + c v inside the family domain for |c| < c0."""
-    import numpy as np
-
-    if fam.param_domain is None:
-        return math.inf
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    probe = 1e-8
-    if not (
-        fam.param_domain(theta + probe * v) and fam.param_domain(theta - probe * v)
-    ):
-        raise CgfDomainError(
-            "no feasible interval of c > 0 along the observable direction"
-        )
-    lo, hi = probe, 1.0
-    while fam.param_domain(theta + hi * v) and fam.param_domain(theta - hi * v):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e15:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fam.param_domain(theta + mid * v) and fam.param_domain(theta - mid * v):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lo):
-            break
-    return lo
-
-
 def expfam_xi_bounds(
     fam: ExponentialFamily, theta_prime, theta, v
 ) -> GoalBound:
@@ -386,7 +358,10 @@ def expfam_xi_bounds(
     ``K(c) = F(theta + c v) - F(theta) - c v . grad F(theta)``, with slope
     ``K'(c) = v . grad F(theta + c v) - v . grad F(theta)``, together with
     the Bregman relative entropy, then optimizes over c as in
-    :func:`xi_bounds`.
+    :func:`xi_bounds`.  K is infinite wherever ``theta + c v`` is outside
+    ``param_domain``, so each side searches up to its own edge of the
+    family's domain; where either side has no room at ``|c| = 1e-8``,
+    CgfDomainError is raised.
     """
     import numpy as np
 
@@ -398,15 +373,20 @@ def expfam_xi_bounds(
     if not np.any(v != 0.0):
         return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    c0 = _feasible_direction_bound(fam, theta, v)
+    inside = fam.param_domain or (lambda point: True)
+    if not (inside(theta + 1e-8 * v) and inside(theta - 1e-8 * v)):
+        raise CgfDomainError("no feasible interval of c > 0 along the observable direction")
     f_theta = fam.F(theta)
     slope = float(v @ fam.grad_F(theta))
 
     def cgf(c: float) -> tuple[float, float]:
-        k = fam.F(theta + c * v) - f_theta - c * slope
+        point = theta + c * v
+        if not inside(point):
+            return math.inf, math.nan
+        k = float(fam.log_normalizer(point)) - f_theta - c * slope
         try:
-            return k, float(v @ fam.grad_F(theta + c * v)) - slope
+            return k, float(v @ np.asarray(fam.grad_log_normalizer(point), dtype=float)) - slope
         except ArithmeticError:  # a NaN slope: the optimizer differences K
             return k, math.nan
 
-    return xi_bounds(AnalyticCgf(fn=cgf, domain_bound=c0, check_contract=False), r)
+    return xi_bounds(AnalyticCgf(fn=cgf, check_contract=False), r)

@@ -37,7 +37,8 @@ import numpy as np
 
 from .divergences import (
     DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
-    _kl_terms, _near_kl, _PathTransfer, _positive_int, _require_mutual_ac,
+    _kl_terms, _log_on, _near_kl, _PathTransfer, _positive_int, _renyi_exponents,
+    _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -225,23 +226,6 @@ def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
     rows = _row_relative_entropies(q, p)
     return float(q._stationary.weights @ rows)
-
-
-def _log_on(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
-    """``log x`` on ``support`` and ``fill`` off it, in one new array."""
-    return np.log(x, where=support, out=np.full_like(x, fill))
-
-
-def _renyi_exponents(q: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
-    """``alpha log q + (1 - alpha) log p`` entrywise, ``-inf`` where q is 0;
-    alpha > 0, and q and p must be mutually absolutely continuous."""
-    support = q > 0
-    exponents = _log_on(q, support, -math.inf)
-    exponents *= alpha
-    log_p = _log_on(p, support, 0.0)
-    log_p *= 1.0 - alpha
-    exponents += log_p
-    return exponents
 
 
 def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:

@@ -6,8 +6,9 @@ and ``K(0) = 0``.  Their minimum solves ``h(c) = c^2 f'(c) = c K'(c) - K(c) - R
 solve of h in ``t = log c``: steps right (or left) by factors 2, 4, 16, 256,
 ..., until h changes sign, then regula falsi with the Anderson-Bjorck
 weighting, bisecting where four steps did not halve the bracket.  If h is
-still negative at the cap the infimum is the ``c -> inf`` limit, or an
-optimum at a finite domain bound, and the search ends there.
+still negative at the cap the infimum is the ``c -> inf`` limit, and the
+search ends there.  Past an edge of K's domain f is infinite, which counts
+as right of the optimum, so an optimum at the edge is bracketed toward it.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .exact_models import ModelSpec, PhasePoint, check_phase_sweep, phase_bound_
 
 log = logging.getLogger("infoscale.sweep")
 
-CSV_HEADER = "param,baseline_qoi,true_qoi,xi_lower,xi_upper,lin_lower,lin_upper,re_rate"
+CSV_HEADER = ",".join(PhasePoint.FIELDS)
 
 # Default grids for the two sweep variables (matching the figure ranges).
 BETA_GRID = (0.1, 2.0, 0.01)

@@ -25,7 +25,6 @@ from infoscale import (
     xi_bounds,
     xi_tensorized,
 )
-from infoscale.goal_oriented import _feasible_direction_bound
 
 
 def additive_product_problem(p, q, g, n):
@@ -103,14 +102,28 @@ class TestAnalyticCgf:
         with pytest.raises(ParameterError):
             AnalyticCgf(fn=lambda c: (-(c**2), -2.0 * c))
 
-    def test_domain_violation_raises(self):
-        src = AnalyticCgf(fn=lambda c: (c * c / 2.0, c), domain_bound=2.0)
-        with pytest.raises(CgfDomainError):
-            src.evaluate(2.5)
+    def test_an_edge_bounds_only_its_own_side(self):
+        # K = c^2 / 2 below c = 1 and infinite from there.  At R = 2 the
+        # free optimum c = sqrt(2 R) = 2 lies past the edge: the upper side
+        # stops at it, (1/2 + 2) / 1, and the lower side, which has no edge,
+        # keeps -sqrt(2 R) = -2.
+        src = AnalyticCgf(fn=lambda c: (c * c / 2.0, c) if c < 1.0 else (math.inf, math.nan))
+        b = xi_bounds(src, 2.0)
+        assert 2.5 <= b.xi_plus <= 2.5 * (1.0 + 1e-8)
+        assert b.c_star_plus < 1.0
+        assert b.xi_minus == pytest.approx(-2.0, rel=1e-9)
+        assert b.c_star_minus == pytest.approx(2.0, rel=1e-6)
 
-    def test_empty_positive_domain_raises(self):
-        with pytest.raises(UnboundedObservableError):
-            AnalyticCgf(fn=lambda c: (c * c, 2.0 * c), domain_bound=0.0)
+    def test_domain_limited_source_passes_the_spot_check(self):
+        # K of F(theta) = -log(1 - theta^2) from theta = 0.5, infinite past
+        # the edge c = 0.5 (and c = -1.5): the default contract check probes
+        # inside both edges, and the far side reaches the exact gap of
+        # theta' = -0.5, an exponential tilt of theta.
+        src = AnalyticCgf(fn=_laplace_cgf(0.5))
+        r = expfam_relative_entropy(_laplace_family(), [-0.5], [0.5])
+        b = xi_bounds(src, r)
+        assert b.xi_minus == pytest.approx(-8.0 / 3.0, rel=1e-9)
+        assert b.xi_plus > 0.0
 
     def test_everywhere_infinite_cgf_raises(self):
         src = AnalyticCgf(
@@ -319,6 +332,23 @@ def _laplace_family():
     )
 
 
+def _laplace_mean(theta):
+    """F'(theta), with 1 - theta^2 as (1 - theta)(1 + theta) so that it keeps
+    its digits next to the edges."""
+    return 2.0 * theta / ((1.0 - theta) * (1.0 + theta))
+
+
+def _laplace_cgf(theta):
+    """K of the Laplace family from ``theta``, infinite past either edge."""
+    def cgf(c):
+        if not abs(theta + c) < 1.0:
+            return math.inf, math.nan
+        k = math.log(1.0 - theta**2) - math.log(1.0 - (theta + c) ** 2) - c * _laplace_mean(theta)
+        return k, _laplace_mean(theta + c) - _laplace_mean(theta)
+
+    return cgf
+
+
 def bernoulli_distribution(theta):
     p_one = 1.0 / (1.0 + math.exp(-theta))
     return DiscreteDistribution([1.0 - p_one, p_one])
@@ -373,21 +403,50 @@ class TestExponentialFamily:
     def test_domain_edge_bounds_the_search(self):
         # F(theta) = -log(1 - theta^2) is the log-Laplace transform of the
         # Laplace law on |theta| < 1.  From theta = 0.5 along v = 1 the
-        # domain ends at c0 = 0.5, and the bounds are those of the analytic
-        # CGF on (-0.5, 0.5); they sandwich the mean gap F'(theta') - F'(theta).
+        # domain ends at c = 0.5 and c = -1.5, and the bounds are those of
+        # the analytic CGF that is infinite past both edges; they sandwich
+        # the mean gap F'(theta') - F'(theta).
         fam = _laplace_family()
         theta, theta_prime, v = np.array([0.5]), np.array([0.3]), np.array([1.0])
-        assert _feasible_direction_bound(fam, theta, v) == pytest.approx(0.5, abs=1e-12)
-        slope = float(fam.grad_F(theta)[0])
-
-        def cgf(c):
-            k = fam.F(theta + c) - fam.F(theta) - c * slope
-            return k, float(fam.grad_F(theta + c)[0]) - slope
-
         r = expfam_relative_entropy(fam, theta_prime, theta)
-        want = xi_bounds(AnalyticCgf(fn=cgf, domain_bound=0.5), r)
+        want = xi_bounds(AnalyticCgf(fn=_laplace_cgf(0.5)), r)
         bound = expfam_xi_bounds(fam, theta_prime, theta, v)
         assert bound.xi_plus == pytest.approx(want.xi_plus, rel=1e-10)
         assert bound.xi_minus == pytest.approx(want.xi_minus, rel=1e-10)
-        gap = float(fam.grad_F(theta_prime)[0]) - slope
+        gap = _laplace_mean(0.3) - _laplace_mean(0.5)
+        assert bound.xi_minus <= gap <= bound.xi_plus
+
+    @pytest.mark.parametrize(
+        "theta, theta_prime",
+        [(0.5, -0.5), (0.9, -0.9), (0.999, 0.5), (-0.999, 0.999), (0.99999, -0.99999)],
+    )
+    def test_far_side_reaches_its_own_edge(self, theta, theta_prime):
+        # theta' is a tilt of theta by c = theta' - theta, past the nearer
+        # edge but inside the far one, so the far side attains the exact gap.
+        # A search capped at the nearer edge gave -173.6 for 0.9 -> -0.9,
+        # where the gap is -18.95.
+        bound = expfam_xi_bounds(_laplace_family(), [theta_prime], [theta], [1.0])
+        gap = _laplace_mean(theta_prime) - _laplace_mean(theta)
+        far = bound.xi_minus if theta_prime < theta else bound.xi_plus
+        assert far == pytest.approx(gap, rel=1e-9)
+        assert bound.xi_minus <= gap <= bound.xi_plus
+
+    def test_next_to_the_edge_stays_finite(self):
+        # theta = 0.99999 is 1e-5 from its edge: the finite-difference
+        # variance steps inside it, and the gap to 0.9999 is sandwiched.
+        bound = expfam_xi_bounds(_laplace_family(), [0.9999], [0.99999], [1.0])
+        assert 0.0 < bound.linearized_half_width < math.inf
+        gap = _laplace_mean(0.9999) - _laplace_mean(0.99999)
+        assert bound.xi_minus <= gap <= bound.xi_plus < math.inf
+
+    @pytest.mark.parametrize("theta, theta_prime", [(20.0, 18.0), (25.0, 22.0), (30.0, 27.0)])
+    def test_cancelling_variance_keeps_the_sandwich(self, theta, theta_prime):
+        # Far into the Bernoulli tail K is a difference of softplus values
+        # that cancels, so its central difference at 0 rounds to 0.  That
+        # zero does not prove the observable constant: the search starts at
+        # the cap, and the interval holds the gap.
+        bound = expfam_xi_bounds(bernoulli_family(), [theta_prime], [theta], [1.0])
+        e, e_prime = math.exp(-theta), math.exp(-theta_prime)
+        gap = (e - e_prime) / ((1.0 + e) * (1.0 + e_prime))  # sigma(theta') - sigma(theta)
+        assert gap < 0.0
         assert bound.xi_minus <= gap <= bound.xi_plus

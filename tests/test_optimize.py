@@ -86,17 +86,19 @@ def test_minimum_next_to_the_cap_is_refined(slope):
 
 @pytest.mark.parametrize("scale", [1.0, 15.0])
 def test_minimum_before_a_finite_domain_bound_is_refined(scale, counts):
-    # K(c) = D^2 k(c / D) with k(u) = 2 - 2 sqrt(1 - u) - u on (-D, D), and
-    # R = D^2: (K(c) + R) / c = D (k(u) + 1) / u has its minimum, D times the
-    # golden ratio, at u = 0.854, and is 2 D at the domain bound.  The
-    # quadratic start sqrt(2 R / Var) = 2 D lies past the bound, so the
-    # search starts at the cap, where stopping would give a bound 24% too
-    # loose.
+    # K(c) = D^2 k(c / D) with k(u) = 2 - 2 sqrt(1 - u) - u below c = D and
+    # infinite from there, and R = D^2: (K(c) + R) / c = D (k(u) + 1) / u has
+    # its minimum, D times the golden ratio, at u = 0.854, and is 2 D at the
+    # domain bound.  The quadratic start sqrt(2 R / Var) = 2 D lies past the
+    # bound, so the search brackets back toward it, where stopping would give
+    # a bound 24% too loose.
     def k(c):
         u = c / scale
+        if u >= 1.0:
+            return math.inf, math.nan
         return scale**2 * (2.0 - 2.0 * math.sqrt(1.0 - u) - u), scale * (1.0 / math.sqrt(1.0 - u) - 1.0)
 
-    b = xi_bounds(AnalyticCgf(fn=k, domain_bound=scale), scale**2)
+    b = xi_bounds(AnalyticCgf(fn=k), scale**2)
     assert b.xi_plus == pytest.approx(scale * (1.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
     assert b.c_star_plus == pytest.approx(scale * 0.8541019662496845, rel=1e-4)
     assert counts[0] <= 16
