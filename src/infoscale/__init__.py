@@ -32,7 +32,6 @@ _EXPORTS = {
     ),
     "errors": (
         "AbsoluteContinuityError",
-        "CgfDomainError",
         "DimensionError",
         "EnumerationLimitError",
         "InfoscaleError",
@@ -73,10 +72,7 @@ _EXPORTS = {
         "AnalyticCgf",
         "CgfSource",
         "EmpiricalCgf",
-        "ExponentialFamily",
         "GoalBound",
-        "expfam_relative_entropy",
-        "expfam_xi_bounds",
         "linearized_half_width",
         "xi_bounds",
         "xi_tensorized",

@@ -27,10 +27,6 @@ class ParameterError(InfoscaleError):
     """An argument is outside its admissible range (e.g. Renyi order)."""
 
 
-class CgfDomainError(InfoscaleError):
-    """A cumulant generating function has no domain on one side of 0."""
-
-
 class UnboundedObservableError(InfoscaleError):
     """The cumulant generating function is infinite on the whole half-axis."""
 

@@ -17,11 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
-from .errors import (
-    CgfDomainError,
-    ParameterError,
-    UnboundedObservableError,
-)
+from .errors import ParameterError, UnboundedObservableError
 from .optimize import minimize_positive_scalar
 
 if TYPE_CHECKING:
@@ -297,96 +293,3 @@ def xi_tensorized(
     _positive_int(n, "N")
     return xi_bounds(EmpiricalCgf(p, g), relative_entropy(q, p))
 
-
-@dataclass(frozen=True, eq=False)
-class ExponentialFamily:
-    """An exponential family given by its log-normalizer F and gradient.
-
-    ``densities dP^theta/dP^0 = exp(t(x) . theta - F(theta))``; F is convex
-    and ``grad F(theta) = E_theta(t)``.  ``param_domain`` optionally restricts
-    the admissible parameter vectors; evaluations outside it raise.
-    """
-
-    log_normalizer: Callable[[np.ndarray], float]
-    grad_log_normalizer: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    param_domain: Callable[[np.ndarray], bool] | None = None
-
-    def _check_param(self, theta: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ParameterError(
-                f"parameter must have shape ({self.dim},), got {theta.shape}"
-            )
-        if self.param_domain is not None and not self.param_domain(theta):
-            raise ParameterError(f"parameter {theta!r} outside the family domain")
-        return theta
-
-    def F(self, theta: np.ndarray) -> float:
-        return float(self.log_normalizer(self._check_param(theta)))
-
-    def grad_F(self, theta: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.grad_log_normalizer(self._check_param(theta)), dtype=float)
-
-
-def expfam_relative_entropy(
-    fam: ExponentialFamily, theta_prime, theta
-) -> float:
-    """Relative entropy between family members, the Bregman divergence of F.
-
-    ``R(P^theta' || P^theta) = (theta' - theta) . grad F(theta')
-    + F(theta) - F(theta')``.
-    """
-    import numpy as np
-
-    tp = np.asarray(theta_prime, dtype=float)
-    t = np.asarray(theta, dtype=float)
-    value = float((tp - t) @ fam.grad_F(tp)) + fam.F(t) - fam.F(tp)
-    return max(value, 0.0)
-
-
-def expfam_xi_bounds(
-    fam: ExponentialFamily, theta_prime, theta, v
-) -> GoalBound:
-    """Goal-oriented bounds for the linear observable ``f = t(x) . v``.
-
-    Uses the closed-form centered CGF
-    ``K(c) = F(theta + c v) - F(theta) - c v . grad F(theta)``, with slope
-    ``K'(c) = v . grad F(theta + c v) - v . grad F(theta)``, together with
-    the Bregman relative entropy, then optimizes over c as in
-    :func:`xi_bounds`.  K is infinite wherever ``theta + c v`` is outside
-    ``param_domain``, so each side searches up to its own edge of the
-    family's domain; where either side has no room at ``|c| = 1e-8``,
-    CgfDomainError is raised.
-    """
-    import numpy as np
-
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (fam.dim,):
-        raise ParameterError(f"direction must have shape ({fam.dim},)")
-    r = expfam_relative_entropy(fam, theta_prime, theta)
-    if not np.any(v != 0.0):
-        return GoalBound(0.0, 0.0, 0.0, 0.0, 0.0)
-
-    inside = fam.param_domain or (lambda point: True)
-    if not (inside(theta + 1e-8 * v) and inside(theta - 1e-8 * v)):
-        raise CgfDomainError("no feasible interval of c > 0 along the observable direction")
-    f_theta = fam.F(theta)
-    slope = float(v @ fam.grad_F(theta))
-
-    def cgf(c: float) -> tuple[float, float]:
-        point = theta + c * v
-        if not inside(point):
-            return math.inf, math.nan
-        k = float(fam.log_normalizer(point)) - f_theta - c * slope
-        try:
-            return k, float(v @ np.asarray(fam.grad_log_normalizer(point), dtype=float)) - slope
-        except ArithmeticError:  # a NaN slope: the optimizer differences K
-            return k, math.nan
-
-    return xi_bounds(AnalyticCgf(fn=cgf, check_contract=False), r)

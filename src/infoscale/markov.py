@@ -276,7 +276,7 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
     _check_observable(p, g)
     mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
-    return _lambda_curve(p.rows, centered)(c)[0]
+    return _lambda_curve(p.rows, centered, mu)(c)[0]
 
 
 def _log_perron(
@@ -300,7 +300,9 @@ def _log_perron(
     return (math.log(rho) + shift if rho > 0.0 else -math.inf), left, right
 
 
-def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], tuple[float, float]]:
+def _lambda_curve(
+    rows: np.ndarray, centered: np.ndarray, mu: np.ndarray
+) -> Callable[[float], tuple[float, float]]:
     """``c -> (lambda, lambda')`` of ``log rho(rows(x, y) e^{c centered(y)})``,
     (0, 0) at c = 0; ``lambda' = sum l g r / sum l r`` (Kato, Perturbation
     Theory for Linear Operators, ch. II), NaN if l and r share no support.
@@ -308,19 +310,28 @@ def _lambda_curve(rows: np.ndarray, centered: np.ndarray) -> Callable[[float], t
     solve that falls back the values come from the dense solve (the two
     routes agree to about 1e-15 relative).
 
-    A finite lambda is clamped at 0: with mu the stationary law of ``rows``,
-    ``lambda(c) >= c mu . centered = 0`` (the Donsker-Varadhan variational
-    form at ``nu = mu``), so a negative value is rounding, near c = 0 or in
-    the dense solve of a periodic chain.  A ``-inf`` (a cycle that the shift
-    underflowed) stays: the optimizer takes a non-finite value as out of
-    range, while 0 there would let a bound run down to ``r / c`` at the cap."""
-    flat = _spread(centered) == 0.0
+    Where ``|c| max|centered| < 1``, ``rho - 1`` is ``sum_i mu_i expm1(c
+    centered_i) r_i / sum_i mu_i r_i``, exactly, as ``mu^T rows = mu^T`` for
+    the stationary law mu (r the right Perron vector), so lambda rounds to
+    about ``ulp(c centered)``, not ``ulp(1)``.
+
+    A finite lambda is clamped at 0: ``lambda(c) >= c mu . centered = 0``
+    (the Donsker-Varadhan variational form at ``nu = mu``), so a negative
+    value is rounding (in the dense solve of a periodic chain).  A ``-inf``
+    (a cycle that the shift underflowed) stays: the optimizer takes a
+    non-finite value as out of range, while 0 there would let a bound run
+    down to ``r / c`` at the cap."""
+    span = _spread(centered)
     route = _PerronRoute()
 
     def curve(c: float) -> tuple[float, float]:
-        if c == 0.0 or flat:
+        if c == 0.0 or span == 0.0:
             return 0.0, 0.0
-        log_rho, left, right = _log_perron(rows, c * centered, route)
+        tilt = c * centered
+        log_rho, left, right = _log_perron(rows, tilt, route)
+        if abs(c) * span < 1.0:
+            weighted = mu * right
+            log_rho = math.log1p(float(weighted @ np.expm1(tilt)) / float(weighted.sum()))
         overlap = left * right
         total = float(overlap.sum())
         if -math.inf < log_rho < 0.0:
@@ -396,7 +407,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     _check_observable(p, g)
     mu_p, mu_q = p._stationary, q._stationary
     centered = g.values - float(mu_p.weights @ g.values)
-    curve = _lambda_curve(p.rows, centered)
+    curve = _lambda_curve(p.rows, centered, mu_p.weights)
     iact = integrated_autocorrelation(p, g)
     rer = float(mu_q.weights @ _row_relative_entropies(q, p))
     bound = _optimized(curve, iact, rer)
@@ -473,8 +484,10 @@ def path_divergence_report(
       with ``B = sqrt(q p)`` entrywise;
     - the Renyi order alpha is ``log(nu_q^a nu_p^(1-a) . M^N . 1) / (a - 1)``
       with ``M = q^a p^(1-a)`` entrywise (orders within 1e-6 of 1 give the
-      KL, as in :func:`~infoscale.divergences.renyi_divergence`), and
-      ``chi^2`` is ``expm1`` of the order-2 log sum.
+      KL, as in :func:`~infoscale.divergences.renyi_divergence`);
+    - ``chi^2 = sum (q - p)^2 / p``, carried with ``sum (q - p)`` and ``sum p``
+      over the paths ending at each state, keeps its digits for nearby
+      chains (``inf`` where the order-2 log sum passes 700).
 
     ``tv`` is None: a sum of absolute values over paths has no transfer form.
     The initial-distribution terms, which the rate limits drop, are included;
@@ -513,10 +526,27 @@ def path_divergence_report(
     else:
         log_alpha = log_two if alpha == 2.0 else log_renyi_sum(alpha)
         renyi = _clamp_nonneg(log_alpha / (alpha - 1.0), "path Renyi divergence")
-    chi2 = math.inf if log_two > 700.0 else _clamp_nonneg(math.expm1(log_two), "path chi-squared")
+    chi2 = math.inf if log_two > 700.0 else _path_chi2(q, p, start_q, start_p, n)
     report = DivergenceReport(None, math.sqrt(math.fsum(h2_terms)), kl, alpha, renyi, chi2)
     report.validate_chain()
     return report
+
+
+def _path_chi2(q: TransitionMatrix, p: TransitionMatrix, start_q: np.ndarray,
+               start_p: np.ndarray, n: int) -> float:
+    """``sum (q - p)^2 / p`` over the length-n paths, by the recursion over
+    paths ending at y of ``E = sum (q - p)^2 / p``, ``F = sum (q - p)`` and
+    ``G = sum p``: with ``d = q(x,y) - p(x,y)``, a step maps them to
+    ``E q^2/p + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p``."""
+    diff, on = q.rows - p.rows, p.rows > 0
+    inverse = np.divide(1.0, p.rows, out=np.zeros_like(diff), where=on)
+    square, cross, spread = q.rows**2 * inverse, q.rows * diff * inverse, diff**2 * inverse
+    start_diff = start_q - start_p
+    e = np.divide(start_diff**2, start_p, out=np.zeros_like(start_diff), where=start_p > 0)
+    f, g = start_diff, start_p
+    for _ in range(n):
+        e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
+    return _clamp_nonneg(float(e.sum()), "path chi-squared")
 
 
 def path_cgf(

@@ -11,15 +11,11 @@ from conftest import (
 )
 from infoscale import (
     AnalyticCgf,
-    CgfDomainError,
     DiscreteDistribution,
     EmpiricalCgf,
-    ExponentialFamily,
     Observable,
     ParameterError,
     UnboundedObservableError,
-    expfam_relative_entropy,
-    expfam_xi_bounds,
     linearized_half_width,
     relative_entropy,
     xi_bounds,
@@ -119,9 +115,7 @@ class TestAnalyticCgf:
         # the edge c = 0.5 (and c = -1.5): the default contract check probes
         # inside both edges, and the far side reaches the exact gap of
         # theta' = -0.5, an exponential tilt of theta.
-        src = AnalyticCgf(fn=_laplace_cgf(0.5))
-        r = expfam_relative_entropy(_laplace_family(), [-0.5], [0.5])
-        b = xi_bounds(src, r)
+        b = xi_bounds(AnalyticCgf(fn=_laplace_cgf(0.5)), _laplace_re(-0.5, 0.5))
         assert b.xi_minus == pytest.approx(-8.0 / 3.0, rel=1e-9)
         assert b.xi_plus > 0.0
 
@@ -311,25 +305,43 @@ class TestTensorization:
             assert b.xi_minus == pytest.approx(reference.xi_minus, abs=1e-8)
 
 
-def bernoulli_family():
-    return ExponentialFamily(
-        log_normalizer=lambda th: _softplus(th[0]),
-        grad_log_normalizer=lambda th: np.array([1.0 / (1.0 + math.exp(-th[0]))]),
-        dim=1,
-    )
+# Two exponential families with densities e^{theta t(x) - F(theta)}: the
+# Bernoulli law (F = softplus) and the Laplace law on |theta| < 1
+# (F = -log(1 - theta^2)).  Their centred CGF of t from theta is
+# K(c) = F(theta + c) - F(theta) - c F'(theta), and the relative entropy of
+# theta' from theta is the Bregman divergence of F.
+
+
+def _bregman(f, df, theta_prime, theta):
+    """R(P^theta' || P^theta) = (theta' - theta) F'(theta') + F(theta) - F(theta')."""
+    return (theta_prime - theta) * df(theta_prime) + f(theta) - f(theta_prime)
 
 
 def _softplus(x):
     return math.log1p(math.exp(x)) if x < 30 else x + math.log1p(math.exp(-x))
 
 
-def _laplace_family():
-    return ExponentialFamily(
-        log_normalizer=lambda th: -math.log(1.0 - th[0] ** 2),
-        grad_log_normalizer=lambda th: np.array([2.0 * th[0] / (1.0 - th[0] ** 2)]),
-        dim=1,
-        param_domain=lambda th: abs(th[0]) < 1.0,
-    )
+def _sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def _bernoulli_cgf(theta):
+    """K of the Bernoulli family from ``theta``: a difference of softplus
+    values, which cancels far into either tail.  Where the sigmoid
+    overflows (``theta + c`` below -709), the slope is NaN and the optimizer
+    differences K."""
+    def cgf(c):
+        k = _softplus(theta + c) - _softplus(theta) - c * _sigmoid(theta)
+        try:
+            return k, _sigmoid(theta + c) - _sigmoid(theta)
+        except OverflowError:
+            return k, math.nan
+
+    return cgf
+
+
+def _laplace_log_normalizer(theta):
+    return -math.log1p(-theta) - math.log1p(theta)
 
 
 def _laplace_mean(theta):
@@ -338,51 +350,55 @@ def _laplace_mean(theta):
     return 2.0 * theta / ((1.0 - theta) * (1.0 + theta))
 
 
+def _laplace_re(theta_prime, theta):
+    return _bregman(_laplace_log_normalizer, _laplace_mean, theta_prime, theta)
+
+
 def _laplace_cgf(theta):
-    """K of the Laplace family from ``theta``, infinite past either edge."""
+    """K of the Laplace family from ``theta``, infinite past either edge.  The
+    distances ``1 -+ (theta + c)`` to the edges are formed from ``1 -+ theta``,
+    so they keep their digits next to an edge."""
     def cgf(c):
-        if not abs(theta + c) < 1.0:
+        below, above = (1.0 - theta) - c, (1.0 + theta) + c
+        if not (below > 0.0 and above > 0.0):
             return math.inf, math.nan
-        k = math.log(1.0 - theta**2) - math.log(1.0 - (theta + c) ** 2) - c * _laplace_mean(theta)
-        return k, _laplace_mean(theta + c) - _laplace_mean(theta)
+        k = -math.log(below) - math.log(above) - _laplace_log_normalizer(theta)
+        k -= c * _laplace_mean(theta)
+        return k, 2.0 * (theta + c) / (below * above) - _laplace_mean(theta)
 
     return cgf
 
 
 def bernoulli_distribution(theta):
-    p_one = 1.0 / (1.0 + math.exp(-theta))
-    return DiscreteDistribution([1.0 - p_one, p_one])
+    e = math.exp(-theta)
+    return DiscreteDistribution([e / (1.0 + e), 1.0 / (1.0 + e)])
+
+
+def _bernoulli_bound(theta_prime, theta):
+    """The analytic bound on the Bernoulli mean gap, R from the two laws."""
+    r = relative_entropy(bernoulli_distribution(theta_prime), bernoulli_distribution(theta))
+    return xi_bounds(AnalyticCgf(fn=_bernoulli_cgf(theta)), r)
 
 
 class TestExponentialFamily:
     def test_same_parameters_give_zero(self):
-        fam = bernoulli_family()
-        assert expfam_relative_entropy(fam, [0.7], [0.7]) == pytest.approx(0.0, abs=1e-14)
-        b = expfam_xi_bounds(fam, [0.7], [0.7], [1.0])
+        b = _bernoulli_bound(0.7, 0.7)
         assert b.xi_plus == 0.0 and b.xi_minus == 0.0
 
     def test_bernoulli_entropy_matches_discrete(self, rng):
-        fam = bernoulli_family()
         for _ in range(30):
             t1, t0 = rng.normal(0.0, 2.0, 2)
             expected = relative_entropy(
                 bernoulli_distribution(t1), bernoulli_distribution(t0)
             )
-            assert expfam_relative_entropy(fam, [t1], [t0]) == pytest.approx(
-                expected, abs=1e-10
-            )
-
-    def test_bregman_nonnegative(self, rng):
-        fam = bernoulli_family()
-        for _ in range(50):
-            t1, t0 = rng.normal(0.0, 3.0, 2)
-            assert expfam_relative_entropy(fam, [t1], [t0]) >= 0.0
+            assert _bregman(_softplus, _sigmoid, t1, t0) == pytest.approx(expected, abs=1e-10)
 
     def test_bernoulli_xi_matches_discrete(self, rng):
-        fam = bernoulli_family()
+        # The analytic route (K a softplus difference) against the empirical
+        # one (K a sum over the two atoms).
         for _ in range(15):
             t1, t0 = rng.normal(0.0, 1.5, 2)
-            b_fam = expfam_xi_bounds(fam, [t1], [t0], [1.0])
+            b_fam = _bernoulli_bound(t1, t0)
             b_disc = xi_bounds(
                 EmpiricalCgf(bernoulli_distribution(t0), Observable([0.0, 1.0])),
                 relative_entropy(bernoulli_distribution(t1), bernoulli_distribution(t0)),
@@ -390,29 +406,19 @@ class TestExponentialFamily:
             assert b_fam.xi_plus == pytest.approx(b_disc.xi_plus, abs=1e-8)
             assert b_fam.xi_minus == pytest.approx(b_disc.xi_minus, abs=1e-8)
 
-    def test_zero_direction_gives_zero(self):
-        fam = bernoulli_family()
-        b = expfam_xi_bounds(fam, [1.0], [0.2], [0.0])
-        assert b.xi_plus == 0.0 and b.xi_minus == 0.0
-
-    def test_empty_feasible_interval_raises(self):
-        fam = _laplace_family()
-        with pytest.raises(CgfDomainError):
-            expfam_xi_bounds(fam, [0.5], [1.0 - 1e-12], [1.0])
-
     def test_domain_edge_bounds_the_search(self):
         # F(theta) = -log(1 - theta^2) is the log-Laplace transform of the
-        # Laplace law on |theta| < 1.  From theta = 0.5 along v = 1 the
-        # domain ends at c = 0.5 and c = -1.5, and the bounds are those of
-        # the analytic CGF that is infinite past both edges; they sandwich
-        # the mean gap F'(theta') - F'(theta).
-        fam = _laplace_family()
-        theta, theta_prime, v = np.array([0.5]), np.array([0.3]), np.array([1.0])
-        r = expfam_relative_entropy(fam, theta_prime, theta)
-        want = xi_bounds(AnalyticCgf(fn=_laplace_cgf(0.5)), r)
-        bound = expfam_xi_bounds(fam, theta_prime, theta, v)
-        assert bound.xi_plus == pytest.approx(want.xi_plus, rel=1e-10)
-        assert bound.xi_minus == pytest.approx(want.xi_minus, rel=1e-10)
+        # Laplace law on |theta| < 1.  From theta = 0.5 the domain ends at
+        # c = 0.5 and c = -1.5: each side's optimum stays inside its own edge
+        # and matches a log grid of (K(+-c) + R) / c there, and the bounds
+        # sandwich the mean gap F'(theta') - F'(theta).
+        cgf, r = _laplace_cgf(0.5), _laplace_re(0.3, 0.5)
+        bound = xi_bounds(AnalyticCgf(fn=cgf), r)
+        assert 0.0 < bound.c_star_plus < 0.5 and 0.0 < bound.c_star_minus < 1.5
+        for sign, edge, want in ((1.0, 0.5, bound.xi_plus), (-1.0, 1.5, -bound.xi_minus)):
+            grid = edge * np.logspace(-6.0, 0.0, 20001, endpoint=False)
+            best = min((cgf(sign * c)[0] + r) / c for c in grid)
+            assert want <= best and want == pytest.approx(best, rel=1e-7)
         gap = _laplace_mean(0.3) - _laplace_mean(0.5)
         assert bound.xi_minus <= gap <= bound.xi_plus
 
@@ -425,7 +431,7 @@ class TestExponentialFamily:
         # edge but inside the far one, so the far side attains the exact gap.
         # A search capped at the nearer edge gave -173.6 for 0.9 -> -0.9,
         # where the gap is -18.95.
-        bound = expfam_xi_bounds(_laplace_family(), [theta_prime], [theta], [1.0])
+        bound = xi_bounds(AnalyticCgf(fn=_laplace_cgf(theta)), _laplace_re(theta_prime, theta))
         gap = _laplace_mean(theta_prime) - _laplace_mean(theta)
         far = bound.xi_minus if theta_prime < theta else bound.xi_plus
         assert far == pytest.approx(gap, rel=1e-9)
@@ -434,7 +440,7 @@ class TestExponentialFamily:
     def test_next_to_the_edge_stays_finite(self):
         # theta = 0.99999 is 1e-5 from its edge: the finite-difference
         # variance steps inside it, and the gap to 0.9999 is sandwiched.
-        bound = expfam_xi_bounds(_laplace_family(), [0.9999], [0.99999], [1.0])
+        bound = xi_bounds(AnalyticCgf(fn=_laplace_cgf(0.99999)), _laplace_re(0.9999, 0.99999))
         assert 0.0 < bound.linearized_half_width < math.inf
         gap = _laplace_mean(0.9999) - _laplace_mean(0.99999)
         assert bound.xi_minus <= gap <= bound.xi_plus < math.inf
@@ -444,8 +450,11 @@ class TestExponentialFamily:
         # Far into the Bernoulli tail K is a difference of softplus values
         # that cancels, so its central difference at 0 rounds to 0.  That
         # zero does not prove the observable constant: the search starts at
-        # the cap, and the interval holds the gap.
-        bound = expfam_xi_bounds(bernoulli_family(), [theta_prime], [theta], [1.0])
+        # the cap, and the interval holds the gap.  The lower side stays at
+        # the cap, where the slope overflows and K differences to a flat
+        # objective; an exact slope there would lead it to c ~ 3, where the
+        # cancelling K puts the bound past the gap by 8.7e-8 to 2.1e-4 relative.
+        bound = _bernoulli_bound(theta_prime, theta)
         e, e_prime = math.exp(-theta), math.exp(-theta_prime)
         gap = (e - e_prime) / ((1.0 + e) * (1.0 + e_prime))  # sigma(theta') - sigma(theta)
         assert gap < 0.0

@@ -123,7 +123,7 @@ def test_numpy_subcommands_still_import_it(tmp_path):
 
 
 def test_every_public_name_is_its_module_attribute():
-    assert len(infoscale.__all__) == 71
+    assert len(infoscale.__all__) == 67
     for name in infoscale.__all__:
         module = importlib.import_module(f"infoscale.{infoscale._MODULE_OF[name]}")
         assert getattr(infoscale, name) is getattr(module, name), name

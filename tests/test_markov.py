@@ -322,7 +322,7 @@ class TestPerronVectors:
         # the root and the slope sum l g r / sum l r from both Perron vectors.
         p, g = _banded_chain()
         centered = g.values - float(p._stationary.weights @ g.values)
-        value, slope = markov._lambda_curve(p.rows, centered)(c)
+        value, slope = markov._lambda_curve(p.rows, centered, p._stationary.weights)(c)
         with mpmath.workdps(50):
             tilt = [mpmath.exp(mpmath.mpf(c) * mpmath.mpf(float(v))) for v in centered]
             m = mpmath.matrix([[mpmath.mpf(float(a)) * t for a, t in zip(row, tilt)]
@@ -610,6 +610,38 @@ class TestXiRateBounds:
             assert math.isfinite(rb.xi_minus_rate) and math.isfinite(rb.xi_plus_rate)
             assert rb.xi_minus_rate <= 0.0 <= rb.xi_plus_rate
 
+    @staticmethod
+    def _mp_stationary_gap(q, p, g):
+        """``mu_q . g - mu_p . g`` from 50-digit solves of the balance
+        equations of the float rows."""
+        def stationary(rows):
+            n = rows.shape[0]
+            a = mpmath.matrix([[mpmath.mpf(float(rows[j, i])) - (i == j) for j in range(n)]
+                               for i in range(n - 1)] + [[1] * n])
+            return mpmath.lu_solve(a, mpmath.matrix([0] * (n - 1) + [1]))
+
+        with mpmath.workdps(50):
+            mu_q, mu_p = stationary(q.rows), stationary(p.rows)
+            return sum((mu_q[i] - mu_p[i]) * mpmath.mpf(float(v)) for i, v in enumerate(g.values))
+
+    @pytest.mark.parametrize("seed, count, sizes", [(3, 190, (3, 7)), (4, 20, (24, 32))])
+    def test_nearby_pairs_sandwich_the_exact_gap(self, seed, count, sizes):
+        # Q = P e^{eps U}, eps from 1e-12 to 1e-4: near c = 0 the Perron
+        # root keeps lambda ~ c^2 sigma^2 / 2 only to ulp(1), and the clamped
+        # curve once missed the gap on 34 of the 190 small pairs and 1 of
+        # the 20 power-route pairs (24 states and up).  The small-c form
+        # from mu^T P = mu^T keeps it to ulp(c gbar).
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(sizes[0], sizes[1] + 1))
+            p = random_chain(rng, n)
+            q = p.rows * np.exp(10.0 ** rng.uniform(-12.0, -4.0) * rng.uniform(-1.0, 1.0, (n, n)))
+            q = TransitionMatrix(q / q.sum(axis=1, keepdims=True))
+            g = Observable(rng.uniform(-1.0, 1.0, n))
+            rb = xi_rate_bounds(q, p, g)
+            gap = self._mp_stationary_gap(q, p, g)
+            assert rb.xi_minus_rate <= gap <= rb.xi_plus_rate, (n, gap, rb)
+
     def test_periodic_pair_with_a_zero_curve(self):
         # g is constant on the two cyclic classes, so lambda is identically
         # 0 and so is the gap; the dense solve's rounding once put
@@ -841,6 +873,29 @@ class TestPathEnumeration:
             assert got.tv is None
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, rel=1e-12), name
+
+    def test_chi2_of_nearby_chains_matches_a_50_digit_enumeration(self):
+        # chi^2 is summed from the differences q - p, so it keeps its digits
+        # as Q nears P; expm1 of the order-2 log sum kept an absolute floor
+        # of about 1e-16 (1.5e-4 relative off at eps = 1e-6, 0 at 1e-8).
+        rng = np.random.default_rng(1)
+        rows = rng.uniform(0.2, 1.0, (3, 3))
+        p = TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
+        u = rng.standard_normal((3, 3))
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            q_rows = p.rows * np.exp(eps * u)
+            q = TransitionMatrix(q_rows / q_rows.sum(axis=1, keepdims=True))
+            laws = [[mpmath.mpf(float(w)) for w in chain._stationary.weights] for chain in (q, p)]
+            with mpmath.workdps(50):
+                want = mpmath.mpf(0)
+                for path in itertools.product(range(3), repeat=5):
+                    a, b = (law[path[0]] for law in laws)
+                    for x, y in zip(path, path[1:]):
+                        a *= mpmath.mpf(float(q.rows[x, y]))
+                        b *= mpmath.mpf(float(p.rows[x, y]))
+                    want += (a - b) ** 2 / b
+            got = path_divergence_report(p, q, 4).chi2
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), eps
 
     def test_renyi_sum_keeps_a_tiny_entry_that_closes_the_cycle(self):
         # At order 20 the exponents of q^a p^(1-a) span about 1750: the
