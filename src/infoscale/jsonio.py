@@ -6,16 +6,21 @@ and column), bytes that are not UTF-8, a field of the wrong type, a number
 beyond the float range (a JSON integer such as 1 followed by 400 zeros), and
 a value that the built object rejects.
 
-A chain's ``rows`` are read one row at a time into one float64 matrix, so
-a large chain never exists as a list of Python floats; a ``rows`` value that
-is not a matrix of numbers parses as any other value does, so its checks
-and their messages are the same.
+A file is read in pieces of ``_CHUNK`` characters and parsed as it is
+read, by the stdlib's C scanner, so it is never held whole, neither as
+bytes nor as text.  A chain's ``rows`` go straight into one preallocated
+n x n float64 matrix, one row at a time, so a large chain never exists as
+a list of Python floats.  Input that the streamed reader does not take (a
+``rows`` value that is not a square matrix of numbers, a byte-order mark,
+a duplicate key, invalid JSON, trailing data, bytes that are not UTF-8)
+is parsed again from the whole file by ``json.loads``, so its value, its
+checks and their messages are the same.
 
 This module imports only ``json``, ``pathlib``, ``typing`` and ``errors``.
 Each loader imports the module that builds its object when it is called:
 reading a distribution, a chain or an interaction loads numpy and its own
-layer (a chain also ``array``), and reading a model specification loads
-``exact_models`` but not numpy.
+layer, and reading a model specification loads ``exact_models`` but not
+numpy.
 """
 
 from __future__ import annotations
@@ -27,33 +32,148 @@ from typing import TYPE_CHECKING
 from .errors import DimensionError, NormalizationError, ParameterError, StructureError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .divergences import DiscreteDistribution, Observable
     from .exact_models import ModelSpec
     from .gibbs import Interaction
     from .markov import TransitionMatrix
 
 
+_CHUNK = 1 << 16  # characters read from a file at a time
 _scan_once = json.JSONDecoder().scan_once  # the stdlib's C scanner where it has one
 _skip_space = json.decoder.WHITESPACE.match
 
 
-def _load_json(path, scan_value=None) -> dict:
-    """The top-level object of the UTF-8 JSON file ``path``.  ``scan_value``,
-    if given, parses each of the object's values in place of ``_scan_once``
-    (same signature: ``(text, idx) -> (value, end)``)."""
+class _Fallback(Exception):
+    """Input that the streamed reader does not take: the whole-file parse decides."""
+
+
+class _Stream:
+    """An open text file parsed as it is read: ``text[pos:]`` is read and not
+    yet parsed, and each read drops what is parsed."""
+
+    def __init__(self, file):
+        self.file, self.text, self.pos = file, "", 0
+
+    def _more(self) -> bool:
+        """Read on; False at the end of the file.  A piece is ``_CHUNK``
+        characters, or as long as the unparsed text where that is longer, so
+        the rescans of a value longer than a piece cost O(its length) in all."""
+        piece = self.file.read(max(_CHUNK, len(self.text) - self.pos))
+        if not piece:
+            return False
+        self.text, self.pos = self.text[self.pos:] + piece, 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after whitespace, "" at the end of the file."""
+        while True:
+            self.pos = _skip_space(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos:self.pos + 1]
+
+    def take(self, char: str) -> bool:
+        """Whether ``char`` comes next after whitespace; if so, it is read."""
+        if self.peek() != char:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, char: str) -> None:
+        if not self.take(char):
+            raise _Fallback
+
+    def value(self):
+        """The JSON value after whitespace.  One that ends where the read
+        text ends may go on (a number cut mid-digit), so it counts only at the
+        end of the file; one that does not scan is read on, and at the end of
+        the file left to the whole-file parse."""
+        self.peek()
+        while True:
+            try:
+                value, end = _scan_once(self.text, self.pos)
+            except (StopIteration, json.JSONDecodeError):
+                if not self._more():
+                    raise _Fallback from None
+                continue
+            if end < len(self.text) or not self._more():
+                self.pos = end
+                return value
+
+
+def _read_matrix(stream: _Stream) -> np.ndarray:
+    """A JSON array of n > 0 arrays of n numbers (booleans are not numbers),
+    read one row at a time into one preallocated float64 matrix, which is
+    returned read-only; any other value raises ``_Fallback``."""
+    import numpy as np
+
+    def numbers() -> list:
+        """The next row: a nonempty JSON array of numbers."""
+        if stream.peek() != "[":
+            raise _Fallback
+        row = stream.value()
+        if not row or not set(map(type, row)) <= {int, float}:
+            raise _Fallback
+        return row
+
+    stream.expect("[")
+    row = numbers()
+    try:
+        matrix = np.empty((len(row), len(row)))
+    except MemoryError:  # a long first row of a file that is not square
+        raise _Fallback from None
+    for i in range(len(matrix)):
+        if i:
+            stream.expect(",")
+            row = numbers()
+            if len(row) != len(matrix):
+                raise _Fallback
+        matrix[i] = row  # OverflowError past the float range
+    stream.expect("]")
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _read_object(stream: _Stream, matrix: str | None) -> dict:
+    """The file's top-level object, its field ``matrix`` by :func:`_read_matrix`;
+    anything but one object with distinct keys raises ``_Fallback``."""
+    stream.expect("{")
+    data = {}
+    if not stream.take("}"):
+        while True:
+            if stream.peek() != '"':
+                raise _Fallback
+            key = stream.value()
+            if key in data:
+                raise _Fallback
+            stream.expect(":")
+            data[key] = _read_matrix(stream) if key == matrix else stream.value()
+            if stream.take("}"):
+                break
+            stream.expect(",")
+    if stream.peek():
+        raise _Fallback
+    return data
+
+
+def _load_json(path, matrix: str | None = None) -> dict:
+    """The top-level object of the UTF-8 JSON file ``path``, streamed; the
+    field named ``matrix``, if given, is read as a square float64 matrix.
+    Input the streamed reader does not take is parsed whole by
+    ``json.loads``, which gives the same value or raises the error (naming
+    the file, and the line and column of invalid JSON)."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return _read_object(_Stream(file), matrix)
+    except (_Fallback, ValueError, OverflowError):  # also bytes that are not UTF-8
+        pass
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
     try:
-        start = _skip_space(text, 0).end()
-        if scan_value is None or not text.startswith("{", start):
-            data = json.loads(text)
-        else:
-            data, end = json.decoder.JSONObject((text, start + 1), True, scan_value, None, None)
-            end = _skip_space(text, end).end()
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -63,40 +183,6 @@ def _load_json(path, scan_value=None) -> dict:
     if not isinstance(data, dict):
         raise ParameterError(f"{path}: expected a JSON object at the top level")
     return data
-
-
-def _scan_matrix(text: str, idx: int):
-    """``_scan_once(text, idx)``, except that an array of equally long arrays
-    of numbers (booleans are not numbers) becomes a float64 matrix,
-    read one row at a time: each row is scanned to a list, checked and
-    appended to one growing array of doubles, so no list of Python floats
-    per entry is ever built.  Anything else, a row that does not scan or an
-    entry beyond the float range, is left to ``_scan_once`` from ``idx``,
-    which returns the same value or raises the same error as ``json.loads``."""
-    if text.startswith("[", idx):
-        from array import array
-
-        values, rows, width = array("d"), 0, 0
-        end = _skip_space(text, idx + 1).end()
-        while text.startswith("[", end):
-            try:
-                row, end = _scan_once(text, end)
-                ragged = rows and len(row) != width
-                if ragged or not set(map(type, row)) <= {int, float}:
-                    break
-                values.extend(row)
-            except (ValueError, OverflowError):
-                break
-            rows, width = rows + 1, len(row)
-            end = _skip_space(text, end).end()
-            if text.startswith("]", end):
-                import numpy as np
-
-                return np.frombuffer(values).reshape(rows, width), end + 1
-            if not text.startswith(",", end):
-                break
-            end = _skip_space(text, end + 1).end()
-    return _scan_once(text, idx)
 
 
 def _require(data: dict, field: str, path) -> object:
@@ -169,10 +255,10 @@ def load_observable(path) -> Observable:
 
 def load_chain(path) -> TransitionMatrix:
     """Read ``{"rows": [[...], ...], "labels": [...]}``, labels (strings or numbers)
-    optional; the rows are read one at a time (:func:`_scan_matrix`)."""
+    optional; the rows are read one at a time into the chain's matrix."""
     from .markov import TransitionMatrix
 
-    data = _load_json(path, _scan_matrix)
+    data = _load_json(path, "rows")
     _reject_unknown(data, ("rows", "labels"), str(path))
     labels = data.get("labels", [])
     if not (isinstance(labels, list) and all(type(x) in (str, int, float) for x in labels)):

@@ -56,17 +56,26 @@ _PERRON_STEPS = 30
 # iteration that converges in 12 to 14 steps: about 150 us either way at 24
 # states, 19 against 160 or more at 3 (numpy on a 2-CPU x86-64 host).
 _DENSE_BELOW = 24
+_CHI2_LIMIT = math.expm1(700.0)  # a path chi-squared past it is reported as inf
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """A row-stochastic, irreducible transition matrix on a finite state space."""
+    """A row-stochastic, irreducible transition matrix on a finite state space.
+
+    ``rows`` is kept read-only.  A float64 array that owns its memory and is
+    already read-only (what :func:`~infoscale.jsonio.load_chain` reads, or
+    another chain's ``rows``) is taken as it is; any other input, such as an
+    array its caller can still write, is copied.
+    """
 
     rows: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __init__(self, rows, labels=None):
-        arr = np.array(rows, dtype=float)
+        taken = (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                 and rows.flags.owndata and not rows.flags.writeable)
+        arr = rows if taken else np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionError("transition matrix must be square and nonempty")
         if not np.all(np.isfinite(arr)):
@@ -144,7 +153,7 @@ def _power_iteration(step: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def perron_root(
-    matrix: np.ndarray, route: _PerronRoute | None = None
+    matrix: np.ndarray | Callable[[], np.ndarray], route: _PerronRoute | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``(rho, l, r)``: the dominant eigenvalue of a nonnegative matrix with
     irreducible pattern and its left and right Perron vectors (unit sums).
@@ -162,8 +171,14 @@ def perron_root(
     have underflowed to reducible).  ``route``, shared by the solves of one
     chain, keeps the first solve's choice and sends every solve after a
     fallback straight to the dense route.
+
+    ``matrix`` is an array, which is never written, or a function that
+    builds a new one on each call: the power route then scales that one in
+    place, and a fallback builds it again for the dense solve, so either
+    route sees the same bits as it would on an array.
     """
-    m = np.asarray(matrix, dtype=float)
+    build = matrix if callable(matrix) else None
+    m = np.asarray(matrix, dtype=float) if build is None else build()
     if not np.isfinite(m).all():
         raise ParameterError("Perron root requires finite entries")
     if np.any(m < 0):
@@ -178,12 +193,15 @@ def perron_root(
     if route.power is None:
         route.power = n >= _DENSE_BELOW
     if route.power:
-        step = m / scale
+        step = np.divide(m, scale, out=None if build is None else m)
         vectors = _power_iteration(step)
         if vectors is not None:
             left, right = vectors
             return scale * float(left @ step @ right) / float(left @ right), left, right
         route.power = False
+        if build is not None:
+            del m, step
+            m = build()  # rebuilt, not divided back, so the dense solve sees the same bits
     # The spectral radius of a nonnegative matrix is itself an eigenvalue.
     rho = max(float(np.max(np.linalg.eigvals(m).real)), 0.0)
     u, _, vt = np.linalg.svd(m - rho * np.eye(n))
@@ -296,7 +314,14 @@ def _log_perron(
     top = float(np.max(exponents))
     low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
     shift = max(top - 700.0, min(top, low + 700.0))
-    rho, left, right = perron_root(base * np.exp(exponents - shift), route)
+    shape = np.broadcast_shapes(np.shape(base), exponents.shape)
+
+    def tilted() -> np.ndarray:  # in one n x n buffer, which perron_root may scale
+        matrix = np.subtract(exponents, shift)
+        np.exp(matrix, out=matrix)
+        return np.multiply(base, matrix, out=matrix if matrix.shape == shape else None)
+
+    rho, left, right = perron_root(tilted, route)
     return (math.log(rho) + shift if rho > 0.0 else -math.inf), left, right
 
 
@@ -487,7 +512,7 @@ def path_divergence_report(
       KL, as in :func:`~infoscale.divergences.renyi_divergence`);
     - ``chi^2 = sum (q - p)^2 / p``, carried with ``sum (q - p)`` and ``sum p``
       over the paths ending at each state, keeps its digits for nearby
-      chains (``inf`` where the order-2 log sum passes 700).
+      chains (``inf`` past ``expm1(700)``, where ``log(1 + chi^2)`` passes 700).
 
     ``tv`` is None: a sum of absolute values over paths has no transfer form.
     The initial-distribution terms, which the rate limits drop, are included;
@@ -515,18 +540,13 @@ def path_divergence_report(
         h2_terms.append(float(affinity @ row_h2))
         marginal, affinity = marginal @ q.rows, affinity @ overlap
     kl = math.fsum(kl_terms)
-
-    def log_renyi_sum(order: float) -> float:
-        exponents = _renyi_exponents(q.rows, p.rows, order)[:, None, :]  # one-state blocks
-        return _PathTransfer(_renyi_exponents(start_q, start_p, order), exponents, n).log_partition
-
-    log_two = log_renyi_sum(2.0)
     if near_kl:
         renyi = kl
     else:
-        log_alpha = log_two if alpha == 2.0 else log_renyi_sum(alpha)
-        renyi = _clamp_nonneg(log_alpha / (alpha - 1.0), "path Renyi divergence")
-    chi2 = math.inf if log_two > 700.0 else _path_chi2(q, p, start_q, start_p, n)
+        exponents = _renyi_exponents(q.rows, p.rows, alpha)[:, None, :]  # one-state blocks
+        transfer = _PathTransfer(_renyi_exponents(start_q, start_p, alpha), exponents, n)
+        renyi = _clamp_nonneg(transfer.log_partition / (alpha - 1.0), "path Renyi divergence")
+    chi2 = _path_chi2(q, p, start_q, start_p, n)
     report = DivergenceReport(None, math.sqrt(math.fsum(h2_terms)), kl, alpha, renyi, chi2)
     report.validate_chain()
     return report
@@ -537,16 +557,26 @@ def _path_chi2(q: TransitionMatrix, p: TransitionMatrix, start_q: np.ndarray,
     """``sum (q - p)^2 / p`` over the length-n paths, by the recursion over
     paths ending at y of ``E = sum (q - p)^2 / p``, ``F = sum (q - p)`` and
     ``G = sum p``: with ``d = q(x,y) - p(x,y)``, a step maps them to
-    ``E q^2/p + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p``."""
+    ``E q^2/p + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p``.
+
+    ``inf`` where the total is past ``expm1(700)`` (``log(1 + chi^2) >
+    700``) or not finite: the path chi-squared only grows with n, so a
+    recursion that leaves the float range has passed that limit."""
     diff, on = q.rows - p.rows, p.rows > 0
     inverse = np.divide(1.0, p.rows, out=np.zeros_like(diff), where=on)
     square, cross, spread = q.rows**2 * inverse, q.rows * diff * inverse, diff**2 * inverse
     start_diff = start_q - start_p
     e = np.divide(start_diff**2, start_p, out=np.zeros_like(start_diff), where=start_p > 0)
     f, g = start_diff, start_p
-    for _ in range(n):
-        e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
-    return _clamp_nonneg(float(e.sum()), "path chi-squared")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
+            if step % 64 == 63 and not e.sum() <= _CHI2_LIMIT:
+                break  # checked every 64 steps: each later total is larger still
+        total = float(e.sum())
+    if not total <= _CHI2_LIMIT:
+        return math.inf
+    return _clamp_nonneg(total, "path chi-squared")
 
 
 def path_cgf(

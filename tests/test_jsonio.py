@@ -1,10 +1,13 @@
-"""The chain reader: rows read one at a time give what a plain parse gives.
+"""The streamed reader gives what a plain parse of the whole file gives.
 
-``load_chain`` reads a chain's ``rows`` one row at a time into one float64
-matrix (``jsonio._scan_matrix``).  The plain route is ``json.loads`` on the
-whole file, which ``_load_json`` takes when it is given no value scanner:
-for every file the two routes must build the same matrix bit for bit, or
-raise the same error with the same message.
+``_load_json`` parses a file as it reads it in pieces of ``jsonio._CHUNK``
+characters, and ``load_chain`` reads a chain's ``rows`` one row at a time
+into one float64 matrix.  The plain route is ``json.loads`` on the whole
+file, which ``_load_json`` falls back to on input the streamed reader does
+not take; the tests reach it for every input by making the streamed reader
+(``jsonio._read_object``) give up at once.  For every file the two routes
+must build the same matrix bit for bit, or raise the same error with the
+same message, wherever the pieces end.
 """
 
 import json
@@ -34,7 +37,19 @@ LAYOUTS = st.sampled_from([
 
 
 def _rows_read_by_rows(path) -> np.ndarray:
-    return jsonio._load_json(path, jsonio._scan_matrix)["rows"]
+    """The streamed ``rows`` as a float64 matrix; a square matrix of numbers
+    is read by rows, anything else is left to the plain route (a list)."""
+    rows = jsonio._load_json(path, "rows")["rows"]
+    assert isinstance(rows, np.ndarray) == (len(rows) == len(rows[0]))
+    return np.asarray(rows, dtype=float)
+
+
+def _give_up(stream, matrix):
+    raise jsonio._Fallback
+
+
+# A piece of one character, and pieces that end inside keys, rows and numbers.
+CHUNKS = [1, 3, 7]
 
 
 @settings(max_examples=200, deadline=None)
@@ -43,8 +58,10 @@ def _rows_read_by_rows(path) -> np.ndarray:
     data=st.data(),
     layout=LAYOUTS,
     labels=st.booleans(),
+    chunk=st.sampled_from(CHUNKS + [jsonio._CHUNK]),
 )
-def test_rows_match_a_plain_parse_bit_for_bit(tmp_path_factory, shape, data, layout, labels):
+def test_rows_match_a_plain_parse_bit_for_bit(tmp_path_factory, shape, data, layout, labels,
+                                              chunk):
     rows = data.draw(st.lists(
         st.lists(ENTRIES, min_size=shape[1], max_size=shape[1]),
         min_size=shape[0], max_size=shape[0],
@@ -53,7 +70,9 @@ def test_rows_match_a_plain_parse_bit_for_bit(tmp_path_factory, shape, data, lay
     path = tmp_path_factory.mktemp("chain") / "chain.json"
     path.write_text(json.dumps(doc, **layout))
     expected = np.array(json.loads(path.read_text())["rows"], dtype=float)
-    got = _rows_read_by_rows(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsonio, "_CHUNK", chunk)
+        got = _rows_read_by_rows(path)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -118,11 +137,49 @@ ROW_CASES = {
 def test_rows_fail_as_a_plain_parse_fails(tmp_path, monkeypatch, text):
     path = tmp_path / "chain.json"
     path.write_text(text)
-    read_by_rows = _outcome(load_chain, path)
-    monkeypatch.setattr(jsonio, "_scan_matrix", None)  # load_chain then runs json.loads
-    assert read_by_rows == _outcome(load_chain, path)
-    if isinstance(read_by_rows[1], str):
-        assert read_by_rows[1].startswith(f"{path}: ")
+    streamed = {}
+    for chunk in CHUNKS + [jsonio._CHUNK]:
+        monkeypatch.setattr(jsonio, "_CHUNK", chunk)
+        streamed[chunk] = _outcome(load_chain, path)
+    monkeypatch.setattr(jsonio, "_read_object", _give_up)  # load_chain then runs json.loads
+    plain = _outcome(load_chain, path)
+    assert streamed == dict.fromkeys(streamed, plain)
+    if isinstance(plain[1], str):
+        assert plain[1].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 8, 9])
+def test_a_number_cut_mid_digit_reads_on(tmp_path, monkeypatch, chunk):
+    # A first piece of 8 characters is '{"d": 12', which ends inside 12345
+    # at a valid number; pieces of 1 and 4 end there too, and one of 9 later.
+    path = tmp_path / "model.json"
+    path.write_text('{"d": 12345, "rows": [[0.25, 0.75], [0.5, 0.5]]}')
+    monkeypatch.setattr(jsonio, "_CHUNK", chunk)
+    data = jsonio._load_json(path, "rows")
+    assert data["d"] == 12345
+    assert data["rows"].tolist() == [[0.25, 0.75], [0.5, 0.5]]
+
+
+def test_the_file_is_closed_on_every_route(tmp_path):
+    # A file left open warns (ResourceWarning), which the test settings
+    # make an error; this checks the streamed route and each fallback.
+    path = tmp_path / "chain.json"
+    for text in ('{"rows": [[1.0]]}', '{"rows": [[true]]}', '{"rows": [[1.0]]',
+                 b'{"rows": [[1.0]]}\xff'):
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        _outcome(load_chain, path)
+
+
+def test_one_long_row_is_not_a_square_matrix(tmp_path):
+    # A square matrix of its length would be 8 TB: the reader leaves the
+    # file to the plain route, whose matrix the chain rejects as not square.
+    path = tmp_path / "chain.json"
+    path.write_text('{"rows": [[' + "0," * (10**6 - 1) + "1]]}")
+    with pytest.raises(InfoscaleError, match="must be square"):
+        load_chain(path)
 
 
 def test_invalid_json_in_rows_reports_its_line_and_column(tmp_path):
@@ -136,8 +193,9 @@ def test_invalid_json_in_rows_reports_its_line_and_column(tmp_path):
 def test_chain_rows_are_not_held_as_python_floats(tmp_path):
     # 400 x 400 entries "0.0025": a parse to lists holds a Python float and a
     # list slot per entry (32 bytes) next to the text (8), or next to the
-    # matrix (8), a peak of about 42 bytes per entry; read by rows, the text
-    # and the matrix read, or that matrix and the chain's copy, about 18.
+    # matrix (8), a peak of about 42 bytes per entry.  Streamed, only the
+    # matrix (8) and one piece of the file are held, and the chain takes the
+    # matrix without a copy: about 10, with the checks' boolean arrays.
     n = 400
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"rows": [[0.0025] * n] * n}))
@@ -148,4 +206,4 @@ def test_chain_rows_are_not_held_as_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert chain.size == n
-    assert peak < 30 * n * n, f"{peak / n**2:.1f} bytes per entry"
+    assert peak < 12 * n * n, f"{peak / n**2:.1f} bytes per entry"

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -394,6 +395,64 @@ class TestPerronRoute:
         assert counts["dense"] == 0 and counts["power"] > 10
 
 
+# A periodic 4-state pattern (period 2): a power iteration never settles on
+# it, so a forced power route falls back to the dense solve.
+_PERIODIC_4 = np.array([[0, 0, .3, .7], [0, 0, .6, .4], [.5, .5, 0, 0], [.2, .8, 0, 0]])
+
+
+def _bits(*values) -> list[bytes]:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+class TestPerronBuffers:
+    """perron_root never writes its argument; _log_perron's tilted matrix,
+    built and scaled in one buffer, gives the bits of the plain expression."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(24)
+        dense, power = rng.uniform(0.1, 2.0, (5, 5)), rng.uniform(0.1, 2.0, (30, 30))
+        return [(dense, None), (power, None), (_PERIODIC_4, True)]
+
+    @pytest.mark.parametrize("case", range(3), ids=["dense", "power", "fallback"])
+    def test_argument_is_left_unchanged(self, case):
+        m, power = self._cases()[case]
+        before = m.copy()
+        frozen = m.copy()
+        frozen.setflags(write=False)
+        on_writable = perron_root(m, markov._PerronRoute(power))
+        on_frozen = perron_root(frozen, markov._PerronRoute(power))
+        assert m.tobytes() == before.tobytes() and frozen.tobytes() == before.tobytes()
+        assert _bits(*on_frozen) == _bits(*on_writable)
+
+    @pytest.mark.parametrize("case", range(3), ids=["dense", "power", "fallback"])
+    @pytest.mark.parametrize("form", ["curve", "renyi"])
+    def test_log_perron_matches_the_plain_tilted_matrix(self, case, form):
+        # Dividing a fallback's scaled matrix back would change the bits of
+        # some of these 40 tilts on each form (as it does on the 30-state
+        # Renyi form, whose power iteration falls back unforced).
+        rows, power = self._cases()[case]
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        n = rows.shape[0]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            if form == "curve":  # the lambda-curve: p(x, y) e^{c g(y)}
+                base, exponents = rows, rng.uniform(-40.0, 40.0, n)
+            else:  # the Renyi rate: e^{a log q + (1 - a) log p}, a zero entry at -inf
+                with np.errstate(divide="ignore"):
+                    base, exponents = 1.0, np.log(rows) * 3.0 + rng.uniform(-5.0, 5.0, (n, n))
+            top = float(np.max(exponents))
+            low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
+            shift = max(top - 700.0, min(top, low + 700.0))
+            routes = markov._PerronRoute(power), markov._PerronRoute(power)
+            got = markov._log_perron(base, exponents, routes[0])
+            rho, left, right = perron_root(base * np.exp(exponents - shift), routes[1])
+            assert _bits(*got) == _bits(math.log(rho) + shift, left, right)
+            assert routes[0] == routes[1]
+            if power:
+                assert routes[0].power is False  # the rebuilt matrix took the dense solve
+
+
 class TestRates:
     def test_rer_zero_iff_equal(self, rng):
         p = random_chain(rng, 3)
@@ -765,6 +824,26 @@ class TestCheapBounds:
             assert cb.rer <= cb.sup_row_re + 1e-12
             assert cb.sup_row_re <= cb.sup_log_ratio + 1e-12
 
+    def test_a_dense_pair_holds_few_temporaries(self):
+        # Each tilted Perron solve builds one n x n buffer, which the power
+        # route scales in place.  Beyond the two chains, a dense job's
+        # numeric work then holds 2.38 n x n arrays at most at n = 200 (the
+        # surrogate's log ratios next to a solve's buffer and vectors); a
+        # scaled copy of each tilted matrix made it 3.21.
+        n = 200
+        rng = np.random.default_rng(200)
+        p, q = (TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+                for m in (rng.uniform(0.1, 1.1, (n, n)) for _ in range(2)))
+        g = Observable(rng.uniform(-1.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            cheap_rate_bounds(q, p, g)
+            chi2_rate(q, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 8 * n * n, f"{peak / (8 * n * n):.2f} n x n arrays"
+
     def test_exact_is_the_rate_bound(self, rng):
         flip = np.array([[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4],
                          [0.5, 0.5, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]])
@@ -896,6 +975,55 @@ class TestPathEnumeration:
                     want += (a - b) ** 2 / b
             got = path_divergence_report(p, q, 4).chi2
             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), eps
+
+    # (states, alpha): chi^2, KL, Hellinger, Renyi of two seeded chains over
+    # 12 steps from their stationary laws, as the order-2 pass decided chi^2.
+    _SEEDED_REPORTS = {
+        (3, 0.5): (36.13036927226852, 1.3448465498772566, 0.7183730888536418,
+                   0.5968927939985731),
+        (3, 2.0): (36.13036927226852, 1.3448465498772566, 0.7183730888536418,
+                   3.6144352135278592),
+        (30, 0.5): (2927.0324459106037, 3.7945885312110432, 1.1091064998586724,
+                    1.9093284009557294),
+        (30, 2.0): (2927.0324459106037, 3.7945885312110432, 1.1091064998586724,
+                    7.982085956273426),
+    }
+
+    @pytest.mark.parametrize("states, alpha", list(_SEEDED_REPORTS))
+    def test_one_renyi_pass_gives_every_divergence(self, monkeypatch, states, alpha):
+        # chi^2 comes from its own recursion at every order, so a report
+        # runs the Renyi transfer of its order alone.
+        rng = np.random.default_rng(states)
+        p, q = (TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+                for m in (rng.uniform(0.05, 1.0, (states, states)) for _ in range(2)))
+        transfers = []
+
+        def counted(*args):
+            transfers.append(args)
+            return transfer(*args)
+
+        transfer = markov._PathTransfer
+        monkeypatch.setattr(markov, "_PathTransfer", counted)
+        rep = path_divergence_report(p, q, 12, alpha=alpha)
+        assert len(transfers) == 1
+        got = (rep.chi2, rep.kl, rep.hellinger, rep.renyi)
+        assert got == pytest.approx(self._SEEDED_REPORTS[states, alpha], rel=1e-12, abs=0.0)
+        at_two = path_divergence_report(p, q, 12)
+        assert (rep.chi2, rep.kl, rep.hellinger) == (at_two.chi2, at_two.kl, at_two.hellinger)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_chi2_past_the_log_limit_is_inf(self, alpha):
+        # q / p = 3.3e29 on two entries: log(1 + chi^2) grows by about 67 a
+        # step, past 700 by step 11, and the recursion itself overflows
+        # (inf - inf) long before step 400, with no warning.
+        p = TransitionMatrix([[1 - 2e-30, 1e-30, 1e-30], [1 / 3] * 3, [1 / 3] * 3])
+        q = TransitionMatrix([[1 / 3] * 3] * 3)
+        u = DiscreteDistribution([1 / 3] * 3)
+        chi2 = [path_divergence_report(p, q, n, nu_p=u, nu_q=u, alpha=alpha).chi2
+                for n in (1, 12, 40, 400)]
+        assert chi2[:2] == pytest.approx([7.407407407407405e+28, 9.361060577946511e+173],
+                                         rel=1e-12)
+        assert chi2[2:] == [math.inf, math.inf]
 
     def test_renyi_sum_keeps_a_tiny_entry_that_closes_the_cycle(self):
         # At order 20 the exponents of q^a p^(1-a) span about 1750: the
