@@ -102,12 +102,14 @@ class Observable:
         return float(np.dot(dist.weights, self.values))
 
     def variance(self, dist: DiscreteDistribution) -> float:
-        mean = self.expectation(dist)
-        return float(np.dot(dist.weights, (self.values - mean) ** 2))
+        return self.second_moment(dist, about=self.expectation(dist))
 
-    def second_moment(self, dist: DiscreteDistribution) -> float:
+    def second_moment(self, dist: DiscreteDistribution, about: float = 0.0) -> float:
+        """``sum p_i (f_i - about)^2`` over the atoms with ``p_i > 0``; inf past the float range."""
         self._check_aligned(dist)
-        return float(np.dot(dist.weights, self.values**2))
+        on = dist.weights > 0
+        with np.errstate(over="ignore"):
+            return float(np.dot(dist.weights[on], (self.values[on] - about) ** 2))
 
     def _check_aligned(self, dist: DiscreteDistribution) -> None:
         if self.values.size != dist.support_size:
@@ -598,7 +600,7 @@ def classical_qoi_bounds(
         le_cam=2.0 * sup * h * math.sqrt(max(1.0 - 0.25 * h**2, 0.0)),
         hellinger_improved=math.sqrt(2.0)
         * h
-        * math.sqrt(f.variance(p) + f.variance(q) + 0.5 * gap**2),
+        * math.sqrt(f.variance(p) + f.variance(q) + 0.5 * gap * gap),
     )
 
 

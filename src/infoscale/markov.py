@@ -10,8 +10,9 @@ eigenvalue curve, whose slope ``sum l g r / sum l r`` comes from the left and
 right Perron vectors l, r of the same solve.
 
 The lambda-curve and the Renyi rates take every tilted Perron root through
-one shift rule, :func:`_log_perron`; the row KL terms, the checks and the
-Renyi order rule are those of :mod:`infoscale.divergences`.
+one shift rule, :func:`_log_perron`, whose tilted matrix :func:`perron_root`
+only reads (its power iteration scales the iterates); the row KL terms, the
+checks and the Renyi order rule are those of :mod:`infoscale.divergences`.
 
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
 (stationary laws, rate, lambda-curve, IACT); :func:`cheap_rate_bounds`
@@ -133,59 +134,54 @@ class _PerronRoute:
     power: bool | None = None
 
 
-def _power_iteration(step: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Left and right Perron vectors (unit sums) of ``step``, whose largest
-    row sum is 1, by ``r <- step r``, ``l <- l step`` from the uniform start;
-    None where the iteration does not settle within ``_PERRON_STEPS`` steps
-    or an iterate gets a zero entry."""
-    n = step.shape[0]
+def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """``(rho, l, r)`` of ``m`` by ``r <- m r / s``, ``l <- l m / s`` from the
+    uniform start, s the largest row sum: the iterates, not m, are divided,
+    so they stay at most 1 and m is only read.  rho is the Rayleigh quotient
+    ``l m r / l r``.  None where the iteration does not settle within
+    ``_PERRON_STEPS`` steps or an iterate gets a zero entry."""
+    n = m.shape[0]
+    scale = float(m.sum(axis=1).max())
     right = left = np.full(n, 1.0 / n)
     for _ in range(_PERRON_STEPS):
-        y, z = step @ right, left @ step
+        y, z = m @ right / scale, left @ m / scale
         if min(y.min(), z.min()) <= 0.0:
             return None  # an entry underflowed; the ratio enclosure is undefined
         ratios, left_ratios = y / right, z / left
         lo, hi = float(ratios.min()), float(ratios.max())
         right, left = y / y.sum(), z / z.sum()
         if max(hi - lo, float(np.ptp(left_ratios))) <= _PERRON_TOL * hi:
-            return left, right
+            return float(left @ m @ right) / float(left @ right), left, right
     return None
 
 
 def perron_root(
-    matrix: np.ndarray | Callable[[], np.ndarray], route: _PerronRoute | None = None
+    matrix: np.ndarray, route: _PerronRoute | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``(rho, l, r)``: the dominant eigenvalue of a nonnegative matrix with
     irreducible pattern and its left and right Perron vectors (unit sums).
 
-    Two routes.  The dense one: an eigensolve for rho and the null vectors
-    of ``M - rho I`` by one SVD.  The power one: iteration with ``M/s``, s
-    the largest row sum, until the Collatz-Wielandt ratios of each iterate,
-    which enclose the root, agree to a relative ``_PERRON_TOL``; rho is then
-    the Rayleigh quotient ``l M r / l r``.  A matrix of fewer than
-    ``_DENSE_BELOW`` states takes the dense route, which costs less there
-    than a power iteration that converges.  A larger one takes the power
-    route, and falls back to the dense one where the iteration does not
-    settle within ``_PERRON_STEPS`` steps (a periodic or slowly mixing
+    Two routes; neither writes M.  The dense one: an eigensolve for rho and the
+    null vectors of ``M - rho I`` by one SVD.  The power one: iteration with M,
+    each iterate divided by s, the largest row sum, until the Collatz-Wielandt
+    ratios of each iterate, which enclose the root, agree to a relative
+    ``_PERRON_TOL``; rho is then the Rayleigh quotient ``l M r / l r``.  A
+    matrix of fewer than ``_DENSE_BELOW`` states takes the dense route, which
+    costs less there than a power iteration that converges.  A larger one takes
+    the power route, and falls back to the dense one where the iteration does
+    not settle within ``_PERRON_STEPS`` steps (a periodic or slowly mixing
     pattern) or its iterate gets a zero entry (a pattern that extreme tilts
     have underflowed to reducible).  ``route``, shared by the solves of one
     chain, keeps the first solve's choice and sends every solve after a
     fallback straight to the dense route.
-
-    ``matrix`` is an array, which is never written, or a function that
-    builds a new one on each call: the power route then scales that one in
-    place, and a fallback builds it again for the dense solve, so either
-    route sees the same bits as it would on an array.
     """
-    build = matrix if callable(matrix) else None
-    m = np.asarray(matrix, dtype=float) if build is None else build()
+    m = np.asarray(matrix, dtype=float)
     if not np.isfinite(m).all():
         raise ParameterError("Perron root requires finite entries")
     if np.any(m < 0):
         raise ParameterError("Perron root requires a nonnegative matrix")
     n = m.shape[0]
-    scale = float(m.sum(axis=1).max())
-    if scale == 0.0:
+    if not m.any():
         uniform = np.full(n, 1.0 / n)
         return 0.0, uniform, uniform
     if route is None:
@@ -193,15 +189,10 @@ def perron_root(
     if route.power is None:
         route.power = n >= _DENSE_BELOW
     if route.power:
-        step = np.divide(m, scale, out=None if build is None else m)
-        vectors = _power_iteration(step)
-        if vectors is not None:
-            left, right = vectors
-            return scale * float(left @ step @ right) / float(left @ right), left, right
+        found = _power_iteration(m)
+        if found is not None:
+            return found
         route.power = False
-        if build is not None:
-            del m, step
-            m = build()  # rebuilt, not divided back, so the dense solve sees the same bits
     # The spectral radius of a nonnegative matrix is itself an eigenvalue.
     rho = max(float(np.max(np.linalg.eigvals(m).real)), 0.0)
     u, _, vt = np.linalg.svd(m - rho * np.eye(n))
@@ -302,7 +293,8 @@ def _log_perron(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``log rho(base * e^exponents)`` (entrywise, numpy broadcasting; a
     ``-inf`` exponent is a zero entry, a zero root gives ``-inf``), with the
-    left and right Perron vectors of :func:`perron_root` on ``route``.
+    left and right Perron vectors of :func:`perron_root`, which only reads
+    the tilted matrix built here in one buffer, on ``route``.
 
     e^x overflows past x = 709 and underflows below -745, and a large tilt
     or a tiny entry of p reaches either.  The exponents are shifted by their
@@ -315,13 +307,10 @@ def _log_perron(
     low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
     shift = max(top - 700.0, min(top, low + 700.0))
     shape = np.broadcast_shapes(np.shape(base), exponents.shape)
-
-    def tilted() -> np.ndarray:  # in one n x n buffer, which perron_root may scale
-        matrix = np.subtract(exponents, shift)
-        np.exp(matrix, out=matrix)
-        return np.multiply(base, matrix, out=matrix if matrix.shape == shape else None)
-
-    rho, left, right = perron_root(tilted, route)
+    matrix = np.subtract(exponents, shift)
+    np.exp(matrix, out=matrix)
+    matrix = np.multiply(base, matrix, out=matrix if matrix.shape == shape else None)
+    rho, left, right = perron_root(matrix, route)
     return (math.log(rho) + shift if rho > 0.0 else -math.inf), left, right
 
 
@@ -458,6 +447,15 @@ class CheapRateBounds:
         return self.exact.rer
 
 
+def _sup_log_ratio(q: np.ndarray, p: np.ndarray) -> float:
+    """``max |log(q / p)|`` over the support of q; its n x n temporaries
+    are freed on return."""
+    support = q > 0
+    log_ratio = _log_on(q, support, 0.0)
+    log_ratio -= _log_on(p, support, 0.0)
+    return float(np.abs(log_ratio, out=log_ratio).max())
+
+
 def cheap_rate_bounds(
     q: TransitionMatrix, p: TransitionMatrix, g: Observable
 ) -> CheapRateBounds:
@@ -471,10 +469,7 @@ def cheap_rate_bounds(
     """
     exact = xi_rate_bounds(q, p, g)
     sup_row = float(_row_relative_entropies(q, p).max())
-    support = q.rows > 0
-    log_ratio = _log_on(q.rows, support, 0.0)
-    log_ratio -= _log_on(p.rows, support, 0.0)
-    sup_ratio = float(np.abs(log_ratio, out=log_ratio).max())
+    sup_ratio = _sup_log_ratio(q.rows, p.rows)
     bounds = [_optimized(exact.lambda_curve, exact.iact, r) for r in (sup_row, sup_ratio)]
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
 

@@ -55,6 +55,9 @@ class SweepConfig:
     strict: bool = False
 
     def __post_init__(self):
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step <= 0:
             raise ParameterError(f"step must be positive, got {self.step!r}")
         if self.stop < self.start:

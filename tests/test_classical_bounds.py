@@ -102,3 +102,25 @@ def test_close_measures_stay_sandwiched():
         if not xi.xi_minus - slack <= gap <= xi.xi_plus + slack:
             misses.append((draw, "xi"))
     assert misses == []
+
+
+def test_huge_value_on_a_zero_weight_atom_adds_nothing():
+    # The square of 1e200 overflows; as 0 * inf it made the variance, and both
+    # variance-based bounds, NaN.  Only the atoms that p weighs count.
+    p, q = DiscreteDistribution([0.5, 0.5, 0.0]), DiscreteDistribution([0.4, 0.6, 0.0])
+    f = Observable([1.0, 2.0, 1e200])
+    assert f.variance(p) == 0.25 and f.second_moment(p) == 2.5
+    bounds = classical_qoi_bounds(p, q, f)
+    assert all(math.isfinite(v) for v in bounds.as_dict().values())
+    assert bounds.chapman_robbins == pytest.approx(0.5 * math.sqrt(0.04), rel=1e-14)
+    assert math.isfinite(dashti_stuart_half_width(p, q, f))
+
+
+def test_spread_past_the_float_range_is_inf():
+    # On the support the square really overflows: inf, with no warning (a
+    # RuntimeWarning fails this suite) and no OverflowError from the gap.
+    p, q = DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([0.4, 0.6])
+    f = Observable([1e200, -1e200])
+    assert f.variance(p) == math.inf and f.second_moment(q) == math.inf
+    bounds = classical_qoi_bounds(p, q, f)
+    assert bounds.chapman_robbins == bounds.hellinger_improved == math.inf

@@ -395,9 +395,11 @@ class TestPerronRoute:
         assert counts["dense"] == 0 and counts["power"] > 10
 
 
-# A periodic 4-state pattern (period 2): a power iteration never settles on
-# it, so a forced power route falls back to the dense solve.
-_PERIODIC_4 = np.array([[0, 0, .3, .7], [0, 0, .6, .4], [.5, .5, 0, 0], [.2, .8, 0, 0]])
+# A periodic 4-state pattern (period 2), with tilted columns: a power
+# iteration from the uniform start never settles on it, so a forced power
+# route falls back to the dense solve.  (On the untilted chain it settles:
+# that start is balanced between the two classes.)
+_PERIODIC_4 = np.array([[0, 0, .3, .7], [0, 0, .6, .4], [.5, .5, 0, 0], [.2, .8, 0, 0]]) * [1, 2, 3, 4]
 
 
 def _bits(*values) -> list[bytes]:
@@ -406,7 +408,7 @@ def _bits(*values) -> list[bytes]:
 
 class TestPerronBuffers:
     """perron_root never writes its argument; _log_perron's tilted matrix,
-    built and scaled in one buffer, gives the bits of the plain expression."""
+    built in one buffer, gives the bits of the plain expression."""
 
     @staticmethod
     def _cases():
@@ -420,17 +422,20 @@ class TestPerronBuffers:
         before = m.copy()
         frozen = m.copy()
         frozen.setflags(write=False)
-        on_writable = perron_root(m, markov._PerronRoute(power))
+        route = markov._PerronRoute(power)
+        on_writable = perron_root(m, route)
         on_frozen = perron_root(frozen, markov._PerronRoute(power))
         assert m.tobytes() == before.tobytes() and frozen.tobytes() == before.tobytes()
         assert _bits(*on_frozen) == _bits(*on_writable)
+        if power:  # the forced power route fell back: the dense route's bits
+            assert route.power is False
+            assert _bits(*on_writable) == _bits(*perron_root(m, markov._PerronRoute(False)))
 
     @pytest.mark.parametrize("case", range(3), ids=["dense", "power", "fallback"])
     @pytest.mark.parametrize("form", ["curve", "renyi"])
     def test_log_perron_matches_the_plain_tilted_matrix(self, case, form):
-        # Dividing a fallback's scaled matrix back would change the bits of
-        # some of these 40 tilts on each form (as it does on the 30-state
-        # Renyi form, whose power iteration falls back unforced).
+        # 40 tilts on each form; the 30-state Renyi form's power iteration
+        # falls back unforced.
         rows, power = self._cases()[case]
         rows = rows / rows.sum(axis=1, keepdims=True)
         n = rows.shape[0]
@@ -450,7 +455,31 @@ class TestPerronBuffers:
             assert _bits(*got) == _bits(math.log(rho) + shift, left, right)
             assert routes[0] == routes[1]
             if power:
-                assert routes[0].power is False  # the rebuilt matrix took the dense solve
+                assert routes[0].power is False  # the forced power route fell back
+
+    def test_power_route_over_the_whole_shifted_range(self):
+        # _log_perron hands over entries from e^-700 to e^700: here most from
+        # e^698 to e^700 and a fifth at e^-700.  The iterates, each divided by the
+        # largest row sum (about e^702), stay finite and positive, and the
+        # power route settles without a dense solve.
+        n = 30
+        rng = np.random.default_rng(700)
+        exponents = rng.uniform(698.0, 700.0, (n, n))
+        exponents[rng.random((n, n)) < 0.2] = -700.0
+        exponents[0, 0] = 700.0
+        m = np.exp(exponents)
+        route = markov._PerronRoute()
+        rho, left, right = perron_root(m, route)
+        assert route.power is True  # the power iteration settled
+        assert np.isfinite(left).all() and np.isfinite(right).all()
+        assert (left > 0.0).all() and (right > 0.0).all()
+        dense = perron_root(m, markov._PerronRoute(power=False))
+        assert rho == pytest.approx(dense[0], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(left, dense[1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(right, dense[2], rtol=1e-12, atol=0.0)
+        # The same matrix as _log_perron builds it from exponents 1000 higher.
+        log_rho = markov._log_perron(1.0, exponents + 1000.0, markov._PerronRoute())[0]
+        assert log_rho == pytest.approx(math.log(dense[0]) + 1000.0, rel=1e-15)
 
 
 class TestRates:
@@ -825,11 +854,13 @@ class TestCheapBounds:
             assert cb.sup_row_re <= cb.sup_log_ratio + 1e-12
 
     def test_a_dense_pair_holds_few_temporaries(self):
-        # Each tilted Perron solve builds one n x n buffer, which the power
-        # route scales in place.  Beyond the two chains, a dense job's
-        # numeric work then holds 2.38 n x n arrays at most at n = 200 (the
-        # surrogate's log ratios next to a solve's buffer and vectors); a
-        # scaled copy of each tilted matrix made it 3.21.
+        # Each tilted Perron solve builds one n x n buffer, which perron_root
+        # reads and never writes, and the surrogate's log ratios are freed
+        # before its optimizations.  Beyond the two chains, a dense job's
+        # numeric work then holds 2.17 n x n arrays at most at n = 200 (the
+        # row KL terms and their temporaries); log ratios kept alive next to
+        # a solve's buffer made it 2.38, and a scaled copy of each tilted
+        # matrix 3.21.
         n = 200
         rng = np.random.default_rng(200)
         p, q = (TransitionMatrix(m / m.sum(axis=1, keepdims=True))
@@ -842,7 +873,7 @@ class TestCheapBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * 8 * n * n, f"{peak / (8 * n * n):.2f} n x n arrays"
+        assert peak <= 2.25 * 8 * n * n, f"{peak / (8 * n * n):.2f} n x n arrays"
 
     def test_exact_is_the_rate_bound(self, rng):
         flip = np.array([[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4],

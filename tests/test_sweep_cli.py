@@ -283,6 +283,21 @@ class TestCli:
         assert payload["tv"] is None
         assert payload["bound_ckp"] >= abs(payload["qoi_gap"])
 
+    def test_divergence_ignores_a_huge_value_where_both_laws_vanish(self, tmp_path, capsys):
+        # f = 1e200 on an atom of weight 0 printed NaN for the two variance
+        # bounds, with two RuntimeWarnings on stderr.
+        files = {"p": {"weights": [0.5, 0.5, 0]}, "q": {"weights": [0.4, 0.6, 0]},
+                 "f": {"values": [1, 2, 1e200]}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code = main(["divergence", "--p", str(tmp_path / "p.json"), "--q", str(tmp_path / "q.json"),
+                     "--observable", str(tmp_path / "f.json")])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = strict_json(out)  # a NaN raises
+        assert payload["bound_chapman_robbins"] == pytest.approx(0.1, rel=1e-14)
+        assert payload["bound_hellinger_improved"] > abs(payload["qoi_gap"])
+
     def test_goal_bound_keys(self, fixtures, capsys):
         code = main(
             [
@@ -825,6 +840,19 @@ class TestCli:
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["figure", "7q"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", "inf"), ("start", "nan"), ("stop", "inf"), ("step", "nan"),
+    ])
+    def test_non_finite_grid_is_error_exit(self, fixtures, capsys, field, value):
+        # --step inf printed one row with param nan; the others were refused
+        # as a grid past the cap.
+        grid = {"start": "0", "stop": "1", "step": "0.1", field: value}
+        code = main(["phase", "--q", fixtures["mq.json"], "--p", fixtures["mp.json"],
+                     "--sweep", "h", *(a for k, v in grid.items() for a in (f"--{k}", v))])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"infoscale: error: {field} must be finite, got {float(value)!r}"]
 
     def test_empty_range_is_error_exit(self, fixtures, capsys):
         code = main(
