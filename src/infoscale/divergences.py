@@ -12,8 +12,9 @@ The Markov and Gibbs layers share this module's array kernels: the one
 max-shifted log-sum-exp; the one path-measure transfer, :class:`_PathTransfer`
 (Markov paths, Gibbs measures), whose forward recursion steps on that shift
 rule and whose centred-CGF method gives the path CGF and the Gibbs relative
-entropy; the exponential tail ``e^y - 1 - y``, the Bregman KL terms, the
-size and mutual absolute-continuity checks, and the Renyi order rule.
+entropy; the exponential tail ``e^y - 1 - y``; one term kernel per
+divergence (Bregman KL, Hellinger, chi-squared, the Renyi exponents); the
+size and absolute-continuity checks, and the Renyi order rule.
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ def _check_same_support(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise DimensionError(f"{what}: support sizes differ: {len(a)} vs {len(b)}")
 
 
+def _require_ac(q: np.ndarray, p: np.ndarray, what: str) -> None:
+    """Raise unless ``q`` and ``p`` have one shape (DimensionError) and q
+    vanishes wherever p does (AbsoluteContinuityError)."""
+    _check_same_support(q, p, what)
+    if np.any((q > 0) & (p == 0)):
+        raise AbsoluteContinuityError(f"{what} undefined: q is not absolutely continuous w.r.t. p")
+
+
 def _require_mutual_ac(q: np.ndarray, p: np.ndarray, what: str) -> None:
     """Raise unless ``q`` and ``p`` have one shape (DimensionError) and
     vanish at the same entries (AbsoluteContinuityError)."""
@@ -183,6 +192,26 @@ def _kl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _hellinger_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(sqrt q - sqrt p)^2`` entrywise, any shape, 0 where q and p are both
+    0, taken as ``((q - p) / (sqrt q + sqrt p))^2``: the difference is exact,
+    so it keeps its relative digits however close q is to p."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 where both are 0, set below
+        terms = np.subtract(q, p)
+        terms /= np.sqrt(q) + np.sqrt(p)
+    terms *= terms
+    terms[(q == 0) & (p == 0)] = 0.0
+    return terms
+
+
+def _chi2_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(q - p)^2 / p`` entrywise, any shape, 0 where p is 0 (q must be 0
+    there too): the difference is exact, so it keeps its relative digits."""
+    diff = np.subtract(q, p)
+    diff *= diff
+    return np.divide(diff, p, out=np.zeros_like(diff), where=p > 0)
+
+
 def _log_on(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
     """``log x`` on ``support`` and ``fill`` off it, in one new array."""
     return np.log(x, where=support, out=np.full_like(x, fill))
@@ -221,9 +250,10 @@ def _positive_int(value, name: str) -> int:
 
 def _clamp_nonneg(value: float, what: str) -> float:
     # Rounding can push an exact zero slightly negative; anything worse is a bug.
+    # A -0.0 comes back as 0.0, and a NaN as it is.
     if value < -1e-12:
         raise NumericsError(f"{what} evaluated to {value!r} < 0")
-    return max(value, 0.0)
+    return 0.0 if value <= 0.0 else value
 
 
 def _logsumexp(exponents: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -381,33 +411,22 @@ def relative_entropy(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
 
     Requires q absolutely continuous w.r.t. p.
     """
-    _check_same_support(q.weights, p.weights, "relative entropy")
-    if np.any((q.weights > 0) & (p.weights == 0)):
-        raise AbsoluteContinuityError(
-            "relative entropy undefined: q is not absolutely continuous w.r.t. p"
-        )
+    _require_ac(q.weights, p.weights, "relative entropy")
     return float(np.sum(_kl_terms(q.weights, p.weights)))
 
 
 def chi_squared(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
-    """Chi-squared divergence ``sum (q - p)^2 / p``, each term >= 0."""
-    _check_same_support(q.weights, p.weights, "chi-squared divergence")
-    if np.any((q.weights > 0) & (p.weights == 0)):
-        raise AbsoluteContinuityError(
-            "chi-squared divergence undefined: q is not absolutely continuous w.r.t. p"
-        )
-    mask = p.weights > 0
-    p_mask = p.weights[mask]
-    return float(np.sum((q.weights[mask] - p_mask) ** 2 / p_mask))
+    """Chi-squared divergence ``sum (q - p)^2 / p``, summed as the terms of
+    :func:`_chi2_terms`, each >= 0.  Requires q absolutely continuous w.r.t. p."""
+    _require_ac(q.weights, p.weights, "chi-squared divergence")
+    return float(np.sum(_chi2_terms(q.weights, p.weights)))
 
 
 def hellinger(q: DiscreteDistribution, p: DiscreteDistribution) -> float:
     """Hellinger distance ``sqrt(sum (sqrt(q) - sqrt(p))^2)``, in [0, sqrt(2)],
-    each difference taken as ``(q - p) / (sqrt q + sqrt p)``."""
+    summed as the terms of :func:`_hellinger_terms`."""
     _check_same_support(q.weights, p.weights, "Hellinger distance")
-    mask = (q.weights > 0) | (p.weights > 0)
-    q_mask, p_mask = q.weights[mask], p.weights[mask]
-    return float(np.sqrt(np.sum(((q_mask - p_mask) / (np.sqrt(q_mask) + np.sqrt(p_mask))) ** 2)))
+    return float(np.sqrt(np.sum(_hellinger_terms(q.weights, p.weights))))
 
 
 def renyi_divergence(
@@ -436,7 +455,7 @@ def renyi_divergence(
         terms = _exp_tail(a_s, np.expm1(a_s)) - alpha * _exp_tail(s, np.expm1(s))
         gap = float(p_mask @ terms)
         if gap >= -0.5:  # below, the sum is under 1/2 and its log needs no log1p
-            return math.log1p(gap) / (alpha - 1.0)
+            return _clamp_nonneg(math.log1p(gap) / (alpha - 1.0), "Renyi divergence")
     value = _logsumexp(_renyi_exponents(q_mask, p_mask, alpha)) / (alpha - 1.0)
     return _clamp_nonneg(value, "Renyi divergence")
 
@@ -515,9 +534,9 @@ def iid_scaled_divergences(
     ``KL_N = N KL``, ``D_alpha,N = N D_alpha``,
     ``chi2_N = (1 + chi2)^N - 1`` and
     ``H_N = sqrt(2 - 2 (1 - H^2/2)^N)``.
-    The chi-squared form is evaluated in the log domain, so very large N
-    returns ``+inf`` rather than overflowing.  Total variation has no product
-    closed form and is reported as None.
+    Both powers are taken as ``expm1(N log1p(.))``, so a large N gives the
+    chi-squared ``+inf`` rather than an overflow, and a tiny H keeps its
+    digits.  Total variation has no product form and is reported as None.
     """
     n = _positive_int(n, "N")
     kl_1 = relative_entropy(q, p)
@@ -527,8 +546,8 @@ def iid_scaled_divergences(
 
     log_chi2_base = math.log1p(chi2_1)
     chi2_n = math.inf if n * log_chi2_base > 700.0 else math.expm1(n * log_chi2_base)
-    h2_half = 1.0 - 0.5 * h_1**2  # in [0, 1]
-    h_n = math.sqrt(max(2.0 - 2.0 * h2_half**n, 0.0))
+    half_h2 = 0.5 * h_1**2  # 1 where H rounds to sqrt(2), and log1p(-1) raises
+    h_n = math.sqrt(2.0 if half_h2 >= 1.0 else -2.0 * math.expm1(n * math.log1p(-half_h2)))
 
     report = DivergenceReport(
         tv=None,
@@ -576,7 +595,8 @@ def classical_qoi_bounds(
     bound uses the variance-based form with the optimal centering shift,
     ``sqrt(2) H sqrt(Var_p f + Var_q f + (E_q f - E_p f)^2 / 2)``, which is
     never worse than the second-moment form (see
-    :func:`dashti_stuart_half_width`).
+    :func:`dashti_stuart_half_width`).  A zero chi^2 or H gives its bound 0,
+    even where a variance leaves the float range.
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError(
@@ -590,26 +610,24 @@ def classical_qoi_bounds(
     chi2 = chi_squared(q, p)
     h = hellinger(q, p)
     gap = f.expectation(q) - f.expectation(p)
+    var_p, var_q = f.variance(p), f.variance(q)
 
     return ClassicalBounds(
         ckp=sup * math.sqrt(2.0 * r),
         pinsker=sup * math.sqrt(2.0 * d_alpha / alpha),
         pinsker_alpha=alpha,
         scheffe=sup * (2.0 - math.exp(-r)),
-        chapman_robbins=math.sqrt(f.variance(p)) * math.sqrt(chi2),
+        chapman_robbins=math.sqrt(var_p) * math.sqrt(chi2) if chi2 else 0.0,
         le_cam=2.0 * sup * h * math.sqrt(max(1.0 - 0.25 * h**2, 0.0)),
-        hellinger_improved=math.sqrt(2.0)
-        * h
-        * math.sqrt(f.variance(p) + f.variance(q) + 0.5 * gap * gap),
+        hellinger_improved=(math.sqrt(2.0) * h * math.sqrt(var_p + var_q + 0.5 * gap * gap)
+                            if h else 0.0),
     )
 
 
 def dashti_stuart_half_width(
     p: DiscreteDistribution, q: DiscreteDistribution, f: Observable
 ) -> float:
-    """Second-moment Hellinger bound ``sqrt(2) H sqrt(E_p f^2 + E_q f^2)``."""
-    return (
-        math.sqrt(2.0)
-        * hellinger(q, p)
-        * math.sqrt(f.second_moment(p) + f.second_moment(q))
-    )
+    """Second-moment Hellinger bound ``sqrt(2) H sqrt(E_p f^2 + E_q f^2)``;
+    0 where H is 0."""
+    h = hellinger(q, p)
+    return math.sqrt(2.0) * h * math.sqrt(f.second_moment(p) + f.second_moment(q)) if h else 0.0

@@ -11,7 +11,7 @@ right Perron vectors l, r of the same solve.
 
 The lambda-curve and the Renyi rates take every tilted Perron root through
 one shift rule, :func:`_log_perron`, whose tilted matrix :func:`perron_root`
-only reads (its power iteration scales the iterates); the row KL terms, the
+only reads (its power iteration scales the iterates); every row term, the
 checks and the Renyi order rule are those of :mod:`infoscale.divergences`.
 
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
@@ -19,12 +19,12 @@ checks and the Renyi order rule are those of :mod:`infoscale.divergences`.
 reuses it for the two surrogate rates.
 
 The finite-horizon path divergences and CGF are sums over paths of products
-along the path, so they are transfer products in O(N |S|^2) work: additive
-sums of row terms for the KL and Hellinger, and for the Renyi sums and the
-centred CGF the path-measure transfer ``divergences._PathTransfer`` with
-one-state blocks, shared with the Gibbs measures: the Renyi sums are log
-partitions of its tilted transfer, and the CGF its centred-CGF method.  No
-path law is ever built.
+along the path, so they are transfer products in O(N |S|^2) work: one pass
+over the steps sums the KL and Hellinger row terms along the marginals and
+carries the chi-squared's three vectors; the Renyi sums and the centred CGF
+run on ``divergences._PathTransfer`` with one-state blocks, shared with the
+Gibbs measures (log partitions of its tilted transfer, and its centred-CGF
+method).  No path law is ever built.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import Callable
 import numpy as np
 
 from .divergences import (
-    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
-    _kl_terms, _log_on, _near_kl, _PathTransfer, _positive_int, _renyi_exponents,
-    _require_mutual_ac,
+    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _chi2_terms,
+    _clamp_nonneg, _hellinger_terms, _kl_terms, _log_on, _near_kl, _PathTransfer, _positive_int,
+    _renyi_exponents, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -224,17 +224,10 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
     return DiscreteDistribution(mu, renormalize=True)
 
 
-def _row_relative_entropies(q: TransitionMatrix, p: TransitionMatrix) -> np.ndarray:
-    """``R(q(x,.) || p(x,.))`` for every state x: its row of the Bregman
-    terms of ``divergences._kl_terms``, each >= 0, summed."""
-    return _kl_terms(q.rows, p.rows).sum(axis=1)
-
-
 def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
-    rows = _row_relative_entropies(q, p)
-    return float(q._stationary.weights @ rows)
+    return float(q._stationary.weights @ _kl_terms(q.rows, p.rows).sum(axis=1))
 
 
 def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
@@ -252,7 +245,7 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     log_rho = _log_perron(1.0, _renyi_exponents(q.rows, p.rows, alpha))[0]
     if log_rho == -math.inf:
         raise NumericsError("the tilted matrix underflowed to a zero Perron root")
-    return max(log_rho / (alpha - 1.0), 0.0)
+    return max(0.0, log_rho / (alpha - 1.0))  # 0.0 first: max keeps it over a -0.0
 
 
 def chi2_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
@@ -423,7 +416,7 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     centered = g.values - float(mu_p.weights @ g.values)
     curve = _lambda_curve(p.rows, centered, mu_p.weights)
     iact = integrated_autocorrelation(p, g)
-    rer = float(mu_q.weights @ _row_relative_entropies(q, p))
+    rer = float(mu_q.weights @ _kl_terms(q.rows, p.rows).sum(axis=1))
     bound = _optimized(curve, iact, rer)
     return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, mu_q, mu_p)
 
@@ -468,7 +461,7 @@ def cheap_rate_bounds(
     lambda-curve and IACT these reuse, comes along as ``exact``.
     """
     exact = xi_rate_bounds(q, p, g)
-    sup_row = float(_row_relative_entropies(q, p).max())
+    sup_row = float(_kl_terms(q.rows, p.rows).sum(axis=1).max())
     sup_ratio = _sup_log_ratio(q.rows, p.rows)
     bounds = [_optimized(exact.lambda_curve, exact.iact, r) for r in (sup_row, sup_ratio)]
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
@@ -495,19 +488,21 @@ def path_divergence_report(
     """Exact divergences between the length-``n_steps`` path measures.
 
     Each is a sum over the ``|S|^(N+1)`` paths of a product along the path,
-    so a transfer product gives it exactly in O(N |S|^2) work, with no path
-    law built.  With ``rowKL(x) = R(q(x,.) || p(x,.))`` and
+    so one pass over the N steps gives them exactly in O(N |S|^2) work, with
+    no path law built, each from the term kernels of
+    :mod:`~infoscale.divergences`.  With ``rowKL(x) = R(q(x,.) || p(x,.))`` and
     ``rowH2(x) = sum_y (sqrt q(x,y) - sqrt p(x,y))^2``:
 
     - ``KL = R(nu_q || nu_p) + sum_{t<N} (nu_q q^t) . rowKL``;
     - ``H^2 = sum (sqrt nu_q - sqrt nu_p)^2 + sum_{t<N} (sqrt(nu_q nu_p) B^t) . rowH2``
       with ``B = sqrt(q p)`` entrywise;
+    - ``chi^2 = sum (q - p)^2 / p``: over the paths ending at y, ``E = sum
+      (q - p)^2 / p``, ``F = sum (q - p)`` and ``G = sum p`` step to ``E q^2/p
+      + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p`` (``d = q - p``);
+      ``inf`` past ``expm1(700)`` or where the recursion leaves the float range;
     - the Renyi order alpha is ``log(nu_q^a nu_p^(1-a) . M^N . 1) / (a - 1)``
       with ``M = q^a p^(1-a)`` entrywise (orders within 1e-6 of 1 give the
-      KL, as in :func:`~infoscale.divergences.renyi_divergence`);
-    - ``chi^2 = sum (q - p)^2 / p``, carried with ``sum (q - p)`` and ``sum p``
-      over the paths ending at each state, keeps its digits for nearby
-      chains (``inf`` past ``expm1(700)``, where ``log(1 + chi^2)`` passes 700).
+      KL, as in :func:`~infoscale.divergences.renyi_divergence`).
 
     ``tv`` is None: a sum of absolute values over paths has no transfer form.
     The initial-distribution terms, which the rate limits drop, are included;
@@ -524,16 +519,24 @@ def path_divergence_report(
         return DivergenceReport(None, 0.0, 0.0, alpha, 0.0, 0.0)
     _require_mutual_ac(start_q, start_p, "path divergences")
     _require_mutual_ac(q.rows, p.rows, "path divergences")
-    row_kl = _row_relative_entropies(q, p)
-    row_h2 = ((np.sqrt(q.rows) - np.sqrt(p.rows)) ** 2).sum(axis=1)
+    row_kl = _kl_terms(q.rows, p.rows).sum(axis=1)
+    row_h2 = _hellinger_terms(q.rows, p.rows).sum(axis=1)
     overlap = np.sqrt(q.rows * p.rows)
+    diff, spread = q.rows - p.rows, _chi2_terms(q.rows, p.rows)
+    cross = diff + spread  # q d / p
+    square = q.rows + cross  # q^2 / p
     kl_terms = [float(_kl_terms(start_q, start_p).sum())]
-    h2_terms = [float(((np.sqrt(start_q) - np.sqrt(start_p)) ** 2).sum())]
+    h2_terms = [float(_hellinger_terms(start_q, start_p).sum())]
     marginal, affinity = start_q, np.sqrt(start_q * start_p)
-    for _ in range(n):
-        kl_terms.append(float(marginal @ row_kl))
-        h2_terms.append(float(affinity @ row_h2))
-        marginal, affinity = marginal @ q.rows, affinity @ overlap
+    e, f, g = _chi2_terms(start_q, start_p), start_q - start_p, start_p
+    with np.errstate(over="ignore", invalid="ignore"):  # chi^2 past the float range
+        for _ in range(n):
+            kl_terms.append(float(marginal @ row_kl))
+            h2_terms.append(float(affinity @ row_h2))
+            marginal, affinity = marginal @ q.rows, affinity @ overlap
+            e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
+        total = float(e.sum())
+    chi2 = _clamp_nonneg(total, "path chi-squared") if total <= _CHI2_LIMIT else math.inf
     kl = math.fsum(kl_terms)
     if near_kl:
         renyi = kl
@@ -541,37 +544,9 @@ def path_divergence_report(
         exponents = _renyi_exponents(q.rows, p.rows, alpha)[:, None, :]  # one-state blocks
         transfer = _PathTransfer(_renyi_exponents(start_q, start_p, alpha), exponents, n)
         renyi = _clamp_nonneg(transfer.log_partition / (alpha - 1.0), "path Renyi divergence")
-    chi2 = _path_chi2(q, p, start_q, start_p, n)
     report = DivergenceReport(None, math.sqrt(math.fsum(h2_terms)), kl, alpha, renyi, chi2)
     report.validate_chain()
     return report
-
-
-def _path_chi2(q: TransitionMatrix, p: TransitionMatrix, start_q: np.ndarray,
-               start_p: np.ndarray, n: int) -> float:
-    """``sum (q - p)^2 / p`` over the length-n paths, by the recursion over
-    paths ending at y of ``E = sum (q - p)^2 / p``, ``F = sum (q - p)`` and
-    ``G = sum p``: with ``d = q(x,y) - p(x,y)``, a step maps them to
-    ``E q^2/p + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p``.
-
-    ``inf`` where the total is past ``expm1(700)`` (``log(1 + chi^2) >
-    700``) or not finite: the path chi-squared only grows with n, so a
-    recursion that leaves the float range has passed that limit."""
-    diff, on = q.rows - p.rows, p.rows > 0
-    inverse = np.divide(1.0, p.rows, out=np.zeros_like(diff), where=on)
-    square, cross, spread = q.rows**2 * inverse, q.rows * diff * inverse, diff**2 * inverse
-    start_diff = start_q - start_p
-    e = np.divide(start_diff**2, start_p, out=np.zeros_like(start_diff), where=start_p > 0)
-    f, g = start_diff, start_p
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n):
-            e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
-            if step % 64 == 63 and not e.sum() <= _CHI2_LIMIT:
-                break  # checked every 64 steps: each later total is larger still
-        total = float(e.sum())
-    if not total <= _CHI2_LIMIT:
-        return math.inf
-    return _clamp_nonneg(total, "path chi-squared")
 
 
 def path_cgf(

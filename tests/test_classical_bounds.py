@@ -124,3 +124,13 @@ def test_spread_past_the_float_range_is_inf():
     assert f.variance(p) == math.inf and f.second_moment(q) == math.inf
     bounds = classical_qoi_bounds(p, q, f)
     assert bounds.chapman_robbins == bounds.hellinger_improved == math.inf
+
+
+def test_identical_measures_with_a_spread_past_the_float_range_give_zero():
+    # Var f is inf on the support, and H = chi^2 = 0: sqrt(inf) * 0 made the
+    # Chapman-Robbins and both Hellinger bounds NaN.
+    p = DiscreteDistribution([0.5, 0.5, 0.0])
+    f = Observable([1e200, -1e200, 0.0])
+    bounds = classical_qoi_bounds(p, p, f)
+    assert bounds.chapman_robbins == bounds.hellinger_improved == 0.0
+    assert dashti_stuart_half_width(p, p, f) == 0.0

@@ -376,7 +376,24 @@ class TestPrecision:
         assert hellinger(q, p) == pytest.approx(h, rel=1e-12, abs=0.0)
 
     def test_identical_measures_give_zero(self, rng):
+        # +0.0: below order 1, log1p(0) / (alpha - 1) is -0.0.
         p, _ = close_pair(rng, 5, 0.0)
         assert relative_entropy(p, p) == chi_squared(p, p) == hellinger(p, p) == 0.0
         for alpha in self.ORDERS:
-            assert renyi_divergence(p, p, alpha) == 0.0
+            for value in (renyi_divergence(p, p, alpha), iid_scaled_divergences(p, p, 3, alpha).renyi):
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, alpha
+
+    @pytest.mark.parametrize("eps, n", [(1e-9, 100), (1e-5, 1000), (1e-3, 10), (0.5, 3)])
+    def test_product_hellinger_matches_mpmath(self, rng, eps, n):
+        # H_N = sqrt(2 - 2 BC^N) with BC = sum sqrt(q p) = 1 - H^2 / 2: taken
+        # as the power (1 - H^2/2)^N it rounded, to H_N = 0.0 at H = 1e-9 and
+        # N = 100, and 4.2e-8 relative off at H = 1e-5 and N = 1000.
+        for _ in range(5):
+            p, q = close_pair(rng, 4, eps)
+            with mpmath.workdps(50):
+                bc = mpmath.fsum(mpmath.sqrt(mpmath.mpf(float(a)) * mpmath.mpf(float(b)))
+                                 for a, b in zip(q.weights, p.weights))
+                want = float(mpmath.sqrt(2 - 2 * bc**n))
+            assert want > 0.0
+            got = iid_scaled_divergences(p, q, n).hellinger
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)

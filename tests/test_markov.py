@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, random_distribution
+from conftest import close_pair, random_chain, random_distribution
 import infoscale.markov as markov
 from infoscale import (
     AbsoluteContinuityError,
@@ -610,6 +610,9 @@ class TestRates:
         p = random_chain(rng, 3)
         assert renyi_rate(p, p, 2.0) == pytest.approx(0.0, abs=1e-12)
         assert chi2_rate(p, p) == pytest.approx(0.0, abs=1e-12)
+        uniform = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+        rate = renyi_rate(uniform, uniform, 0.5)  # log rho is 0: 0 / (alpha - 1) was -0.0
+        assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
 
     def test_hellinger_limit_flag(self, rng):
         p = random_chain(rng, 3)
@@ -628,7 +631,7 @@ class TestRates:
     def test_row_relative_entropies_match_relative_entropy(self, seed):
         # Banded pattern: most entries of each row are zero (0 log 0 = 0).
         q, p, _ = _chain_pair(seed, 12, 2.0, True)
-        rows = markov._row_relative_entropies(q, p)
+        rows = markov._kl_terms(q.rows, p.rows).sum(axis=1)
         assert (q.rows == 0).any()
         for x in range(q.size):
             want = relative_entropy(
@@ -1006,6 +1009,32 @@ class TestPathEnumeration:
                     want += (a - b) ** 2 / b
             got = path_divergence_report(p, q, 4).chi2
             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), eps
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_close_pairs_match_a_50_digit_enumeration(self, eps):
+        # Rows and initial laws from conftest.close_pair, whose float weights
+        # are the measures, so every path law is exact: 3 states over 4
+        # steps.  The Hellinger rows summed (sqrt q - sqrt p)^2, which
+        # cancels: 1.5e-4 relative off at eps = 1e-12.
+        rng = np.random.default_rng(5)
+        pairs = [close_pair(rng, 3, eps) for _ in range(4)]  # three rows, the initial laws
+        p, q = (TransitionMatrix([pair[side].weights for pair in pairs[:3]]) for side in (0, 1))
+        nu_p, nu_q = pairs[3]
+        with mpmath.workdps(50):
+            kl = h2 = chi2 = mpmath.mpf(0)
+            for path in itertools.product(range(3), repeat=5):
+                a, b = (mpmath.mpf(float(nu.weights[path[0]])) for nu in (nu_p, nu_q))
+                for x, y in zip(path, path[1:]):
+                    a *= mpmath.mpf(float(p.rows[x, y]))
+                    b *= mpmath.mpf(float(q.rows[x, y]))
+                kl += b * mpmath.log(b / a)
+                h2 += (mpmath.sqrt(b) - mpmath.sqrt(a)) ** 2
+                chi2 += (b - a) ** 2 / a
+            want = {"kl": float(kl), "hellinger": float(mpmath.sqrt(h2)), "chi2": float(chi2)}
+        got = path_divergence_report(p, q, 4, nu_p=nu_p, nu_q=nu_q)
+        assert min(want.values()) > 0.0
+        for name, value in want.items():
+            assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
     # (states, alpha): chi^2, KL, Hellinger, Renyi of two seeded chains over
     # 12 steps from their stationary laws, as the order-2 pass decided chi^2.

@@ -298,6 +298,25 @@ class TestCli:
         assert payload["bound_chapman_robbins"] == pytest.approx(0.1, rel=1e-14)
         assert payload["bound_hellinger_improved"] > abs(payload["qoi_gap"])
 
+    @pytest.mark.parametrize("iid", [[], ["--iid", "3"]])
+    def test_divergence_of_a_law_from_itself_prints_plus_zeros(self, tmp_path, capsys, iid):
+        # f = +-1e200 on the support: Var f is inf, so the variance bounds were
+        # inf * 0 = NaN; the order-1/2 Renyi divergence and the Pinsker bound
+        # printed -0.0 (log1p(0) / (alpha - 1)).
+        files = {"p": {"weights": [0.5, 0.5, 0]}, "f": {"values": [1e200, -1e200, 0]}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        p = str(tmp_path / "p.json")
+        code = main(["divergence", "--p", p, "--q", p, "--observable", str(tmp_path / "f.json"),
+                     "--alpha", "0.5", *iid])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = strict_json(out)  # a NaN raises
+        zeros = ["hellinger", "kl", "renyi", "chi2", "qoi_gap", "bound_ckp", "bound_pinsker",
+                 "bound_chapman_robbins", "bound_le_cam", "bound_hellinger_improved"]
+        for key in zeros:
+            assert payload[key] == 0.0 and math.copysign(1.0, payload[key]) == 1.0, key
+
     def test_goal_bound_keys(self, fixtures, capsys):
         code = main(
             [
