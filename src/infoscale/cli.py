@@ -64,7 +64,7 @@ def _cmd_divergence(args) -> int:
     if args.observable is not None:
         f = jsonio.load_observable(args.observable)
         bounds = classical_qoi_bounds(p, q, f)
-        payload["qoi_gap"] = f.expectation(q) - f.expectation(p)
+        payload["qoi_gap"] = f.gap(q, p)
         payload.update({f"bound_{k}": v for k, v in bounds.as_dict().items()})
     _emit_json(payload, args.out)
     return 0
@@ -80,8 +80,7 @@ def _cmd_goal_bound(args) -> int:
     f = jsonio.load_observable(args.observable)
     bound = xi_bounds(EmpiricalCgf(p, f), relative_entropy(q, p))
     payload = bound.as_dict()
-    gap = f.expectation(q) - f.expectation(p)
-    payload["gap"] = gap
+    payload["gap"] = f.gap(q, p)
     _emit_json(payload, args.out)
     return 0
 
@@ -103,7 +102,7 @@ def _cmd_markov(args) -> int:
         "xi_plus": bound.xi_plus_rate,
         "xi_minus": bound.xi_minus_rate,
         "iact": bound.iact,
-        "stationary_gap": g.expectation(bound.mu_q) - g.expectation(bound.mu_p),
+        "stationary_gap": bound.stationary_gap,
     }
     if args.cheap:
         payload.update(
@@ -118,9 +117,7 @@ def _cmd_markov(args) -> int:
         )
     if args.enumerate is not None:
         steps = args.enumerate
-        path = markov.path_divergence_report(
-            p, q, steps, nu_p=bound.mu_p, nu_q=bound.mu_q, alpha=args.alpha
-        )
+        path = markov.path_divergence_report(p, q, steps, alpha=args.alpha)
         payload.update(
             {
                 "enumerated_steps": steps,

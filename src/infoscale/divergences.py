@@ -102,6 +102,13 @@ class Observable:
         self._check_aligned(dist)
         return float(np.dot(dist.weights, self.values))
 
+    def gap(self, q: DiscreteDistribution, p: DiscreteDistribution) -> float:
+        """``E_q f - E_p f`` as ``(q - p) . f``: the weights are subtracted
+        first, exactly, so it keeps its digits however close q is to p."""
+        self._check_aligned(p)
+        self._check_aligned(q)
+        return float(np.dot(q.weights - p.weights, self.values))
+
     def variance(self, dist: DiscreteDistribution) -> float:
         return self.second_moment(dist, about=self.expectation(dist))
 
@@ -153,6 +160,15 @@ def _exp_tail(y: np.ndarray, em1: np.ndarray) -> np.ndarray:
     """``e^y - 1 - y`` to full relative precision, given ``em1 = expm1(y)``:
     by its Taylor series where ``|y| <= 1/8``, where ``em1 - y`` cancels."""
     return np.where(np.abs(y) <= 0.125, np.polyval(_EXP_TAIL, y) * y * y, em1 - y)
+
+
+def _renyi_tails(s: np.ndarray, alpha: float) -> np.ndarray:
+    """``tail(a s) - a tail(s)`` entrywise, ``tail(y) = e^y - 1 - y`` as in
+    :func:`_exp_tail`: ``e^{a s} - 1 - a (e^s - 1)``, with the sign of
+    ``a - 1``.  Over a law p with ``s = log(q / p)``, ``sum p (tail(a s) - a
+    tail(s))`` is ``sum q^a p^(1-a) - 1``, with no term near 1 to cancel."""
+    a_s = alpha * s
+    return _exp_tail(a_s, np.expm1(a_s)) - alpha * _exp_tail(s, np.expm1(s))
 
 
 def _log_ratio(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -451,9 +467,7 @@ def renyi_divergence(
     q_mask, p_mask = q.weights[mask], p.weights[mask]
     s = _log_ratio(q_mask, p_mask)
     if max(alpha, 1.0) * float(np.max(np.abs(s))) <= 700.0:
-        a_s = alpha * s
-        terms = _exp_tail(a_s, np.expm1(a_s)) - alpha * _exp_tail(s, np.expm1(s))
-        gap = float(p_mask @ terms)
+        gap = float(p_mask @ _renyi_tails(s, alpha))
         if gap >= -0.5:  # below, the sum is under 1/2 and its log needs no log1p
             return _clamp_nonneg(math.log1p(gap) / (alpha - 1.0), "Renyi divergence")
     value = _logsumexp(_renyi_exponents(q_mask, p_mask, alpha)) / (alpha - 1.0)
@@ -602,14 +616,12 @@ def classical_qoi_bounds(
         raise ParameterError(
             f"generalized Pinsker order must be in (0, 1], got {alpha!r}"
         )
-    f._check_aligned(p)
-    f._check_aligned(q)
+    gap = f.gap(q, p)
     sup = f.sup_norm
     r = relative_entropy(q, p)
     d_alpha = r if alpha == 1.0 else renyi_divergence(q, p, alpha)
     chi2 = chi_squared(q, p)
     h = hellinger(q, p)
-    gap = f.expectation(q) - f.expectation(p)
     var_p, var_q = f.variance(p), f.variance(q)
 
     return ClassicalBounds(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 from .errors import NumericsError, ParameterError, UnsupportedModelError
@@ -496,19 +496,11 @@ class PhasePoint:
     lin_upper: float
     re_rate: float
 
-    FIELDS = (
-        "param",
-        "baseline_qoi",
-        "true_qoi",
-        "xi_lower",
-        "xi_upper",
-        "lin_lower",
-        "lin_upper",
-        "re_rate",
-    )
-
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in self.FIELDS)
+
+
+PhasePoint.FIELDS = tuple(f.name for f in fields(PhasePoint))  # the CSV and JSON columns
 
 
 def phase_bound_point(

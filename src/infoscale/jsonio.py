@@ -307,43 +307,31 @@ def load_interaction(path) -> Interaction:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-_MODEL_FIELDS = {
-    "ising1d": ("kind", "beta", "J", "h"),
-    "ising2d": ("kind", "beta", "J", "branch"),
-    "meanfield": ("kind", "beta", "J", "h", "d", "branch"),
-}
+_READERS = {"float": _float, "int": _integer, "str": lambda value: value}
 
 
 def model_from_dict(data: dict, source: str = "<model>") -> ModelSpec:
     """The model that a spec such as ``{"kind": "meanfield", "beta": 1.0, "J": 2.0}``
-    names.  ``beta`` is required; the other fields default as in the
-    parameter classes."""
+    names, with its parameter class's fields read by their declared types:
+    ``beta`` is required, and the others default as in the class."""
+    from dataclasses import MISSING, fields
+
     from .exact_models import Ising1DParams, Ising2DParams, MeanFieldParams
 
+    classes = {"ising1d": Ising1DParams, "ising2d": Ising2DParams, "meanfield": MeanFieldParams}
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+    if not isinstance(kind, str) or kind not in classes:
         raise ParameterError(
             f"{source}: model kind must be 'ising1d', 'ising2d' or 'meanfield', got {kind!r}"
         )
-    _reject_unknown(data, _MODEL_FIELDS[kind], f"{source}: {kind} model")
+    declared = fields(classes[kind])
+    _reject_unknown(data, ("kind", *(f.name for f in declared)), f"{source}: {kind} model")
+    for f in declared:
+        if f.default is MISSING and f.name not in data:
+            raise ParameterError(f"{source}: missing model field {f.name!r}")
     try:
-        if kind == "ising1d":
-            return Ising1DParams(
-                beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
-                h=_float(data.get("h", 0.0)),
-            )
-        if kind == "ising2d":
-            return Ising2DParams(
-                beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
-                branch=data.get("branch", "plus"),
-            )
-        return MeanFieldParams(
-            beta=_float(data["beta"]), J=_float(data.get("J", 1.0)),
-            h=_float(data.get("h", 0.0)), d=_integer(data.get("d", 1)),
-            branch=data.get("branch", "upper"),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"{source}: missing model field {exc}") from exc
+        return classes[kind](**{f.name: _READERS[f.type](data[f.name])
+                                for f in declared if f.name in data})
     except ParameterError as exc:
         raise ParameterError(f"{source}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

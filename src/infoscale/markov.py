@@ -15,16 +15,17 @@ only reads (its power iteration scales the iterates); every row term, the
 checks and the Renyi order rule are those of :mod:`infoscale.divergences`.
 
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
-(stationary laws, rate, lambda-curve, IACT); :func:`cheap_rate_bounds`
+(rate, lambda-curve, IACT, the stationary gap); :func:`cheap_rate_bounds`
 reuses it for the two surrogate rates.
 
 The finite-horizon path divergences and CGF are sums over paths of products
 along the path, so they are transfer products in O(N |S|^2) work: one pass
 over the steps sums the KL and Hellinger row terms along the marginals and
-carries the chi-squared's three vectors; the Renyi sums and the centred CGF
-run on ``divergences._PathTransfer`` with one-state blocks, shared with the
-Gibbs measures (log partitions of its tilted transfer, and its centred-CGF
-method).  No path law is ever built.
+carries the three vectors of the Renyi sum ``sum q^a p^(1-a) - 1`` of the
+order 2 (the chi-squared) and of the report's order; the centred CGF, and a
+Renyi sum far from 0, run on ``divergences._PathTransfer`` with one-state
+blocks, shared with the Gibbs measures (log partitions of its tilted
+transfer, and its centred-CGF method).  No path law is ever built.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from typing import Callable
 import numpy as np
 
 from .divergences import (
-    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _chi2_terms,
-    _clamp_nonneg, _hellinger_terms, _kl_terms, _log_on, _near_kl, _PathTransfer, _positive_int,
-    _renyi_exponents, _require_mutual_ac,
+    DiscreteDistribution, DivergenceReport, Observable, _check_same_support, _clamp_nonneg,
+    _hellinger_terms, _kl_terms, _log_on, _log_ratio, _near_kl, _PathTransfer, _positive_int,
+    _renyi_exponents, _renyi_tails, _require_mutual_ac,
 )
 from .errors import (
     DimensionError,
@@ -356,7 +357,9 @@ class RateBound:
     ``lambda_curve(c)`` is ``(lambda(c), lambda'(c))``; ``iact`` is the
     asymptotic variance ``lambda''(0)`` of g under p (see
     :func:`integrated_autocorrelation`), which sets the linearized half
-    width; ``mu_q`` and ``mu_p`` are the two stationary laws.
+    width; ``stationary_gap`` is ``E_{mu_q}(g) - E_{mu_p}(g)`` itself, taken
+    as ``mu_q ((q - p) h)`` with h the Poisson solution of
+    :func:`_poisson_solution`, which keeps its digits as q nears p.
     """
 
     rer: float
@@ -364,29 +367,34 @@ class RateBound:
     xi_minus_rate: float
     lambda_curve: Callable[[float], tuple[float, float]]
     iact: float
-    mu_q: DiscreteDistribution
-    mu_p: DiscreteDistribution
+    stationary_gap: float
+
+
+def _poisson_solution(p: TransitionMatrix, centered: np.ndarray) -> np.ndarray:
+    """h solving ``(I - p + 1 mu^T) h = gbar`` for the centered observable
+    gbar and p's stationary law mu: invertible for every irreducible p
+    (Kemeny and Snell, Finite Markov Chains, 1960), and h solves the
+    Poisson equation ``(I - p) h = gbar`` with ``mu . h = 0``."""
+    system = -p.rows
+    system.flat[:: p.size + 1] += 1.0
+    system += p._stationary.weights  # I - p + 1 mu^T, summed in that order
+    return np.linalg.solve(system, centered)
 
 
 def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     """Asymptotic variance ``sigma^2 = lambda''(0)`` of g under p, for any
     irreducible p, periodic or not.
 
-    With gbar the centered observable and mu the stationary law, the deflated
-    system ``(I - p + 1 mu^T) h = gbar`` is invertible for every irreducible
-    p (Kemeny and Snell, Finite Markov Chains, 1960); its solution solves the
-    Poisson equation ``(I - p) h = gbar`` with ``mu . h = 0``, and
-    ``sigma^2 = 2 gbar^T D h - gbar^T D gbar`` with ``D = diag(mu)``.  Where the
-    powers of p converge, ``h = sum_k p^k gbar`` and sigma^2 is the variance
-    plus twice the summed stationary autocovariances of g.
+    With gbar the centered observable, mu the stationary law and h the
+    Poisson solution of :func:`_poisson_solution`, ``sigma^2 = 2 gbar^T D h -
+    gbar^T D gbar`` with ``D = diag(mu)``.  Where the powers of p converge,
+    ``h = sum_k p^k gbar`` and sigma^2 is the variance plus twice the summed
+    stationary autocovariances of g.
     """
     _check_observable(p, g)
     mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
-    system = -p.rows
-    system.flat[:: p.size + 1] += 1.0
-    system += mu  # I - p + 1 mu^T, summed in that order
-    h = np.linalg.solve(system, centered)
+    h = _poisson_solution(p, centered)
     weighted = mu * centered
     with np.errstate(over="ignore"):
         value = 2.0 * float(weighted @ h) - float(weighted @ centered)
@@ -409,16 +417,25 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     ``xi_plus = inf_{c>0} (lambda_{p,g}(c) + r)/c`` with r the relative
     entropy rate, and the mirrored supremum below; c = 0 is understood as the
     limiting value, which the degenerate short-circuit (r = 0) returns.
+
+    The gap itself is ``mu_q ((q - p) h)`` (``mu_q (I - p) h = mu_q gbar``),
+    with the diagonal of ``q - p`` taken as minus its off-diagonal row sum,
+    as both rows sum to 1: no term is a difference of the two expectations.
     """
     _require_mutual_ac(q.rows, p.rows, "steady-state rate bound")
     _check_observable(p, g)
-    mu_p, mu_q = p._stationary, q._stationary
-    centered = g.values - float(mu_p.weights @ g.values)
-    curve = _lambda_curve(p.rows, centered, mu_p.weights)
+    mu_p, mu_q = p._stationary.weights, q._stationary.weights
+    centered = g.values - float(mu_p @ g.values)
+    curve = _lambda_curve(p.rows, centered, mu_p)
     iact = integrated_autocorrelation(p, g)
-    rer = float(mu_q.weights @ _kl_terms(q.rows, p.rows).sum(axis=1))
+    rer = float(mu_q @ _kl_terms(q.rows, p.rows).sum(axis=1))
     bound = _optimized(curve, iact, rer)
-    return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, mu_q, mu_p)
+    h = _poisson_solution(p, centered)  # first, so its n x n arrays are freed before diff
+    diff = q.rows - p.rows
+    diff.flat[:: p.size + 1] = 0.0
+    diff.flat[:: p.size + 1] = -diff.sum(axis=1)
+    gap = float(mu_q @ (diff @ h))
+    return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,6 +493,24 @@ def _initial_law(p: TransitionMatrix, nu: DiscreteDistribution | None) -> np.nda
     return nu.weights
 
 
+def _renyi_steps(q: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
+    """``(p e^{a s}, a q expm1((a - 1) s), p (tail(a s) - a tail(s)))``
+    entrywise, any shape, with ``s = log(q / p)`` and every term 0 where p
+    is 0 (q must be 0 there too): the three matrices of one step of the
+    path Renyi sum (see :func:`path_divergence_report`).  The last two keep
+    their digits as q nears p; where ``e^{a s}`` or ``e^s`` overflows they
+    are ``a (p e^{a s} - q)`` and ``p e^{a s} - a q + (a - 1) p``, in which
+    one term outweighs the others."""
+    s = np.where(p > 0, _log_ratio(q, p), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt = np.exp(_renyi_exponents(q, p, alpha))
+        cross = q * np.expm1((alpha - 1.0) * s)
+        spread = p * _renyi_tails(s, alpha)
+        cross = np.where(np.isfinite(cross), cross, tilt - q)
+        spread = np.where(np.isfinite(spread), spread, tilt - alpha * q + (alpha - 1.0) * p)
+    return tilt, alpha * cross, spread
+
+
 def path_divergence_report(
     p: TransitionMatrix,
     q: TransitionMatrix,
@@ -496,13 +531,20 @@ def path_divergence_report(
     - ``KL = R(nu_q || nu_p) + sum_{t<N} (nu_q q^t) . rowKL``;
     - ``H^2 = sum (sqrt nu_q - sqrt nu_p)^2 + sum_{t<N} (sqrt(nu_q nu_p) B^t) . rowH2``
       with ``B = sqrt(q p)`` entrywise;
-    - ``chi^2 = sum (q - p)^2 / p``: over the paths ending at y, ``E = sum
-      (q - p)^2 / p``, ``F = sum (q - p)`` and ``G = sum p`` step to ``E q^2/p
-      + 2 F q d/p + G d^2/p``, ``F q + G d`` and ``G p`` (``d = q - p``);
-      ``inf`` past ``expm1(700)`` or where the recursion leaves the float range;
-    - the Renyi order alpha is ``log(nu_q^a nu_p^(1-a) . M^N . 1) / (a - 1)``
-      with ``M = q^a p^(1-a)`` entrywise (orders within 1e-6 of 1 give the
-      KL, as in :func:`~infoscale.divergences.renyi_divergence`).
+    - the Renyi order a is ``log1p(S_a) / (a - 1)`` with ``S_a = sum p
+      (tail(a G) - a tail(G)) = sum q^a p^(1-a) - 1``, ``G = log(q / p)`` of
+      the path and ``tail(y) = e^y - 1 - y``, and ``chi^2 = S_2``.  Over the
+      paths ending at y, ``e = sum p (tail(a G) - a tail(G))``, ``b = sum (q
+      - p)`` and ``c = sum p`` step to ``e M + b X + c W``, ``b q + c (q -
+      p)`` and ``c p``, with the matrices of :func:`_renyi_steps`, ``M = p
+      e^{a s}``, ``X = a q expm1((a - 1) s)`` and ``W = p (tail(a s) - a
+      tail(s))`` (``s = log(q / p)``); no term is a difference of numbers
+      near 1, so ``S_a`` keeps its digits as q nears p.  One pass carries
+      the order 2 and the report's order.  chi^2 is ``inf`` past
+      ``expm1(700)`` or where the recursion leaves the float range; the
+      Renyi divergence is then, or where ``1 + S_a < 1/2``, the log of the
+      path transfer ``nu_q^a nu_p^(1-a) . M^N . 1`` (orders within 1e-6 of 1
+      give the KL, as in :func:`~infoscale.divergences.renyi_divergence`).
 
     ``tv`` is None: a sum of absolute values over paths has no transfer form.
     The initial-distribution terms, which the rate limits drop, are included;
@@ -515,31 +557,32 @@ def path_divergence_report(
     n = _positive_int(n_steps, "n_steps")
     near_kl = _near_kl(alpha, "the report's kl")
     start_p, start_q = _initial_law(p, nu_p), _initial_law(q, nu_q)
-    if np.array_equal(q.rows, p.rows) and np.array_equal(start_q, start_p):
-        return DivergenceReport(None, 0.0, 0.0, alpha, 0.0, 0.0)
     _require_mutual_ac(start_q, start_p, "path divergences")
     _require_mutual_ac(q.rows, p.rows, "path divergences")
     row_kl = _kl_terms(q.rows, p.rows).sum(axis=1)
     row_h2 = _hellinger_terms(q.rows, p.rows).sum(axis=1)
     overlap = np.sqrt(q.rows * p.rows)
-    diff, spread = q.rows - p.rows, _chi2_terms(q.rows, p.rows)
-    cross = diff + spread  # q d / p
-    square = q.rows + cross  # q^2 / p
+    orders = (2.0,) if near_kl or alpha == 2.0 else (2.0, alpha)
+    steps = [_renyi_steps(q.rows, p.rows, a) for a in orders]
+    sums = [_renyi_steps(start_q, start_p, a)[2] for a in orders]
     kl_terms = [float(_kl_terms(start_q, start_p).sum())]
     h2_terms = [float(_hellinger_terms(start_q, start_p).sum())]
     marginal, affinity = start_q, np.sqrt(start_q * start_p)
-    e, f, g = _chi2_terms(start_q, start_p), start_q - start_p, start_p
-    with np.errstate(over="ignore", invalid="ignore"):  # chi^2 past the float range
+    diff, b, c = q.rows - p.rows, start_q - start_p, start_p
+    with np.errstate(over="ignore", invalid="ignore"):  # S_a past the float range
         for _ in range(n):
             kl_terms.append(float(marginal @ row_kl))
             h2_terms.append(float(affinity @ row_h2))
             marginal, affinity = marginal @ q.rows, affinity @ overlap
-            e, f, g = e @ square + 2.0 * (f @ cross) + g @ spread, f @ q.rows + g @ diff, g @ p.rows
-        total = float(e.sum())
-    chi2 = _clamp_nonneg(total, "path chi-squared") if total <= _CHI2_LIMIT else math.inf
+            sums = [e @ m + b @ x + c @ w for e, (m, x, w) in zip(sums, steps)]
+            b, c = b @ q.rows + c @ diff, c @ p.rows
+        chi2, total = float(sums[0].sum()), float(sums[-1].sum())
+    chi2 = _clamp_nonneg(chi2, "path chi-squared") if chi2 <= _CHI2_LIMIT else math.inf
     kl = math.fsum(kl_terms)
     if near_kl:
         renyi = kl
+    elif math.isfinite(total) and total >= -0.5:
+        renyi = _clamp_nonneg(math.log1p(total) / (alpha - 1.0), "path Renyi divergence")
     else:
         exponents = _renyi_exponents(q.rows, p.rows, alpha)[:, None, :]  # one-state blocks
         transfer = _PathTransfer(_renyi_exponents(start_q, start_p, alpha), exponents, n)

@@ -76,8 +76,7 @@ class SweepConfig:
 
 
 def _nan_point(param: float) -> PhasePoint:
-    nan = math.nan
-    return PhasePoint(param, nan, nan, nan, nan, nan, nan, nan)
+    return PhasePoint(param, *[math.nan] * (len(PhasePoint.FIELDS) - 1))
 
 
 def evaluate_sweep(config: SweepConfig) -> tuple[list[PhasePoint], int]:

@@ -13,6 +13,7 @@ from infoscale import (
     DimensionError,
     DiscreteDistribution,
     NormalizationError,
+    Observable,
     ParameterError,
     chi_squared,
     divergence_report,
@@ -382,6 +383,22 @@ class TestPrecision:
         for alpha in self.ORDERS:
             for value in (renyi_divergence(p, p, alpha), iid_scaled_divergences(p, p, 3, alpha).renyi):
                 assert value == 0.0 and math.copysign(1.0, value) == 1.0, alpha
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    def test_observable_gap_matches_mpmath(self, eps):
+        # E_q f - E_p f as (q - p) . f; the difference of the two
+        # expectations was 2.5e-10, 5.9e-6 and 6.2e-2 relative off.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            p, q = close_pair(rng, n, eps)
+            f = Observable(rng.uniform(2.0, 4.0, n))
+            with mpmath.workdps(50):
+                want = float(mpmath.fsum((mpmath.mpf(float(a)) - mpmath.mpf(float(b)))
+                                         * mpmath.mpf(float(v))
+                                         for a, b, v in zip(q.weights, p.weights, f.values)))
+            assert want != 0.0
+            assert f.gap(q, p) == pytest.approx(want, rel=1e-13, abs=0.0), n
 
     @pytest.mark.parametrize("eps, n", [(1e-9, 100), (1e-5, 1000), (1e-3, 10), (0.5, 3)])
     def test_product_hellinger_matches_mpmath(self, rng, eps, n):

@@ -207,3 +207,48 @@ def test_chain_rows_are_not_held_as_python_floats(tmp_path):
         tracemalloc.stop()
     assert chain.size == n
     assert peak < 12 * n * n, f"{peak / n**2:.1f} bytes per entry"
+
+
+# Model specs: ``model_from_dict`` reads the fields of each kind's parameter
+# class, so a field added to or renamed in a class changes the file format.
+_MODEL_CLASSES = {"ising1d": "Ising1DParams", "ising2d": "Ising2DParams",
+                  "meanfield": "MeanFieldParams"}
+_FIELD_VALUES = {"beta": 0.7, "J": 1.5, "h": -0.25, "d": 3, "branch": None}
+_BRANCHES = {"ising2d": "minus", "meanfield": "lower"}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODEL_CLASSES))
+def test_model_specs_read_the_parameter_class_fields(kind):
+    import dataclasses
+
+    from infoscale import exact_models
+
+    cls = getattr(exact_models, _MODEL_CLASSES[kind])
+    assert jsonio.model_from_dict({"kind": kind, "beta": 0.7}) == cls(beta=0.7)
+    declared = {f.name for f in dataclasses.fields(cls)}
+    full = {name: _BRANCHES.get(kind) if name == "branch" else _FIELD_VALUES[name]
+            for name in declared}
+    assert jsonio.model_from_dict({"kind": kind, **full}) == cls(**full)
+    for name in sorted(set(_FIELD_VALUES) - declared) + ["x"]:
+        with pytest.raises(InfoscaleError) as err:
+            jsonio.model_from_dict({"kind": kind, "beta": 0.7, name: 1.0}, "spec.json")
+        assert str(err.value) == f"spec.json: {kind} model: unknown field(s) {name!r}"
+    with pytest.raises(InfoscaleError) as err:
+        jsonio.model_from_dict({"kind": kind, "J": 1.0}, "spec.json")
+    assert str(err.value) == "spec.json: missing model field 'beta'"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "ising1d", "beta": True}, "malformed model field: expected a number, got True"),
+    ({"kind": "meanfield", "beta": 1, "d": True},
+     "malformed model field: expected a number, got True"),
+    ({"kind": "meanfield", "beta": 1, "d": 2.5},
+     "malformed model field: expected an integer, got 2.5"),
+    ({"kind": "ising2d", "beta": 1, "h": 0.3, "d": 1}, "ising2d model: unknown field(s) 'd', 'h'"),
+    ({"kind": "ising2d", "beta": 1, "branch": False},
+     "branch must be 'plus' or 'minus', got False"),
+])
+def test_model_spec_errors_keep_their_messages(spec, message):
+    with pytest.raises(InfoscaleError) as err:
+        jsonio.model_from_dict(spec, "spec.json")
+    assert str(err.value) == f"spec.json: {message}"

@@ -733,6 +733,33 @@ class TestXiRateBounds:
             gap = self._mp_stationary_gap(q, p, g)
             assert rb.xi_minus_rate <= gap <= rb.xi_plus_rate, (n, gap, rb)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    def test_stationary_gap_matches_60_digit_laws(self, eps):
+        # The gap is mu_q ((Q - P) h), h the Poisson solution, against laws
+        # of the rows with each diagonal one minus the off-diagonal row sum
+        # in 60 digits.  The difference of the two expectations was 1.2e-8,
+        # 2.7e-6 and 1.6e-2 relative off at these eps.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(3, 8))
+            p = random_chain(rng, n)
+            q = p.rows * np.exp(eps * rng.standard_normal((n, n)))
+            q = TransitionMatrix(q / q.sum(axis=1, keepdims=True))
+            g = Observable(rng.uniform(-1.0, 1.0, n))
+            with mpmath.workdps(60):
+                laws = []
+                for rows in (q.rows, p.rows):
+                    m = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in rows])
+                    for i in range(n):
+                        m[i, i] = 1 - mpmath.fsum(m[i, j] for j in range(n) if j != i)
+                    a = mpmath.matrix([[m[j, i] - (i == j) for j in range(n)]
+                                       for i in range(n - 1)] + [[1] * n])
+                    laws.append(mpmath.lu_solve(a, mpmath.matrix([0] * (n - 1) + [1])))
+                want = float(mpmath.fsum((laws[0][i] - laws[1][i]) * mpmath.mpf(float(v))
+                                         for i, v in enumerate(g.values)))
+            got = xi_rate_bounds(q, p, g).stationary_gap
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), n
+
     def test_periodic_pair_with_a_zero_curve(self):
         # g is constant on the two cyclic classes, so lambda is identically
         # 0 and so is the gap; the dense solve's rounding once put
@@ -909,8 +936,7 @@ class TestCheapBounds:
             cheap = cheap_rate_bounds(q, p, g)
             exact, iact = cheap.exact, integrated_autocorrelation(p, g)
             assert exact.iact == iact > 0.0
-            gap = g.expectation(exact.mu_q) - g.expectation(exact.mu_p)
-            assert exact.xi_minus_rate <= gap <= exact.xi_plus_rate
+            assert exact.xi_minus_rate <= exact.stationary_gap <= exact.xi_plus_rate
             for rate, bound in ((cheap.sup_row_re, cheap.bounds_sup_row_re),
                                 (cheap.sup_log_ratio, cheap.bounds_sup_log_ratio)):
                 want = math.sqrt(iact) * math.sqrt(2.0 * rate)
@@ -1015,13 +1041,20 @@ class TestPathEnumeration:
         # Rows and initial laws from conftest.close_pair, whose float weights
         # are the measures, so every path law is exact: 3 states over 4
         # steps.  The Hellinger rows summed (sqrt q - sqrt p)^2, which
-        # cancels: 1.5e-4 relative off at eps = 1e-12.
+        # cancels: 1.5e-4 relative off at eps = 1e-12.  The Renyi divergence
+        # is log1p(S_a) / (a - 1) with S_a = sum p (tail(aG) - a tail(G)),
+        # G = log(q / p) and tail(y) = e^y - 1 - y; the log of the path
+        # transfer was 2.1e4 (order 2) and 1.0 (order 0.5) relative off at
+        # eps = 1e-10.
         rng = np.random.default_rng(5)
         pairs = [close_pair(rng, 3, eps) for _ in range(4)]  # three rows, the initial laws
         p, q = (TransitionMatrix([pair[side].weights for pair in pairs[:3]]) for side in (0, 1))
         nu_p, nu_q = pairs[3]
+        orders = (2.0, 0.5)
         with mpmath.workdps(50):
             kl = h2 = chi2 = mpmath.mpf(0)
+            sums = dict.fromkeys(orders, mpmath.mpf(0))
+            tail = lambda y: mpmath.expm1(y) - y  # noqa: E731
             for path in itertools.product(range(3), repeat=5):
                 a, b = (mpmath.mpf(float(nu.weights[path[0]])) for nu in (nu_p, nu_q))
                 for x, y in zip(path, path[1:]):
@@ -1030,11 +1063,18 @@ class TestPathEnumeration:
                 kl += b * mpmath.log(b / a)
                 h2 += (mpmath.sqrt(b) - mpmath.sqrt(a)) ** 2
                 chi2 += (b - a) ** 2 / a
+                for order in orders:
+                    g = mpmath.log(b / a)
+                    sums[order] += a * (tail(order * g) - order * tail(g))
             want = {"kl": float(kl), "hellinger": float(mpmath.sqrt(h2)), "chi2": float(chi2)}
+            renyi = {order: float(mpmath.log1p(sums[order]) / (order - 1)) for order in orders}
         got = path_divergence_report(p, q, 4, nu_p=nu_p, nu_q=nu_q)
         assert min(want.values()) > 0.0
         for name, value in want.items():
             assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+        for order, value in renyi.items():
+            got = path_divergence_report(p, q, 4, nu_p=nu_p, nu_q=nu_q, alpha=order).renyi
+            assert got == pytest.approx(value, rel=1e-13, abs=0.0), order
 
     # (states, alpha): chi^2, KL, Hellinger, Renyi of two seeded chains over
     # 12 steps from their stationary laws, as the order-2 pass decided chi^2.
@@ -1051,8 +1091,9 @@ class TestPathEnumeration:
 
     @pytest.mark.parametrize("states, alpha", list(_SEEDED_REPORTS))
     def test_one_renyi_pass_gives_every_divergence(self, monkeypatch, states, alpha):
-        # chi^2 comes from its own recursion at every order, so a report
-        # runs the Renyi transfer of its order alone.
+        # One recursion carries the order-2 sum (chi^2) and the report's
+        # order, so a report builds a Renyi transfer only where its sum
+        # sum q^a p^(1-a) - 1 is below -1/2, here (30, 0.5) alone.
         rng = np.random.default_rng(states)
         p, q = (TransitionMatrix(m / m.sum(axis=1, keepdims=True))
                 for m in (rng.uniform(0.05, 1.0, (states, states)) for _ in range(2)))
@@ -1065,7 +1106,8 @@ class TestPathEnumeration:
         transfer = markov._PathTransfer
         monkeypatch.setattr(markov, "_PathTransfer", counted)
         rep = path_divergence_report(p, q, 12, alpha=alpha)
-        assert len(transfers) == 1
+        far = math.expm1((alpha - 1.0) * self._SEEDED_REPORTS[states, alpha][3]) < -0.5
+        assert len(transfers) == far == ((states, alpha) == (30, 0.5))
         got = (rep.chi2, rep.kl, rep.hellinger, rep.renyi)
         assert got == pytest.approx(self._SEEDED_REPORTS[states, alpha], rel=1e-12, abs=0.0)
         at_two = path_divergence_report(p, q, 12)
