@@ -9,14 +9,20 @@ single-measure goal-oriented bound with the CGF replaced by the principal
 eigenvalue curve, whose slope ``sum l g r / sum l r`` comes from the left and
 right Perron vectors l, r of the same solve.
 
-The lambda-curve and the Renyi rates take every tilted Perron root through
-one shift rule, :func:`_log_perron`, whose tilted matrix :func:`perron_root`
+The stationary law and the Poisson solution (the IACT, the stationary gap)
+come from Grassmann-Taksar-Heyman state reduction, :func:`_gth_reduce`, in
+one n x n work array, with no subtraction and no linear solve.  The
+lambda-curve and the Renyi rates take every tilted Perron root through one
+shift rule, :func:`_log_perron`, whose tilted matrix :func:`perron_root`
 only reads (its power iteration scales the iterates); every row term, the
 checks and the Renyi order rule are those of :mod:`infoscale.divergences`.
+The other n x n passes (row KL terms, log ratios, the rows of ``q - p``) go
+by row blocks, so a dense chain pair holds one n x n array beyond its two
+chains at a time.
 
 :func:`xi_rate_bounds` sets a chain pair up once, in a :class:`RateBound`
 (rate, lambda-curve, IACT, the stationary gap); :func:`cheap_rate_bounds`
-reuses it for the two surrogate rates.
+reuses it, and its row KL divergences, for the two surrogate rates.
 
 The finite-horizon path divergences and CGF are sums over paths of products
 along the path, so they are transfer products in O(N |S|^2) work: one pass
@@ -59,6 +65,15 @@ _PERRON_STEPS = 30
 # states, 19 against 160 or more at 3 (numpy on a 2-CPU x86-64 host).
 _DENSE_BELOW = 24
 _CHI2_LIMIT = math.expm1(700.0)  # a path chi-squared past it is reported as inf
+# A row-blocked pass over an n x n array takes 1/_ROW_BLOCKS of its rows at
+# a time, so its temporaries are a small part of one n x n array; a block
+# holds at least _BLOCK_ENTRIES entries, so a small chain is one block.
+_ROW_BLOCKS = 32
+_BLOCK_ENTRIES = 1024
+# States per block of the GTH reduction.  At 300 states a reduction took 5
+# ms in blocks of 32, 6 ms in blocks of 16 or 64, and 12 ms as plain rank-1
+# updates of the whole array (numpy on a 2-CPU x86-64 host).
+_GTH_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,24 +216,112 @@ def perron_root(
     return rho, left / left.sum(), right / right.sum()
 
 
-def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
-    """The unique stationary law, by direct linear solve of the balance equations.
+def _row_blocks(n: int) -> list[slice]:
+    """Slices covering ``range(n)``: the row blocks of an n x n array, each of
+    ``ceil(n / _ROW_BLOCKS)`` rows or ``ceil(_BLOCK_ENTRIES / n)``, the more."""
+    step = max(-(-n // _ROW_BLOCKS), -(-_BLOCK_ENTRIES // n))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    Solves ``(p^T - I) mu = 0`` with one row replaced by the normalization
-    constraint, then verifies the fixed-point residual to 1e-12.
+
+def _unit_triangular_inverse(t: np.ndarray) -> np.ndarray:
+    """``(I - t)^-1`` of a strictly triangular nonnegative b x b matrix t, as
+    ``(I + t)(I + t^2)(I + t^4)...`` up to ``t^b = 0``: sums of products of
+    nonnegative numbers, with no subtraction."""
+    inverse, power, span = np.eye(len(t)) + t, t, 2
+    while span < len(t):
+        power = power @ power
+        inverse += inverse @ power
+        span *= 2
+    return inverse
+
+
+def _gth_reduce(rows: np.ndarray) -> np.ndarray:
+    """Grassmann-Taksar-Heyman state reduction of a stochastic matrix (Oper.
+    Res. 33, 1985), in one new n x n array.
+
+    States are eliminated from the last.  Eliminating k censors the chain to
+    the states below k: ``a(i, j) += a(i, k) a(k, j) / s_k`` for i, j < k,
+    with the pivot ``s_k = sum_{j<k} a(k, j)``, the mass that row k sends to
+    the states left.  So ``1 - a(k, k)`` is never formed and nothing is
+    subtracted.  For each k >= 1 the array returned holds, as they were when
+    k was eliminated, row k left of the diagonal and column k divided by
+    ``s_k`` above it, and ``s_k`` on the diagonal: with that array a, ``I -
+    p = U L``, ``U(i, k) = -a(i, k)`` for i < k, ``L(k, j) = -a(k, j)`` for j
+    < k and ``L(k, k) = s_k``.
+
+    The states go in blocks of ``_GTH_BLOCK`` from the last.  A block is
+    reduced in a copy of its own, with a first column that lumps the mass
+    each of its rows sends to the lower states, so its rank-1 updates are
+    small (:func:`_reduce_block`).  Its rows and columns outside it then
+    take the block's eliminations at once (:func:`_carry_block`), and the
+    lower states take its update ``a += c r``, c its scaled columns and r
+    its rows, as matmuls of nonnegative terms over row blocks.
     """
-    n = p.size
-    a = p.rows.T.copy()
-    a.flat[:: n + 1] -= 1.0
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        mu = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    mu = np.clip(mu, 0.0, None)
-    mu = mu / mu.sum()
+    a = np.array(rows, dtype=float)
+    for end in range(len(a), 0, -_GTH_BLOCK):
+        start = max(end - _GTH_BLOCK, 0)
+        pivots = _reduce_block(a, start, end)
+        if start:
+            _carry_block(a, start, end, pivots)
+            for lower in _row_blocks(start):
+                update = a[lower, start:end] @ a[start:end, :start]
+                update += a[lower, :start]  # an in-place add would copy the strided view twice
+                a[lower, :start] = update
+    return a
+
+
+def _reduce_block(a: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Eliminate the states ``start..end-1`` of :func:`_gth_reduce`'s array
+    from the last, in a copy of their block whose first column lumps the
+    mass each row sends below ``start``; write their factors back and return
+    their pivots.  State 0 is never eliminated."""
+    block = np.empty((end - start, end - start + 1))
+    np.sum(a[start:end, :start], axis=1, out=block[:, 0])
+    block[:, 1:] = a[start:end, start:end]
+    for m in range(end - start - 1, -1 if start else 0, -1):
+        row = block[m, : m + 1]
+        pivot = row.sum()
+        block[m, m + 1] = pivot
+        column = block[:m, m + 1]
+        column /= pivot
+        block[:m, : m + 1] += np.multiply.outer(column, row)
+    a[start:end, start:end] = block[:, 1:]
+    return np.diagonal(block, 1).copy()
+
+
+def _carry_block(a: np.ndarray, start: int, end: int, pivots: np.ndarray) -> None:
+    """Give the rows and columns of the states ``start..end-1`` outside their
+    block the eliminations within it: ``r <- (I - T)^-1 r`` for the rows,
+    with ``T(m, k) = a(m, k)``, the block's scaled columns (m < k), and ``c
+    <- c (I - T')^-1 diag(1/s)`` for the columns, with ``T'(k, m) = a(k, m)
+    / s_k`` (m < k); both inverses by :func:`_unit_triangular_inverse`."""
+    factors = a[start:end, start:end]
+    inverse = _unit_triangular_inverse(np.triu(factors, 1))
+    for lower in _row_blocks(start):
+        a[start:end, lower] = inverse @ a[start:end, lower]
+    inverse = _unit_triangular_inverse(np.tril(factors, -1) / pivots[:, None])
+    inverse /= pivots
+    for lower in _row_blocks(start):
+        a[lower, start:end] = a[lower, start:end] @ inverse
+
+
+def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
+    """The unique stationary law, by GTH state reduction (:func:`_gth_reduce`).
+
+    ``mu_0 = 1`` and ``mu_k = sum_{i<k} mu_i a(i, k)`` over the reduced array
+    a (whose columns are divided by their pivots), normalized: the balance of
+    state k in the chain censored to the states up to k.  Every term is a
+    nonnegative product, so each entry of mu is accurate to a few ulps
+    however small it is (O'Cinneide, Numer. Math. 65, 1993); a law with
+    entries near 1e-300 keeps them.  The fixed-point residual ``max |mu p -
+    mu|`` is then checked to 1e-12.
+    """
+    reduced = _gth_reduce(p.rows)
+    mu = np.empty(p.size)
+    mu[0] = 1.0
+    for k in range(1, p.size):
+        mu[k] = mu[:k] @ reduced[:k, k]
+    mu /= mu.sum()
     residual = float(np.max(np.abs(mu @ p.rows - mu)))
     if residual > 1e-12:
         raise NumericsError(f"stationary solve residual {residual!r} exceeds 1e-12")
@@ -228,7 +331,7 @@ def stationary_distribution(p: TransitionMatrix) -> DiscreteDistribution:
 def relative_entropy_rate(q: TransitionMatrix, p: TransitionMatrix) -> float:
     """Relative entropy rate ``sum_x mu_q(x) R(q(x,.) || p(x,.))`` in nats/step."""
     _require_mutual_ac(q.rows, p.rows, "relative entropy rate")
-    return float(q._stationary.weights @ _kl_terms(q.rows, p.rows).sum(axis=1))
+    return float(q._stationary.weights @ _row_kl(q.rows, p.rows))
 
 
 def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
@@ -243,7 +346,14 @@ def renyi_rate(q: TransitionMatrix, p: TransitionMatrix, alpha: float) -> float:
     if _near_kl(alpha, "relative_entropy_rate"):
         return relative_entropy_rate(q, p)
     _require_mutual_ac(q.rows, p.rows, "Renyi rate")
-    log_rho = _log_perron(1.0, _renyi_exponents(q.rows, p.rows, alpha))[0]
+
+    def exponents() -> np.ndarray:  # by row blocks, into the buffer that _log_perron tilts
+        out = np.empty(q.rows.shape)
+        for rows in _row_blocks(q.size):
+            out[rows] = _renyi_exponents(q.rows[rows], p.rows[rows], alpha)
+        return out
+
+    log_rho = _log_perron(1.0, exponents)[0]
     if log_rho == -math.inf:
         raise NumericsError("the tilted matrix underflowed to a zero Perron root")
     return max(0.0, log_rho / (alpha - 1.0))  # 0.0 first: max keeps it over a -0.0
@@ -283,12 +393,15 @@ def lambda_pg(p: TransitionMatrix, g: Observable, c: float) -> float:
 
 
 def _log_perron(
-    base, exponents: np.ndarray, route: _PerronRoute | None = None
+    base, exponents, route: _PerronRoute | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``log rho(base * e^exponents)`` (entrywise, numpy broadcasting; a
-    ``-inf`` exponent is a zero entry, a zero root gives ``-inf``), with the
-    left and right Perron vectors of :func:`perron_root`, which only reads
-    the tilted matrix built here in one buffer, on ``route``.
+    """``log rho(base * e^exponents)`` entrywise, for n x n exponents and a
+    scalar or n x n base, or n exponents that tilt the columns of an n x n
+    base (a ``-inf`` exponent is a zero entry, a zero root gives ``-inf``),
+    with the left and right Perron vectors of :func:`perron_root`, which
+    only reads the tilted matrix built here in one buffer, on ``route``.
+    ``exponents`` is an array, which is never written, or a function that
+    returns a new one, which becomes the buffer.
 
     e^x overflows past x = 709 and underflows below -745, and a large tilt
     or a tiny entry of p reaches either.  The exponents are shifted by their
@@ -297,14 +410,17 @@ def _log_perron(
     small entry can close the cycle that sets the root (e^-200 across from
     e^600), so it is not given up while the range still holds it.
     """
-    top = float(np.max(exponents))
-    low = float(np.min(exponents, where=exponents > -math.inf, initial=top))
+    matrix = exponents() if callable(exponents) else np.array(exponents, dtype=float)
+    top = float(np.max(matrix))
+    low = float(np.min(matrix, where=matrix > -math.inf, initial=top))
     shift = max(top - 700.0, min(top, low + 700.0))
-    shape = np.broadcast_shapes(np.shape(base), exponents.shape)
-    matrix = np.subtract(exponents, shift)
+    matrix -= shift
     np.exp(matrix, out=matrix)
-    matrix = np.multiply(base, matrix, out=matrix if matrix.shape == shape else None)
-    rho, left, right = perron_root(matrix, route)
+    if matrix.ndim == 2:
+        tilted = np.multiply(base, matrix, out=matrix)
+    else:  # a tilt of the columns; a broadcast product would buffer 64 KB more
+        tilted = np.einsum("ij,j->ij", base, matrix)
+    rho, left, right = perron_root(tilted, route)
     return (math.log(rho) + shift if rho > 0.0 else -math.inf), left, right
 
 
@@ -370,15 +486,35 @@ class RateBound:
     stationary_gap: float
 
 
-def _poisson_solution(p: TransitionMatrix, centered: np.ndarray) -> np.ndarray:
-    """h solving ``(I - p + 1 mu^T) h = gbar`` for the centered observable
-    gbar and p's stationary law mu: invertible for every irreducible p
-    (Kemeny and Snell, Finite Markov Chains, 1960), and h solves the
-    Poisson equation ``(I - p) h = gbar`` with ``mu . h = 0``."""
-    system = -p.rows
-    system.flat[:: p.size + 1] += 1.0
-    system += p._stationary.weights  # I - p + 1 mu^T, summed in that order
-    return np.linalg.solve(system, centered)
+def _poisson_solution(p: TransitionMatrix, g: Observable) -> np.ndarray:
+    """h solving the Poisson equation ``(I - p) h = gbar`` with ``mu . h =
+    0``, for gbar the observable centered by p's stationary law mu.
+
+    ``U L h = gbar`` over the GTH factors a of :func:`_gth_reduce`: ``U y =
+    gbar`` by one backward sweep, ``y_k = gbar_k + sum_{j>k} a(k, j) y_j``,
+    then ``L h = y`` by one forward sweep, ``h_k = (y_k + sum_{j<k} a(k, j)
+    h_j) / s_k``, and h less ``mu . h``.  ``L(0, 0) = 0``, as ``I - p`` is
+    singular: h_0 is taken as 0, and ``mu . gbar = 0`` is what makes row 0
+    consistent.  The chain keeps the read-only h of the last observable it
+    was asked for, so the IACT and the stationary gap of one pair read one
+    reduction and one pair of sweeps.
+    """
+    kept = p.__dict__.get("_poisson")
+    if kept is not None and kept[0] is g:
+        return kept[1]
+    mu = p._stationary.weights
+    centered = g.values - float(mu @ g.values)
+    reduced = _gth_reduce(p.rows)
+    y = np.array(centered)
+    for k in range(p.size - 2, 0, -1):
+        y[k] += reduced[k, k + 1 :] @ y[k + 1 :]
+    h = np.zeros(p.size)
+    for k in range(1, p.size):
+        h[k] = (y[k] + reduced[k, :k] @ h[:k]) / reduced[k, k]
+    h -= mu @ h
+    h.setflags(write=False)
+    p.__dict__["_poisson"] = (g, h)
+    return h
 
 
 def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
@@ -386,15 +522,16 @@ def integrated_autocorrelation(p: TransitionMatrix, g: Observable) -> float:
     irreducible p, periodic or not.
 
     With gbar the centered observable, mu the stationary law and h the
-    Poisson solution of :func:`_poisson_solution`, ``sigma^2 = 2 gbar^T D h -
-    gbar^T D gbar`` with ``D = diag(mu)``.  Where the powers of p converge,
-    ``h = sum_k p^k gbar`` and sigma^2 is the variance plus twice the summed
+    Poisson solution of :func:`_poisson_solution` (``(I - p) h = gbar``,
+    ``mu . h = 0``, from p's GTH factors), ``sigma^2 = 2 gbar^T D h - gbar^T
+    D gbar`` with ``D = diag(mu)``.  Where the powers of p converge, ``h =
+    sum_k p^k gbar`` and sigma^2 is the variance plus twice the summed
     stationary autocovariances of g.
     """
     _check_observable(p, g)
     mu = p._stationary.weights
     centered = g.values - float(mu @ g.values)
-    h = _poisson_solution(p, centered)
+    h = _poisson_solution(p, g)
     weighted = mu * centered
     with np.errstate(over="ignore"):
         value = 2.0 * float(weighted @ h) - float(weighted @ centered)
@@ -421,21 +558,42 @@ def xi_rate_bounds(q: TransitionMatrix, p: TransitionMatrix, g: Observable) -> R
     The gap itself is ``mu_q ((q - p) h)`` (``mu_q (I - p) h = mu_q gbar``),
     with the diagonal of ``q - p`` taken as minus its off-diagonal row sum,
     as both rows sum to 1: no term is a difference of the two expectations.
+    h is the Poisson solution that the IACT reads.
     """
+    return _rate_bound(q, p, g)[0]
+
+
+def _rate_bound(
+    q: TransitionMatrix, p: TransitionMatrix, g: Observable
+) -> tuple[RateBound, np.ndarray]:
+    """:func:`xi_rate_bounds`, and the row KL divergences of the rate."""
     _require_mutual_ac(q.rows, p.rows, "steady-state rate bound")
     _check_observable(p, g)
     mu_p, mu_q = p._stationary.weights, q._stationary.weights
     centered = g.values - float(mu_p @ g.values)
     curve = _lambda_curve(p.rows, centered, mu_p)
     iact = integrated_autocorrelation(p, g)
-    rer = float(mu_q @ _kl_terms(q.rows, p.rows).sum(axis=1))
+    row_kl = _row_kl(q.rows, p.rows)
+    rer = float(mu_q @ row_kl)
     bound = _optimized(curve, iact, rer)
-    h = _poisson_solution(p, centered)  # first, so its n x n arrays are freed before diff
-    diff = q.rows - p.rows
-    diff.flat[:: p.size + 1] = 0.0
-    diff.flat[:: p.size + 1] = -diff.sum(axis=1)
-    gap = float(mu_q @ (diff @ h))
-    return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, gap)
+    h = _poisson_solution(p, g)
+    drift = np.empty(p.size)  # (q - p) h
+    for rows in _row_blocks(p.size):
+        diff = q.rows[rows] - p.rows[rows]
+        square = diff[:, rows]
+        np.fill_diagonal(square, 0.0)
+        np.fill_diagonal(square, -diff.sum(axis=1))
+        drift[rows] = diff @ h
+    return RateBound(rer, bound.xi_plus, bound.xi_minus, curve, iact, float(mu_q @ drift)), row_kl
+
+
+def _row_kl(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``R(q(x,.) || p(x,.))`` of each row x: the terms of :func:`_kl_terms`
+    summed by row blocks, so the pass holds a small part of one n x n array."""
+    out = np.empty(len(q))
+    for rows in _row_blocks(len(q)):
+        out[rows] = _kl_terms(q[rows], p[rows]).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,12 +616,14 @@ class CheapRateBounds:
 
 
 def _sup_log_ratio(q: np.ndarray, p: np.ndarray) -> float:
-    """``max |log(q / p)|`` over the support of q; its n x n temporaries
-    are freed on return."""
-    support = q > 0
-    log_ratio = _log_on(q, support, 0.0)
-    log_ratio -= _log_on(p, support, 0.0)
-    return float(np.abs(log_ratio, out=log_ratio).max())
+    """``max |log(q / p)|`` over the support of q, by row blocks."""
+    top = 0.0
+    for rows in _row_blocks(len(q)):
+        support = q[rows] > 0
+        log_ratio = _log_on(q[rows], support, 0.0)
+        log_ratio -= _log_on(p[rows], support, 0.0)
+        top = max(top, float(np.abs(log_ratio, out=log_ratio).max()))
+    return top
 
 
 def cheap_rate_bounds(
@@ -477,8 +637,8 @@ def cheap_rate_bounds(
     autocorrelation.  The exact-rate bound of :func:`xi_rate_bounds`, whose
     lambda-curve and IACT these reuse, comes along as ``exact``.
     """
-    exact = xi_rate_bounds(q, p, g)
-    sup_row = float(_kl_terms(q.rows, p.rows).sum(axis=1).max())
+    exact, row_kl = _rate_bound(q, p, g)
+    sup_row = float(row_kl.max())
     sup_ratio = _sup_log_ratio(q.rows, p.rows)
     bounds = [_optimized(exact.lambda_curve, exact.iact, r) for r in (sup_row, sup_ratio)]
     return CheapRateBounds(exact, sup_row, sup_ratio, *bounds)
@@ -559,7 +719,7 @@ def path_divergence_report(
     start_p, start_q = _initial_law(p, nu_p), _initial_law(q, nu_q)
     _require_mutual_ac(start_q, start_p, "path divergences")
     _require_mutual_ac(q.rows, p.rows, "path divergences")
-    row_kl = _kl_terms(q.rows, p.rows).sum(axis=1)
+    row_kl = _row_kl(q.rows, p.rows)
     row_h2 = _hellinger_terms(q.rows, p.rows).sum(axis=1)
     overlap = np.sqrt(q.rows * p.rows)
     orders = (2.0,) if near_kl or alpha == 2.0 else (2.0, alpha)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from infoscale import (
     ising2d_critical_beta,
     path_divergence_report,
     renyi_rate,
-    stationary_distribution,
     xi_rate_bounds,
 )
 from infoscale.cli import main
@@ -421,7 +421,12 @@ class TestCli:
         g = Observable([0.0, 1.0])
         rate, cheap = xi_rate_bounds(q, p, g), cheap_rate_bounds(q, p, g)
         path = path_divergence_report(p, q, 8)
-        gap = g.expectation(stationary_distribution(q)) - g.expectation(stationary_distribution(p))
+        # The printed gap is the identity mu_q ((Q - P) h) of RateBound, here
+        # the float nearest the exact gap of the float rows (a difference of
+        # the two printed expectations is 1 ulp off it).
+        gap = rate.stationary_gap
+        exact = [Fraction(x) for x in (0.5, 0.2, 0.3, 0.4)]
+        assert gap == float(exact[0] / (exact[0] + exact[1]) - exact[2] / (exact[2] + exact[3]))
         assert payload == {
             "rer": rate.rer,
             "renyi_rate": renyi_rate(q, p, 2.0),
